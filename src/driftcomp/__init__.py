@@ -46,7 +46,7 @@ from .projector import (
     solve_analytic,
     solve_gradient_descent,
 )
-from .queues import FeatureQueue, QueuePair, init_with_pseudo_features, push_pair
+from .queues import FeatureQueue, QueuePair, init_with_pseudo_features
 from .toy import LossWeights, ToyModel, ce_loss, kd_loss, scl_loss, train_task
 
 __version__ = "0.1.0"

@@ -51,61 +51,85 @@ class FeatureRecord:
 class PrototypeTable:
     """Map from class id to (prototype vector, task at which it was last aligned).
 
-    Instances are immutable; evolution operations return new tables.
+    Held as a sorted class-id tuple, a read-only (C, d) matrix whose rows
+    follow that order, and the aligned tasks in the same order. Instances
+    are immutable; evolution operations return new tables.
     """
 
     def __init__(self, entries: Mapping[int, Tuple[np.ndarray, int]]):
         if not entries:
             raise ValueError("prototype table must contain at least one class")
-        self._entries: Dict[int, Tuple[np.ndarray, int]] = {}
-        dim = None
-        for class_id in sorted(entries):
-            vec, aligned_task = entries[class_id]
-            vec = _as_feature_vector(vec)
-            if dim is None:
-                dim = vec.shape[0]
-            elif vec.shape[0] != dim:
+        class_ids = sorted(entries)
+        rows = [_as_feature_vector(entries[c][0]) for c in class_ids]
+        dim = rows[0].shape[0]
+        for class_id, row in zip(class_ids, rows):
+            if row.shape[0] != dim:
                 raise DimensionError(
-                    f"prototype for class {class_id} has dimension {vec.shape[0]}, expected {dim}"
+                    f"prototype for class {class_id} has dimension {row.shape[0]}, expected {dim}"
                 )
-            self._entries[int(class_id)] = (vec, int(aligned_task))
-        self._dim = dim
+        self._assign(tuple(int(c) for c in class_ids), np.vstack(rows),
+                     tuple(int(entries[c][1]) for c in class_ids))
+
+    def _assign(self, class_ids: Tuple[int, ...], matrix: np.ndarray,
+                aligned_tasks: Tuple[int, ...]) -> None:
+        self._class_ids = class_ids
+        self._matrix = matrix
+        self._matrix.flags.writeable = False
+        self._aligned_tasks = aligned_tasks
+        self._row = {c: i for i, c in enumerate(class_ids)}
+
+    @classmethod
+    def _from_checked_rows(cls, class_ids, matrix: np.ndarray, aligned_tasks) -> "PrototypeTable":
+        """Table over rows already validated; `class_ids` must be ascending."""
+        table = cls.__new__(cls)
+        table._assign(tuple(class_ids), matrix, tuple(aligned_tasks))
+        return table
 
     @property
     def dimension(self) -> int:
-        return self._dim
+        return self._matrix.shape[1]
 
     @property
     def class_ids(self) -> Tuple[int, ...]:
-        return tuple(self._entries)  # insertion order is sorted
+        return self._class_ids
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._class_ids)
 
     def __contains__(self, class_id: int) -> bool:
-        return class_id in self._entries
+        return class_id in self._row
 
     def prototype(self, class_id: int) -> np.ndarray:
-        return self._entries[class_id][0]
+        return self._matrix[self._row[class_id]]
 
     def aligned_task(self, class_id: int) -> int:
-        return self._entries[class_id][1]
-
-    def items(self):
-        return self._entries.items()
+        return self._aligned_tasks[self._row[class_id]]
 
     def matrix(self) -> np.ndarray:
-        """Prototypes stacked as rows, in ascending class-id order."""
-        return np.vstack([vec for vec, _ in self._entries.values()])
+        """Prototypes stacked as rows, in ascending class-id order (read-only)."""
+        return self._matrix
 
     def merged_with(self, other: "PrototypeTable") -> "PrototypeTable":
         """Union of two tables; overlapping class ids take `other`'s entry."""
-        entries = dict(self._entries)
-        entries.update(other._entries)
-        return PrototypeTable(entries)
+        if other.dimension != self.dimension:
+            raise DimensionError(
+                f"cannot merge tables of dimension {self.dimension} and {other.dimension}"
+            )
+        kept = [i for i, c in enumerate(self._class_ids) if c not in other]
+        class_ids = [self._class_ids[i] for i in kept] + list(other._class_ids)
+        tasks = [self._aligned_tasks[i] for i in kept] + list(other._aligned_tasks)
+        order = sorted(range(len(class_ids)), key=class_ids.__getitem__)
+        matrix = np.vstack([self._matrix[kept], other._matrix])[order]
+        return PrototypeTable._from_checked_rows(
+            [class_ids[i] for i in order], matrix, [tasks[i] for i in order])
 
     def restricted_to(self, class_ids: Iterable[int]) -> "PrototypeTable":
-        return PrototypeTable({c: self._entries[c] for c in class_ids})
+        rows = sorted({self._row[c] for c in class_ids})
+        if not rows:
+            raise ValueError("prototype table must contain at least one class")
+        return PrototypeTable._from_checked_rows(
+            [self._class_ids[i] for i in rows], self._matrix[rows],
+            [self._aligned_tasks[i] for i in rows])
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ is float64.
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Iterable, Iterator, Sequence, Tuple
+from typing import BinaryIO, Iterable, Iterator, Tuple
 
 import numpy as np
 
@@ -114,8 +114,3 @@ def read_dump_header(path) -> Tuple[int, int, int]:
     if version != DUMP_VERSION:
         raise DumpFormatError("version", f"unsupported dump version {version}", offset=8)
     return version, dim, count
-
-
-def ingest_feature_dump(path) -> Sequence[DumpRecord]:
-    """Read a whole dump into memory, fully validated."""
-    return list(read_dump(path))

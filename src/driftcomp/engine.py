@@ -4,8 +4,9 @@ Per task: compute fresh prototypes, pre-fill the paired queues with noised
 old prototypes, then per arriving test sample push the paired features,
 re-fit the projector, evolve the old prototypes from their original
 previous-space values, and classify by cosine nearest class mean over the
-union of evolved old and fresh new prototypes. The first task has no old
-classes and skips the queue/projector machinery entirely.
+union of evolved old and fresh new prototypes. A task without old classes,
+or a run with solver "none", fits nothing and classifies against the stale
+old prototypes.
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ import numpy as np
 from .config import RunConfig
 from .core import PrototypeTable, compute_prototypes, ncm_predict
 from .drift_sim import true_drift_similarity
-from .errors import DivergenceError
 from .projector import (
     Projector,
+    _Descent,
+    _queue_gradient,
     evolve_prototypes,
     solve_analytic,
-    solve_gradient_descent,
 )
-from .queues import QueuePair, init_with_pseudo_features
+from .queues import init_with_pseudo_features
 
-PHASES = ("forward", "queue", "solve", "predict")
+PHASES = ("queue", "solve", "predict")
 
 
 @dataclass
@@ -120,31 +121,52 @@ class RunResult:
         return sum(self.mean_phase_seconds().values())
 
 
-class _PairGD:
-    """Online per-pair gradient state for the queue-free GD solver."""
+class _StreamFit:
+    """Projector fit over one task's stream of (old, new) feature pairs.
 
-    def __init__(self, dimension: int, learning_rate: float, optimizer: str):
-        self.weights = np.eye(dimension)
-        self.learning_rate = learning_rate
-        self.optimizer = optimizer
-        self.t = 0
-        self.m = np.zeros((dimension, dimension))
-        self.v = np.zeros((dimension, dimension))
+    "analytic" and "gd_with_queue" push into paired queues pre-filled with
+    pseudo-features and re-solve every `resolve_stride` samples; "gd"
+    descends on each pair alone, as a one-row queue, at every sample.
+    """
 
-    def update(self, z_old: np.ndarray, z_new: np.ndarray, steps: int) -> None:
-        for _ in range(steps):
-            grad = 2.0 * np.outer(z_old, z_old @ self.weights - z_new)
-            if not np.all(np.isfinite(grad)):
-                raise DivergenceError(self.t)
-            if self.optimizer == "sgd":
-                self.weights -= self.learning_rate * grad
-            else:
-                self.t += 1
-                self.m = 0.9 * self.m + 0.1 * grad
-                self.v = 0.999 * self.v + 0.001 * grad * grad
-                m_hat = self.m / (1 - 0.9 ** self.t)
-                v_hat = self.v / (1 - 0.999 ** self.t)
-                self.weights -= self.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    def __init__(self, config: RunConfig, old_table: PrototypeTable, rng_seed: int):
+        self.config = config
+        d = old_table.dimension
+        self.descent = _Descent(np.eye(d), config.gd_learning_rate, config.gd_optimizer)
+        self.queue = None
+        if config.solver != "gd":
+            self.queue = init_with_pseudo_features(
+                old_table, Projector.identity(d), capacity=config.queue_capacity,
+                noise_scale=config.noise_scale, rng_seed=rng_seed,
+            )
+        self.pending: List[Tuple[np.ndarray, np.ndarray]] = []
+
+    def push(self, z_old: np.ndarray, z_new: np.ndarray) -> None:
+        self.pending.append((np.asarray(z_old, dtype=np.float64),
+                             np.asarray(z_new, dtype=np.float64)))
+        if self.queue is None:
+            del self.pending[:-1]   # gd keeps the latest pair only
+        elif len(self.pending) >= self.config.update_stride:
+            old, new = zip(*self.pending)
+            self.queue.push(np.vstack(old), np.vstack(new))
+            self.pending.clear()
+
+    def solve(self, i: int) -> Optional[np.ndarray]:
+        """Re-fitted weights after the i-th pair, or None when no solve is due."""
+        cfg = self.config
+        if cfg.solver == "gd":
+            q_old, q_new = self.pending[0][0][None], self.pending[0][1][None]
+        elif (i + 1) % cfg.resolve_stride:
+            return None
+        elif cfg.solver == "analytic":
+            projector, _ = solve_analytic(self.queue, cfg.ridge, singular_policy=cfg.singular_policy,
+                                          min_ridge=cfg.min_ridge)
+            return projector.weights
+        else:
+            q_old, q_new = self.queue.matrices()
+        for _ in range(cfg.gd_steps):
+            self.descent.step(_queue_gradient(q_old, q_new, self.descent.weights))
+        return self.descent.weights
 
 
 def _stream_order(n: int, seed: int, task: int) -> np.ndarray:
@@ -186,123 +208,72 @@ def run_task_cycle(
     metrics record)."""
     fresh = compute_prototypes(list(source.train_records(t)))
     pairs = source.test_pairs(t)
-    order = _stream_order(len(pairs), seed, t)
-    streamed = [pairs[i] for i in order]
+    streamed = [pairs[i] for i in _stream_order(len(pairs), seed, t)]
     excluded: List = []
     if selected is not None:
         excluded = [p for p in streamed if p[0] not in selected]
         streamed = [p for p in streamed if p[0] in selected]
 
     rec = TaskRunRecord(task=t, old_table=old_table, fresh_table=fresh)
-    old_classes = tuple(old_table.class_ids) if old_table is not None else ()
-
-    if t == 1 or not old_classes or config.solver == "none":
-        table = old_table.merged_with(fresh) if old_table is not None else fresh
-        for class_id, _, z_new in streamed + excluded:
-            start = time.perf_counter()
-            pred = ncm_predict(z_new, table)
-            rec.phase_seconds["predict"] += time.perf_counter() - start
-            rec.samples.append(SampleLog(class_id, int(pred), -1,
-                                         excluded=selected is not None and class_id not in selected))
-            rec.features_new.append(np.asarray(z_new, dtype=np.float64))
-        rec.n_stream_samples = len(streamed)
-        return table, rec
-
-    # test-time evolution path
-    identity = Projector.identity(source.dimension)
-    queue_pair: Optional[QueuePair] = None
-    if config.solver in ("analytic", "gd_with_queue"):
-        queue_pair = init_with_pseudo_features(
-            old_table.restricted_to(old_classes), identity,
-            capacity=config.queue_capacity, noise_scale=config.noise_scale,
-            rng_seed=seed * 1000 + t,
-        )
-    pair_gd = _PairGD(source.dimension, config.gd_learning_rate, config.gd_optimizer) \
-        if config.solver == "gd" else None
-    gd_queue_weights = np.eye(source.dimension)
-    gd_queue_state = {"t": 0, "m": np.zeros((source.dimension,) * 2),
-                      "v": np.zeros((source.dimension,) * 2)}
-
-    current = identity
-    evolved = old_table  # stale until the first solve
+    fit = None
+    if old_table is not None and config.solver != "none":
+        fit = _StreamFit(config, old_table, rng_seed=seed * 1000 + t)
+    table = _classification_table(rec, -1)
     w_index = -1
-    pending_old: List[np.ndarray] = []
-    pending_new: List[np.ndarray] = []
 
-    def predict_one(class_id: int, z_new: np.ndarray, is_excluded: bool) -> None:
+    def predict(class_id: int, z_new: np.ndarray, is_excluded: bool) -> None:
         start = time.perf_counter()
-        pred = ncm_predict(z_new, evolved.merged_with(fresh))
+        pred = ncm_predict(z_new, table)
         rec.phase_seconds["predict"] += time.perf_counter() - start
         rec.samples.append(SampleLog(class_id, int(pred), w_index, excluded=is_excluded))
         rec.features_new.append(np.asarray(z_new, dtype=np.float64))
 
     for i, (class_id, z_old, z_new) in enumerate(streamed):
         if config.predict_before_update:
-            predict_one(class_id, z_new, False)
-        start = time.perf_counter()
-        pending_old.append(np.asarray(z_old, dtype=np.float64))
-        pending_new.append(np.asarray(z_new, dtype=np.float64))
-        if queue_pair is not None and len(pending_old) >= config.update_stride:
-            queue_pair.push(np.vstack(pending_old), np.vstack(pending_new))
-            pending_old.clear()
-            pending_new.clear()
-        rec.phase_seconds["queue"] += time.perf_counter() - start
-
-        resolve_due = (i + 1) % config.resolve_stride == 0
-        start = time.perf_counter()
-        if config.solver == "analytic" and resolve_due:
-            current, _ = solve_analytic(
-                queue_pair, config.ridge,
-                singular_policy=config.singular_policy, min_ridge=config.min_ridge,
-            )
-        elif config.solver == "gd_with_queue" and resolve_due:
-            q_old, q_new = queue_pair.matrices()
-            n = q_old.shape[0]
-            for _ in range(config.gd_steps):
-                grad = (2.0 / n) * (q_old.T @ (q_old @ gd_queue_weights - q_new))
-                if not np.all(np.isfinite(grad)):
-                    raise DivergenceError(gd_queue_state["t"])
-                if config.gd_optimizer == "sgd":
-                    gd_queue_weights = gd_queue_weights - config.gd_learning_rate * grad
-                else:
-                    s = gd_queue_state
-                    s["t"] += 1
-                    s["m"] = 0.9 * s["m"] + 0.1 * grad
-                    s["v"] = 0.999 * s["v"] + 0.001 * grad * grad
-                    m_hat = s["m"] / (1 - 0.9 ** s["t"])
-                    v_hat = s["v"] / (1 - 0.999 ** s["t"])
-                    gd_queue_weights = gd_queue_weights - config.gd_learning_rate * m_hat / (
-                        np.sqrt(v_hat) + 1e-8)
-            current = Projector(gd_queue_weights)
-        elif config.solver == "gd":
-            pair_gd.update(np.asarray(z_old, dtype=np.float64),
-                           np.asarray(z_new, dtype=np.float64), config.gd_steps)
-            current = Projector(pair_gd.weights)
-        if resolve_due or config.solver == "gd":
-            rec.projector_snapshots.append(current.weights.copy())
-            w_index = len(rec.projector_snapshots) - 1
-            evolved = evolve_prototypes(old_table, current, old_classes)
-        rec.phase_seconds["solve"] += time.perf_counter() - start
-
+            predict(class_id, z_new, False)
+        if fit is not None:
+            start = time.perf_counter()
+            fit.push(z_old, z_new)
+            pushed = time.perf_counter()
+            weights = fit.solve(i)
+            if weights is not None:
+                rec.projector_snapshots.append(weights.copy())
+                w_index = len(rec.projector_snapshots) - 1
+                table = _classification_table(rec, w_index)
+            rec.phase_seconds["queue"] += pushed - start
+            rec.phase_seconds["solve"] += time.perf_counter() - pushed
         if not config.predict_before_update:
-            predict_one(class_id, z_new, False)
+            predict(class_id, z_new, False)
     rec.n_stream_samples = len(streamed)
 
     # excluded classes are evaluated against the final state without
     # contributing to queue updates
     for class_id, _, z_new in excluded:
-        predict_one(class_id, z_new, True)
+        predict(class_id, z_new, True)
 
-    _record_drift_similarity(rec, source, old_table, evolved, old_classes, t)
-    return evolved.merged_with(fresh), rec
+    if fit is not None:
+        _record_drift_similarity(rec, source, table)
+    return table, rec
 
 
-def _record_drift_similarity(rec, source, old_table, evolved, old_classes, t) -> None:
+def _classification_table(rec: TaskRunRecord, w_index: int) -> PrototypeTable:
+    """The table a task classifies against: its old prototypes carried
+    through projector snapshot `w_index` (left as they are for -1), merged
+    with the task's fresh prototypes."""
+    if rec.old_table is None:
+        return rec.fresh_table
+    old = rec.old_table
+    if w_index >= 0:
+        old = evolve_prototypes(old, Projector(rec.projector_snapshots[w_index]), old.class_ids)
+    return old.merged_with(rec.fresh_table)
+
+
+def _record_drift_similarity(rec: TaskRunRecord, source, table: PrototypeTable) -> None:
     if not hasattr(source, "reference_drifted_prototypes"):
         return
-    reference = source.reference_drifted_prototypes(t, old_table.restricted_to(old_classes))
+    old = rec.old_table
     rec.drift_similarity = true_drift_similarity(
-        evolved.restricted_to(old_classes), reference, old_table.restricted_to(old_classes)
+        table.restricted_to(old.class_ids), source.reference_drifted_prototypes(rec.task, old), old
     )
 
 
@@ -317,36 +288,29 @@ def run_gd_oracle(source, config: RunConfig, seed: Optional[int] = None,
     table: Optional[PrototypeTable] = None
     records: List[TaskRunRecord] = []
     for t in range(1, source.num_tasks + 1):
-        fresh = compute_prototypes(list(source.train_records(t)))
         pairs = source.test_pairs(t)
-        old_table = table
-        old_classes = tuple(old_table.class_ids) if old_table is not None else ()
-        rec = TaskRunRecord(task=t, old_table=old_table, fresh_table=fresh)
-        if t == 1 or not old_classes:
-            eval_table = fresh if old_table is None else old_table.merged_with(fresh)
-            w_index = -1
-        else:
+        rec = TaskRunRecord(task=t, old_table=table,
+                            fresh_table=compute_prototypes(list(source.train_records(t))))
+        w_index = -1
+        if table is not None:
             fit_pairs = pairs if selected is None else [p for p in pairs if p[0] in selected]
             if not fit_pairs:
                 fit_pairs = pairs
             q_old = np.vstack([p[1] for p in fit_pairs])
             q_new = np.vstack([p[2] for p in fit_pairs])
-            weights = _offline_gd(q_old, q_new, config.gd_learning_rate,
-                                  config.gd_optimizer, max_steps, grad_tol)
-            projector = Projector(weights)
-            rec.projector_snapshots.append(projector.weights.copy())
+            rec.projector_snapshots.append(_offline_gd(q_old, q_new, config.gd_learning_rate,
+                                                       config.gd_optimizer, max_steps, grad_tol))
             w_index = 0
-            evolved = evolve_prototypes(old_table, projector, old_classes)
-            eval_table = evolved.merged_with(fresh)
-            _record_drift_similarity(rec, source, old_table, evolved, old_classes, t)
+        table = _classification_table(rec, w_index)
+        if w_index == 0:
+            _record_drift_similarity(rec, source, table)
         for class_id, _, z_new in pairs:
-            pred = ncm_predict(z_new, eval_table)
+            pred = ncm_predict(z_new, table)
             is_excluded = selected is not None and class_id not in selected
             rec.samples.append(SampleLog(class_id, int(pred), w_index, excluded=is_excluded))
             rec.features_new.append(np.asarray(z_new, dtype=np.float64))
         rec.n_stream_samples = len(pairs)
         records.append(rec)
-        table = eval_table
     return RunResult(config=config, seed=seed, tasks=records, oracle=True)
 
 
@@ -357,45 +321,24 @@ def _offline_gd(q_old: np.ndarray, q_new: np.ndarray, learning_rate: float,
     n, d = q_old.shape
     gram = q_old.T @ q_old / n
     rhs = q_old.T @ q_new / n
-    weights = np.eye(d)
-    t_step = 0
-    m = np.zeros((d, d))
-    v = np.zeros((d, d))
+    descent = _Descent(np.eye(d), learning_rate, optimizer)
     for _ in range(max_steps):
-        grad = 2.0 * (gram @ weights - rhs)
-        if not np.all(np.isfinite(grad)):
-            raise DivergenceError(t_step)
-        if np.linalg.norm(grad) < grad_tol:
+        grad = 2.0 * (gram @ descent.weights - rhs)
+        if np.linalg.norm(grad) < grad_tol:   # False for a non-finite grad, which step rejects
             break
-        if optimizer == "sgd":
-            weights = weights - learning_rate * grad
-        else:
-            t_step += 1
-            m = 0.9 * m + 0.1 * grad
-            v = 0.999 * v + 0.001 * grad * grad
-            m_hat = m / (1 - 0.9 ** t_step)
-            v_hat = v / (1 - 0.999 ** t_step)
-            weights = weights - learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
-    return weights
+        descent.step(grad)
+    return descent.weights
 
 
 def replay_audit(result: RunResult) -> bool:
     """Re-evaluate every logged prediction from the stored projector
     snapshots and base tables; returns True iff all match exactly."""
     for rec in result.tasks:
-        old_classes = tuple(rec.old_table.class_ids) if rec.old_table is not None else ()
-        cache: Dict[int, PrototypeTable] = {}
+        w_index, table = None, None
         for sample, z_new in zip(rec.samples, rec.features_new):
-            if sample.w_index < 0 or rec.old_table is None:
-                table = rec.fresh_table if rec.old_table is None \
-                    else rec.old_table.merged_with(rec.fresh_table)
-            else:
-                if sample.w_index not in cache:
-                    projector = Projector(rec.projector_snapshots[sample.w_index])
-                    cache[sample.w_index] = evolve_prototypes(
-                        rec.old_table, projector, old_classes
-                    ).merged_with(rec.fresh_table)
-                table = cache[sample.w_index]
+            if sample.w_index != w_index:
+                w_index = sample.w_index
+                table = _classification_table(rec, w_index)
             if ncm_predict(z_new, table) != sample.predicted:
                 return False
     return True

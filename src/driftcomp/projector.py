@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import PrototypeTable
-from .errors import DimensionError, DivergenceError, SingularGramError
+from .errors import DegenerateInputError, DimensionError, DivergenceError, SingularGramError
 from .queues import QueuePair
 
 DEFAULT_COND_THRESHOLD = 1e12
@@ -67,7 +67,11 @@ def mean_squared_residual(pair: QueuePair, projector: Projector) -> float:
     q_old, q_new = pair.matrices()
     if q_old.shape[0] == 0:
         raise ValueError("queues are empty")
-    diff = q_old @ projector.weights - q_new
+    return _residual(q_old, q_new, projector.weights)
+
+
+def _residual(q_old: np.ndarray, q_new: np.ndarray, weights: np.ndarray) -> float:
+    diff = q_old @ weights - q_new
     return float(np.sum(diff * diff) / q_old.shape[0])
 
 
@@ -117,7 +121,7 @@ def solve_analytic(
         weights = scipy.linalg.solve(gram + effective_ridge * np.eye(d), rhs, assume_a="sym")
     projector = Projector(weights)
     report = SolveReport(
-        residual=mean_squared_residual(pair, projector),
+        residual=_residual(q_old, q_new, projector.weights),
         gram_condition=cond,
         ridge_applied=effective_ridge > 0.0,
         wall_time=time.perf_counter() - start,
@@ -125,17 +129,38 @@ def solve_analytic(
     return projector, report
 
 
-def _gd_update(state: dict, grad: np.ndarray, learning_rate: float, optimizer: str) -> np.ndarray:
-    if optimizer == "sgd":
-        return -learning_rate * grad
-    # adaptive-moment variant with the usual defaults
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    state["t"] += 1
-    state["m"] = beta1 * state["m"] + (1 - beta1) * grad
-    state["v"] = beta2 * state["v"] + (1 - beta2) * grad * grad
-    m_hat = state["m"] / (1 - beta1 ** state["t"])
-    v_hat = state["v"] / (1 - beta2 ** state["t"])
-    return -learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+class _Descent:
+    """Weights moved by plain ("sgd") or adaptive-moment ("adam") descent.
+
+    Every gradient-descent path in the package steps through `step`, each
+    with its own gradient; `t` counts the steps taken.
+    """
+
+    def __init__(self, weights: np.ndarray, learning_rate: float, optimizer: str):
+        self.weights = weights
+        self.learning_rate = learning_rate
+        self.optimizer = optimizer
+        self.t = 0
+        self.m = np.zeros_like(weights)
+        self.v = np.zeros_like(weights)
+
+    def step(self, grad: np.ndarray) -> None:
+        if not np.all(np.isfinite(grad)):
+            raise DivergenceError(self.t)
+        self.t += 1
+        if self.optimizer == "sgd":
+            self.weights = self.weights - self.learning_rate * grad
+            return
+        self.m = 0.9 * self.m + 0.1 * grad
+        self.v = 0.999 * self.v + 0.001 * grad * grad
+        m_hat = self.m / (1 - 0.9 ** self.t)
+        v_hat = self.v / (1 - 0.999 ** self.t)
+        self.weights = self.weights - self.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def _queue_gradient(q_old: np.ndarray, q_new: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Gradient of the mean squared row residual ||Q_old W - Q_new||^2 / n."""
+    return (2.0 / q_old.shape[0]) * (q_old.T @ (q_old @ weights - q_new))
 
 
 def solve_gradient_descent(
@@ -167,21 +192,16 @@ def solve_gradient_descent(
         raise DimensionError(
             f"init dimension {init.dimension} does not match queue dimension {q_old.shape[1]}"
         )
-    weights = init.weights.copy()
-    state = {"t": 0, "m": np.zeros_like(weights), "v": np.zeros_like(weights)}
+    descent = _Descent(init.weights.copy(), learning_rate, optimizer)
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            diff = q_old @ weights - q_new
-            if not np.all(np.isfinite(diff)):
-                raise DivergenceError(step)
-            grad = (2.0 / n) * (q_old.T @ diff)
-            weights = weights + _gd_update(state, grad, learning_rate, optimizer)
-    if not np.all(np.isfinite(weights)):
+        for _ in range(steps):
+            descent.step(_queue_gradient(q_old, q_new, descent.weights))
+    if not np.all(np.isfinite(descent.weights)):
         raise DivergenceError(steps)
-    projector = Projector(weights)
+    projector = Projector(descent.weights)
     gram = q_old.T @ q_old
     report = SolveReport(
-        residual=mean_squared_residual(pair, projector),
+        residual=_residual(q_old, q_new, projector.weights),
         gram_condition=float(np.linalg.cond(gram)),
         ridge_applied=False,
         wall_time=time.perf_counter() - start,
@@ -200,14 +220,19 @@ def evolve_prototypes(
     evolved prototype); evolved entries get aligned_task incremented. Returns
     a new table, leaving the input untouched.
     """
-    old_classes = sorted(set(old_classes))
-    for c in old_classes:
+    old_classes = set(old_classes)
+    for c in sorted(old_classes):
         if c not in prototypes:
             raise KeyError(f"class {c} not present in prototype table")
-    entries = {}
-    for class_id, (vec, aligned_task) in prototypes.items():
-        if class_id in old_classes:
-            entries[class_id] = (projector.apply(vec), aligned_task + 1)
-        else:
-            entries[class_id] = (vec, aligned_task)
-    return PrototypeTable(entries)
+    class_ids = prototypes.class_ids
+    matrix = prototypes.matrix().copy()
+    tasks = [prototypes.aligned_task(c) for c in class_ids]
+    rows = [i for i, c in enumerate(class_ids) if c in old_classes]
+    # row by row: one (C, d) @ (d, d) product rounds differently from C
+    # vector products, and the stream's outputs are pinned to the latter
+    for i in rows:
+        matrix[i] = projector.apply(matrix[i])
+        tasks[i] += 1
+    if not np.all(np.isfinite(matrix[rows])):
+        raise DegenerateInputError("evolved prototype contains non-finite components")
+    return PrototypeTable._from_checked_rows(class_ids, matrix, tasks)

@@ -84,12 +84,6 @@ class QueuePair:
         return self.old_queue.matrix(), self.new_queue.matrix()
 
 
-def push_pair(pair: QueuePair, old_features: np.ndarray, new_features: np.ndarray) -> QueuePair:
-    """Append k paired rows to both queues, evicting FIFO past capacity."""
-    pair.push(old_features, new_features)
-    return pair
-
-
 def init_with_pseudo_features(
     prototypes: PrototypeTable,
     projector,

@@ -18,7 +18,7 @@ from .engine import PHASES, RunResult
 
 RESULTS_VERSION_LINE = "# driftcomp-results v1"
 SIMILARITY_VERSION_LINE = "# driftcomp-drift-similarity v1"
-TIMING_VERSION_LINE = "# driftcomp-timing v1"
+TIMING_VERSION_LINE = "# driftcomp-timing v2"
 REPORT_VERSION_LINE = "# driftcomp-report v1"
 SUMMARY_FORMAT_VERSION = 1
 

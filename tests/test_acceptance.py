@@ -34,7 +34,7 @@ from driftcomp.projector import (
     solve_analytic,
     solve_gradient_descent,
 )
-from driftcomp.queues import QueuePair, init_with_pseudo_features, push_pair
+from driftcomp.queues import QueuePair, init_with_pseudo_features
 from driftcomp.results import emit_results
 from driftcomp.sources import SyntheticSource
 
@@ -259,7 +259,7 @@ def test_criterion_6_queue_property_suite():
             k = int(rng.integers(1, 6))
             old = rng.standard_normal((k, d))
             new = rng.standard_normal((k, d))
-            push_pair(pair, old, new)
+            pair.push(old, new)
             history_old.extend(old)
             history_new.extend(new)
             # paired-length invariant after every push

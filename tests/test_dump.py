@@ -8,7 +8,6 @@ from driftcomp.dump import (
     MAGIC,
     SPLIT_TEST,
     SPLIT_TRAIN,
-    ingest_feature_dump,
     read_dump,
     read_dump_header,
     write_dump,
@@ -32,7 +31,7 @@ class TestRoundTrip:
         records = sample_records(rng)
         path = tmp_path / "features.bin"
         assert write_dump(path, 6, records) == 20
-        loaded = ingest_feature_dump(path)
+        loaded = list(read_dump(path))
         assert len(loaded) == 20
         for (c0, t0, s0, v0), (c1, t1, s1, v1) in zip(records, loaded):
             assert (c0, t0, s0) == (c1, t1, s1)
@@ -48,7 +47,7 @@ class TestRoundTrip:
         path = tmp_path / "empty.bin"
         write_dump(path, 8, [])
         assert read_dump_header(path) == (DUMP_VERSION, 8, 0)
-        assert ingest_feature_dump(path) == []
+        assert list(read_dump(path)) == []
 
     def test_streaming_is_lazy(self, tmp_path):
         path = tmp_path / "f.bin"

@@ -1,13 +1,17 @@
+import os
+
 import numpy as np
 import pytest
 
-from driftcomp.config import RunConfig
+from driftcomp.config import RunConfig, load_config
 from driftcomp.engine import (
     replay_audit,
     run_engine,
     run_gd_oracle,
 )
 from driftcomp.sources import DumpSource, SyntheticSource, write_source_dump
+
+GOLDEN_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "golden_small.txt")
 
 
 def engine_config(**kwargs):
@@ -181,12 +185,33 @@ class TestUnbalancedStream:
             assert earlier <= later
 
 
+# the analytic variant of tests/test_golden.py: strided queue updates and
+# solves, prediction before the update, and an unbalanced stream
+GOLDEN_VARIANT = dict(solver="analytic", resolve_stride=3, update_stride=2,
+                      predict_before_update=True, test_balance="unbalanced")
+
+
 class TestReplayAudit:
-    @pytest.mark.parametrize("solver", ["analytic", "gd", "gd_with_queue", "none"])
+    @pytest.mark.parametrize("solver", ["analytic", "gd", "gd_with_queue", "none",
+                                        "golden_analytic_variant"])
     def test_replay_reconstructs_predictions(self, solver):
-        cfg = engine_config(num_tasks=3, solver=solver)
+        if solver == "golden_analytic_variant":
+            cfg = load_config(GOLDEN_CONFIG).replace(**GOLDEN_VARIANT)
+        else:
+            cfg = engine_config(num_tasks=3, solver=solver)
         _, result = run_with(cfg)
         assert replay_audit(result)
+
+    def test_replay_reads_snapshots(self):
+        cfg = engine_config(num_tasks=3)
+        _, result = run_with(cfg)
+        # move every projector of the last task by half its norm
+        snapshots = result.tasks[-1].projector_snapshots
+        rng = np.random.default_rng(0)
+        for k, weights in enumerate(snapshots):
+            noise = rng.standard_normal(weights.shape)
+            snapshots[k] = weights + 0.5 * np.linalg.norm(weights) / np.linalg.norm(noise) * noise
+        assert not replay_audit(result)
 
     def test_replay_detects_tampering(self):
         cfg = engine_config(num_tasks=3)

@@ -4,7 +4,7 @@ import pytest
 from driftcomp.core import PrototypeTable
 from driftcomp.errors import DimensionError
 from driftcomp.projector import Projector
-from driftcomp.queues import FeatureQueue, QueuePair, init_with_pseudo_features, push_pair
+from driftcomp.queues import FeatureQueue, QueuePair, init_with_pseudo_features
 
 
 def make_pair(d=4, capacity=3):
@@ -41,13 +41,13 @@ class TestPushPair:
         rng = np.random.default_rng(0)
         for _ in range(20):
             k = int(rng.integers(1, 4))
-            push_pair(pair, rng.standard_normal((k, 4)), rng.standard_normal((k, 4)))
+            pair.push(rng.standard_normal((k, 4)), rng.standard_normal((k, 4)))
             assert len(pair.old_queue) == len(pair.new_queue) <= pair.capacity
 
     def test_mismatched_k_rejected(self):
         pair = make_pair()
         with pytest.raises(DimensionError):
-            push_pair(pair, np.zeros((2, 4)), np.zeros((3, 4)))
+            pair.push(np.zeros((2, 4)), np.zeros((3, 4)))
 
     def test_unbounded_oracle_equivalence(self):
         # oracle: unbounded append + tail slice
@@ -59,7 +59,7 @@ class TestPushPair:
             k = int(rng.integers(1, 9))
             old = rng.standard_normal((k, 3))
             new = rng.standard_normal((k, 3))
-            push_pair(pair, old, new)
+            pair.push(old, new)
             history_old.extend(old)
             history_new.extend(new)
         np.testing.assert_array_equal(pair.old_queue.matrix(), np.vstack(history_old[-capacity:]))

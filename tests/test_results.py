@@ -95,7 +95,7 @@ class TestDeterministicOutput:
             fh.readline()
             rows = list(csv.DictReader(fh))
         phases = {r["phase"] for r in rows}
-        assert phases == {"forward", "queue", "solve", "predict", "total"}
+        assert phases == {"queue", "solve", "predict", "total"}
         assert all(float(r["mean_seconds_per_sample"]) >= 0 for r in rows)
 
 
