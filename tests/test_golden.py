@@ -50,6 +50,9 @@ RUNS = {
     "reference_gd_with_queue": (
         load_config(os.path.join(CONFIG_DIR, "reference_cold10.txt")).replace(
             solver="gd_with_queue"), False),
+    "reference_analytic": (
+        load_config(os.path.join(CONFIG_DIR, "reference_cold10.txt")).replace(
+            solver="analytic"), False),
 }
 
 
