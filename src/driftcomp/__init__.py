@@ -3,8 +3,9 @@ feature streams.
 
 Library layers:
   core       feature records, prototypes, cosine nearest-class-mean
-  queues     paired bounded FIFO queues with pseudo-feature initialization
-  projector  closed-form least-squares drift projector + GD comparison
+  queues     paired ring-buffer queues with running normal equations and
+             pseudo-feature initialization
+  projector  closed-form (Cholesky) least-squares drift projector + GD comparison
   toy        desk-scale trainer with distillation / contrastive losses
   drift_sim  synthetic scenarios with ground-truth drift maps
   engine     streaming task-cycle orchestration and metrics

@@ -25,7 +25,7 @@ from .projector import (
     _Descent,
     _queue_gradient,
     evolve_prototypes,
-    solve_analytic,
+    solve_normal_equations,
 )
 from .queues import init_with_pseudo_features
 
@@ -125,8 +125,10 @@ class _StreamFit:
     """Projector fit over one task's stream of (old, new) feature pairs.
 
     "analytic" and "gd_with_queue" push into paired queues pre-filled with
-    pseudo-features and re-solve every `resolve_stride` samples; "gd"
-    descends on each pair alone, as a one-row queue, at every sample.
+    pseudo-features and re-solve every `resolve_stride` samples, "analytic"
+    from the normal equations the queues keep and "gd_with_queue" from the
+    queued rows; "gd" descends on each pair alone, as a one-row queue, at
+    every sample.
     """
 
     def __init__(self, config: RunConfig, old_table: PrototypeTable, rng_seed: int):
@@ -159,9 +161,10 @@ class _StreamFit:
         elif (i + 1) % cfg.resolve_stride:
             return None
         elif cfg.solver == "analytic":
-            projector, _ = solve_analytic(self.queue, cfg.ridge, singular_policy=cfg.singular_policy,
-                                          min_ridge=cfg.min_ridge)
-            return projector.weights
+            weights, _, _ = solve_normal_equations(
+                self.queue.gram, self.queue.cross, cfg.ridge,
+                singular_policy=cfg.singular_policy, min_ridge=cfg.min_ridge)
+            return weights
         else:
             q_old, q_new = self.queue.matrices()
         for _ in range(cfg.gd_steps):

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .core import PrototypeTable
 from .errors import DegenerateInputError, DimensionError, DivergenceError, SingularGramError
@@ -58,7 +58,9 @@ class SolveReport:
     """Diagnostics for one projector solve."""
 
     residual: float          # mean squared row residual ||Q_old W - Q_new||^2 / n
-    gram_condition: float    # condition number of Q_old^T Q_old (inf if singular)
+    # 1-norm condition estimate of Q_old^T Q_old + ridge I (the ridge asked
+    # for), from its Cholesky factor; inf if that factorization fails
+    gram_condition: float
     ridge_applied: bool      # whether any nonzero ridge entered the solve
     wall_time: float         # seconds
 
@@ -75,6 +77,64 @@ def _residual(q_old: np.ndarray, q_new: np.ndarray, weights: np.ndarray) -> floa
     return float(np.sum(diff * diff) / q_old.shape[0])
 
 
+def _cholesky(gram: np.ndarray, ridge: float) -> tuple[np.ndarray | None, float]:
+    """Upper Cholesky factor of gram + ridge I and that matrix's 1-norm
+    condition estimate; (None, inf) when it is not numerically positive
+    definite."""
+    lhs = np.array(gram, order="F")
+    lhs[np.diag_indices_from(lhs)] += ridge
+    anorm = float(np.abs(lhs).sum(axis=0).max())
+    factor, info = scipy.linalg.lapack.dpotrf(lhs, overwrite_a=True)
+    if info != 0:
+        return None, np.inf
+    rcond, _ = scipy.linalg.lapack.dpocon(factor, anorm)
+    return factor, (1.0 / rcond if rcond > 0.0 else np.inf)
+
+
+def solve_normal_equations(
+    gram: np.ndarray,
+    cross: np.ndarray,
+    ridge: float = 0.0,
+    *,
+    singular_policy: str = "fallback",
+    min_ridge: float = DEFAULT_MIN_RIDGE,
+    cond_threshold: float = DEFAULT_COND_THRESHOLD,
+) -> tuple[np.ndarray, float, float]:
+    """Solve (gram + ridge I) W = cross through a Cholesky factorization.
+
+    Returns (W, condition estimate, ridge used). With ridge 0, a Gram whose
+    factorization fails or whose condition estimate exceeds
+    `cond_threshold` is numerically singular: "strict" raises
+    SingularGramError, "fallback" solves with `min_ridge` instead. A
+    ridged matrix that still fails to factor (the Gram's rounding outweighs
+    the ridge) raises under "strict"; under "fallback" its ridge is
+    multiplied by ten until it factors, and a zero ridge raises.
+    """
+    if ridge < 0:
+        raise ValueError(f"ridge must be non-negative, got {ridge}")
+    if singular_policy not in ("strict", "fallback"):
+        raise ValueError(f"unknown singular_policy {singular_policy!r}")
+    factor, cond = _cholesky(gram, ridge)
+    effective_ridge = ridge
+    if factor is None or (ridge == 0.0 and cond > cond_threshold):
+        if singular_policy == "strict":
+            raise SingularGramError(
+                f"Gram matrix condition estimate {cond:.3e} exceeds threshold "
+                f"{cond_threshold:.1e} and singular_policy is strict"
+            )
+        effective_ridge = max(ridge, min_ridge)
+        factor, _ = _cholesky(gram, effective_ridge)
+        while factor is None and 0.0 < effective_ridge < np.inf:
+            effective_ridge *= 10.0
+            factor, _ = _cholesky(gram, effective_ridge)
+        if factor is None:
+            raise SingularGramError(
+                f"Gram matrix does not factor with ridge {effective_ridge:.1e}"
+            )
+    weights, _ = scipy.linalg.lapack.dpotrs(factor, cross)
+    return weights, cond, effective_ridge
+
+
 def solve_analytic(
     pair: QueuePair,
     ridge: float = 0.0,
@@ -86,40 +146,20 @@ def solve_analytic(
     """Closed-form least-squares solve of Q_old W = Q_new.
 
     W solves the normal equations (Q_old^T Q_old + ridge I) W = Q_old^T Q_new
-    via a symmetric factorization; the Gram inverse is never formed. With a
-    numerically singular Gram and ridge 0, `singular_policy` picks between a
-    hard error ("strict") and an automatic `min_ridge` fallback ("fallback").
+    that the pair keeps, via `solve_normal_equations`; the Gram inverse is
+    never formed. With a numerically singular Gram and ridge 0,
+    `singular_policy` picks between a hard error ("strict") and an automatic
+    `min_ridge` fallback ("fallback").
     """
-    if ridge < 0:
-        raise ValueError(f"ridge must be non-negative, got {ridge}")
-    if singular_policy not in ("strict", "fallback"):
-        raise ValueError(f"unknown singular_policy {singular_policy!r}")
     start = time.perf_counter()
-    q_old, q_new = pair.matrices()
-    n = q_old.shape[0]
-    if n == 0:
+    if len(pair) == 0:
         raise ValueError("cannot solve on empty queues")
-    d = q_old.shape[1]
-    gram = q_old.T @ q_old
-    cond = float(np.linalg.cond(gram))
-    effective_ridge = ridge
-    if ridge == 0.0 and (not np.isfinite(cond) or cond > cond_threshold):
-        if singular_policy == "strict":
-            raise SingularGramError(
-                f"Gram matrix condition number {cond:.3e} exceeds threshold "
-                f"{cond_threshold:.1e} and singular_policy is strict"
-            )
-        effective_ridge = min_ridge
-    rhs = q_old.T @ q_new
-    lhs = gram + effective_ridge * np.eye(d)
-    try:
-        weights = scipy.linalg.solve(lhs, rhs, assume_a="sym")
-    except np.linalg.LinAlgError:
-        if singular_policy == "strict":
-            raise SingularGramError("Gram matrix is exactly singular")
-        effective_ridge = max(effective_ridge, min_ridge)
-        weights = scipy.linalg.solve(gram + effective_ridge * np.eye(d), rhs, assume_a="sym")
+    weights, cond, effective_ridge = solve_normal_equations(
+        pair.gram, pair.cross, ridge, singular_policy=singular_policy,
+        min_ridge=min_ridge, cond_threshold=cond_threshold,
+    )
     projector = Projector(weights)
+    q_old, q_new = pair.matrices()
     report = SolveReport(
         residual=_residual(q_old, q_new, projector.weights),
         gram_condition=cond,
@@ -199,10 +239,9 @@ def solve_gradient_descent(
     if not np.all(np.isfinite(descent.weights)):
         raise DivergenceError(steps)
     projector = Projector(descent.weights)
-    gram = q_old.T @ q_old
     report = SolveReport(
         residual=_residual(q_old, q_new, projector.weights),
-        gram_condition=float(np.linalg.cond(gram)),
+        gram_condition=_cholesky(pair.gram, 0.0)[1],
         ridge_applied=False,
         wall_time=time.perf_counter() - start,
     )

@@ -2,18 +2,20 @@
 
 The two queues hold paired observations (old-space feature, new-space
 feature); pushes and evictions are always synchronized so row i of the old
-matrix corresponds to row i of the new matrix.
+matrix corresponds to row i of the new matrix. The pair keeps the normal
+equations of the least-squares fit Q_old W = Q_new current as rows enter
+and leave (sliding-window least squares), so a solve never has to rebuild
+them from the rows.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import deque
 
 import numpy as np
 
 from .core import PrototypeTable
-from .errors import DimensionError
+from .errors import DegenerateInputError, DimensionError
 
 # defaults sized for long real-image streams
 DEFAULT_CAPACITY = 3000
@@ -21,7 +23,7 @@ DEFAULT_NOISE_SCALE = 0.02
 
 
 class FeatureQueue:
-    """Bounded FIFO of d-vectors exposing an (length x d) matrix view."""
+    """Bounded FIFO of d-vectors held in a preallocated (capacity, d) ring."""
 
     def __init__(self, dimension: int, capacity: int):
         if capacity <= 0:
@@ -30,33 +32,63 @@ class FeatureQueue:
             raise ValueError(f"dimension must be positive, got {dimension}")
         self.dimension = int(dimension)
         self.capacity = int(capacity)
-        self._buffer: deque = deque(maxlen=self.capacity)
+        self._rows = np.empty((self.capacity, self.dimension))
+        self._start = 0      # slot of the oldest row
+        self._length = 0
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return self._length
 
-    def push_rows(self, rows: np.ndarray) -> None:
+    def _ordered(self, first: int, count: int) -> np.ndarray:
+        """Copy of `count` rows from ring slot `first` on, wrapping around."""
+        return self._rows[(first + np.arange(count)) % self.capacity]
+
+    def push_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Append rows; return the rows that left the queue, oldest first.
+
+        A push of more than `capacity` rows evicts every row held before it
+        and also returns its own first rows, which never stay.
+        """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.dimension:
             raise DimensionError(
                 f"expected (k, {self.dimension}) matrix, got shape {rows.shape}"
             )
-        for row in rows:
-            self._buffer.append(row.copy())
+        k = rows.shape[0]
+        if k >= self.capacity:
+            evicted = np.concatenate([self.matrix(), rows[:k - self.capacity]])
+            self._rows[:] = rows[k - self.capacity:]
+            self._start, self._length = 0, self.capacity
+            return evicted
+        n_evicted = max(0, self._length + k - self.capacity)
+        evicted = self._ordered(self._start, n_evicted)
+        self._rows[(self._start + self._length + np.arange(k)) % self.capacity] = rows
+        self._start = (self._start + n_evicted) % self.capacity
+        self._length += k - n_evicted
+        return evicted
 
     def matrix(self) -> np.ndarray:
         """Rows ordered oldest first; shape (length, d)."""
-        if not self._buffer:
-            return np.empty((0, self.dimension))
-        return np.vstack(list(self._buffer))
+        return self._ordered(self._start, self._length)
 
 
 class QueuePair:
-    """Synchronized old/new feature queues of identical capacity and length."""
+    """Synchronized old/new feature queues of identical capacity and length,
+    with their normal equations.
+
+    `gram` is Q_old^T Q_old and `cross` is Q_old^T Q_new over the rows held.
+    Each push adds the entering rows' products and subtracts the leaving
+    rows' in one rank-k product; once `capacity` rows have entered since the
+    last recompute, both are recomputed from the rows, which bounds the
+    rounding the updates accumulate. Callers must not write to them.
+    """
 
     def __init__(self, dimension: int, capacity: int):
         self.old_queue = FeatureQueue(dimension, capacity)
         self.new_queue = FeatureQueue(dimension, capacity)
+        self.gram = np.zeros((dimension, dimension))
+        self.cross = np.zeros((dimension, dimension))
+        self._entered = 0    # rows pushed since gram and cross were recomputed
 
     @property
     def dimension(self) -> int:
@@ -70,6 +102,8 @@ class QueuePair:
         return len(self.old_queue)
 
     def push(self, old_features: np.ndarray, new_features: np.ndarray) -> None:
+        """Push paired rows; non-finite rows raise DegenerateInputError and
+        leave the pair as it was."""
         old_features = np.atleast_2d(np.asarray(old_features, dtype=np.float64))
         new_features = np.atleast_2d(np.asarray(new_features, dtype=np.float64))
         if old_features.shape != new_features.shape:
@@ -77,8 +111,24 @@ class QueuePair:
                 f"paired pushes must have equal shapes, got {old_features.shape} "
                 f"and {new_features.shape}"
             )
-        self.old_queue.push_rows(old_features)
-        self.new_queue.push_rows(new_features)
+        if not (np.all(np.isfinite(old_features)) and np.all(np.isfinite(new_features))):
+            raise DegenerateInputError("queued features contain non-finite components")
+        left_old = self.old_queue.push_rows(old_features)
+        left_new = self.new_queue.push_rows(new_features)
+        self._entered += old_features.shape[0]
+        if self._entered >= self.capacity:
+            q_old, q_new = self.matrices()
+            self.gram = q_old.T @ q_old
+            self.cross = q_old.T @ q_new
+            self._entered = 0
+            return
+        # entering rows count with weight +1, leaving rows with -1
+        moved = np.concatenate([old_features, left_old])
+        signed = np.concatenate([np.hstack([old_features, new_features]),
+                                 -np.hstack([left_old, left_new])])
+        update = moved.T @ signed
+        self.gram += update[:, :self.dimension]
+        self.cross += update[:, self.dimension:]
 
     def matrices(self):
         return self.old_queue.matrix(), self.new_queue.matrix()

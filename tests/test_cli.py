@@ -6,6 +6,7 @@ from driftcomp.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    EXIT_OTHER,
     main,
 )
 from driftcomp.config import CONFIG_FORMAT_VERSION
@@ -56,6 +57,13 @@ class TestRun:
         bad = tmp_path / "bad.cfg"
         bad.write_text("solver = newton\n")
         assert main(["run", "-c", str(bad)]) == EXIT_CONFIG
+
+    @pytest.mark.filterwarnings("ignore:noise_scale=0:RuntimeWarning")
+    def test_singular_strict_exit_code(self, tmp_path):
+        # noise-free pseudo-features leave a rank-2 Gram in d=6
+        path = tmp_path / "strict.cfg"
+        path.write_text(SMALL_CFG + "noise_scale = 0\nsingular_policy = strict\n")
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == EXIT_OTHER
 
     def test_unknown_key_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

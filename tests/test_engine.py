@@ -9,6 +9,9 @@ from driftcomp.engine import (
     run_engine,
     run_gd_oracle,
 )
+from driftcomp.errors import SingularGramError
+from driftcomp.projector import Projector, solve_analytic
+from driftcomp.queues import init_with_pseudo_features
 from driftcomp.sources import DumpSource, SyntheticSource, write_source_dump
 
 GOLDEN_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "golden_small.txt")
@@ -189,6 +192,31 @@ class TestUnbalancedStream:
 # solves, prediction before the update, and an unbalanced stream
 GOLDEN_VARIANT = dict(solver="analytic", resolve_stride=3, update_stride=2,
                       predict_before_update=True, test_balance="unbalanced")
+
+
+@pytest.mark.filterwarnings("ignore:noise_scale=0:RuntimeWarning")
+class TestRankDeficientQueue:
+    """golden_small with noise-free pseudo-features: each task's queue starts
+    with a Gram of rank 3 in d=8, until real pairs fill it out. The fallback
+    run's predictions are pinned by the `small_analytic_singular` golden run."""
+
+    def config(self, policy):
+        return load_config(GOLDEN_CONFIG).replace(solver="analytic", noise_scale=0.0,
+                                                  singular_policy=policy)
+
+    def test_strict_raises(self):
+        with pytest.raises(SingularGramError):
+            run_with(self.config("strict"))
+
+    def test_fallback_applies_ridge_then_recovers(self):
+        _, result = run_with(self.config("fallback"))
+        old_table = result.tasks[1].old_table
+        # task 2's queue as the engine fills it (rng seed = seed * 1000 + task)
+        pair = init_with_pseudo_features(old_table, Projector.identity(old_table.dimension),
+                                         capacity=100, noise_scale=0.0, rng_seed=2)
+        _, report = solve_analytic(pair)
+        assert report.ridge_applied and report.gram_condition > 1e12
+        assert all(rec.accuracy > 0.9 for rec in result.tasks)
 
 
 class TestReplayAudit:

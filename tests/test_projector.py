@@ -91,6 +91,30 @@ class TestSolveAnalytic:
         with pytest.raises(SingularGramError):
             solve_analytic(pair_from(q_old, q_new), singular_policy="strict")
 
+    def test_ill_conditioned_gram_that_factors(self):
+        # Gram condition near 1e14: the Cholesky factorization succeeds, and
+        # the condition estimate still marks the Gram as singular
+        rng = np.random.default_rng(13)
+        u, _ = np.linalg.qr(rng.standard_normal((40, 5)))
+        q_old = u * np.array([1.0, 1.0, 1.0, 1.0, 1e-7])
+        with pytest.raises(SingularGramError):
+            solve_analytic(pair_from(q_old, q_old.copy()), singular_policy="strict")
+        _, report = solve_analytic(pair_from(q_old, q_old.copy()))
+        assert report.ridge_applied and 1e12 < report.gram_condition < np.inf
+
+    def test_fallback_ridge_grows_until_the_gram_factors(self):
+        # rank 2 in d=4 at a Gram norm near 1e14: rounding gives the null
+        # space eigenvalues far above min_ridge, so G + min_ridge I does not
+        # factor
+        rng = np.random.default_rng(14)
+        q_old = (1e6 * rng.standard_normal((10, 2))) @ rng.standard_normal((2, 4))
+        pair = pair_from(q_old, q_old.copy())
+        projector, report = solve_analytic(pair)
+        assert report.ridge_applied and report.gram_condition == np.inf
+        assert report.residual <= 1e-12 * np.mean(np.sum(q_old ** 2, axis=1))
+        with pytest.raises(SingularGramError):
+            solve_analytic(pair, min_ridge=0.0)
+
     def test_singular_fallback_applies_ridge(self):
         q_old = np.zeros((10, 4))
         q_old[:, 0] = np.arange(10)

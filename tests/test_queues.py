@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftcomp.core import PrototypeTable
-from driftcomp.errors import DimensionError
-from driftcomp.projector import Projector
+from driftcomp.errors import DegenerateInputError, DimensionError
+from driftcomp.projector import Projector, solve_normal_equations
 from driftcomp.queues import FeatureQueue, QueuePair, init_with_pseudo_features
 
 
@@ -24,6 +26,18 @@ class TestFeatureQueue:
         fresh = np.arange(10, 16, dtype=float).reshape(3, 2)
         q.push_rows(fresh)
         np.testing.assert_array_equal(q.matrix(), fresh)
+
+    def test_evicted_then_held_rows_replay_history(self):
+        # oracle: the rows a queue gave back, then the rows it holds, are
+        # every row pushed, in order
+        rng = np.random.default_rng(3)
+        q = FeatureQueue(2, 5)
+        history, left = [], []
+        for k in rng.integers(1, 9, size=60):
+            rows = rng.standard_normal((k, 2))
+            left.extend(q.push_rows(rows))
+            history.extend(rows)
+            np.testing.assert_array_equal(np.vstack(left + list(q.matrix())), np.vstack(history))
 
     def test_empty_matrix_shape(self):
         q = FeatureQueue(5, 2)
@@ -122,3 +136,91 @@ class TestPseudoFeatureInit:
         pair = init_with_pseudo_features(table, Projector(w), 20, 0.05, rng_seed=2)
         np.testing.assert_allclose(pair.new_queue.matrix(),
                                    pair.old_queue.matrix() @ w, atol=1e-12)
+
+
+class TestNonFiniteRows:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["old", "new"])
+    def test_rejected_and_pair_untouched(self, bad, side):
+        rng = np.random.default_rng(12)
+        pair = QueuePair(3, 4)
+        pair.push(rng.standard_normal((6, 3)), rng.standard_normal((6, 3)))
+        pair.push(rng.standard_normal((1, 3)), rng.standard_normal((1, 3)))
+        before = (*pair.matrices(), pair.gram.copy(), pair.cross.copy())
+        rows = {"old": rng.standard_normal((2, 3)), "new": rng.standard_normal((2, 3))}
+        rows[side][1, 2] = bad
+        with pytest.raises(DegenerateInputError):
+            pair.push(rows["old"], rows["new"])
+        after = (*pair.matrices(), pair.gram, pair.cross)
+        for got, want in zip(after, before):
+            np.testing.assert_array_equal(got, want)
+
+
+# The running normal equations against a recomputation from the queued rows:
+# gram and cross within GRAM_RTOL, and the weights solved from them within
+# WEIGHTS_RTOL of the weights solved from the recomputed ones (all relative
+# Frobenius distances).
+GRAM_RTOL = 1e-12
+WEIGHTS_RTOL = 1e-9
+
+
+def assert_matches_rows(pair, check_weights=True):
+    q_old, q_new = pair.matrices()
+    gram, cross = q_old.T @ q_old, q_old.T @ q_new
+    assert np.linalg.norm(pair.gram - gram) <= GRAM_RTOL * np.linalg.norm(gram)
+    assert np.linalg.norm(pair.cross - cross) <= GRAM_RTOL * np.linalg.norm(cross)
+    if check_weights:
+        running = solve_normal_equations(pair.gram, pair.cross)[0]
+        scratch = solve_normal_equations(gram, cross)[0]
+        assert np.linalg.norm(running - scratch) <= WEIGHTS_RTOL * np.linalg.norm(scratch)
+
+
+class TestRunningNormalEquations:
+    D, CAPACITY = 512, 3000     # the library default capacity at a real-image size
+
+    def default_size_stream(self, seed):
+        """Pseudo-feature pair at the default size, and a source of drifted
+        real pairs."""
+        rng = np.random.default_rng(seed)
+        d = self.D
+        table = PrototypeTable({c: (rng.standard_normal(d), 1) for c in range(10)})
+        pair = init_with_pseudo_features(table, Projector.identity(d), capacity=self.CAPACITY,
+                                         noise_scale=0.02, rng_seed=seed)
+        w_true = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
+
+        def rows(k):
+            old = 2.0 * rng.standard_normal((k, d))
+            return old, old @ w_true + 0.1 * rng.standard_normal((k, d))
+        return pair, rows
+
+    def test_default_size_single_rows(self):
+        # checked just before and after a recompute, where the updates have
+        # accumulated the most and the least rounding
+        pair, rows = self.default_size_stream(0)
+        checkpoints = {1, 1500, 2999, 3000, 3500}
+        for i in range(1, max(checkpoints) + 1):
+            pair.push(*rows(1))
+            if i in checkpoints:
+                assert_matches_rows(pair)
+
+    def test_default_size_strided_and_oversized_pushes(self):
+        pair, rows = self.default_size_stream(1)
+        rng = np.random.default_rng(2)
+        for i in range(1, 2401):
+            k = self.CAPACITY + 7 if i == 1200 else int(rng.choice([2, 3, 5]))
+            pair.push(*rows(k))
+            if i % 400 == 0 or i == 1200:
+                assert_matches_rows(pair)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 30),
+           st.lists(st.integers(1, 40), min_size=1, max_size=80), st.integers(0, 2 ** 31 - 1))
+    def test_small_shapes(self, d, capacity, pushes, seed):
+        rng = np.random.default_rng(seed)
+        pair = QueuePair(d, capacity)
+        w_true = rng.standard_normal((d, d))
+        for k in pushes:
+            old = rng.standard_normal((k, d))
+            pair.push(old, old @ w_true + 0.1 * rng.standard_normal((k, d)))
+            # weights only where a random Gram is safely well conditioned
+            assert_matches_rows(pair, check_weights=len(pair) >= 3 * d)
