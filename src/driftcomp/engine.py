@@ -23,8 +23,8 @@ from .drift_sim import true_drift_similarity
 from .projector import (
     Projector,
     _Descent,
+    _map_rows,
     _queue_gradient,
-    evolve_prototypes,
     solve_normal_equations,
 )
 from .queues import init_with_pseudo_features
@@ -221,7 +221,8 @@ def run_task_cycle(
     fit = None
     if old_table is not None and config.solver != "none":
         fit = _StreamFit(config, old_table, rng_seed=seed * 1000 + t)
-    table = _classification_table(rec, -1)
+    layout = _TaskLayout(rec)
+    table = layout.table(-1)
     w_index = -1
 
     def predict(class_id: int, z_new: np.ndarray, is_excluded: bool) -> None:
@@ -242,7 +243,7 @@ def run_task_cycle(
             if weights is not None:
                 rec.projector_snapshots.append(weights.copy())
                 w_index = len(rec.projector_snapshots) - 1
-                table = _classification_table(rec, w_index)
+                table = layout.table(w_index)
             rec.phase_seconds["queue"] += pushed - start
             rec.phase_seconds["solve"] += time.perf_counter() - pushed
         if not config.predict_before_update:
@@ -259,16 +260,40 @@ def run_task_cycle(
     return table, rec
 
 
-def _classification_table(rec: TaskRunRecord, w_index: int) -> PrototypeTable:
-    """The table a task classifies against: its old prototypes carried
+class _TaskLayout:
+    """The tables a task classifies against: its old prototypes carried
     through projector snapshot `w_index` (left as they are for -1), merged
-    with the task's fresh prototypes."""
-    if rec.old_table is None:
-        return rec.fresh_table
-    old = rec.old_table
-    if w_index >= 0:
-        old = evolve_prototypes(old, Projector(rec.projector_snapshots[w_index]), old.class_ids)
-    return old.merged_with(rec.fresh_table)
+    with the task's fresh prototypes.
+
+    What depends only on class ids is built once per task: the stale merged
+    table, the positions in it of the old classes that no fresh prototype
+    overrides, and the aligned tasks of an evolved table. A snapshot's table
+    is then the stale matrix with those rows overwritten by their images.
+    """
+
+    def __init__(self, rec: TaskRunRecord):
+        self.snapshots = rec.projector_snapshots
+        old, fresh = rec.old_table, rec.fresh_table
+        if old is None:
+            self.stale = fresh
+            return
+        self.stale = old.merged_with(fresh)
+        kept = [i for i, c in enumerate(old.class_ids) if c not in fresh]
+        self.old_rows = old.matrix()[kept]
+        self.positions = np.searchsorted(self.stale.class_ids,
+                                         [old.class_ids[i] for i in kept])
+        tasks = [self.stale.aligned_task(c) for c in self.stale.class_ids]
+        for p in self.positions:
+            tasks[p] += 1
+        self.evolved_tasks = tuple(tasks)
+
+    def table(self, w_index: int) -> PrototypeTable:
+        if w_index < 0:
+            return self.stale
+        matrix = self.stale.matrix().copy()
+        matrix[self.positions] = _map_rows(self.old_rows, self.snapshots[w_index])
+        return PrototypeTable._from_checked_rows(self.stale.class_ids, matrix,
+                                                 self.evolved_tasks)
 
 
 def _record_drift_similarity(rec: TaskRunRecord, source, table: PrototypeTable) -> None:
@@ -304,7 +329,7 @@ def run_gd_oracle(source, config: RunConfig, seed: Optional[int] = None,
             rec.projector_snapshots.append(_offline_gd(q_old, q_new, config.gd_learning_rate,
                                                        config.gd_optimizer, max_steps, grad_tol))
             w_index = 0
-        table = _classification_table(rec, w_index)
+        table = _TaskLayout(rec).table(w_index)
         if w_index == 0:
             _record_drift_similarity(rec, source, table)
         for class_id, _, z_new in pairs:
@@ -337,11 +362,11 @@ def replay_audit(result: RunResult) -> bool:
     """Re-evaluate every logged prediction from the stored projector
     snapshots and base tables; returns True iff all match exactly."""
     for rec in result.tasks:
-        w_index, table = None, None
+        layout, w_index, table = _TaskLayout(rec), None, None
         for sample, z_new in zip(rec.samples, rec.features_new):
             if sample.w_index != w_index:
                 w_index = sample.w_index
-                table = _classification_table(rec, w_index)
+                table = layout.table(w_index)
             if ncm_predict(z_new, table) != sample.predicted:
                 return False
     return True

@@ -82,7 +82,7 @@ def _cholesky(gram: np.ndarray, ridge: float) -> tuple[np.ndarray | None, float]
     condition estimate; (None, inf) when it is not numerically positive
     definite."""
     lhs = np.array(gram, order="F")
-    lhs[np.diag_indices_from(lhs)] += ridge
+    lhs.flat[::lhs.shape[0] + 1] += ridge   # the diagonal, through a strided view
     anorm = float(np.abs(lhs).sum(axis=0).max())
     factor, info = scipy.linalg.lapack.dpotrf(lhs, overwrite_a=True)
     if info != 0:
@@ -248,6 +248,26 @@ def solve_gradient_descent(
     return projector, report
 
 
+def _map_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row v of the (k, d) `rows` mapped to v @ weights; raises
+    DegenerateInputError if any image is non-finite.
+
+    The rows go through one stacked (k, 1, d) @ (d, d) product, which numpy
+    runs as k vector-matrix products (gemv), the same kernel as `v @ W` on
+    one row, so every image is bit-identical to mapping its row alone. A
+    plain (k, d) @ (d, d) product is a matrix-matrix product (gemm) that
+    rounds differently, and the stream's predictions are pinned to the
+    per-row arithmetic. `weights` is read in C order, as `Projector` holds
+    it: a Fortran-order array selects a transposed kernel that also rounds
+    differently.
+    """
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    images = (rows[:, None, :] @ weights)[:, 0, :]
+    if not np.all(np.isfinite(images)):
+        raise DegenerateInputError("evolved prototype contains non-finite components")
+    return images
+
+
 def evolve_prototypes(
     prototypes: PrototypeTable,
     projector: Projector,
@@ -263,15 +283,14 @@ def evolve_prototypes(
     for c in sorted(old_classes):
         if c not in prototypes:
             raise KeyError(f"class {c} not present in prototype table")
+    if projector.dimension != prototypes.dimension:
+        raise DimensionError(
+            f"prototype dimension {prototypes.dimension} does not match projector "
+            f"dimension {projector.dimension}"
+        )
     class_ids = prototypes.class_ids
-    matrix = prototypes.matrix().copy()
-    tasks = [prototypes.aligned_task(c) for c in class_ids]
     rows = [i for i, c in enumerate(class_ids) if c in old_classes]
-    # row by row: one (C, d) @ (d, d) product rounds differently from C
-    # vector products, and the stream's outputs are pinned to the latter
-    for i in rows:
-        matrix[i] = projector.apply(matrix[i])
-        tasks[i] += 1
-    if not np.all(np.isfinite(matrix[rows])):
-        raise DegenerateInputError("evolved prototype contains non-finite components")
+    matrix = prototypes.matrix().copy()
+    matrix[rows] = _map_rows(matrix[rows], projector.weights)
+    tasks = [prototypes.aligned_task(c) + (c in old_classes) for c in class_ids]
     return PrototypeTable._from_checked_rows(class_ids, matrix, tasks)

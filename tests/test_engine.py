@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from driftcomp.config import RunConfig, load_config
+from driftcomp.core import PrototypeTable
 from driftcomp.engine import (
+    TaskRunRecord,
+    _TaskLayout,
     replay_audit,
     run_engine,
     run_gd_oracle,
 )
-from driftcomp.errors import SingularGramError
-from driftcomp.projector import Projector, solve_analytic
+from driftcomp.errors import DegenerateInputError, SingularGramError
+from driftcomp.projector import Projector, evolve_prototypes, solve_analytic
 from driftcomp.queues import init_with_pseudo_features
 from driftcomp.sources import DumpSource, SyntheticSource, write_source_dump
 
@@ -253,6 +256,68 @@ class TestReplayAudit:
         cfg = engine_config(num_tasks=3, gd_learning_rate=0.01)
         source = SyntheticSource.from_config(cfg)
         assert replay_audit(run_gd_oracle(source, cfg))
+
+
+def assert_same_table(got, want):
+    assert got.class_ids == want.class_ids
+    assert np.array_equal(got.matrix(), want.matrix())
+    assert [got.aligned_task(c) for c in got.class_ids] == \
+           [want.aligned_task(c) for c in want.class_ids]
+
+
+def reference_table(rec, w_index):
+    """Old prototypes evolved through snapshot `w_index`, merged with the
+    fresh ones, built with the public table operations."""
+    old = rec.old_table
+    if w_index >= 0:
+        old = evolve_prototypes(old, Projector(rec.projector_snapshots[w_index]), old.class_ids)
+    return old.merged_with(rec.fresh_table)
+
+
+class TestTaskLayout:
+    def test_matches_evolve_then_merge_on_every_snapshot(self):
+        _, result = run_with(load_config(GOLDEN_CONFIG).replace(solver="analytic"))
+        assert_same_table(_TaskLayout(result.tasks[0]).table(-1), result.tasks[0].fresh_table)
+        for rec in result.tasks[1:]:
+            layout = _TaskLayout(rec)
+            for w_index in range(-1, len(rec.projector_snapshots)):
+                assert_same_table(layout.table(w_index), reference_table(rec, w_index))
+
+    def test_fresh_overrides_old(self):
+        rng = np.random.default_rng(3)
+        old = PrototypeTable({c: (rng.standard_normal(4), 1) for c in (0, 2, 5, 9)})
+        fresh = PrototypeTable({c: (rng.standard_normal(4), 2) for c in (2, 7)})
+        rec = TaskRunRecord(task=2, old_table=old, fresh_table=fresh,
+                            projector_snapshots=[rng.standard_normal((4, 4))])
+        table = _TaskLayout(rec).table(0)
+        assert_same_table(table, reference_table(rec, 0))
+        assert table.class_ids == (0, 2, 5, 7, 9)
+        np.testing.assert_array_equal(table.prototype(2), fresh.prototype(2))
+        assert table.aligned_task(2) == 2 and table.aligned_task(5) == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+class TestNonFiniteEvolvedPrototypes:
+    """A finite snapshot whose image of a large old prototype overflows."""
+
+    def config(self):
+        # class means of norm ~1e10, which 1e300 * I maps past the float range
+        return load_config(GOLDEN_CONFIG).replace(solver="analytic", cluster_separation=1e10)
+
+    def test_stream_raises(self, monkeypatch):
+        def overflowing_solve(gram, cross, ridge, **kwargs):
+            return 1e300 * np.eye(gram.shape[0]), 1.0, ridge
+        monkeypatch.setattr("driftcomp.engine.solve_normal_equations", overflowing_solve)
+        with pytest.raises(DegenerateInputError, match="evolved prototype"):
+            run_with(self.config())
+
+    def test_replay_audit_raises(self):
+        _, result = run_with(self.config())
+        assert replay_audit(result)
+        snapshots = result.tasks[-1].projector_snapshots
+        snapshots[-1] = 1e300 * np.eye(snapshots[-1].shape[0])
+        with pytest.raises(DegenerateInputError, match="evolved prototype"):
+            replay_audit(result)
 
 
 class TestDumpSourceParity:

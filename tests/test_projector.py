@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftcomp.core import PrototypeTable, compute_prototypes, FeatureRecord
-from driftcomp.errors import DivergenceError, SingularGramError
+from driftcomp.errors import (
+    DegenerateInputError,
+    DimensionError,
+    DivergenceError,
+    SingularGramError,
+)
 from driftcomp.projector import (
     Projector,
     evolve_prototypes,
@@ -234,3 +241,52 @@ class TestEvolvePrototypes:
             a, b = evolved.prototype(c), recomputed.prototype(c)
             cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
             assert cos > 0.999
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_image_raises(self):
+        # a finite projector whose product with large prototypes overflows
+        table = PrototypeTable({0: (np.full(4, 5e9), 1), 3: (np.full(4, -5e9), 1)})
+        with pytest.raises(DegenerateInputError, match="evolved prototype"):
+            evolve_prototypes(table, Projector(1e300 * np.eye(4)), [3])
+
+    def test_dimension_mismatch_named(self):
+        with pytest.raises(DimensionError):
+            evolve_prototypes(self.table(), Projector.identity(3), [0])
+
+    def test_empty_old_class_set_leaves_table(self):
+        table = self.table()
+        out = evolve_prototypes(table, Projector(np.full((2, 2), 0.3)), [])
+        assert out.class_ids == table.class_ids
+        np.testing.assert_array_equal(out.matrix(), table.matrix())
+        assert [out.aligned_task(c) for c in out.class_ids] == \
+               [table.aligned_task(c) for c in table.class_ids]
+
+
+class TestStackedEvolve:
+    """evolve_prototypes maps all old rows in one stacked product; every
+    image must equal the one-row product `v @ W` bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 8, 32, 128, 512])
+    @settings(max_examples=25, deadline=None)
+    @given(n_classes=st.integers(1, 100), log_scale=st.floats(-3.0, 3.0),
+           old_fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 31 - 1))
+    def test_matches_per_row_products(self, d, n_classes, log_scale, old_fraction, seed):
+        rng = np.random.default_rng(seed)
+        matrix = 10.0 ** log_scale * rng.standard_normal((n_classes, d))
+        class_ids = rng.choice(10 * n_classes, size=n_classes, replace=False)
+        tasks = rng.integers(1, 5, size=n_classes)
+        table = PrototypeTable({int(c): (row, int(t))
+                                for c, row, t in zip(class_ids, matrix, tasks)})
+        old = {c for c in table.class_ids if rng.random() < old_fraction}
+        weights = np.eye(d) + rng.standard_normal((d, d)) / np.sqrt(d)
+
+        out = evolve_prototypes(table, Projector(weights), old)
+
+        expected = table.matrix().copy()
+        for i, c in enumerate(table.class_ids):
+            if c in old:
+                expected[i] = expected[i] @ weights
+        assert out.class_ids == table.class_ids
+        assert np.array_equal(out.matrix(), expected)
+        assert [out.aligned_task(c) for c in out.class_ids] == \
+               [table.aligned_task(c) + (c in old) for c in table.class_ids]
