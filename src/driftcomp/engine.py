@@ -25,7 +25,7 @@ from .projector import (
     _Descent,
     _map_rows,
     _queue_gradient,
-    solve_normal_equations,
+    resolve_normal_equations,
 )
 from .queues import init_with_pseudo_features
 
@@ -129,6 +129,11 @@ class _StreamFit:
     from the normal equations the queues keep and "gd_with_queue" from the
     queued rows; "gd" descends on each pair alone, as a one-row queue, at
     every sample.
+
+    "analytic" keeps its last solution and the rows that entered or left
+    the queues since, so that the next solve updates that solution by them;
+    the first solve of a task and the first after the queues recompute
+    their normal equations are direct.
     """
 
     def __init__(self, config: RunConfig, old_table: PrototypeTable, rng_seed: int):
@@ -142,6 +147,11 @@ class _StreamFit:
                 noise_scale=config.noise_scale, rng_seed=rng_seed,
             )
         self.pending: List[Tuple[np.ndarray, np.ndarray]] = []
+        # analytic: (W, ridge used) of the last solve, and the (old, new) row
+        # blocks pushed into and evicted from the queues since
+        self.previous: Optional[Tuple[np.ndarray, float]] = None
+        self.entered: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.left: List[Tuple[np.ndarray, np.ndarray]] = []
 
     def push(self, z_old: np.ndarray, z_new: np.ndarray) -> None:
         self.pending.append((np.asarray(z_old, dtype=np.float64),
@@ -149,9 +159,15 @@ class _StreamFit:
         if self.queue is None:
             del self.pending[:-1]   # gd keeps the latest pair only
         elif len(self.pending) >= self.config.update_stride:
-            old, new = zip(*self.pending)
-            self.queue.push(np.vstack(old), np.vstack(new))
+            old, new = (np.vstack(rows) for rows in zip(*self.pending))
             self.pending.clear()
+            recomputes = self.queue.recomputes
+            left = self.queue.push(old, new)
+            if self.queue.recomputes != recomputes:
+                self.previous = None
+            elif self.previous is not None:
+                self.entered.append((old, new))
+                self.left.append(left)
 
     def solve(self, i: int) -> Optional[np.ndarray]:
         """Re-fitted weights after the i-th pair, or None when no solve is due."""
@@ -161,9 +177,18 @@ class _StreamFit:
         elif (i + 1) % cfg.resolve_stride:
             return None
         elif cfg.solver == "analytic":
-            weights, _, _ = solve_normal_equations(
+            moved = None
+            if self.previous is not None and self.entered:
+                old, new = zip(*self.entered, *self.left)
+                moved = (np.concatenate(old), np.concatenate(new),
+                         sum(len(rows) for rows, _ in self.entered))
+            weights, _, ridge = resolve_normal_equations(
                 self.queue.gram, self.queue.cross, cfg.ridge,
+                previous=self.previous, moved=moved,
                 singular_policy=cfg.singular_policy, min_ridge=cfg.min_ridge)
+            self.previous = (weights, ridge)
+            self.entered.clear()
+            self.left.clear()
             return weights
         else:
             q_old, q_new = self.queue.matrices()
@@ -241,7 +266,7 @@ def run_task_cycle(
             pushed = time.perf_counter()
             weights = fit.solve(i)
             if weights is not None:
-                rec.projector_snapshots.append(weights.copy())
+                rec.projector_snapshots.append(weights)
                 w_index = len(rec.projector_snapshots) - 1
                 table = layout.table(w_index)
             rec.phase_seconds["queue"] += pushed - start

@@ -8,7 +8,6 @@ Q_old @ W = Q_new.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +61,6 @@ class SolveReport:
     # for), from its Cholesky factor; inf if that factorization fails
     gram_condition: float
     ridge_applied: bool      # whether any nonzero ridge entered the solve
-    wall_time: float         # seconds
 
 
 def mean_squared_residual(pair: QueuePair, projector: Projector) -> float:
@@ -91,25 +89,15 @@ def _cholesky(gram: np.ndarray, ridge: float) -> tuple[np.ndarray | None, float]
     return factor, (1.0 / rcond if rcond > 0.0 else np.inf)
 
 
-def solve_normal_equations(
+def _factor_normal_equations(
     gram: np.ndarray,
-    cross: np.ndarray,
-    ridge: float = 0.0,
-    *,
-    singular_policy: str = "fallback",
-    min_ridge: float = DEFAULT_MIN_RIDGE,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
+    ridge: float,
+    singular_policy: str,
+    min_ridge: float,
+    cond_threshold: float,
 ) -> tuple[np.ndarray, float, float]:
-    """Solve (gram + ridge I) W = cross through a Cholesky factorization.
-
-    Returns (W, condition estimate, ridge used). With ridge 0, a Gram whose
-    factorization fails or whose condition estimate exceeds
-    `cond_threshold` is numerically singular: "strict" raises
-    SingularGramError, "fallback" solves with `min_ridge` instead. A
-    ridged matrix that still fails to factor (the Gram's rounding outweighs
-    the ridge) raises under "strict"; under "fallback" its ridge is
-    multiplied by ten until it factors, and a zero ridge raises.
-    """
+    """Cholesky factor of gram + ridge I under the singular-Gram policy;
+    returns (factor, condition estimate, ridge used)."""
     if ridge < 0:
         raise ValueError(f"ridge must be non-negative, got {ridge}")
     if singular_policy not in ("strict", "fallback"):
@@ -131,8 +119,75 @@ def solve_normal_equations(
             raise SingularGramError(
                 f"Gram matrix does not factor with ridge {effective_ridge:.1e}"
             )
+    return factor, cond, effective_ridge
+
+
+def solve_normal_equations(
+    gram: np.ndarray,
+    cross: np.ndarray,
+    ridge: float = 0.0,
+    *,
+    singular_policy: str = "fallback",
+    min_ridge: float = DEFAULT_MIN_RIDGE,
+    cond_threshold: float = DEFAULT_COND_THRESHOLD,
+) -> tuple[np.ndarray, float, float]:
+    """Solve (gram + ridge I) W = cross through a Cholesky factorization.
+
+    Returns (W, condition estimate, ridge used). With ridge 0, a Gram whose
+    factorization fails or whose condition estimate exceeds
+    `cond_threshold` is numerically singular: "strict" raises
+    SingularGramError, "fallback" solves with `min_ridge` instead. A
+    ridged matrix that still fails to factor (the Gram's rounding outweighs
+    the ridge) raises under "strict"; under "fallback" its ridge is
+    multiplied by ten until it factors, and a zero ridge raises.
+    """
+    factor, cond, effective_ridge = _factor_normal_equations(
+        gram, ridge, singular_policy, min_ridge, cond_threshold)
     weights, _ = scipy.linalg.lapack.dpotrs(factor, cross)
     return weights, cond, effective_ridge
+
+
+def resolve_normal_equations(
+    gram: np.ndarray,
+    cross: np.ndarray,
+    ridge: float = 0.0,
+    *,
+    previous: tuple[np.ndarray, float] | None = None,
+    moved: tuple[np.ndarray, np.ndarray, int] | None = None,
+    singular_policy: str = "fallback",
+    min_ridge: float = DEFAULT_MIN_RIDGE,
+    cond_threshold: float = DEFAULT_COND_THRESHOLD,
+) -> tuple[np.ndarray, float, float]:
+    """`solve_normal_equations`, reusing the previous solution when only a
+    few rows moved since it.
+
+    `previous` is (W_prev, ridge used) from the last solve and `moved` is
+    (U, Z, k): the old- and new-space rows that moved through the queues
+    since (None when none did), the k that entered first, with sign s = +1,
+    then those that left, with s = -1. So gram and cross are the previous
+    ones plus U^T diag(s) U and U^T diag(s) Z, and, in exact arithmetic,
+
+        W = W_prev + (gram + ridge I)^-1 U^T diag(s) (Z - U W_prev),
+
+    which takes m right-hand sides instead of d. The factorization, its
+    condition estimate and the singular policy are the same as for the
+    direct solve. The direct solve is taken without a previous solution,
+    when the ridge used changes, or when m >= d. The returned W is
+    C-ordered, and is W_prev itself when no row moved.
+    """
+    factor, cond, effective_ridge = _factor_normal_equations(
+        gram, ridge, singular_policy, min_ridge, cond_threshold)
+    m = 0 if moved is None else len(moved[0])
+    if previous is None or previous[1] != effective_ridge or m >= len(gram):
+        weights, _ = scipy.linalg.lapack.dpotrs(factor, cross)
+        return np.ascontiguousarray(weights), cond, effective_ridge
+    if m == 0:
+        return previous[0], cond, effective_ridge
+    weights, (rows_old, rows_new, entered) = previous[0], moved
+    correction = rows_new - rows_old @ weights
+    correction[entered:] *= -1.0
+    solved, _ = scipy.linalg.lapack.dpotrs(factor, rows_old.T)
+    return weights + solved @ correction, cond, effective_ridge
 
 
 def solve_analytic(
@@ -151,7 +206,6 @@ def solve_analytic(
     `singular_policy` picks between a hard error ("strict") and an automatic
     `min_ridge` fallback ("fallback").
     """
-    start = time.perf_counter()
     if len(pair) == 0:
         raise ValueError("cannot solve on empty queues")
     weights, cond, effective_ridge = solve_normal_equations(
@@ -164,7 +218,6 @@ def solve_analytic(
         residual=_residual(q_old, q_new, projector.weights),
         gram_condition=cond,
         ridge_applied=effective_ridge > 0.0,
-        wall_time=time.perf_counter() - start,
     )
     return projector, report
 
@@ -223,7 +276,6 @@ def solve_gradient_descent(
         raise ValueError(f"steps must be non-negative, got {steps}")
     if optimizer not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
-    start = time.perf_counter()
     q_old, q_new = pair.matrices()
     n = q_old.shape[0]
     if n == 0:
@@ -243,7 +295,6 @@ def solve_gradient_descent(
         residual=_residual(q_old, q_new, projector.weights),
         gram_condition=_cholesky(pair.gram, 0.0)[1],
         ridge_applied=False,
-        wall_time=time.perf_counter() - start,
     )
     return projector, report
 

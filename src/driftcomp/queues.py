@@ -80,7 +80,8 @@ class QueuePair:
     Each push adds the entering rows' products and subtracts the leaving
     rows' in one rank-k product; once `capacity` rows have entered since the
     last recompute, both are recomputed from the rows, which bounds the
-    rounding the updates accumulate. Callers must not write to them.
+    rounding the updates accumulate; `recomputes` counts those recomputes.
+    Callers must not write to them.
     """
 
     def __init__(self, dimension: int, capacity: int):
@@ -89,6 +90,7 @@ class QueuePair:
         self.gram = np.zeros((dimension, dimension))
         self.cross = np.zeros((dimension, dimension))
         self._entered = 0    # rows pushed since gram and cross were recomputed
+        self.recomputes = 0
 
     @property
     def dimension(self) -> int:
@@ -101,9 +103,11 @@ class QueuePair:
     def __len__(self) -> int:
         return len(self.old_queue)
 
-    def push(self, old_features: np.ndarray, new_features: np.ndarray) -> None:
-        """Push paired rows; non-finite rows raise DegenerateInputError and
-        leave the pair as it was."""
+    def push(self, old_features: np.ndarray,
+             new_features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Push paired rows and return the (old, new) rows that left, oldest
+        first; non-finite rows raise DegenerateInputError and leave the pair
+        as it was."""
         old_features = np.atleast_2d(np.asarray(old_features, dtype=np.float64))
         new_features = np.atleast_2d(np.asarray(new_features, dtype=np.float64))
         if old_features.shape != new_features.shape:
@@ -121,7 +125,8 @@ class QueuePair:
             self.gram = q_old.T @ q_old
             self.cross = q_old.T @ q_new
             self._entered = 0
-            return
+            self.recomputes += 1
+            return left_old, left_new
         # entering rows count with weight +1, leaving rows with -1
         moved = np.concatenate([old_features, left_old])
         signed = np.concatenate([np.hstack([old_features, new_features]),
@@ -129,6 +134,7 @@ class QueuePair:
         update = moved.T @ signed
         self.gram += update[:, :self.dimension]
         self.cross += update[:, self.dimension:]
+        return left_old, left_new
 
     def matrices(self):
         return self.old_queue.matrix(), self.new_queue.matrix()

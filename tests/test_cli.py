@@ -5,6 +5,7 @@ import pytest
 from driftcomp.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_DIVERGED,
     EXIT_OK,
     EXIT_OTHER,
     main,
@@ -64,6 +65,14 @@ class TestRun:
         path = tmp_path / "strict.cfg"
         path.write_text(SMALL_CFG + "noise_scale = 0\nsingular_policy = strict\n")
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == EXIT_OTHER
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "diverge.cfg"
+        path.write_text(SMALL_CFG + "solver = gd\ngd_optimizer = sgd\n"
+                        "gd_learning_rate = 1e6\ngd_steps = 5\n")
+        assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == EXIT_DIVERGED
+        assert "divergence" in capsys.readouterr().err
 
     def test_unknown_key_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -307,7 +307,7 @@ class TestNonFiniteEvolvedPrototypes:
     def test_stream_raises(self, monkeypatch):
         def overflowing_solve(gram, cross, ridge, **kwargs):
             return 1e300 * np.eye(gram.shape[0]), 1.0, ridge
-        monkeypatch.setattr("driftcomp.engine.solve_normal_equations", overflowing_solve)
+        monkeypatch.setattr("driftcomp.engine.resolve_normal_equations", overflowing_solve)
         with pytest.raises(DegenerateInputError, match="evolved prototype"):
             run_with(self.config())
 

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftcomp.config import RunConfig
 from driftcomp.core import PrototypeTable
+from driftcomp.engine import _StreamFit
 from driftcomp.errors import DegenerateInputError, DimensionError
-from driftcomp.projector import Projector, solve_normal_equations
+from driftcomp.projector import Projector, resolve_normal_equations, solve_normal_equations
 from driftcomp.queues import FeatureQueue, QueuePair, init_with_pseudo_features
 
 
@@ -224,3 +226,89 @@ class TestRunningNormalEquations:
             pair.push(old, old @ w_true + 0.1 * rng.standard_normal((k, d)))
             # weights only where a random Gram is safely well conditioned
             assert_matches_rows(pair, check_weights=len(pair) >= 3 * d)
+
+
+def relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestRankKUpdate:
+    """The stream's analytic solves, updated from the previous solution by
+    the rows that moved, against the direct solve on the same gram/cross."""
+
+    def stream(self, d, capacity, seed, **config):
+        rng = np.random.default_rng(seed)
+        table = PrototypeTable({c: (rng.standard_normal(d), 1) for c in range(10)})
+        cfg = RunConfig(solver="analytic", dimension=d, queue_capacity=capacity, **config)
+        fit = _StreamFit(cfg, table, rng_seed=seed)
+        w_true = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
+
+        def pair():
+            old = 2.0 * rng.standard_normal(d)
+            return old, old @ w_true + 0.1 * rng.standard_normal(d)
+        return fit, pair
+
+    def assert_matches_direct(self, fit, weights, recomputed):
+        direct = solve_normal_equations(fit.queue.gram, fit.queue.cross)[0]
+        assert relative_gap(weights, direct) <= WEIGHTS_RTOL
+        if recomputed:
+            # a recompute resets the rounding the updates carry: direct solve
+            np.testing.assert_array_equal(weights, direct)
+
+    def test_default_size_single_rows_across_recompute(self):
+        # the pseudo-feature fill was the first recompute; the next comes
+        # once capacity real rows have entered, at i = 2999
+        fit, pair = self.stream(512, 3000, seed=0)
+        checkpoints = {2800, 2801, 2998, 2999, 3000, 3100}
+        for i in range(max(checkpoints) + 1):
+            recomputes = fit.queue.recomputes
+            fit.push(*pair())
+            if i < min(checkpoints):
+                continue
+            weights = fit.solve(i)
+            if i in checkpoints:
+                self.assert_matches_direct(fit, weights, fit.queue.recomputes != recomputes)
+        assert fit.queue.recomputes == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(4, 24), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+           st.integers(0, 2 ** 31 - 1))
+    def test_small_shapes_with_strides(self, d, update_stride, resolve_stride,
+                                       capacity_factor, seed):
+        capacity = 3 * d * capacity_factor
+        fit, pair = self.stream(d, capacity, seed, update_stride=update_stride,
+                                resolve_stride=resolve_stride)
+        recomputes = fit.queue.recomputes
+        for i in range(3 * capacity):
+            fit.push(*pair())
+            weights = fit.solve(i)
+            if weights is not None:
+                self.assert_matches_direct(fit, weights, fit.queue.recomputes != recomputes)
+                recomputes = fit.queue.recomputes
+
+    def test_ridge_change_forces_direct_solve(self):
+        rng = np.random.default_rng(4)
+        d = 16
+        pair = QueuePair(d, 60)
+        w_true = rng.standard_normal((d, d))
+
+        def rows(k):
+            old = rng.standard_normal((k, d))
+            return old, old @ w_true + 0.1 * rng.standard_normal((k, d))
+        pair.push(*rows(60))
+        weights, _, ridge = solve_normal_equations(pair.gram, pair.cross, 10.0)
+        previous = (weights, ridge)
+        old, new = rows(2)
+        left_old, left_new = pair.push(old, new)
+        moved = (np.vstack([old, left_old]), np.vstack([new, left_new]), len(old))
+        weights, _, ridge = resolve_normal_equations(pair.gram, pair.cross, 0.0,
+                                                     previous=previous, moved=moved)
+        assert ridge == 0.0
+        direct = solve_normal_equations(pair.gram, pair.cross)[0]
+        assert relative_gap(weights, direct) <= WEIGHTS_RTOL
+        np.testing.assert_array_equal(weights, direct)
+        # the same rows with an unchanged ridge take the update
+        updated, _, _ = resolve_normal_equations(pair.gram, pair.cross, 10.0,
+                                                 previous=previous, moved=moved)
+        ridged = solve_normal_equations(pair.gram, pair.cross, 10.0)[0]
+        assert relative_gap(updated, ridged) <= WEIGHTS_RTOL
