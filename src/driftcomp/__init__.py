@@ -18,6 +18,7 @@ from .core import (
     FeatureRecord,
     PrototypeTable,
     TaskDataset,
+    class_means,
     compute_prototypes,
     cosine_similarity,
     ncm_predict,

@@ -100,8 +100,10 @@ def _cmd_ingest_check(args) -> int:
           f"tasks={source.num_tasks}")
     for t in range(1, source.num_tasks + 1):
         pairs = source.test_pairs(t)
-        print(f"  task {t}: classes={list(source.classes_of_task(t))} "
-              f"train={len(source.train_records(t))} test_pairs={len(pairs)}")
+        classes = source.classes_of_task(t)
+        train = sum(source.train_matrix(t, c).shape[0] for c in classes)
+        print(f"  task {t}: classes={list(classes)} "
+              f"train={train} test_pairs={len(pairs)}")
     return EXIT_OK
 
 

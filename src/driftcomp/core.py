@@ -167,33 +167,57 @@ def check_disjoint_tasks(tasks: Sequence[TaskDataset]) -> None:
             seen[c] = idx
 
 
-def compute_prototypes(records: Sequence[FeatureRecord]) -> PrototypeTable:
-    """Per-class arithmetic mean of the feature vectors.
+def class_means(matrices: Mapping[int, np.ndarray], task: int) -> PrototypeTable:
+    """Prototype table of per-class arithmetic means, all aligned at `task`.
 
-    The aligned task of each prototype is the task_id of that class's records.
+    `matrices` maps each class id to its (n, d) feature rows. Each mean is
+    summed row by row, first to last, as adding the rows one at a time
+    does: `cumsum` is sequential by definition, whereas `sum` switches to
+    pairwise summation when the rows are the contiguous axis (d = 1).
+    """
+    if not matrices:
+        raise ValueError("prototype table must contain at least one class")
+    class_ids = tuple(sorted(int(c) for c in matrices))
+    means = []
+    for c in class_ids:
+        rows = np.asarray(matrices[c], dtype=np.float64)
+        if rows.ndim != 2 or rows.size == 0:
+            raise DimensionError(
+                f"class {c} features must be a non-empty (n, d) matrix, got shape {rows.shape}"
+            )
+        if means and rows.shape[1] != means[0].shape[0]:
+            raise DimensionError(
+                f"class {c} features have dimension {rows.shape[1]}, expected {means[0].shape[0]}"
+            )
+        means.append(np.cumsum(rows, axis=0)[-1] / rows.shape[0])
+    matrix = np.vstack(means)
+    # a non-finite feature makes its column's sum non-finite
+    if not np.all(np.isfinite(matrix)):
+        raise DegenerateInputError("class features contain non-finite components")
+    return PrototypeTable._from_checked_rows(class_ids, matrix, (int(task),) * len(class_ids))
+
+
+def compute_prototypes(records: Sequence[FeatureRecord]) -> PrototypeTable:
+    """Per-class arithmetic mean of the feature vectors, by `class_means`.
+
+    The aligned task of each prototype is the task_id of that class's
+    first record.
     """
     if not records:
         raise ValueError("cannot compute prototypes from an empty record sequence")
     dim = records[0].dimension
-    sums: Dict[int, np.ndarray] = {}
-    counts: Dict[int, int] = {}
+    rows: Dict[int, list] = {}
     tasks: Dict[int, int] = {}
     for rec in records:
         if rec.dimension != dim:
             raise DimensionError(
                 f"record dimension {rec.dimension} does not match expected {dim}"
             )
-        if rec.class_id in sums:
-            sums[rec.class_id] = sums[rec.class_id] + rec.vector
-            counts[rec.class_id] += 1
-        else:
-            sums[rec.class_id] = rec.vector.copy()
-            counts[rec.class_id] = 1
-            tasks[rec.class_id] = rec.task_id
-    entries = {
-        c: (sums[c] / counts[c], tasks[c]) for c in sums
-    }
-    return PrototypeTable(entries)
+        rows.setdefault(rec.class_id, []).append(rec.vector)
+        tasks.setdefault(rec.class_id, rec.task_id)
+    means = class_means({c: np.vstack(v) for c, v in rows.items()}, 0)
+    return PrototypeTable._from_checked_rows(
+        means.class_ids, means.matrix(), [tasks[c] for c in means.class_ids])
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

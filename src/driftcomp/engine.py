@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import RunConfig
-from .core import PrototypeTable, compute_prototypes, ncm_predict
+from .core import PrototypeTable, class_means, ncm_predict
 from .drift_sim import true_drift_similarity
 from .projector import (
     Projector,
@@ -224,6 +224,11 @@ def run_engine(source, config: RunConfig, seed: Optional[int] = None) -> RunResu
     return RunResult(config=config, seed=seed, tasks=records)
 
 
+def _fresh_table(source, t: int) -> PrototypeTable:
+    """Class means of task t's train features, aligned at t."""
+    return class_means({c: source.train_matrix(t, c) for c in source.classes_of_task(t)}, t)
+
+
 def run_task_cycle(
     source,
     config: RunConfig,
@@ -234,7 +239,7 @@ def run_task_cycle(
 ) -> Tuple[PrototypeTable, TaskRunRecord]:
     """One task's test stage; returns (prototype table for the next task,
     metrics record)."""
-    fresh = compute_prototypes(list(source.train_records(t)))
+    fresh = _fresh_table(source, t)
     pairs = source.test_pairs(t)
     streamed = [pairs[i] for i in _stream_order(len(pairs), seed, t)]
     excluded: List = []
@@ -342,8 +347,7 @@ def run_gd_oracle(source, config: RunConfig, seed: Optional[int] = None,
     records: List[TaskRunRecord] = []
     for t in range(1, source.num_tasks + 1):
         pairs = source.test_pairs(t)
-        rec = TaskRunRecord(task=t, old_table=table,
-                            fresh_table=compute_prototypes(list(source.train_records(t))))
+        rec = TaskRunRecord(task=t, old_table=table, fresh_table=_fresh_table(source, t))
         w_index = -1
         if table is not None:
             fit_pairs = pairs if selected is None else [p for p in pairs if p[0] in selected]

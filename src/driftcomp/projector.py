@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg.lapack
+from scipy.linalg.blas import dgemm
 
 from .core import PrototypeTable
 from .errors import DegenerateInputError, DimensionError, DivergenceError, SingularGramError
@@ -173,7 +174,8 @@ def resolve_normal_equations(
     condition estimate and the singular policy are the same as for the
     direct solve. The direct solve is taken without a previous solution,
     when the ridge used changes, or when m >= d. The returned W is
-    C-ordered, and is W_prev itself when no row moved.
+    C-ordered, and is W_prev itself when no row moved; W_prev is never
+    written.
     """
     factor, cond, effective_ridge = _factor_normal_equations(
         gram, ridge, singular_policy, min_ridge, cond_threshold)
@@ -187,7 +189,10 @@ def resolve_normal_equations(
     correction = rows_new - rows_old @ weights
     correction[entered:] *= -1.0
     solved, _ = scipy.linalg.lapack.dpotrs(factor, rows_old.T)
-    return weights + solved @ correction, cond, effective_ridge
+    # W_prev + solved @ correction as one beta=1 gemm on the transposes, into
+    # the copy of W_prev^T that f2py makes without overwrite_c
+    updated = dgemm(1.0, correction.T, solved.T, beta=1.0, c=weights.T).T
+    return updated, cond, effective_ridge
 
 
 def solve_analytic(

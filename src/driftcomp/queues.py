@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .core import PrototypeTable
 from .errors import DegenerateInputError, DimensionError
@@ -41,7 +42,8 @@ class FeatureQueue:
 
     def _ordered(self, first: int, count: int) -> np.ndarray:
         """Copy of `count` rows from ring slot `first` on, wrapping around."""
-        return self._rows[(first + np.arange(count)) % self.capacity]
+        head = self._rows[first:first + count]
+        return np.concatenate([head, self._rows[:count - len(head)]])
 
     def push_rows(self, rows: np.ndarray) -> np.ndarray:
         """Append rows; return the rows that left the queue, oldest first.
@@ -62,7 +64,10 @@ class FeatureQueue:
             return evicted
         n_evicted = max(0, self._length + k - self.capacity)
         evicted = self._ordered(self._start, n_evicted)
-        self._rows[(self._start + self._length + np.arange(k)) % self.capacity] = rows
+        first = (self._start + self._length) % self.capacity
+        split = min(k, self.capacity - first)   # rows that fit before the ring end
+        self._rows[first:first + split] = rows[:split]
+        self._rows[:k - split] = rows[split:]
         self._start = (self._start + n_evicted) % self.capacity
         self._length += k - n_evicted
         return evicted
@@ -76,19 +81,20 @@ class QueuePair:
     """Synchronized old/new feature queues of identical capacity and length,
     with their normal equations.
 
-    `gram` is Q_old^T Q_old and `cross` is Q_old^T Q_new over the rows held.
-    Each push adds the entering rows' products and subtracts the leaving
-    rows' in one rank-k product; once `capacity` rows have entered since the
-    last recompute, both are recomputed from the rows, which bounds the
-    rounding the updates accumulate; `recomputes` counts those recomputes.
-    Callers must not write to them.
+    `gram` is Q_old^T Q_old and `cross` is Q_old^T Q_new over the rows held,
+    both Fortran-ordered and updated in place. Each push adds the entering
+    rows' products and subtracts the leaving rows' with one rank-k gemm
+    (beta = 1) into each; once `capacity` rows have entered since the last
+    recompute, both are recomputed from the rows, which bounds the rounding
+    the updates accumulate; `recomputes` counts those recomputes. Callers
+    must not write to them.
     """
 
     def __init__(self, dimension: int, capacity: int):
         self.old_queue = FeatureQueue(dimension, capacity)
         self.new_queue = FeatureQueue(dimension, capacity)
-        self.gram = np.zeros((dimension, dimension))
-        self.cross = np.zeros((dimension, dimension))
+        self.gram = np.zeros((dimension, dimension), order="F")
+        self.cross = np.zeros((dimension, dimension), order="F")
         self._entered = 0    # rows pushed since gram and cross were recomputed
         self.recomputes = 0
 
@@ -122,18 +128,21 @@ class QueuePair:
         self._entered += old_features.shape[0]
         if self._entered >= self.capacity:
             q_old, q_new = self.matrices()
-            self.gram = q_old.T @ q_old
-            self.cross = q_old.T @ q_new
+            self.gram[...] = q_old.T @ q_old
+            self.cross[...] = q_old.T @ q_new
             self._entered = 0
             self.recomputes += 1
             return left_old, left_new
-        # entering rows count with weight +1, leaving rows with -1
-        moved = np.concatenate([old_features, left_old])
-        signed = np.concatenate([np.hstack([old_features, new_features]),
-                                 -np.hstack([left_old, left_new])])
-        update = moved.T @ signed
-        self.gram += update[:, :self.dimension]
-        self.cross += update[:, self.dimension:]
+        # entering rows count with weight +1, leaving rows with -1; the
+        # transposed views are Fortran-ordered, so f2py copies none of them
+        moved_old = np.concatenate([old_features, left_old])
+        moved_new = np.concatenate([new_features, left_new])
+        signed = moved_old.copy()
+        signed[len(old_features):] *= -1.0
+        self.gram = dgemm(1.0, signed.T, moved_old.T, beta=1.0, c=self.gram,
+                          trans_b=1, overwrite_c=1)
+        self.cross = dgemm(1.0, signed.T, moved_new.T, beta=1.0, c=self.cross,
+                           trans_b=1, overwrite_c=1)
         return left_old, left_new
 
     def matrices(self):

@@ -2,6 +2,10 @@
 old/new test features, backed by the synthetic simulator, the toy trainer,
 or a feature dump file.
 
+Each source gives `classes_of_task(t)` and `train_matrix(t, c)`, class c's
+train features in task t's space as an (n, d) array; `_Source` derives the
+seen classes and the train records from those.
+
 Canonical test ordering within one task stream is ascending class id, then
 sample index; every source and the dump writer follow it, which is what
 makes dump round-trips reproduce in-memory runs.
@@ -14,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import RunConfig
-from .core import FeatureRecord, PrototypeTable, compute_prototypes
+from .core import FeatureRecord, PrototypeTable, class_means
 from .drift_sim import GeneratedScenario, generate_scenario
 from .dump import SPLIT_TEST, SPLIT_TRAIN, read_dump, read_dump_header, write_dump
 from .errors import DumpFormatError
@@ -24,7 +28,16 @@ from .toy import LossWeights, ToyModel, train_task
 TestPair = Tuple[int, Optional[np.ndarray], np.ndarray]
 
 
-class SyntheticSource:
+class _Source:
+    def seen_classes(self, t: int) -> Tuple[int, ...]:
+        return tuple(c for i in range(1, t + 1) for c in self.classes_of_task(i))
+
+    def train_records(self, t: int) -> Sequence[FeatureRecord]:
+        return [FeatureRecord(vec, c, t)
+                for c in self.classes_of_task(t) for vec in self.train_matrix(t, c)]
+
+
+class SyntheticSource(_Source):
     """Source backed by a generated scenario with known drift maps."""
 
     def __init__(self, scenario: GeneratedScenario):
@@ -45,11 +58,8 @@ class SyntheticSource:
     def classes_of_task(self, t: int) -> Tuple[int, ...]:
         return self.scenario.classes_of_task(t)
 
-    def seen_classes(self, t: int) -> Tuple[int, ...]:
-        return self.scenario.seen_classes(t)
-
-    def train_records(self, t: int) -> Sequence[FeatureRecord]:
-        return self.scenario.task_dataset(t).records
+    def train_matrix(self, t: int, c: int) -> np.ndarray:
+        return self.scenario.train_matrix(t, c)
 
     def test_pairs(self, t: int) -> List[TestPair]:
         out: List[TestPair] = []
@@ -70,7 +80,7 @@ class SyntheticSource:
         return PrototypeTable(entries)
 
 
-class ToySource:
+class ToySource(_Source):
     """Source backed by sequentially trained toy extractors.
 
     Input blobs for every class live in a fixed input space; drift arises
@@ -130,22 +140,11 @@ class ToySource:
     def classes_of_task(self, t: int) -> Tuple[int, ...]:
         return self._task_classes[t - 1]
 
-    def seen_classes(self, t: int) -> Tuple[int, ...]:
-        out: List[int] = []
-        for i in range(t):
-            out.extend(self._task_classes[i])
-        return tuple(out)
-
     def model(self, t: int) -> ToyModel:
         return self.snapshots[t - 1]
 
-    def train_records(self, t: int) -> Sequence[FeatureRecord]:
-        f_t = self.model(t)
-        return [
-            FeatureRecord(vec, c, t)
-            for c in self.classes_of_task(t)
-            for vec in f_t.features(self._train_x[c])
-        ]
+    def train_matrix(self, t: int, c: int) -> np.ndarray:
+        return self.model(t).features(self._train_x[c])
 
     def test_pairs(self, t: int) -> List[TestPair]:
         f_t = self.model(t)
@@ -161,16 +160,10 @@ class ToySource:
     def reference_drifted_prototypes(self, t: int, old_table: PrototypeTable) -> PrototypeTable:
         """Empirical drifted prototypes: old-class training inputs pushed
         through the current extractor (the "real drift" reference)."""
-        f_t = self.model(t)
-        records = [
-            FeatureRecord(vec, c, t)
-            for c in old_table.class_ids
-            for vec in f_t.features(self._train_x[c])
-        ]
-        return compute_prototypes(records)
+        return class_means({c: self.train_matrix(t, c) for c in old_table.class_ids}, t)
 
 
-class DumpSource:
+class DumpSource(_Source):
     """Source backed by a feature dump file.
 
     Train records at task_id=t are the task's train features in space t.
@@ -219,18 +212,8 @@ class DumpSource:
     def classes_of_task(self, t: int) -> Tuple[int, ...]:
         return self._task_classes[t - 1]
 
-    def seen_classes(self, t: int) -> Tuple[int, ...]:
-        out: List[int] = []
-        for i in range(t):
-            out.extend(self._task_classes[i])
-        return tuple(out)
-
-    def train_records(self, t: int) -> Sequence[FeatureRecord]:
-        return [
-            FeatureRecord(vec, c, t)
-            for c in self.classes_of_task(t)
-            for vec in self._train.get((t, c), [])
-        ]
+    def train_matrix(self, t: int, c: int) -> np.ndarray:
+        return np.array(self._train.get((t, c), []), dtype=np.float64)
 
     def test_pairs(self, t: int) -> List[TestPair]:
         out: List[TestPair] = []

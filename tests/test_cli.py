@@ -11,6 +11,7 @@ from driftcomp.cli import (
     main,
 )
 from driftcomp.config import CONFIG_FORMAT_VERSION
+from driftcomp.sources import DumpSource
 
 SMALL_CFG = f"""
 format_version = {CONFIG_FORMAT_VERSION}
@@ -113,6 +114,11 @@ class TestGenAndIngest:
         assert main(["ingest-check", dump]) == EXIT_OK
         stdout = capsys.readouterr().out
         assert "tasks=3" in stdout
+        source = DumpSource(dump)
+        for t in range(1, 4):
+            assert (f"  task {t}: classes={list(source.classes_of_task(t))} "
+                    f"train={len(source.train_records(t))} "
+                    f"test_pairs={len(source.test_pairs(t))}") in stdout.splitlines()
 
     def test_gen_then_run_from_dump(self, cfg_path, tmp_path):
         dump = str(tmp_path / "features.bin")

@@ -8,6 +8,7 @@ from driftcomp.core import (
     PrototypeTable,
     TaskDataset,
     check_disjoint_tasks,
+    class_means,
     compute_prototypes,
     ncm_predict,
     ncm_predict_batch,
@@ -94,6 +95,66 @@ class TestComputePrototypes:
         recs = [FeatureRecord([1.0, 2.0], 0, 1), FeatureRecord([1.0, 2.0, 3.0], 0, 1)]
         with pytest.raises(DimensionError):
             compute_prototypes(recs)
+
+
+
+def sequential_mean(rows):
+    """Test-only oracle: the rows added one at a time, then divided."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total = total + row
+    return total / len(rows)
+
+
+class TestClassMeans:
+    @pytest.mark.parametrize("d", [1, 2, 8, 128])
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_matches_sequential_sum_bitwise(self, d, n):
+        # per-row scales over six decades make the summation order show
+        rng = np.random.default_rng(d * 7919 + n)
+        matrices = {c: rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+                    for c in (4, 0, 9)}
+        table = class_means(matrices, task=3)
+        records = [FeatureRecord(row, c, 3) for c, m in matrices.items() for row in m]
+        by_records = compute_prototypes(records)
+        assert table.class_ids == by_records.class_ids == (0, 4, 9)
+        for c, rows in matrices.items():
+            assert np.array_equal(table.prototype(c), sequential_mean(rows))
+            assert np.array_equal(by_records.prototype(c), sequential_mean(rows))
+            assert table.aligned_task(c) == by_records.aligned_task(c) == 3
+
+    def test_compute_prototypes_keeps_each_class_task(self):
+        records = [FeatureRecord([1.0, 2.0], 5, 2), FeatureRecord([3.0, 4.0], 1, 1),
+                   FeatureRecord([5.0, 6.0], 5, 4)]
+        table = compute_prototypes(records)
+        assert [table.aligned_task(c) for c in table.class_ids] == [1, 2]
+        np.testing.assert_array_equal(table.prototype(5), [3.0, 4.0])
+
+    @pytest.mark.parametrize("rows", [np.zeros((0, 3)), np.zeros((2, 0)), np.ones(3),
+                                      np.ones((2, 3, 1))])
+    def test_malformed_matrix_rejected(self, rows):
+        with pytest.raises(DimensionError):
+            class_means({0: np.ones((2, 3)), 1: rows}, task=1)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            class_means({0: np.ones((2, 3)), 1: np.ones((2, 4))}, task=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        rows = np.ones((4, 3))
+        rows[2, 1] = bad
+        with pytest.raises(DegenerateInputError):
+            class_means({0: rows}, task=1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_mean_rejected(self):
+        with pytest.raises(DegenerateInputError):
+            class_means({0: np.full((2, 3), 1e308)}, task=1)
+
+    def test_empty_mapping_rejected(self):
+        with pytest.raises(ValueError):
+            class_means({}, task=1)
 
 
 class TestNcmPredict:

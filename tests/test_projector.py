@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +13,10 @@ from driftcomp.errors import (
 )
 from driftcomp.projector import (
     Projector,
+    _cholesky,
     evolve_prototypes,
     mean_squared_residual,
+    resolve_normal_equations,
     solve_analytic,
     solve_gradient_descent,
 )
@@ -290,3 +293,39 @@ class TestStackedEvolve:
         assert np.array_equal(out.matrix(), expected)
         assert [out.aligned_task(c) for c in out.class_ids] == \
                [table.aligned_task(c) + (c in old) for c in table.class_ids]
+
+
+class TestRankKUpdateOutput:
+    """The rank-k solution update accumulates into a copy of the previous
+    solution, which is the previous sample's snapshot and must not move."""
+
+    # 2(k + 1) rows move, fewer than d, so the update is taken
+    @pytest.mark.parametrize("d, k", [(4, 0), (8, 1), (32, 2), (128, 3)])
+    def test_previous_untouched_and_result_new(self, d, k):
+        rng = np.random.default_rng(d)
+        capacity = 3 * d + 10
+        pair = QueuePair(d, capacity)
+        old = rng.standard_normal((capacity, d))
+        pair.push(old, old @ rng.standard_normal((d, d)))
+        # a C-ordered W_prev, as the direct route hands the stream
+        weights, _, ridge = resolve_normal_equations(pair.gram, pair.cross)
+        assert weights.flags.c_contiguous
+        kept = weights.copy()
+        entering_old, entering_new = rng.standard_normal((2, k + 1, d))
+        left_old, left_new = pair.push(entering_old, entering_new)
+        rows_old = np.vstack([entering_old, left_old])
+        rows_new = np.vstack([entering_new, left_new])
+        moved = (rows_old, rows_new, k + 1)
+
+        updated, _, _ = resolve_normal_equations(pair.gram, pair.cross, 0.0,
+                                                 previous=(weights, ridge), moved=moved)
+
+        np.testing.assert_array_equal(weights, kept)
+        assert not np.shares_memory(updated, weights)
+        assert updated.flags.c_contiguous
+        # the former expression, W_prev + solved @ correction, bit for bit
+        factor, _ = _cholesky(pair.gram, 0.0)
+        correction = rows_new - rows_old @ weights
+        correction[k + 1:] *= -1.0
+        solved, _ = scipy.linalg.lapack.dpotrs(factor, rows_old.T)
+        np.testing.assert_array_equal(updated, weights + solved @ correction)

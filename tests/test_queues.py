@@ -312,3 +312,108 @@ class TestRankKUpdate:
                                                  previous=previous, moved=moved)
         ridged = solve_normal_equations(pair.gram, pair.cross, 10.0)[0]
         assert relative_gap(updated, ridged) <= WEIGHTS_RTOL
+
+
+
+class TestRingSlices:
+    """The ring's slice reads and writes against a list FIFO, from every
+    reachable ring state (any fill level with the oldest row in slot 0, or
+    full with the oldest row in any slot) and for push sizes up to past
+    capacity, so writes and evictions straddle the ring end."""
+
+    CAPACITY = 5
+
+    @pytest.mark.parametrize("k", [1, 2, CAPACITY - 1, CAPACITY, CAPACITY + 1])
+    def test_push_matches_list_fifo(self, k):
+        cap, d = self.CAPACITY, 2
+        rng = np.random.default_rng(k)
+        states = [(length, 0) for length in range(cap + 1)]
+        states += [(cap, rotation) for rotation in range(1, cap)]
+        for length, rotation in states:
+            q = FeatureQueue(d, cap)
+            pushed = rng.standard_normal((length + rotation, d))
+            for row in pushed:
+                q.push_rows(row[None])
+            assert q._start == rotation
+            fresh = rng.standard_normal((k, d))
+            model = np.concatenate([pushed[-cap:], fresh]) if length else fresh
+            n_left = max(0, len(model) - cap)
+            np.testing.assert_array_equal(q.push_rows(fresh), model[:n_left])
+            np.testing.assert_array_equal(q.matrix(), model[n_left:])
+
+
+def former_push_update(gram, cross, old, new, left_old, left_new):
+    """The push update as first written: one (d, 2d) product of the moved
+    rows against the signed paired rows, whose halves are added into
+    C-ordered gram and cross."""
+    moved = np.concatenate([old, left_old])
+    signed = np.concatenate([np.hstack([old, new]), -np.hstack([left_old, left_new])])
+    update = moved.T @ signed
+    gram += update[:, :len(gram)]
+    cross += update[:, len(gram):]
+
+
+class TestInPlaceNormalEquations:
+    """Each push updates gram and cross in place with one beta=1 gemm.
+
+    Against the former product-then-add formula the result is equal bit for
+    bit: the gemm kernel sums each entry over the moved rows in the same
+    order and adds that sum into the matrix once. Two cases round
+    differently and are held to rounding instead: at d = 1 numpy ran the
+    former (1, m) @ (m, 2) product as gemv, which sums in another order, as
+    soon as two rows move each way; and when several hundred rows move in
+    one push, gemm adds its sum block by block. Stream pushes move 2 x
+    `update_stride` rows.
+    """
+
+    def stream(self, d, capacity, sizes, seed):
+        """Push rows of the given sizes; yield, after each push, the pair's
+        gram and cross and the former formula's."""
+        rng = np.random.default_rng(seed)
+        pair = QueuePair(d, capacity)
+        gram, cross = pair.gram, pair.cross
+        want_gram, want_cross = np.zeros((d, d)), np.zeros((d, d))
+        w_true = rng.standard_normal((d, d))
+        for k in sizes:
+            old = rng.standard_normal((k, d))
+            new = old @ w_true + 0.1 * rng.standard_normal((k, d))
+            recomputes = pair.recomputes
+            left_old, left_new = pair.push(old, new)
+            if pair.recomputes != recomputes:
+                q_old, q_new = pair.matrices()
+                want_gram, want_cross = q_old.T @ q_old, q_old.T @ q_new
+            else:
+                former_push_update(want_gram, want_cross, old, new, left_old, left_new)
+            # f2py silently copies a c it cannot write, which would drop the update
+            assert pair.gram is gram and pair.cross is cross
+            assert gram.flags.f_contiguous and cross.flags.f_contiguous
+            np.testing.assert_array_equal(gram, gram.T)
+            yield (gram, cross), (want_gram, want_cross)
+        assert pair.recomputes >= 3
+
+    @staticmethod
+    def mixed_sizes(capacity, largest, seed, n=400):
+        """Push sizes 1..largest, with a push past capacity now and then."""
+        rng = np.random.default_rng(seed)
+        return [capacity + 3 if i % 97 == 50 else int(rng.integers(1, largest + 1))
+                for i in range(n)]
+
+    @pytest.mark.parametrize("d", [2, 8, 32, 128])
+    def test_mixed_pushes_match_former_formula_bitwise(self, d):
+        sizes = self.mixed_sizes(150, 60, seed=d)
+        for got, want in self.stream(d, 150, sizes, seed=d):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 32, 128])
+    def test_single_row_pushes_match_former_formula_bitwise(self, d):
+        sizes = [1] * 200 + [41] + [1] * 100
+        for got, want in self.stream(d, 40, sizes, seed=d):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    def test_single_dimension_multi_row_pushes_within_rounding(self):
+        sizes = self.mixed_sizes(150, 60, seed=1)
+        for got, want in self.stream(1, 150, sizes, seed=1):
+            np.testing.assert_allclose(got[0], want[0], rtol=1e-13)
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-13)

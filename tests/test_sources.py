@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from driftcomp.config import RunConfig
+from driftcomp.core import FeatureRecord, compute_prototypes
+from driftcomp.engine import _fresh_table
 from driftcomp.errors import DumpFormatError
 from driftcomp.sources import (
     DumpSource,
@@ -161,6 +163,54 @@ class TestDumpRoundTrip:
         with pytest.raises(DumpFormatError) as err:
             DumpSource(path)
         assert err.value.code == "empty"
+
+
+
+def sequential_mean(rows):
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total = total + row
+    return total / len(rows)
+
+
+class TestTrainMatrix:
+    """`train_matrix(t, c)` holds class c's rows of `train_records(t)`, in
+    order, and the fresh table built from it equals `compute_prototypes`
+    over the records bit for bit."""
+
+    @pytest.fixture(params=["synthetic", "dump", "toy"])
+    def source(self, request, tmp_path, toy_source):
+        if request.param == "toy":
+            return toy_source
+        synthetic = SyntheticSource.from_config(small_config())
+        if request.param == "synthetic":
+            return synthetic
+        write_source_dump(synthetic, tmp_path / "feat.bin")
+        return DumpSource(tmp_path / "feat.bin")
+
+    def test_rows_and_fresh_table_match_records(self, source):
+        for t in range(1, source.num_tasks + 1):
+            records = list(source.train_records(t))
+            classes = source.classes_of_task(t)
+            matrices = [source.train_matrix(t, c) for c in classes]
+            assert all(m.dtype == np.float64 and m.ndim == 2 for m in matrices)
+            assert np.array_equal(np.vstack(matrices), np.vstack([r.vector for r in records]))
+            assert [r.class_id for r in records] == \
+                   [c for c, m in zip(classes, matrices) for _ in m]
+            fresh, by_records = _fresh_table(source, t), compute_prototypes(records)
+            assert fresh.class_ids == by_records.class_ids
+            assert np.array_equal(fresh.matrix(), by_records.matrix())
+            assert [fresh.aligned_task(c) for c in classes] == [t] * len(classes)
+
+
+def test_toy_reference_drifted_prototypes_are_sequential_means(toy_source):
+    old = compute_prototypes(list(toy_source.train_records(1)))
+    ref = toy_source.reference_drifted_prototypes(2, old)
+    f2 = toy_source.model(2)
+    assert ref.class_ids == old.class_ids
+    for c in old.class_ids:
+        assert np.array_equal(ref.prototype(c), sequential_mean(f2.features(toy_source._train_x[c])))
+        assert ref.aligned_task(c) == 2
 
 
 class TestOpenSource:
