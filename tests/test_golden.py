@@ -6,7 +6,9 @@ w_index, excluded); the per-task accuracies; the final projector snapshot
 of every task that has one; and the bytes of results.csv and
 drift_similarity.csv written by `emit_results`. Predictions, indices,
 accuracies and file bytes must match exactly; snapshots must match to a
-relative Frobenius distance of SNAPSHOT_RTOL.
+relative Frobenius distance of SNAPSHOT_RTOL. A run whose config has
+source=dump streams its config's synthetic scenario written to a feature
+dump and read back by DumpSource.
 
 Regenerate only for a change meant to move outputs, and say so in
 CHANGES.md:
@@ -24,7 +26,7 @@ import pytest
 from driftcomp.config import load_config
 from driftcomp.engine import run_engine, run_gd_oracle
 from driftcomp.results import emit_results
-from driftcomp.sources import SyntheticSource
+from driftcomp.sources import DumpSource, SyntheticSource, write_source_dump
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "golden")
@@ -56,12 +58,27 @@ RUNS = {
     "reference_analytic": (
         load_config(os.path.join(CONFIG_DIR, "reference_cold10.txt")).replace(
             solver="analytic"), False),
+    # dump_path only names the file in the config hash; the dump itself is
+    # written to a temporary directory
+    "small_analytic_dump": (_small(solver="analytic", source="dump",
+                                   dump_path="golden_small.bin"), False),
 }
+
+
+def _dump_source(config):
+    scenario = SyntheticSource.from_config(config.replace(source="synthetic", dump_path=""))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, config.dump_path)
+        write_source_dump(scenario, path)
+        return DumpSource(path)
 
 
 def golden_run(name):
     config, oracle = RUNS[name]
-    source = SyntheticSource.from_config(config)
+    if config.source == "dump":
+        source = _dump_source(config)
+    else:
+        source = SyntheticSource.from_config(config)
     result = run_gd_oracle(source, config) if oracle else run_engine(source, config)
     return source, result
 
