@@ -11,19 +11,18 @@ import glob
 import os
 import sys
 
-from .config import load_config, write_config
+from .config import RunConfig, coerce_value, load_config, write_config
+from .dump import read_dump_header
 from .engine import replay_audit, run_engine, run_gd_oracle
 from .errors import ConfigError, DivergenceError, DriftCompError, DumpFormatError
 from .results import aggregate_report, emit_results, run_id
-from .sources import open_source, write_source_dump
+from .sources import DumpSource, open_source, write_source_dump
 
 EXIT_OK = 0
 EXIT_OTHER = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
-
-SWEEPABLE_INT_KEYS = ("queue_capacity", "gd_steps", "resolve_stride", "update_stride", "seed")
 
 
 def _cmd_run(args) -> int:
@@ -52,10 +51,7 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     if args.output:
         config = config.replace(output_dir=args.output)
-    values = []
-    for raw in args.values.split(","):
-        raw = raw.strip()
-        values.append(int(raw) if args.key in SWEEPABLE_INT_KEYS else float(raw))
+    values = [coerce_value(args.key, raw) for raw in args.values.split(",")]
     results, sources = [], []
     for value in values:
         cfg = config.replace(**{args.key: value})
@@ -91,9 +87,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_ingest_check(args) -> int:
-    from .dump import read_dump_header
-    from .sources import DumpSource
-
     version, dim, count = read_dump_header(args.dump)
     source = DumpSource(args.dump)
     print(f"{args.dump}: version={version} dimension={dim} records={count} "
@@ -123,8 +116,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_init_config(args) -> int:
-    from .config import RunConfig
-
     write_config(RunConfig(), args.out)
     print(f"wrote default config to {args.out}")
     return EXIT_OK

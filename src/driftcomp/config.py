@@ -101,6 +101,14 @@ class RunConfig:
             (self.test_balance in ("balanced", "unbalanced"), f"test_balance={self.test_balance!r}"),
             (0 < self.unbalanced_fraction < 1, f"unbalanced_fraction={self.unbalanced_fraction}"),
             (self.split_style in ("cold", "warm"), f"split_style={self.split_style!r}"),
+            (self.toy_input_dim >= 1, f"toy_input_dim={self.toy_input_dim}"),
+            (self.toy_hidden >= 1, f"toy_hidden={self.toy_hidden}"),
+            (self.toy_epochs >= 0, f"toy_epochs={self.toy_epochs}"),
+            (self.toy_base_lr > 0, f"toy_base_lr={self.toy_base_lr}"),
+            (self.toy_batch_size >= 1, f"toy_batch_size={self.toy_batch_size}"),
+            (self.toy_lambda1 >= 0, f"toy_lambda1={self.toy_lambda1}"),
+            (self.toy_lambda2 >= 0, f"toy_lambda2={self.toy_lambda2}"),
+            (self.toy_tau > 0, f"toy_tau={self.toy_tau}"),
             (self.source != "dump" or bool(self.dump_path), "dump source requires dump_path"),
         ]
         for ok, detail in checks:
@@ -163,7 +171,10 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
-def _coerce(key: str, raw: str):
+def coerce_value(key: str, raw: str):
+    """The value of config key `key` parsed from its text."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown key {key!r}")
     target = _FIELD_TYPES[key]
     raw = raw.strip()
     if target == "bool":
@@ -200,11 +211,12 @@ def parse_config_text(text: str) -> RunConfig:
             if int(raw.strip()) != CONFIG_FORMAT_VERSION:
                 raise ConfigError(f"unsupported config format_version {raw.strip()}")
             continue
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _coerce(key, raw)
+        try:
+            values[key] = coerce_value(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return RunConfig(**values)
 
 

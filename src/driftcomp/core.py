@@ -134,11 +134,7 @@ class PrototypeTable:
 
 @dataclass(frozen=True)
 class TaskDataset:
-    """Train/test records for one task plus its class set.
-
-    Class sets of distinct tasks in one scenario must be disjoint; that is
-    enforced by `check_disjoint_tasks` at scenario assembly.
-    """
+    """Train/test records for one task plus its class set."""
 
     records: Tuple[FeatureRecord, ...]
     test_records: Tuple[FeatureRecord, ...]
@@ -153,18 +149,6 @@ class TaskDataset:
                 raise ValueError(
                     f"record class {rec.class_id} not in task class set {sorted(self.class_set)}"
                 )
-
-
-def check_disjoint_tasks(tasks: Sequence[TaskDataset]) -> None:
-    """Raise if any two tasks share a class id."""
-    seen: Dict[int, int] = {}
-    for idx, task in enumerate(tasks):
-        for c in task.class_set:
-            if c in seen:
-                raise ValueError(
-                    f"class {c} appears in tasks {seen[c]} and {idx} (class sets must be disjoint)"
-                )
-            seen[c] = idx
 
 
 def class_means(matrices: Mapping[int, np.ndarray], task: int) -> PrototypeTable:

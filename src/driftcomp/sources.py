@@ -2,9 +2,10 @@
 old/new test features, backed by the synthetic simulator, the toy trainer,
 or a feature dump file.
 
-Each source gives `classes_of_task(t)` and `train_matrix(t, c)`, class c's
-train features in task t's space as an (n, d) array; `_Source` derives the
-seen classes and the train records from those.
+Each source gives `classes_of_task(t)`, `train_matrix(t, c)` and
+`test_matrix(t, c)`, class c's train or test features in task t's space as
+an (n, d) array; `_Source` derives the seen classes, the train records and
+the paired test stream from those.
 
 Canonical test ordering within one task stream is ascending class id, then
 sample index; every source and the dump writer follow it, which is what
@@ -19,8 +20,8 @@ import numpy as np
 
 from .config import RunConfig
 from .core import FeatureRecord, PrototypeTable, class_means
-from .drift_sim import GeneratedScenario, generate_scenario
-from .dump import SPLIT_TEST, SPLIT_TRAIN, read_dump, read_dump_header, write_dump
+from .drift_sim import GeneratedScenario, generate_scenario, task_class_ids
+from .dump import SPLIT_TEST, SPLIT_TRAIN, load_dump, write_dump
 from .errors import DumpFormatError
 from .toy import LossWeights, ToyModel, train_task
 
@@ -35,6 +36,23 @@ class _Source:
     def train_records(self, t: int) -> Sequence[FeatureRecord]:
         return [FeatureRecord(vec, c, t)
                 for c in self.classes_of_task(t) for vec in self.train_matrix(t, c)]
+
+    def test_pairs(self, t: int) -> List[TestPair]:
+        """Every seen class's test features in space t, each paired by index
+        with the same sample in space t-1 (None at t=1)."""
+        out: List[TestPair] = []
+        for c in sorted(self.seen_classes(t)):
+            new = self.test_matrix(t, c)
+            old = self.test_matrix(t - 1, c) if t > 1 else None
+            if old is not None and old.shape[0] != new.shape[0]:
+                raise DumpFormatError(
+                    "pairing",
+                    f"class {c} has {old.shape[0]} test records in space {t - 1} "
+                    f"but {new.shape[0]} in space {t}",
+                )
+            for i in range(new.shape[0]):
+                out.append((c, None if old is None else old[i], new[i]))
+        return out
 
 
 class SyntheticSource(_Source):
@@ -61,14 +79,8 @@ class SyntheticSource(_Source):
     def train_matrix(self, t: int, c: int) -> np.ndarray:
         return self.scenario.train_matrix(t, c)
 
-    def test_pairs(self, t: int) -> List[TestPair]:
-        out: List[TestPair] = []
-        for c in sorted(self.seen_classes(t)):
-            new = self.scenario.test_matrix(t, c)
-            old = self.scenario.test_matrix(t - 1, c) if t > 1 else None
-            for i in range(new.shape[0]):
-                out.append((c, None if old is None else old[i], new[i]))
-        return out
+    def test_matrix(self, t: int, c: int) -> np.ndarray:
+        return self.scenario.test_matrix(t, c)
 
     def reference_drifted_prototypes(self, t: int, old_table: PrototypeTable) -> PrototypeTable:
         """Ground-truth drift map applied to the old prototypes."""
@@ -92,12 +104,8 @@ class ToySource(_Source):
         seed = config.seed if seed is None else seed
         rng = np.random.default_rng([seed, 9151])
         counts = config.class_counts()
-        self._task_classes: List[Tuple[int, ...]] = []
-        next_class = 0
-        for count in counts:
-            self._task_classes.append(tuple(range(next_class, next_class + count)))
-            next_class += count
-        total = next_class
+        self._task_classes = task_class_ids(counts)
+        total = sum(counts)
         d_in = config.toy_input_dim
 
         means = config.toy_input_separation * rng.standard_normal((total, d_in))
@@ -116,13 +124,10 @@ class ToySource(_Source):
         for t, classes in enumerate(self._task_classes, start=1):
             if t > 1:
                 model = model.extend_head(len(classes), rng)
-            from .core import TaskDataset  # local import to avoid cycle noise
-            records = tuple(
-                FeatureRecord(vec, c, t) for c in classes for vec in self._train_x[c]
-            )
-            task = TaskDataset(records, (), frozenset(classes))
+            x = np.vstack([self._train_x[c] for c in classes])
+            labels = np.repeat(classes, config.train_per_class)
             model = train_task(
-                model, prev, task, weights,
+                model, prev, x, labels, weights,
                 epochs=config.toy_epochs, base_lr=config.toy_base_lr,
                 batch_size=config.toy_batch_size, seed=seed + t,
             )
@@ -146,16 +151,8 @@ class ToySource(_Source):
     def train_matrix(self, t: int, c: int) -> np.ndarray:
         return self.model(t).features(self._train_x[c])
 
-    def test_pairs(self, t: int) -> List[TestPair]:
-        f_t = self.model(t)
-        f_prev = self.model(t - 1) if t > 1 else None
-        out: List[TestPair] = []
-        for c in sorted(self.seen_classes(t)):
-            new = f_t.features(self._test_x[c])
-            old = f_prev.features(self._test_x[c]) if f_prev is not None else None
-            for i in range(new.shape[0]):
-                out.append((c, None if old is None else old[i], new[i]))
-        return out
+    def test_matrix(self, t: int, c: int) -> np.ndarray:
+        return self.model(t).features(self._test_x[c])
 
     def reference_drifted_prototypes(self, t: int, old_table: PrototypeTable) -> PrototypeTable:
         """Empirical drifted prototypes: old-class training inputs pushed
@@ -173,26 +170,28 @@ class DumpSource(_Source):
 
     def __init__(self, path):
         self.path = path
-        _, self._dim, _ = read_dump_header(path)
-        self._train: Dict[Tuple[int, int], List[np.ndarray]] = {}
-        self._test: Dict[Tuple[int, int], List[np.ndarray]] = {}
+        class_ids, task_ids, splits, vectors = load_dump(path)
+        if not np.any(splits == SPLIT_TRAIN):
+            raise DumpFormatError("empty", "dump contains no train records")
+        self._dim = vectors.shape[1]
+        # rows grouped once per (split, task, class), file order kept within each
+        order = np.lexsort((class_ids, task_ids, splits))
+        keys = np.stack([splits, task_ids, class_ids], axis=1)[order]
+        starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+        self._rows: Dict[Tuple[int, int, int], np.ndarray] = {
+            tuple(keys[first].tolist()): rows
+            for first, rows in zip(np.r_[0, starts], np.split(vectors[order], starts))
+        }
         task_of_class: Dict[int, int] = {}
-        for class_id, task_id, split, vector in read_dump(path):
-            key = (task_id, class_id)
+        for split, t, c in self._rows:
             if split == SPLIT_TRAIN:
-                if class_id in task_of_class and task_of_class[class_id] != task_id:
+                if c in task_of_class:
                     raise DumpFormatError(
                         "class_task",
-                        f"class {class_id} has train records in tasks "
-                        f"{task_of_class[class_id]} and {task_id}",
+                        f"class {c} has train records in tasks {task_of_class[c]} and {t}",
                     )
-                task_of_class[class_id] = task_id
-                self._train.setdefault(key, []).append(vector)
-            else:
-                self._test.setdefault(key, []).append(vector)
-        if not self._train:
-            raise DumpFormatError("empty", "dump contains no train records")
-        self._num_tasks = max(t for t, _ in self._train)
+                task_of_class[c] = t
+        self._num_tasks = max(task_of_class.values())
         self._task_classes: List[Tuple[int, ...]] = [
             tuple(sorted(c for c, t_of in task_of_class.items() if t_of == t))
             for t in range(1, self._num_tasks + 1)
@@ -212,42 +211,31 @@ class DumpSource(_Source):
     def classes_of_task(self, t: int) -> Tuple[int, ...]:
         return self._task_classes[t - 1]
 
-    def train_matrix(self, t: int, c: int) -> np.ndarray:
-        return np.array(self._train.get((t, c), []), dtype=np.float64)
+    def _matrix(self, split: int, t: int, c: int) -> np.ndarray:
+        rows = self._rows.get((split, t, c))
+        return np.empty((0, self._dim)) if rows is None else rows
 
-    def test_pairs(self, t: int) -> List[TestPair]:
-        out: List[TestPair] = []
-        for c in sorted(self.seen_classes(t)):
-            new = self._test.get((t, c), [])
-            if t == 1:
-                out.extend((c, None, vec) for vec in new)
-                continue
-            old = self._test.get((t - 1, c), [])
-            if len(old) != len(new):
-                raise DumpFormatError(
-                    "pairing",
-                    f"class {c} has {len(old)} test records in space {t - 1} "
-                    f"but {len(new)} in space {t}",
-                )
-            out.extend((c, old[i], new[i]) for i in range(len(new)))
-        return out
+    def train_matrix(self, t: int, c: int) -> np.ndarray:
+        return self._matrix(SPLIT_TRAIN, t, c)
+
+    def test_matrix(self, t: int, c: int) -> np.ndarray:
+        return self._matrix(SPLIT_TEST, t, c)
 
 
 def write_source_dump(source, path) -> int:
     """Serialize any source to the dump format, preserving pair ordering."""
     records = []
     for t in range(1, source.num_tasks + 1):
-        for rec in source.train_records(t):
-            records.append((rec.class_id, t, SPLIT_TRAIN, rec.vector))
-        new_at_t = set(source.classes_of_task(t))
-        pairs = source.test_pairs(t)
-        for class_id, z_old, z_new in pairs:
-            # space t-1 features of classes introduced at t are not covered
-            # by any earlier task's stream, so they are emitted here
-            if t > 1 and class_id in new_at_t and z_old is not None:
-                records.append((class_id, t - 1, SPLIT_TEST, z_old))
-        for class_id, _, z_new in pairs:
-            records.append((class_id, t, SPLIT_TEST, z_new))
+        new_at_t = sorted(source.classes_of_task(t))
+        for c in new_at_t:
+            records += [(c, t, SPLIT_TRAIN, vec) for vec in source.train_matrix(t, c)]
+        # space t-1 features of classes introduced at t are not covered by
+        # any earlier task's stream, so they are emitted here
+        if t > 1:
+            for c in new_at_t:
+                records += [(c, t - 1, SPLIT_TEST, vec) for vec in source.test_matrix(t - 1, c)]
+        for c in sorted(source.seen_classes(t)):
+            records += [(c, t, SPLIT_TEST, vec) for vec in source.test_matrix(t, c)]
     return write_dump(path, source.dimension, records)
 
 

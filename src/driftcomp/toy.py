@@ -15,7 +15,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import TaskDataset
 from .errors import DivergenceError
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "Wh")
@@ -257,44 +256,36 @@ def scl_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, tau: float,
 
 
 def composite_loss(model: ToyModel, old_model: Optional[ToyModel],
-                   x: np.ndarray, labels: np.ndarray, weights: LossWeights,
-                   *, kd_renormalize: bool = True, scl_normalize: bool = True,
-                   scl_denominator: str = "negatives"
+                   x: np.ndarray, labels: np.ndarray, weights: LossWeights
                    ) -> Tuple[float, Dict[str, np.ndarray]]:
     """Cross-entropy + lambda1 * distillation + lambda2 * contrastive.
 
     The distillation term is dropped when there is no old model."""
     loss, grads = ce_loss(model, x, labels)
     if old_model is not None and weights.lambda1 > 0:
-        kd, kd_grads = kd_loss(model, old_model, x, old_model.num_classes,
-                               renormalize=kd_renormalize)
+        kd, kd_grads = kd_loss(model, old_model, x, old_model.num_classes)
         loss += weights.lambda1 * kd
         for name in PARAM_NAMES:
             grads[name] += weights.lambda1 * kd_grads[name]
     if weights.lambda2 > 0:
-        scl, scl_grads, _ = scl_loss(model, x, labels, weights.tau,
-                                     normalize=scl_normalize,
-                                     denominator=scl_denominator)
+        scl, scl_grads, _ = scl_loss(model, x, labels, weights.tau)
         loss += weights.lambda2 * scl
         for name in PARAM_NAMES:
             grads[name] += weights.lambda2 * scl_grads[name]
     return loss, grads
 
 
-def train_task(model: ToyModel, old_model: Optional[ToyModel], task: TaskDataset,
-               weights: LossWeights, epochs: int = 20, base_lr: float = 0.05,
-               *, batch_size: int = 16, seed: int = 0,
-               kd_renormalize: bool = True, scl_normalize: bool = True,
-               scl_denominator: str = "negatives") -> ToyModel:
-    """Train a copy of `model` on one task with minibatch SGD.
+def train_task(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
+               labels: np.ndarray, weights: LossWeights, epochs: int = 20,
+               base_lr: float = 0.05, *, batch_size: int = 16, seed: int = 0) -> ToyModel:
+    """Train a copy of `model` with minibatch SGD on one task's inputs `x`
+    (n, in_dim) and their integer class ids `labels`.
 
     The input model is left untouched (it is the previous-space snapshot).
     The base learning rate is scaled by |new classes| / |old classes| from
-    the second task on, so later small tasks take proportionally smaller
-    steps.
+    the second task on, where the new classes are the distinct labels, so
+    later small tasks take proportionally smaller steps.
     """
-    x = np.vstack([rec.vector for rec in task.records])
-    labels = np.asarray([rec.class_id for rec in task.records], dtype=np.int64)
     if labels.max() >= model.num_classes:
         raise ValueError(
             f"head width {model.num_classes} too small for class {labels.max()}; "
@@ -303,7 +294,7 @@ def train_task(model: ToyModel, old_model: Optional[ToyModel], task: TaskDataset
     lr = base_lr
     if old_model is not None:
         old = old_model.num_classes
-        lr = base_lr * len(task.class_set) / old
+        lr = base_lr * np.unique(labels).size / old
     trained = model.copy()
     rng = np.random.default_rng(seed)
     n = x.shape[0]
@@ -312,11 +303,7 @@ def train_task(model: ToyModel, old_model: Optional[ToyModel], task: TaskDataset
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            loss, grads = composite_loss(
-                trained, old_model, x[idx], labels[idx], weights,
-                kd_renormalize=kd_renormalize, scl_normalize=scl_normalize,
-                scl_denominator=scl_denominator,
-            )
+            loss, grads = composite_loss(trained, old_model, x[idx], labels[idx], weights)
             if not np.isfinite(loss):
                 raise DivergenceError(step)
             for name in PARAM_NAMES:

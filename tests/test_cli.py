@@ -80,6 +80,16 @@ class TestRun:
         bad.write_text("not_a_key = 1\n")
         assert main(["run", "-c", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("line", [
+        "toy_batch_size = 0", "toy_tau = 0", "toy_lambda1 = -1", "toy_input_dim = 0",
+        "toy_hidden = 0", "toy_epochs = -1", "toy_base_lr = -1",
+    ])
+    def test_invalid_toy_key_exit_code(self, tmp_path, line, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG + "source = toy\n" + line + "\n")
+        assert main(["run", "-c", str(bad), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert line.split(" ")[0] in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_over_capacity(self, cfg_path, tmp_path, capsys):
@@ -95,6 +105,27 @@ class TestSweep:
         code = main(["sweep", "-c", cfg_path, "--key", "noise_scale",
                      "--values", "0.01,0.1", "-o", out])
         assert code == EXIT_OK
+
+    def test_sweep_string_key(self, cfg_path, tmp_path, capsys):
+        out = str(tmp_path / "sweep")
+        code = main(["sweep", "-c", cfg_path, "--key", "solver",
+                     "--values", "none,analytic", "-o", out])
+        assert code == EXIT_OK
+        assert "solver=none:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key,values,message", [
+        ("not_a_key", "1,2", "unknown key 'not_a_key'"),
+        ("solver", "newton", "solver='newton'"),
+        ("queue_capacity", "abc", "expects an integer"),
+        ("noise_scale", "x", "expects a number"),
+        ("queue_capacity", "0", "queue_capacity=0"),
+    ])
+    def test_sweep_bad_key_or_value_exit_code(self, cfg_path, tmp_path, capsys,
+                                              key, values, message):
+        code = main(["sweep", "-c", cfg_path, "--key", key, "--values", values,
+                     "-o", str(tmp_path / "sweep")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 
 class TestOracle:

@@ -2,6 +2,7 @@ import pytest
 
 from driftcomp.config import (
     RunConfig,
+    coerce_value,
     load_config,
     parse_config_text,
     write_config,
@@ -48,6 +49,16 @@ class TestParsing:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_text("just some words\n")
 
+    def test_coerce_value(self):
+        assert coerce_value("queue_capacity", " 7 ") == 7
+        assert coerce_value("noise_scale", "0.5") == 0.5
+        assert coerce_value("solver", "gd") == "gd"
+        assert coerce_value("predict_before_update", "yes") is True
+        with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+            coerce_value("bogus", "1")
+        with pytest.raises(ConfigError, match="integer"):
+            coerce_value("seed", "abc")
+
     def test_format_version_checked(self):
         parse_config_text("format_version = 1\nseed = 3\n")
         with pytest.raises(ConfigError, match="format_version"):
@@ -75,6 +86,19 @@ class TestValidation:
     def test_bad_drift_kind(self):
         with pytest.raises(ConfigError, match="drift_kind"):
             RunConfig(drift_kind="spiral")
+
+    @pytest.mark.parametrize("key,value", [
+        ("toy_input_dim", 0), ("toy_hidden", 0), ("toy_batch_size", 0),
+        ("toy_epochs", -1), ("toy_base_lr", 0.0), ("toy_base_lr", -1.0),
+        ("toy_tau", 0.0), ("toy_lambda1", -1.0), ("toy_lambda2", -0.5),
+    ])
+    def test_bad_toy_values(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: value})
+
+    def test_toy_boundary_values_accepted(self):
+        RunConfig(toy_input_dim=1, toy_hidden=1, toy_batch_size=1, toy_epochs=0,
+                  toy_lambda1=0.0, toy_lambda2=0.0)
 
 
 class TestClassCounts:

@@ -7,7 +7,6 @@ from driftcomp.core import (
     FeatureRecord,
     PrototypeTable,
     TaskDataset,
-    check_disjoint_tasks,
     class_means,
     compute_prototypes,
     ncm_predict,
@@ -229,10 +228,3 @@ class TestTaskDataset:
         rec = FeatureRecord([1.0], 3, 1)
         with pytest.raises(ValueError):
             TaskDataset((rec,), (), frozenset({1}))
-
-    def test_disjointness_check(self):
-        a = TaskDataset((), (), frozenset({0, 1}))
-        b = TaskDataset((), (), frozenset({1, 2}))
-        with pytest.raises(ValueError):
-            check_disjoint_tasks([a, b])
-        check_disjoint_tasks([a, TaskDataset((), (), frozenset({2, 3}))])

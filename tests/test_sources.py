@@ -156,6 +156,19 @@ class TestDumpRoundTrip:
             DumpSource(path)
         assert err.value.code == "class_task"
 
+    def test_class_in_two_tasks_rejected_when_both_keep_classes(self, tmp_path):
+        from driftcomp.dump import SPLIT_TRAIN, write_dump
+        path = tmp_path / "bad.bin"
+        write_dump(path, 2, [
+            (1, 1, SPLIT_TRAIN, np.ones(2)),
+            (0, 2, SPLIT_TRAIN, np.ones(2)),
+            (2, 2, SPLIT_TRAIN, np.ones(2)),
+            (0, 1, SPLIT_TRAIN, np.ones(2)),
+        ])
+        with pytest.raises(DumpFormatError, match="class 0 has train records in tasks") as err:
+            DumpSource(path)
+        assert err.value.code == "class_task"
+
     def test_empty_dump_rejected(self, tmp_path):
         from driftcomp.dump import write_dump
         path = tmp_path / "empty.bin"

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from driftcomp.core import FeatureRecord, TaskDataset
 from driftcomp.toy import (
     PARAM_NAMES,
     LossWeights,
@@ -46,15 +45,11 @@ def small_model(rng, in_dim=10, hidden=6, d=4, classes=3):
     return ToyModel.init(in_dim, hidden, d, classes, rng)
 
 
-def blob_task(rng, classes, per_class, in_dim, separation=6.0, task_id=1,
-              class_offset=0):
+def blob_task(rng, classes, per_class, in_dim, separation=6.0, class_offset=0):
+    """Inputs and class ids of `classes` Gaussian blobs, class by class."""
     means = separation * rng.standard_normal((classes, in_dim))
-    records = []
-    for c in range(classes):
-        for vec in means[c] + rng.standard_normal((per_class, in_dim)):
-            records.append(FeatureRecord(vec, class_offset + c, task_id))
-    class_set = frozenset(range(class_offset, class_offset + classes))
-    return TaskDataset(tuple(records), (), class_set)
+    x = np.vstack([means[c] + rng.standard_normal((per_class, in_dim)) for c in range(classes)])
+    return x, np.repeat(np.arange(class_offset, class_offset + classes), per_class)
 
 
 class TestCeLoss:
@@ -221,24 +216,23 @@ class TestCompositeAndTraining:
         task = blob_task(rng, classes=2, per_class=40, in_dim=8)
         model = ToyModel.init(8, 12, 6, 2, rng)
         weights = LossWeights(lambda1=0.0, lambda2=0.0, tau=1.0)
-        trained = train_task(model, None, task, weights, epochs=30, base_lr=0.05, seed=1)
-        x = np.vstack([rec.vector for rec in task.records])
-        y = np.array([rec.class_id for rec in task.records])
+        trained = train_task(model, None, *task, weights, epochs=30, base_lr=0.05, seed=1)
+        x, y = task
         preds = np.argmax(trained.forward(x)[2], axis=1)
         assert (preds == y).mean() > 0.95
 
     def test_distillation_reduces_parameter_drift(self):
         rng = np.random.default_rng(15)
-        task1 = blob_task(rng, classes=2, per_class=30, in_dim=8, task_id=1)
-        task2 = blob_task(rng, classes=2, per_class=30, in_dim=8, task_id=2,
+        task1 = blob_task(rng, classes=2, per_class=30, in_dim=8)
+        task2 = blob_task(rng, classes=2, per_class=30, in_dim=8,
                           class_offset=2)
         base = ToyModel.init(8, 12, 6, 2, np.random.default_rng(99))
-        first = train_task(base, None, task1, LossWeights(0.0, 0.0, 1.0),
+        first = train_task(base, None, *task1, LossWeights(0.0, 0.0, 1.0),
                            epochs=20, base_lr=0.05, seed=2)
         extended = first.extend_head(2, np.random.default_rng(7))
 
         def drift(lambda1):
-            second = train_task(extended, first, task2,
+            second = train_task(extended, first, *task2,
                                 LossWeights(lambda1, 0.0, 1.0),
                                 epochs=20, base_lr=0.02, seed=3)
             return sum(np.linalg.norm(getattr(second, n) - getattr(extended, n))
@@ -248,13 +242,13 @@ class TestCompositeAndTraining:
 
     def test_two_task_default_weights_smoke(self):
         rng = np.random.default_rng(16)
-        task1 = blob_task(rng, classes=2, per_class=20, in_dim=8, task_id=1)
-        task2 = blob_task(rng, classes=2, per_class=20, in_dim=8, task_id=2,
+        task1 = blob_task(rng, classes=2, per_class=20, in_dim=8)
+        task2 = blob_task(rng, classes=2, per_class=20, in_dim=8,
                           class_offset=2)
         model = ToyModel.init(8, 10, 6, 2, rng)
-        first = train_task(model, None, task1, LossWeights(), epochs=5,
+        first = train_task(model, None, *task1, LossWeights(), epochs=5,
                            base_lr=0.02, seed=4)
-        second = train_task(first.extend_head(2, rng), first, task2, LossWeights(),
+        second = train_task(first.extend_head(2, rng), first, *task2, LossWeights(),
                             epochs=5, base_lr=0.02, seed=5)
         assert first.num_classes == 2 and second.num_classes == 4
         for name in PARAM_NAMES:
@@ -264,9 +258,9 @@ class TestCompositeAndTraining:
         rng_a = np.random.default_rng(17)
         task = blob_task(rng_a, classes=3, per_class=15, in_dim=8)
         model = ToyModel.init(8, 10, 6, 3, np.random.default_rng(5))
-        a = train_task(model, None, task, LossWeights(0.0, 0.1, 0.5),
+        a = train_task(model, None, *task, LossWeights(0.0, 0.1, 0.5),
                        epochs=4, base_lr=0.03, seed=11)
-        b = train_task(model, None, task, LossWeights(0.0, 0.1, 0.5),
+        b = train_task(model, None, *task, LossWeights(0.0, 0.1, 0.5),
                        epochs=4, base_lr=0.03, seed=11)
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
@@ -275,14 +269,14 @@ class TestCompositeAndTraining:
         # with old_model present the lr is scaled by new/old class count;
         # with lambda1 = 0 that must equal a no-old-model run at the scaled lr
         rng = np.random.default_rng(18)
-        task2 = blob_task(rng, classes=2, per_class=10, in_dim=8, task_id=2,
+        task2 = blob_task(rng, classes=2, per_class=10, in_dim=8,
                           class_offset=4)
         old_model = ToyModel.init(8, 10, 6, 4, rng)
         model = old_model.extend_head(2, rng)
         weights = LossWeights(0.0, 0.0, 1.0)
-        with_old = train_task(model, old_model, task2, weights, epochs=3,
+        with_old = train_task(model, old_model, *task2, weights, epochs=3,
                               base_lr=0.04, seed=6)
-        manual = train_task(model, None, task2, weights, epochs=3,
+        manual = train_task(model, None, *task2, weights, epochs=3,
                             base_lr=0.04 * 2 / 4, seed=6)
         for name in PARAM_NAMES:
             np.testing.assert_array_equal(getattr(with_old, name),
@@ -290,11 +284,11 @@ class TestCompositeAndTraining:
 
     def test_head_too_narrow_rejected(self):
         rng = np.random.default_rng(20)
-        task2 = blob_task(rng, classes=1, per_class=10, in_dim=8, task_id=2,
+        task2 = blob_task(rng, classes=1, per_class=10, in_dim=8,
                           class_offset=4)
         model = ToyModel.init(8, 10, 6, 4, rng)
         with pytest.raises(ValueError):
-            train_task(model, None, task2, LossWeights(0, 0, 1), epochs=1)
+            train_task(model, None, *task2, LossWeights(0, 0, 1), epochs=1)
 
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(19)
