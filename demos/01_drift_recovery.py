@@ -13,10 +13,10 @@ from driftcomp import (
     PrototypeTable,
     QueuePair,
     SyntheticScenario,
-    compute_prototypes,
+    class_means,
     evolve_prototypes,
     generate_scenario,
-    solve_analytic,
+    solve_normal_equations,
     true_drift_similarity,
 )
 
@@ -37,16 +37,15 @@ q_new = np.vstack([scenario.train_matrix(2, c) for c in range(10)])
 pair = QueuePair(spec.dimension, q_old.shape[0])
 pair.push(q_old, q_new)
 
-projector, report = solve_analytic(pair)
-rel = np.linalg.norm(projector.weights - dmap.projector_target) / np.linalg.norm(
-    dmap.projector_target
-)
+weights, gram_condition, _ = solve_normal_equations(pair.gram, pair.cross)
+rel = np.linalg.norm(weights - dmap.projector_target) / np.linalg.norm(dmap.projector_target)
+residual = np.sum((q_old @ weights - q_new) ** 2) / q_old.shape[0]
 print(f"fitted {q_old.shape[0]} paired features in d={spec.dimension}")
 print(f"relative error vs true map: {rel:.2e}")
-print(f"fit residual: {report.residual:.2e}  gram condition: {report.gram_condition:.1f}")
+print(f"fit residual: {residual:.2e}  gram condition: {gram_condition:.1f}")
 
-old_table = compute_prototypes(list(scenario.task_dataset(1).records))
-evolved = evolve_prototypes(old_table, projector, old_table.class_ids)
+old_table = class_means({c: scenario.train_matrix(1, c) for c in scenario.classes_of_task(1)}, 1)
+evolved = evolve_prototypes(old_table, weights, old_table.class_ids)
 reference = PrototypeTable(
     {c: (dmap.apply(old_table.prototype(c)), 2) for c in old_table.class_ids}
 )

@@ -5,7 +5,8 @@ Library layers:
   core       feature records, prototypes, cosine nearest-class-mean
   queues     paired ring-buffer queues with running normal equations and
              pseudo-feature initialization
-  projector  closed-form (Cholesky) least-squares drift projector + GD comparison
+  projector  the drift projector's one solve: Cholesky on the queues' normal
+             equations, updated by the rows that moved; prototype evolution
   toy        desk-scale trainer with distillation / contrastive losses
   drift_sim  synthetic scenarios with ground-truth drift maps
   engine     streaming task-cycle orchestration and metrics
@@ -17,7 +18,6 @@ from .config import RunConfig, load_config, parse_config_text, write_config
 from .core import (
     FeatureRecord,
     PrototypeTable,
-    TaskDataset,
     class_means,
     compute_prototypes,
     cosine_similarity,
@@ -41,13 +41,7 @@ from .errors import (
     DumpFormatError,
     SingularGramError,
 )
-from .projector import (
-    Projector,
-    SolveReport,
-    evolve_prototypes,
-    solve_analytic,
-    solve_gradient_descent,
-)
+from .projector import evolve_prototypes, solve_normal_equations
 from .queues import FeatureQueue, QueuePair, init_with_pseudo_features
 from .toy import LossWeights, ToyModel, ce_loss, kd_loss, scl_loss, train_task
 

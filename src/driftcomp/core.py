@@ -1,4 +1,4 @@
-"""Core domain types: feature records, prototype tables, task datasets,
+"""Core domain types: feature records, prototype tables,
 prototype computation and cosine nearest-class-mean prediction.
 
 All arithmetic is float64; values are immutable after construction and safe
@@ -7,7 +7,7 @@ to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -130,25 +130,6 @@ class PrototypeTable:
         return PrototypeTable._from_checked_rows(
             [self._class_ids[i] for i in rows], self._matrix[rows],
             [self._aligned_tasks[i] for i in rows])
-
-
-@dataclass(frozen=True)
-class TaskDataset:
-    """Train/test records for one task plus its class set."""
-
-    records: Tuple[FeatureRecord, ...]
-    test_records: Tuple[FeatureRecord, ...]
-    class_set: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "test_records", tuple(self.test_records))
-        object.__setattr__(self, "class_set", frozenset(self.class_set))
-        for rec in self.records + self.test_records:
-            if rec.class_id not in self.class_set:
-                raise ValueError(
-                    f"record class {rec.class_id} not in task class set {sorted(self.class_set)}"
-                )
 
 
 def class_means(matrices: Mapping[int, np.ndarray], task: int) -> PrototypeTable:

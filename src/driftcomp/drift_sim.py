@@ -14,12 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .core import (
-    FeatureRecord,
-    PrototypeTable,
-    TaskDataset,
-    cosine_similarity,
-)
+from .core import PrototypeTable, cosine_similarity
 from .errors import DegenerateInputError
 
 DRIFT_KINDS = ("identity", "rotation", "scaled_rotation", "general_affine", "nonlinear")
@@ -250,21 +245,6 @@ class GeneratedScenario:
 
     def test_matrix(self, space: int, class_id: int) -> np.ndarray:
         return self._test[space - 1][class_id]
-
-    def task_dataset(self, t: int) -> TaskDataset:
-        """Train/test records of task t's classes, in task t's own space."""
-        classes = self.classes_of_task(t)
-        records = tuple(
-            FeatureRecord(vec, c, t)
-            for c in classes
-            for vec in self.train_matrix(t, c)
-        )
-        test_records = tuple(
-            FeatureRecord(vec, c, t)
-            for c in classes
-            for vec in self.test_matrix(t, c)
-        )
-        return TaskDataset(records, test_records, frozenset(classes))
 
     def drift_map(self, t: int) -> DriftMap:
         """Ground-truth map applied at boundary t-1 -> t (t >= 2)."""

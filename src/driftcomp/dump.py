@@ -39,17 +39,28 @@ def record_dtype(dimension: int) -> np.dtype:
 
 
 def write_dump(path, dimension: int, records: Iterable[DumpRecord]) -> int:
-    """Write records to `path`; returns the record count."""
+    """Write records to `path`; returns the record count.
+
+    Every record is checked before `path` is opened, so a rejected write
+    leaves no file behind: DumpFormatError "dimension", "split", or
+    "nonfinite" for a vector that is not finite at float32 (a NaN or
+    infinity, or a value beyond the float32 range).
+    """
     records = list(records)
     table = np.zeros(len(records), dtype=record_dtype(dimension))
     for i, (class_id, task_id, split, vector) in enumerate(records):
-        vector = np.asarray(vector, dtype=np.float32)
+        with np.errstate(over="ignore"):   # out-of-range values become inf
+            vector = np.asarray(vector, dtype=np.float32)
         if vector.shape != (dimension,):
             raise DumpFormatError(
                 "dimension", f"record vector shape {vector.shape} != ({dimension},)"
             )
         if split not in (SPLIT_TRAIN, SPLIT_TEST):
             raise DumpFormatError("split", f"invalid split value {split}")
+        if not np.all(np.isfinite(vector)):
+            raise DumpFormatError(
+                "nonfinite", f"record {i} contains values that are not finite at float32"
+            )
         table[i] = (class_id, task_id, split, vector)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, DUMP_VERSION, dimension, len(records)))

@@ -20,13 +20,7 @@ import numpy as np
 from .config import RunConfig
 from .core import PrototypeTable, class_means, ncm_predict
 from .drift_sim import true_drift_similarity
-from .projector import (
-    Projector,
-    _Descent,
-    _map_rows,
-    _queue_gradient,
-    resolve_normal_equations,
-)
+from .projector import _Descent, _map_rows, _queue_gradient, solve_normal_equations
 from .queues import init_with_pseudo_features
 
 PHASES = ("queue", "solve", "predict")
@@ -122,7 +116,7 @@ class RunResult:
 
 
 class _StreamFit:
-    """Projector fit over one task's stream of (old, new) feature pairs.
+    """Drift-projector fit over one task's stream of (old, new) feature pairs.
 
     "analytic" and "gd_with_queue" push into paired queues pre-filled with
     pseudo-features and re-solve every `resolve_stride` samples, "analytic"
@@ -138,12 +132,12 @@ class _StreamFit:
 
     def __init__(self, config: RunConfig, old_table: PrototypeTable, rng_seed: int):
         self.config = config
-        d = old_table.dimension
-        self.descent = _Descent(np.eye(d), config.gd_learning_rate, config.gd_optimizer)
+        self.descent = _Descent(np.eye(old_table.dimension), config.gd_learning_rate,
+                                config.gd_optimizer)
         self.queue = None
         if config.solver != "gd":
             self.queue = init_with_pseudo_features(
-                old_table, Projector.identity(d), capacity=config.queue_capacity,
+                old_table, capacity=config.queue_capacity,
                 noise_scale=config.noise_scale, rng_seed=rng_seed,
             )
         self.pending: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -182,7 +176,7 @@ class _StreamFit:
                 old, new = zip(*self.entered, *self.left)
                 moved = (np.concatenate(old), np.concatenate(new),
                          sum(len(rows) for rows, _ in self.entered))
-            weights, _, ridge = resolve_normal_equations(
+            weights, _, ridge = solve_normal_equations(
                 self.queue.gram, self.queue.cross, cfg.ridge,
                 previous=self.previous, moved=moved,
                 singular_policy=cfg.singular_policy, min_ridge=cfg.min_ridge)

@@ -1,5 +1,6 @@
-"""Linear drift projector: closed-form least-squares solve on the paired
-queues, a gradient-descent solver for comparison, and prototype evolution.
+"""Linear drift projector: the closed-form least-squares solve on the paired
+queues' normal equations, the descent step every gradient-descent solver
+takes, and prototype evolution.
 
 Row convention follows the queue matrices: samples are rows, so the
 projector maps a row vector v to v @ W and the fit target is
@@ -8,72 +9,15 @@ Q_old @ W = Q_new.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg.lapack
 from scipy.linalg.blas import dgemm
 
 from .core import PrototypeTable
 from .errors import DegenerateInputError, DimensionError, DivergenceError, SingularGramError
-from .queues import QueuePair
 
 DEFAULT_COND_THRESHOLD = 1e12
 DEFAULT_MIN_RIDGE = 1e-8
-
-
-class Projector:
-    """A d x d linear map from the old feature space to the new one."""
-
-    def __init__(self, weights: np.ndarray):
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
-            raise DimensionError(f"projector weights must be square, got {weights.shape}")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("projector weights contain non-finite entries")
-        self.weights = weights.copy()
-        self.weights.flags.writeable = False
-
-    @property
-    def dimension(self) -> int:
-        return self.weights.shape[0]
-
-    @classmethod
-    def identity(cls, dimension: int) -> "Projector":
-        return cls(np.eye(dimension))
-
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        """Map a d-vector or an (n, d) matrix of row features."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape[-1] != self.dimension:
-            raise DimensionError(
-                f"feature dimension {features.shape[-1]} does not match projector "
-                f"dimension {self.dimension}"
-            )
-        return features @ self.weights
-
-
-@dataclass
-class SolveReport:
-    """Diagnostics for one projector solve."""
-
-    residual: float          # mean squared row residual ||Q_old W - Q_new||^2 / n
-    # 1-norm condition estimate of Q_old^T Q_old + ridge I (the ridge asked
-    # for), from its Cholesky factor; inf if that factorization fails
-    gram_condition: float
-    ridge_applied: bool      # whether any nonzero ridge entered the solve
-
-
-def mean_squared_residual(pair: QueuePair, projector: Projector) -> float:
-    q_old, q_new = pair.matrices()
-    if q_old.shape[0] == 0:
-        raise ValueError("queues are empty")
-    return _residual(q_old, q_new, projector.weights)
-
-
-def _residual(q_old: np.ndarray, q_new: np.ndarray, weights: np.ndarray) -> float:
-    diff = q_old @ weights - q_new
-    return float(np.sum(diff * diff) / q_old.shape[0])
 
 
 def _cholesky(gram: np.ndarray, ridge: float) -> tuple[np.ndarray | None, float]:
@@ -90,15 +34,42 @@ def _cholesky(gram: np.ndarray, ridge: float) -> tuple[np.ndarray | None, float]
     return factor, (1.0 / rcond if rcond > 0.0 else np.inf)
 
 
-def _factor_normal_equations(
+def solve_normal_equations(
     gram: np.ndarray,
-    ridge: float,
-    singular_policy: str,
-    min_ridge: float,
-    cond_threshold: float,
+    cross: np.ndarray,
+    ridge: float = 0.0,
+    *,
+    previous: tuple[np.ndarray, float] | None = None,
+    moved: tuple[np.ndarray, np.ndarray, int] | None = None,
+    singular_policy: str = "fallback",
+    min_ridge: float = DEFAULT_MIN_RIDGE,
+    cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> tuple[np.ndarray, float, float]:
-    """Cholesky factor of gram + ridge I under the singular-Gram policy;
-    returns (factor, condition estimate, ridge used)."""
+    """Solve (gram + ridge I) W = cross through a Cholesky factorization,
+    reusing the previous solution when only a few rows moved since it.
+
+    Returns (W, condition estimate, ridge used). With ridge 0, a Gram whose
+    factorization fails or whose condition estimate exceeds
+    `cond_threshold` is numerically singular: "strict" raises
+    SingularGramError, "fallback" solves with `min_ridge` instead. A
+    ridged matrix that still fails to factor (the Gram's rounding outweighs
+    the ridge) raises under "strict"; under "fallback" its ridge is
+    multiplied by ten until it factors, and a zero ridge raises.
+
+    `previous` is (W_prev, ridge used) from the last solve and `moved` is
+    (U, Z, k): the old- and new-space rows that moved through the queues
+    since (None when none did), the k that entered first, with sign s = +1,
+    then those that left, with s = -1. So gram and cross are the previous
+    ones plus U^T diag(s) U and U^T diag(s) Z, and, in exact arithmetic,
+
+        W = W_prev + (gram + ridge I)^-1 U^T diag(s) (Z - U W_prev),
+
+    which takes m right-hand sides instead of d. The factorization, its
+    condition estimate and the singular policy are the same on both routes.
+    The direct solve is taken without a previous solution, when the ridge
+    used changes, or when m >= d. The returned W is C-ordered, and is
+    W_prev itself when no row moved; W_prev is never written.
+    """
     if ridge < 0:
         raise ValueError(f"ridge must be non-negative, got {ridge}")
     if singular_policy not in ("strict", "fallback"):
@@ -120,65 +91,6 @@ def _factor_normal_equations(
             raise SingularGramError(
                 f"Gram matrix does not factor with ridge {effective_ridge:.1e}"
             )
-    return factor, cond, effective_ridge
-
-
-def solve_normal_equations(
-    gram: np.ndarray,
-    cross: np.ndarray,
-    ridge: float = 0.0,
-    *,
-    singular_policy: str = "fallback",
-    min_ridge: float = DEFAULT_MIN_RIDGE,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
-) -> tuple[np.ndarray, float, float]:
-    """Solve (gram + ridge I) W = cross through a Cholesky factorization.
-
-    Returns (W, condition estimate, ridge used). With ridge 0, a Gram whose
-    factorization fails or whose condition estimate exceeds
-    `cond_threshold` is numerically singular: "strict" raises
-    SingularGramError, "fallback" solves with `min_ridge` instead. A
-    ridged matrix that still fails to factor (the Gram's rounding outweighs
-    the ridge) raises under "strict"; under "fallback" its ridge is
-    multiplied by ten until it factors, and a zero ridge raises.
-    """
-    factor, cond, effective_ridge = _factor_normal_equations(
-        gram, ridge, singular_policy, min_ridge, cond_threshold)
-    weights, _ = scipy.linalg.lapack.dpotrs(factor, cross)
-    return weights, cond, effective_ridge
-
-
-def resolve_normal_equations(
-    gram: np.ndarray,
-    cross: np.ndarray,
-    ridge: float = 0.0,
-    *,
-    previous: tuple[np.ndarray, float] | None = None,
-    moved: tuple[np.ndarray, np.ndarray, int] | None = None,
-    singular_policy: str = "fallback",
-    min_ridge: float = DEFAULT_MIN_RIDGE,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
-) -> tuple[np.ndarray, float, float]:
-    """`solve_normal_equations`, reusing the previous solution when only a
-    few rows moved since it.
-
-    `previous` is (W_prev, ridge used) from the last solve and `moved` is
-    (U, Z, k): the old- and new-space rows that moved through the queues
-    since (None when none did), the k that entered first, with sign s = +1,
-    then those that left, with s = -1. So gram and cross are the previous
-    ones plus U^T diag(s) U and U^T diag(s) Z, and, in exact arithmetic,
-
-        W = W_prev + (gram + ridge I)^-1 U^T diag(s) (Z - U W_prev),
-
-    which takes m right-hand sides instead of d. The factorization, its
-    condition estimate and the singular policy are the same as for the
-    direct solve. The direct solve is taken without a previous solution,
-    when the ridge used changes, or when m >= d. The returned W is
-    C-ordered, and is W_prev itself when no row moved; W_prev is never
-    written.
-    """
-    factor, cond, effective_ridge = _factor_normal_equations(
-        gram, ridge, singular_policy, min_ridge, cond_threshold)
     m = 0 if moved is None else len(moved[0])
     if previous is None or previous[1] != effective_ridge or m >= len(gram):
         weights, _ = scipy.linalg.lapack.dpotrs(factor, cross)
@@ -193,38 +105,6 @@ def resolve_normal_equations(
     # the copy of W_prev^T that f2py makes without overwrite_c
     updated = dgemm(1.0, correction.T, solved.T, beta=1.0, c=weights.T).T
     return updated, cond, effective_ridge
-
-
-def solve_analytic(
-    pair: QueuePair,
-    ridge: float = 0.0,
-    *,
-    singular_policy: str = "fallback",
-    min_ridge: float = DEFAULT_MIN_RIDGE,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
-) -> tuple[Projector, SolveReport]:
-    """Closed-form least-squares solve of Q_old W = Q_new.
-
-    W solves the normal equations (Q_old^T Q_old + ridge I) W = Q_old^T Q_new
-    that the pair keeps, via `solve_normal_equations`; the Gram inverse is
-    never formed. With a numerically singular Gram and ridge 0,
-    `singular_policy` picks between a hard error ("strict") and an automatic
-    `min_ridge` fallback ("fallback").
-    """
-    if len(pair) == 0:
-        raise ValueError("cannot solve on empty queues")
-    weights, cond, effective_ridge = solve_normal_equations(
-        pair.gram, pair.cross, ridge, singular_policy=singular_policy,
-        min_ridge=min_ridge, cond_threshold=cond_threshold,
-    )
-    projector = Projector(weights)
-    q_old, q_new = pair.matrices()
-    report = SolveReport(
-        residual=_residual(q_old, q_new, projector.weights),
-        gram_condition=cond,
-        ridge_applied=effective_ridge > 0.0,
-    )
-    return projector, report
 
 
 class _Descent:
@@ -261,49 +141,6 @@ def _queue_gradient(q_old: np.ndarray, q_new: np.ndarray, weights: np.ndarray) -
     return (2.0 / q_old.shape[0]) * (q_old.T @ (q_old @ weights - q_new))
 
 
-def solve_gradient_descent(
-    pair: QueuePair,
-    init: Projector,
-    learning_rate: float = 0.001,
-    steps: int = 100,
-    *,
-    optimizer: str = "sgd",
-) -> tuple[Projector, SolveReport]:
-    """Full-batch gradient descent on the mean squared row residual.
-
-    Deterministic given its inputs. `optimizer` is "sgd" (plain descent) or
-    "adam" (adaptive moments). Raises DivergenceError naming the step index
-    if the loss goes non-finite.
-    """
-    if learning_rate <= 0:
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
-    if optimizer not in ("sgd", "adam"):
-        raise ValueError(f"unknown optimizer {optimizer!r}")
-    q_old, q_new = pair.matrices()
-    n = q_old.shape[0]
-    if n == 0:
-        raise ValueError("cannot solve on empty queues")
-    if init.dimension != q_old.shape[1]:
-        raise DimensionError(
-            f"init dimension {init.dimension} does not match queue dimension {q_old.shape[1]}"
-        )
-    descent = _Descent(init.weights.copy(), learning_rate, optimizer)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            descent.step(_queue_gradient(q_old, q_new, descent.weights))
-    if not np.all(np.isfinite(descent.weights)):
-        raise DivergenceError(steps)
-    projector = Projector(descent.weights)
-    report = SolveReport(
-        residual=_residual(q_old, q_new, projector.weights),
-        gram_condition=_cholesky(pair.gram, 0.0)[1],
-        ridge_applied=False,
-    )
-    return projector, report
-
-
 def _map_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Each row v of the (k, d) `rows` mapped to v @ weights; raises
     DegenerateInputError if any image is non-finite.
@@ -313,7 +150,7 @@ def _map_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     one row, so every image is bit-identical to mapping its row alone. A
     plain (k, d) @ (d, d) product is a matrix-matrix product (gemm) that
     rounds differently, and the stream's predictions are pinned to the
-    per-row arithmetic. `weights` is read in C order, as `Projector` holds
+    per-row arithmetic. `weights` is read in C order, as the solve returns
     it: a Fortran-order array selects a transposed kernel that also rounds
     differently.
     """
@@ -326,10 +163,11 @@ def _map_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def evolve_prototypes(
     prototypes: PrototypeTable,
-    projector: Projector,
+    weights: np.ndarray,
     old_classes,
 ) -> PrototypeTable:
-    """Replace the prototypes of `old_classes` by their projector image.
+    """Replace the prototypes of `old_classes` by their image under the
+    d x d projector `weights`.
 
     Always maps from the table passed in (never re-projects an already
     evolved prototype); evolved entries get aligned_task incremented. Returns
@@ -339,14 +177,15 @@ def evolve_prototypes(
     for c in sorted(old_classes):
         if c not in prototypes:
             raise KeyError(f"class {c} not present in prototype table")
-    if projector.dimension != prototypes.dimension:
+    d = prototypes.dimension
+    if np.shape(weights) != (d, d):
         raise DimensionError(
-            f"prototype dimension {prototypes.dimension} does not match projector "
-            f"dimension {projector.dimension}"
+            f"prototype dimension {d} does not match projector weights of shape "
+            f"{np.shape(weights)}"
         )
     class_ids = prototypes.class_ids
     rows = [i for i, c in enumerate(class_ids) if c in old_classes]
     matrix = prototypes.matrix().copy()
-    matrix[rows] = _map_rows(matrix[rows], projector.weights)
+    matrix[rows] = _map_rows(matrix[rows], weights)
     tasks = [prototypes.aligned_task(c) + (c in old_classes) for c in class_ids]
     return PrototypeTable._from_checked_rows(class_ids, matrix, tasks)

@@ -151,7 +151,6 @@ class QueuePair:
 
 def init_with_pseudo_features(
     prototypes: PrototypeTable,
-    projector,
     capacity: int = DEFAULT_CAPACITY,
     noise_scale: float = DEFAULT_NOISE_SCALE,
     rng_seed: int = 0,
@@ -159,16 +158,12 @@ def init_with_pseudo_features(
     """Fill a fresh QueuePair with noised old-class prototypes.
 
     Each old-space row is a uniformly chosen old prototype plus isotropic
-    Gaussian noise scaled by `noise_scale`; the paired new-space row is the
-    projector image of that row. Reproducible from `rng_seed`.
+    Gaussian noise scaled by `noise_scale`, and is paired with itself, so
+    the queues' first fit is the identity map. Reproducible from `rng_seed`.
     """
     if noise_scale < 0:
         raise ValueError(f"noise_scale must be non-negative, got {noise_scale}")
     d = prototypes.dimension
-    if projector.dimension != d:
-        raise DimensionError(
-            f"projector dimension {projector.dimension} does not match prototypes ({d})"
-        )
     if noise_scale == 0.0 and capacity > len(prototypes):
         warnings.warn(
             "noise_scale=0 with capacity above the class count leaves the Gram "
@@ -179,8 +174,7 @@ def init_with_pseudo_features(
     rng = np.random.default_rng(rng_seed)
     proto_matrix = prototypes.matrix()
     choices = rng.integers(0, len(prototypes), size=capacity)
-    old_rows = proto_matrix[choices] + noise_scale * rng.standard_normal((capacity, d))
-    new_rows = projector.apply(old_rows)
+    rows = proto_matrix[choices] + noise_scale * rng.standard_normal((capacity, d))
     pair = QueuePair(d, capacity)
-    pair.push(old_rows, new_rows)
+    pair.push(rows, rows)
     return pair

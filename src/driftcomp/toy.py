@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DivergenceError
 
 PARAM_NAMES = ("W1", "b1", "W2", "b2", "Wh")
-MODEL_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -95,17 +94,6 @@ class ToyModel:
     def params(self) -> Dict[str, np.ndarray]:
         return {n: getattr(self, n) for n in PARAM_NAMES}
 
-    def save(self, path) -> None:
-        np.savez(path, format_version=MODEL_FORMAT_VERSION, **self.params())
-
-    @classmethod
-    def load(cls, path) -> "ToyModel":
-        data = np.load(path)
-        version = int(data["format_version"])
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model format version {version}")
-        return cls(*(data[n] for n in PARAM_NAMES))
-
 
 def zero_grads(model: ToyModel) -> Dict[str, np.ndarray]:
     return {n: np.zeros_like(getattr(model, n)) for n in PARAM_NAMES}
@@ -150,15 +138,13 @@ def ce_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray
 
 
 def kd_loss(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
-            old_class_count: int, *, renormalize: bool = True
-            ) -> Tuple[float, Dict[str, np.ndarray]]:
+            old_class_count: int) -> Tuple[float, Dict[str, np.ndarray]]:
     """Cross-entropy between the old model's class distribution and the
     current model's distribution over the old classes.
 
-    With `renormalize` the current probabilities are renormalized over old
-    classes (equivalently: softmax over old-class logits only); otherwise the
-    full-softmax probabilities are used as-is. The old model's outputs are
-    constants (no gradient flows through them).
+    The current distribution is the softmax over the old-class logits only
+    (the full softmax renormalized over the old classes). The old model's
+    outputs are constants (no gradient flows through them).
     """
     if old_class_count == 0:
         return 0.0, zero_grads(model)
@@ -176,47 +162,33 @@ def kd_loss(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
     q = _softmax(old_model.forward(x)[2])
     h, z, logits = model.forward(x)
     grads = zero_grads(model)
+    r = _softmax(logits[:, :old_class_count])
+    loss = float(-np.mean(np.sum(q * np.log(r + 1e-300), axis=1)))
     dlogits = np.zeros_like(logits)
-    if renormalize:
-        r = _softmax(logits[:, :old_class_count])
-        loss = float(-np.mean(np.sum(q * np.log(r + 1e-300), axis=1)))
-        dlogits[:, :old_class_count] = (r - q) / n
-    else:
-        s = _softmax(logits)
-        loss = float(-np.mean(np.sum(q * np.log(s[:, :old_class_count] + 1e-300), axis=1)))
-        padded = np.zeros_like(s)
-        padded[:, :old_class_count] = q
-        dlogits = (s - padded) / n
+    dlogits[:, :old_class_count] = (r - q) / n
     grads["Wh"] += z.T @ dlogits
     _backprop_extractor(model, x, h, dlogits @ model.Wh.T, grads)
     return loss, grads
 
 
-def scl_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, tau: float,
-             *, normalize: bool = True, denominator: str = "negatives"
+def scl_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, tau: float
              ) -> Tuple[float, Dict[str, np.ndarray], int]:
-    """Supervised contrastive loss over batch features.
+    """Supervised contrastive loss over L2-normalized batch features.
 
     For each anchor with at least one same-class positive and one
     other-class feature in the batch, sums -log of the softmax of the
-    positive similarity against the denominator set (`"negatives"`:
-    other-class features only; `"all"`: every non-anchor feature), averaged
-    over valid anchors. Returns (loss, extractor gradients, valid anchor
-    count); a fully degenerate batch yields (0, zeros, 0).
+    positive similarity against the other-class features, averaged over
+    valid anchors. Returns (loss, extractor gradients, valid anchor count);
+    a fully degenerate batch yields (0, zeros, 0).
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if denominator not in ("negatives", "all"):
-        raise ValueError(f"unknown denominator convention {denominator!r}")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
     h, z, _ = model.forward(x)
-    if normalize:
-        znorm = np.linalg.norm(z, axis=1, keepdims=True)
-        u = z / znorm
-    else:
-        u = z
+    znorm = np.linalg.norm(z, axis=1, keepdims=True)
+    u = z / znorm
     sim = (u @ u.T) / tau
 
     total = 0.0
@@ -225,32 +197,25 @@ def scl_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, tau: float,
     for i in range(n):
         pos = np.flatnonzero((labels == labels[i]) & (np.arange(n) != i))
         neg = np.flatnonzero(labels != labels[i])
-        if denominator == "all":
-            den = np.flatnonzero(np.arange(n) != i)
-        else:
-            den = neg
-        if pos.size == 0 or neg.size == 0 or den.size == 0:
+        if pos.size == 0 or neg.size == 0:
             continue
         valid += 1
-        row = sim[i, den]
+        row = sim[i, neg]
         m = row.max()
         expd = np.exp(row - m)
         lse = m + np.log(expd.sum())
         w = expd / expd.sum()
         total += float(pos.size * lse - sim[i, pos].sum())
-        # d/du_i and d/du_j of sum_p [lse(den) - sim_ip]
-        du[i] += (pos.size * (w @ u[den]) - u[pos].sum(axis=0)) / tau
+        # d/du_i and d/du_j of sum_p [lse(neg) - sim_ip]
+        du[i] += (pos.size * (w @ u[neg]) - u[pos].sum(axis=0)) / tau
         du[pos] += -u[i] / tau
-        du[den] += (pos.size / tau) * w[:, None] * u[i]
+        du[neg] += (pos.size / tau) * w[:, None] * u[i]
     grads = zero_grads(model)
     if valid == 0:
         return 0.0, grads, 0
     loss = total / valid
     du /= valid
-    if normalize:
-        dz = (du - (np.sum(du * u, axis=1, keepdims=True)) * u) / znorm
-    else:
-        dz = du
+    dz = (du - (np.sum(du * u, axis=1, keepdims=True)) * u) / znorm
     _backprop_extractor(model, x, h, dz, grads)
     return loss, grads, valid
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from driftcomp.config import load_config
-from driftcomp.core import PrototypeTable, compute_prototypes
+from driftcomp.core import PrototypeTable, class_means
 from driftcomp.drift_sim import (
     DriftSpec,
     SyntheticScenario,
@@ -22,18 +22,13 @@ from driftcomp.drift_sim import (
     true_drift_similarity,
 )
 from driftcomp.engine import (
+    _offline_gd,
     _selected_classes,
     replay_audit,
     run_engine,
     run_gd_oracle,
 )
-from driftcomp.projector import (
-    Projector,
-    evolve_prototypes,
-    mean_squared_residual,
-    solve_analytic,
-    solve_gradient_descent,
-)
+from driftcomp.projector import evolve_prototypes, solve_normal_equations
 from driftcomp.queues import QueuePair, init_with_pseudo_features
 from driftcomp.results import emit_results
 from driftcomp.sources import SyntheticSource
@@ -45,6 +40,12 @@ GOLDEN_CONFIG = os.path.join(CONFIG_DIR, "golden_small.txt")
 
 def passline(number: int, message: str) -> None:
     print(f"\n[criterion {number:2d}] PASS: {message}")
+
+
+def residual(pair, weights):
+    """Mean squared row residual ||Q_old W - Q_new||^2 / n over the queued rows."""
+    q_old, q_new = pair.matrices()
+    return float(np.sum((q_old @ weights - q_new) ** 2) / len(q_old))
 
 
 @pytest.fixture(scope="module")
@@ -100,14 +101,14 @@ def test_criterion_1_exact_drift_recovery():
         q_new = np.vstack([scen.train_matrix(2, c) for c in range(8)])
         pair = QueuePair(d, q_old.shape[0])
         pair.push(q_old, q_new)
-        projector, _ = solve_analytic(pair)
+        weights, _, _ = solve_normal_equations(pair.gram, pair.cross)
         w_true = dmap.projector_target
-        rel = np.linalg.norm(projector.weights - w_true) / np.linalg.norm(w_true)
+        rel = np.linalg.norm(weights - w_true) / np.linalg.norm(w_true)
         assert rel < 1e-8, f"{kind} d={d} seed={seed}: relative error {rel:.3e}"
         worst_rel = max(worst_rel, rel)
 
-        old_table = compute_prototypes(list(scen.task_dataset(1).records))
-        evolved = evolve_prototypes(old_table, projector, old_table.class_ids)
+        old_table = class_means({c: scen.train_matrix(1, c) for c in scen.classes_of_task(1)}, 1)
+        evolved = evolve_prototypes(old_table, weights, old_table.class_ids)
         reference = PrototypeTable({
             c: (dmap.apply(old_table.prototype(c)), 2) for c in old_table.class_ids
         })
@@ -133,20 +134,19 @@ def test_criterion_2_optimality_and_normal_equations():
         q_new = q_old @ rng.standard_normal((d, d)) + 0.2 * rng.standard_normal((n, d))
         pair = QueuePair(d, n)
         pair.push(q_old, q_new)
-        projector, report = solve_analytic(pair)
+        weights, _, _ = solve_normal_equations(pair.gram, pair.cross)
+        best = residual(pair, weights)
         gram = q_old.T @ q_old
         rhs = q_old.T @ q_new
-        normal_gap = np.linalg.norm(gram @ projector.weights - rhs) / np.linalg.norm(rhs)
+        normal_gap = np.linalg.norm(gram @ weights - rhs) / np.linalg.norm(rhs)
         assert normal_gap < 1e-8, f"trial {trial}: normal equation gap {normal_gap:.3e}"
         worst_normal = max(worst_normal, normal_gap)
         for _ in range(100):
             delta = 10.0 ** rng.uniform(-4, -1) * rng.standard_normal((d, d))
-            perturbed = mean_squared_residual(pair, Projector(projector.weights + delta))
-            assert report.residual <= perturbed + 1e-10
-        gd, gd_report = solve_gradient_descent(
-            pair, Projector.identity(d), 1e-3, 1000, optimizer="adam"
-        )
-        assert report.residual <= gd_report.residual + 1e-10
+            perturbed = residual(pair, weights + delta)
+            assert best <= perturbed + 1e-10
+        gd = _offline_gd(q_old, q_new, 1e-3, "adam", 1000, 0.0)
+        assert best <= residual(pair, gd) + 1e-10
     elapsed = time.time() - start
     assert elapsed < 30.0, f"ran {elapsed:.1f}s, budget 30s"
     passline(2, f"100 pairs optimal vs 100 perturbations each and 1000-step GD, "
@@ -277,7 +277,7 @@ def test_criterion_6_queue_property_suite():
             {c: (rng.standard_normal(d), 1) for c in range(classes)}
         )
         filled = init_with_pseudo_features(
-            table, Projector.identity(d), capacity=capacity,
+            table, capacity=capacity,
             noise_scale=float(rng.uniform(0.01, 0.5)), rng_seed=trials,
         )
         q = filled.old_queue.matrix()

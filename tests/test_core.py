@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from driftcomp.core import (
     FeatureRecord,
     PrototypeTable,
-    TaskDataset,
     class_means,
     compute_prototypes,
     ncm_predict,
@@ -221,10 +220,3 @@ class TestNcmPredict:
         table = self.make_table(rng, classes=5, d=8)
         z = rng.standard_normal(8)
         assert ncm_predict(lam * z, table) == ncm_predict(z, table)
-
-
-class TestTaskDataset:
-    def test_class_set_enforced(self):
-        rec = FeatureRecord([1.0], 3, 1)
-        with pytest.raises(ValueError):
-            TaskDataset((rec,), (), frozenset({1}))

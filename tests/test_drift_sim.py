@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driftcomp.core import PrototypeTable, compute_prototypes
+from driftcomp.core import PrototypeTable, class_means
 from driftcomp.drift_sim import (
     DriftMap,
     DriftSpec,
@@ -13,7 +13,7 @@ from driftcomp.drift_sim import (
     true_drift_similarity,
     warm_start_split,
 )
-from driftcomp.projector import Projector, solve_analytic
+from driftcomp.projector import solve_normal_equations
 from driftcomp.queues import QueuePair
 
 
@@ -111,8 +111,8 @@ class TestRealizeDrift:
         x = rng.standard_normal((200, 6))
         pair = QueuePair(6, 200)
         pair.push(x, dmap.apply(x))
-        projector, _ = solve_analytic(pair)
-        np.testing.assert_allclose(projector.weights, dmap.projector_target, atol=1e-8)
+        weights, _, _ = solve_normal_equations(pair.gram, pair.cross)
+        np.testing.assert_allclose(weights, dmap.projector_target, atol=1e-8)
 
     def test_deterministic_given_rng(self):
         a = realize_drift(DriftSpec(kind="general_affine", magnitude=0.5), 8,
@@ -162,10 +162,10 @@ class TestGeneratedScenario:
 
     def test_sample_counts(self):
         scen = generate_scenario(simple_spec())
-        ds = scen.task_dataset(2)
-        assert len(ds.records) == 2 * 10
-        assert len(ds.test_records) == 2 * 5
-        assert ds.class_set == {2, 3}
+        assert scen.classes_of_task(2) == (2, 3)
+        for c in (2, 3):
+            assert len(scen.train_matrix(2, c)) == 10
+            assert len(scen.test_matrix(2, c)) == 5
 
     def test_every_class_exists_in_every_space(self):
         scen = generate_scenario(simple_spec())
@@ -228,13 +228,14 @@ class TestGeneratedScenario:
         scen = generate_scenario(simple_spec(
             classes_per_task=[4, 4, 4], cluster_separation=6.0, dimension=16,
         ))
-        recs = [r for t in (1, 2, 3) for r in scen.task_dataset(t).records]
-        table = compute_prototypes(recs)
+        table = class_means({c: scen.train_matrix(t, c)
+                             for t in (1, 2, 3) for c in scen.classes_of_task(t)}, 1)
         correct = total = 0
         for t in (1, 2, 3):
-            for r in scen.task_dataset(t).test_records:
-                correct += int(ncm_predict_batch(r.vector[None, :], table)[0] == r.class_id)
-                total += 1
+            for c in scen.classes_of_task(t):
+                predicted = ncm_predict_batch(scen.test_matrix(t, c), table)
+                correct += int(np.sum(predicted == c))
+                total += len(predicted)
         assert correct / total > 0.95
 
 
@@ -282,12 +283,12 @@ class TestTrueDriftSimilarity:
         new = np.vstack([scen.train_matrix(2, c) for c in range(9)])
         pair = QueuePair(8, old.shape[0])
         pair.push(old, new)
-        projector, _ = solve_analytic(pair)
+        weights, _, _ = solve_normal_equations(pair.gram, pair.cross)
         ref = PrototypeTable(
             {c: (scen.train_matrix(1, c).mean(axis=0), 1) for c in range(9)}
         )
         est = PrototypeTable(
-            {c: (projector.apply(ref.prototype(c)), 2) for c in range(9)}
+            {c: (ref.prototype(c) @ weights, 2) for c in range(9)}
         )
         true = PrototypeTable(
             {c: (scen.train_matrix(2, c).mean(axis=0), 2) for c in range(9)}

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,28 @@ class TestRoundTrip:
         with pytest.raises(DumpFormatError) as err:
             write_dump(tmp_path / "f.bin", 4, [(0, 1, 7, np.zeros(4))])
         assert err.value.code == "split"
+
+    @pytest.mark.parametrize("bad", [1e39, -1e39, np.nan, np.inf, -np.inf])
+    def test_write_rejects_nonfinite_before_opening(self, tmp_path, bad):
+        # 1e39 is finite in float64 and beyond the float32 range
+        path = tmp_path / "f.bin"
+        records = [(0, 1, 0, np.zeros(4)), (1, 1, 1, np.array([1.0, bad, 0.0, 2.0]))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DumpFormatError, match="record 1 ") as err:
+                write_dump(path, 4, records)
+        assert err.value.code == "nonfinite"
+        assert not path.exists()
+        path.write_bytes(b"kept")
+        with pytest.raises(DumpFormatError):
+            write_dump(path, 4, records)
+        assert path.read_bytes() == b"kept"
+
+    def test_float32_max_round_trips(self, tmp_path):
+        top = float(np.finfo(np.float32).max)   # 3.4028235e38
+        path = tmp_path / "f.bin"
+        write_dump(path, 2, [(0, 1, 0, [top, -top])])
+        np.testing.assert_array_equal(load_dump(path)[3], [[top, -top]])
 
 
 class TestCorruptInputs:

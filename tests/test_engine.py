@@ -13,7 +13,7 @@ from driftcomp.engine import (
     run_gd_oracle,
 )
 from driftcomp.errors import DegenerateInputError, SingularGramError
-from driftcomp.projector import Projector, evolve_prototypes, solve_analytic
+from driftcomp.projector import evolve_prototypes, solve_normal_equations
 from driftcomp.queues import init_with_pseudo_features
 from driftcomp.sources import DumpSource, SyntheticSource, write_source_dump
 
@@ -142,7 +142,6 @@ class TestOracle:
     def test_oracle_converges_to_closed_form(self):
         # converged GD on the full paired stream approximates the
         # closed-form solve on exactly the same data
-        from driftcomp.projector import solve_analytic
         from driftcomp.queues import QueuePair
         cfg = engine_config(gd_learning_rate=0.01)
         source = SyntheticSource.from_config(cfg)
@@ -155,9 +154,9 @@ class TestOracle:
             q_new = np.vstack([p[2] for p in pairs])
             pair = QueuePair(cfg.dimension, q_old.shape[0])
             pair.push(q_old, q_new)
-            closed, _ = solve_analytic(pair)
-            gap = np.linalg.norm(rec.projector_snapshots[0] - closed.weights)
-            assert gap < 1e-3 * max(1.0, np.linalg.norm(closed.weights))
+            closed, _, _ = solve_normal_equations(pair.gram, pair.cross)
+            gap = np.linalg.norm(rec.projector_snapshots[0] - closed)
+            assert gap < 1e-3 * max(1.0, np.linalg.norm(closed))
 
 
 class TestUnbalancedStream:
@@ -215,10 +214,9 @@ class TestRankDeficientQueue:
         _, result = run_with(self.config("fallback"))
         old_table = result.tasks[1].old_table
         # task 2's queue as the engine fills it (rng seed = seed * 1000 + task)
-        pair = init_with_pseudo_features(old_table, Projector.identity(old_table.dimension),
-                                         capacity=100, noise_scale=0.0, rng_seed=2)
-        _, report = solve_analytic(pair)
-        assert report.ridge_applied and report.gram_condition > 1e12
+        pair = init_with_pseudo_features(old_table, capacity=100, noise_scale=0.0, rng_seed=2)
+        _, cond, ridge = solve_normal_equations(pair.gram, pair.cross)
+        assert ridge > 0.0 and cond > 1e12
         assert all(rec.accuracy > 0.9 for rec in result.tasks)
 
 
@@ -270,7 +268,7 @@ def reference_table(rec, w_index):
     fresh ones, built with the public table operations."""
     old = rec.old_table
     if w_index >= 0:
-        old = evolve_prototypes(old, Projector(rec.projector_snapshots[w_index]), old.class_ids)
+        old = evolve_prototypes(old, rec.projector_snapshots[w_index], old.class_ids)
     return old.merged_with(rec.fresh_table)
 
 
@@ -307,7 +305,7 @@ class TestNonFiniteEvolvedPrototypes:
     def test_stream_raises(self, monkeypatch):
         def overflowing_solve(gram, cross, ridge, **kwargs):
             return 1e300 * np.eye(gram.shape[0]), 1.0, ridge
-        monkeypatch.setattr("driftcomp.engine.resolve_normal_equations", overflowing_solve)
+        monkeypatch.setattr("driftcomp.engine.solve_normal_equations", overflowing_solve)
         with pytest.raises(DegenerateInputError, match="evolved prototype"):
             run_with(self.config())
 

@@ -7,7 +7,7 @@ from driftcomp.config import RunConfig
 from driftcomp.core import PrototypeTable
 from driftcomp.engine import _StreamFit
 from driftcomp.errors import DegenerateInputError, DimensionError
-from driftcomp.projector import Projector, resolve_normal_equations, solve_normal_equations
+from driftcomp.projector import solve_normal_equations
 from driftcomp.queues import FeatureQueue, QueuePair, init_with_pseudo_features
 
 
@@ -89,8 +89,7 @@ class TestPseudoFeatureInit:
     def test_zero_noise_single_class(self):
         table = PrototypeTable({0: ([1.0, -2.0, 3.0], 1)})
         with pytest.warns(RuntimeWarning):
-            pair = init_with_pseudo_features(table, Projector.identity(3),
-                                            capacity=5, noise_scale=0.0, rng_seed=0)
+            pair = init_with_pseudo_features(table, capacity=5, noise_scale=0.0, rng_seed=0)
         q_old = pair.old_queue.matrix()
         assert q_old.shape == (5, 3)
         np.testing.assert_array_equal(q_old, np.tile([1.0, -2.0, 3.0], (5, 1)))
@@ -98,22 +97,20 @@ class TestPseudoFeatureInit:
     def test_identity_projector_pairs_bitwise(self):
         rng = np.random.default_rng(1)
         table = self.proto_table(rng)
-        pair = init_with_pseudo_features(table, Projector.identity(8),
-                                        capacity=100, noise_scale=0.1, rng_seed=3)
+        pair = init_with_pseudo_features(table, capacity=100, noise_scale=0.1, rng_seed=3)
         np.testing.assert_array_equal(pair.old_queue.matrix(), pair.new_queue.matrix())
 
     def test_capacity_rows_generated(self):
         rng = np.random.default_rng(2)
         table = self.proto_table(rng)
-        pair = init_with_pseudo_features(table, Projector.identity(8),
-                                        capacity=37, noise_scale=0.02, rng_seed=0)
+        pair = init_with_pseudo_features(table, capacity=37, noise_scale=0.02, rng_seed=0)
         assert len(pair) == 37
 
     def test_seed_reproducible_bitwise(self):
         rng = np.random.default_rng(4)
         table = self.proto_table(rng)
-        a = init_with_pseudo_features(table, Projector.identity(8), 50, 0.02, rng_seed=9)
-        b = init_with_pseudo_features(table, Projector.identity(8), 50, 0.02, rng_seed=9)
+        a = init_with_pseudo_features(table, 50, 0.02, rng_seed=9)
+        b = init_with_pseudo_features(table, 50, 0.02, rng_seed=9)
         np.testing.assert_array_equal(a.old_queue.matrix(), b.old_queue.matrix())
         np.testing.assert_array_equal(a.new_queue.matrix(), b.new_queue.matrix())
 
@@ -122,22 +119,13 @@ class TestPseudoFeatureInit:
         rng = np.random.default_rng(5)
         d = 64
         table = self.proto_table(rng, classes=10, d=d)
-        pair = init_with_pseudo_features(table, Projector.identity(d),
-                                        capacity=3000, noise_scale=0.02, rng_seed=1)
+        pair = init_with_pseudo_features(table, capacity=3000, noise_scale=0.02, rng_seed=1)
         q_old = pair.old_queue.matrix()
         singular_values = np.linalg.svd(q_old, compute_uv=False)
         rank = int(np.sum(singular_values > singular_values[0] * 1e-10))
         assert rank == d
         gram = q_old.T @ q_old
         assert np.isfinite(np.linalg.cond(gram))
-
-    def test_nonlinear_projector_applied_rowwise(self):
-        rng = np.random.default_rng(6)
-        table = self.proto_table(rng, classes=3, d=4)
-        w = rng.standard_normal((4, 4))
-        pair = init_with_pseudo_features(table, Projector(w), 20, 0.05, rng_seed=2)
-        np.testing.assert_allclose(pair.new_queue.matrix(),
-                                   pair.old_queue.matrix() @ w, atol=1e-12)
 
 
 class TestNonFiniteRows:
@@ -186,7 +174,7 @@ class TestRunningNormalEquations:
         rng = np.random.default_rng(seed)
         d = self.D
         table = PrototypeTable({c: (rng.standard_normal(d), 1) for c in range(10)})
-        pair = init_with_pseudo_features(table, Projector.identity(d), capacity=self.CAPACITY,
+        pair = init_with_pseudo_features(table, capacity=self.CAPACITY,
                                          noise_scale=0.02, rng_seed=seed)
         w_true = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
 
@@ -301,15 +289,15 @@ class TestRankKUpdate:
         old, new = rows(2)
         left_old, left_new = pair.push(old, new)
         moved = (np.vstack([old, left_old]), np.vstack([new, left_new]), len(old))
-        weights, _, ridge = resolve_normal_equations(pair.gram, pair.cross, 0.0,
-                                                     previous=previous, moved=moved)
+        weights, _, ridge = solve_normal_equations(pair.gram, pair.cross, 0.0,
+                                                   previous=previous, moved=moved)
         assert ridge == 0.0
         direct = solve_normal_equations(pair.gram, pair.cross)[0]
         assert relative_gap(weights, direct) <= WEIGHTS_RTOL
         np.testing.assert_array_equal(weights, direct)
         # the same rows with an unchanged ridge take the update
-        updated, _, _ = resolve_normal_equations(pair.gram, pair.cross, 10.0,
-                                                 previous=previous, moved=moved)
+        updated, _, _ = solve_normal_equations(pair.gram, pair.cross, 10.0,
+                                               previous=previous, moved=moved)
         ridged = solve_normal_equations(pair.gram, pair.cross, 10.0)[0]
         assert relative_gap(updated, ridged) <= WEIGHTS_RTOL
 

@@ -105,7 +105,7 @@ class TestKdLoss:
         model = small_model(rng, classes=3)
         old_model = model.copy()
         x = rng.standard_normal((6, 10))
-        loss, grads = kd_loss(model, old_model, x, 3, renormalize=True)
+        loss, grads = kd_loss(model, old_model, x, 3)
         from driftcomp.toy import _softmax
         q = _softmax(old_model.forward(x)[2])
         entropy = float(-np.mean(np.sum(q * np.log(q), axis=1)))
@@ -120,16 +120,13 @@ class TestKdLoss:
         with pytest.raises(ValueError):
             kd_loss(model, old_model, rng.standard_normal((2, 10)), 2)
 
-    @pytest.mark.parametrize("renormalize", [True, False])
-    def test_gradients_match_finite_differences(self, renormalize):
+    def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
         model = small_model(rng, classes=5)
         old_model = small_model(rng, classes=3)
         x = rng.standard_normal((8, 10))
-        _, grads = kd_loss(model, old_model, x, 3, renormalize=renormalize)
-        numeric = finite_difference_grads(
-            lambda m: kd_loss(m, old_model, x, 3, renormalize=renormalize)[0], model
-        )
+        _, grads = kd_loss(model, old_model, x, 3)
+        numeric = finite_difference_grads(lambda m: kd_loss(m, old_model, x, 3)[0], model)
         assert_grads_close(grads, numeric)
 
 
@@ -172,21 +169,13 @@ class TestSclLoss:
         assert valid == 4
         assert loss == pytest.approx(expected, rel=1e-10)
 
-    @pytest.mark.parametrize("normalize,denominator", [
-        (True, "negatives"), (True, "all"), (False, "negatives"),
-    ])
-    def test_gradients_match_finite_differences(self, normalize, denominator):
+    def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         model = small_model(rng)
         x = rng.standard_normal((12, 10))
         labels = rng.integers(0, 3, size=12)
-        _, grads, _ = scl_loss(model, x, labels, tau=0.5, normalize=normalize,
-                               denominator=denominator)
-        numeric = finite_difference_grads(
-            lambda m: scl_loss(m, x, labels, tau=0.5, normalize=normalize,
-                               denominator=denominator)[0],
-            model,
-        )
+        _, grads, _ = scl_loss(model, x, labels, tau=0.5)
+        numeric = finite_difference_grads(lambda m: scl_loss(m, x, labels, tau=0.5)[0], model)
         assert_grads_close(grads, numeric, rtol=1e-5)
 
     def test_batch_permutation_invariant(self):
@@ -289,12 +278,3 @@ class TestCompositeAndTraining:
         model = ToyModel.init(8, 10, 6, 4, rng)
         with pytest.raises(ValueError):
             train_task(model, None, *task2, LossWeights(0, 0, 1), epochs=1)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(19)
-        model = small_model(rng)
-        path = tmp_path / "model.npz"
-        model.save(path)
-        loaded = ToyModel.load(path)
-        for name in PARAM_NAMES:
-            np.testing.assert_array_equal(getattr(model, name), getattr(loaded, name))
