@@ -3,8 +3,8 @@ feature streams.
 
 Library layers:
   core       feature records, prototypes, cosine nearest-class-mean
-  queues     paired ring-buffer queues with running normal equations and
-             pseudo-feature initialization
+  queues     one ring of paired [old | new] feature rows with running normal
+             equations and pseudo-feature initialization
   projector  the drift projector's one solve: Cholesky on the queues' normal
              equations, updated by the rows that moved; prototype evolution
   toy        desk-scale trainer with distillation / contrastive losses
@@ -42,7 +42,7 @@ from .errors import (
     SingularGramError,
 )
 from .projector import evolve_prototypes, solve_normal_equations
-from .queues import FeatureQueue, QueuePair, init_with_pseudo_features
+from .queues import QueuePair, init_with_pseudo_features
 from .toy import LossWeights, ToyModel, ce_loss, kd_loss, scl_loss, train_task
 
 __version__ = "0.1.0"

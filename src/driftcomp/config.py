@@ -124,9 +124,11 @@ class RunConfig:
         if not parts:
             raise ConfigError("classes_per_task is empty")
         if len(parts) == 1 and self.num_tasks > 1:
-            if self.split_style == "warm":
-                return tuple(warm_start_split(parts[0] * self.num_tasks, self.num_tasks))
-            return tuple(cold_start_split(parts[0] * self.num_tasks, self.num_tasks))
+            split = warm_start_split if self.split_style == "warm" else cold_start_split
+            try:
+                return tuple(split(parts[0] * self.num_tasks, self.num_tasks))
+            except ValueError as exc:
+                raise ConfigError(f"classes_per_task={raw!r}: {exc}") from None
         if len(parts) != self.num_tasks:
             raise ConfigError(
                 f"classes_per_task lists {len(parts)} tasks but num_tasks={self.num_tasks}"
@@ -151,8 +153,6 @@ class RunConfig:
             train_per_class=self.train_per_class,
             test_per_class=self.test_per_class,
             drift_schedule=tuple(spec for _ in range(self.num_tasks - 1)),
-            test_balance=self.test_balance,
-            unbalanced_fraction=self.unbalanced_fraction,
             seed=self.seed if seed is None else seed,
         )
 
@@ -208,8 +208,13 @@ def parse_config_text(text: str) -> RunConfig:
         key, raw = stripped.split("=", 1)
         key = key.strip()
         if key == "format_version":
-            if int(raw.strip()) != CONFIG_FORMAT_VERSION:
-                raise ConfigError(f"unsupported config format_version {raw.strip()}")
+            try:
+                supported = int(raw) == CONFIG_FORMAT_VERSION
+            except ValueError:
+                supported = False
+            if not supported:
+                raise ConfigError(
+                    f"line {lineno}: unsupported config format_version {raw.strip()!r}")
             continue
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")

@@ -15,7 +15,6 @@ import numpy as np
 import scipy.linalg
 
 from .core import PrototypeTable, cosine_similarity
-from .errors import DegenerateInputError
 
 DRIFT_KINDS = ("identity", "rotation", "scaled_rotation", "general_affine", "nonlinear")
 
@@ -150,8 +149,6 @@ class SyntheticScenario:
     train_per_class: int = 50
     test_per_class: int = 20
     drift_schedule: Sequence[DriftSpec] = field(default_factory=tuple)
-    test_balance: str = "balanced"       # balanced | unbalanced
-    unbalanced_fraction: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -171,8 +168,6 @@ class SyntheticScenario:
                 f"drift_schedule needs {self.num_tasks - 1} boundary entries, "
                 f"got {len(self.drift_schedule)}"
             )
-        if self.test_balance not in ("balanced", "unbalanced"):
-            raise ValueError(f"unknown test_balance {self.test_balance!r}")
 
     @property
     def total_classes(self) -> int:
@@ -265,7 +260,8 @@ def true_drift_similarity(
 
     Drift vectors are taken relative to the shared pre-drift reference. A
     zero-length true drift (identity boundary) yields similarity 1.0 by
-    convention, with a warning.
+    convention; a zero-length estimated drift against a non-zero true drift
+    (the prototype was never moved) yields 0.0. Both warn, naming the class.
     """
     if set(estimated_prototypes.class_ids) != set(true_drifted_prototypes.class_ids):
         raise ValueError("estimated and true tables must share the same class ids")
@@ -274,16 +270,15 @@ def true_drift_similarity(
         ref = reference_prototypes.prototype(c)
         est = estimated_prototypes.prototype(c) - ref
         true = true_drifted_prototypes.prototype(c) - ref
-        if np.linalg.norm(true) == 0.0 or np.linalg.norm(est) == 0.0:
-            warnings.warn(
-                f"class {c} has a zero-length drift vector; similarity set to 1.0",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        if np.linalg.norm(true) == 0.0:
+            warnings.warn(f"class {c} has a zero-length true drift vector; "
+                          "similarity set to 1.0", RuntimeWarning, stacklevel=2)
             out[c] = 1.0
-            continue
-        try:
+        elif np.linalg.norm(est) == 0.0:
+            warnings.warn(f"class {c} has a zero-length estimated drift vector against "
+                          "a non-zero true drift; similarity set to 0.0",
+                          RuntimeWarning, stacklevel=2)
+            out[c] = 0.0
+        else:
             out[c] = cosine_similarity(est, true)
-        except DegenerateInputError:
-            out[c] = 1.0
     return out

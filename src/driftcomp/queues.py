@@ -1,11 +1,10 @@
-"""Paired bounded FIFO feature queues with pseudo-feature initialization.
+"""Paired bounded FIFO feature queue with pseudo-feature initialization.
 
-The two queues hold paired observations (old-space feature, new-space
-feature); pushes and evictions are always synchronized so row i of the old
-matrix corresponds to row i of the new matrix. The pair keeps the normal
-equations of the least-squares fit Q_old W = Q_new current as rows enter
-and leave (sliding-window least squares), so a solve never has to rebuild
-them from the rows.
+The queue holds paired observations (old-space feature, new-space feature)
+as one row each, so row i of the old matrix always corresponds to row i of
+the new matrix. It keeps the normal equations of the least-squares fit
+Q_old W = Q_new current as rows enter and leave (sliding-window least
+squares), so a solve never has to rebuild them from the rows.
 """
 
 from __future__ import annotations
@@ -23,42 +22,55 @@ DEFAULT_CAPACITY = 3000
 DEFAULT_NOISE_SCALE = 0.02
 
 
-class FeatureQueue:
-    """Bounded FIFO of d-vectors held in a preallocated (capacity, d) ring."""
+class QueuePair:
+    """Bounded FIFO of paired (old-space, new-space) feature rows, with the
+    normal equations of the least-squares fit Q_old W = Q_new.
+
+    The rows live in one preallocated (capacity, 2d) ring, each row the old
+    features then the new, so the two sides always move together. `gram`
+    (Q_old^T Q_old) and `cross` (Q_old^T Q_new) over the rows held are the
+    two column halves of one Fortran-ordered (d, 2d) block
+    Q_old^T [Q_old | Q_new], updated in place. Each push adds the entering
+    rows' products and subtracts the leaving rows' with one rank-k gemm
+    (beta = 1) into that block; once `capacity` rows have entered since the
+    last recompute, both halves are recomputed from the rows, which bounds
+    the rounding the updates accumulate; `recomputes` counts those
+    recomputes. Callers must not write to them.
+    """
 
     def __init__(self, dimension: int, capacity: int):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         if dimension <= 0:
             raise ValueError(f"dimension must be positive, got {dimension}")
-        self.dimension = int(dimension)
+        self.dimension = d = int(dimension)
         self.capacity = int(capacity)
-        self._rows = np.empty((self.capacity, self.dimension))
+        self._rows = np.empty((self.capacity, 2 * d))
         self._start = 0      # slot of the oldest row
         self._length = 0
+        self._normal = np.zeros((d, 2 * d), order="F")
+        self.gram, self.cross = self._normal[:, :d], self._normal[:, d:]
+        self._entered = 0    # rows pushed since gram and cross were recomputed
+        self.recomputes = 0
 
     def __len__(self) -> int:
         return self._length
 
-    def _ordered(self, first: int, count: int) -> np.ndarray:
+    def _ordered(self, first: int, count: int, columns=np.s_[:]) -> np.ndarray:
         """Copy of `count` rows from ring slot `first` on, wrapping around."""
-        head = self._rows[first:first + count]
-        return np.concatenate([head, self._rows[:count - len(head)]])
+        head = self._rows[first:first + count, columns]
+        return np.concatenate([head, self._rows[:count - len(head), columns]])
 
-    def push_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Append rows; return the rows that left the queue, oldest first.
+    def _enqueue(self, rows: np.ndarray) -> np.ndarray:
+        """Append rows to the ring; return the rows that left, oldest first.
 
         A push of more than `capacity` rows evicts every row held before it
         and also returns its own first rows, which never stay.
         """
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != self.dimension:
-            raise DimensionError(
-                f"expected (k, {self.dimension}) matrix, got shape {rows.shape}"
-            )
         k = rows.shape[0]
         if k >= self.capacity:
-            evicted = np.concatenate([self.matrix(), rows[:k - self.capacity]])
+            evicted = np.concatenate([self._ordered(self._start, self._length),
+                                      rows[:k - self.capacity]])
             self._rows[:] = rows[k - self.capacity:]
             self._start, self._length = 0, self.capacity
             return evicted
@@ -72,81 +84,44 @@ class FeatureQueue:
         self._length += k - n_evicted
         return evicted
 
-    def matrix(self) -> np.ndarray:
-        """Rows ordered oldest first; shape (length, d)."""
-        return self._ordered(self._start, self._length)
-
-
-class QueuePair:
-    """Synchronized old/new feature queues of identical capacity and length,
-    with their normal equations.
-
-    `gram` is Q_old^T Q_old and `cross` is Q_old^T Q_new over the rows held,
-    both Fortran-ordered and updated in place. Each push adds the entering
-    rows' products and subtracts the leaving rows' with one rank-k gemm
-    (beta = 1) into each; once `capacity` rows have entered since the last
-    recompute, both are recomputed from the rows, which bounds the rounding
-    the updates accumulate; `recomputes` counts those recomputes. Callers
-    must not write to them.
-    """
-
-    def __init__(self, dimension: int, capacity: int):
-        self.old_queue = FeatureQueue(dimension, capacity)
-        self.new_queue = FeatureQueue(dimension, capacity)
-        self.gram = np.zeros((dimension, dimension), order="F")
-        self.cross = np.zeros((dimension, dimension), order="F")
-        self._entered = 0    # rows pushed since gram and cross were recomputed
-        self.recomputes = 0
-
-    @property
-    def dimension(self) -> int:
-        return self.old_queue.dimension
-
-    @property
-    def capacity(self) -> int:
-        return self.old_queue.capacity
-
-    def __len__(self) -> int:
-        return len(self.old_queue)
-
     def push(self, old_features: np.ndarray,
              new_features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Push paired rows and return the (old, new) rows that left, oldest
-        first; non-finite rows raise DegenerateInputError and leave the pair
-        as it was."""
+        first; rows of the wrong shape raise DimensionError and non-finite
+        rows DegenerateInputError, both leaving the pair as it was."""
         old_features = np.atleast_2d(np.asarray(old_features, dtype=np.float64))
         new_features = np.atleast_2d(np.asarray(new_features, dtype=np.float64))
-        if old_features.shape != new_features.shape:
+        d = self.dimension
+        if old_features.shape != new_features.shape or old_features.shape[1:] != (d,):
             raise DimensionError(
-                f"paired pushes must have equal shapes, got {old_features.shape} "
-                f"and {new_features.shape}"
+                f"paired pushes must both be (k, {d}) matrices, got "
+                f"{old_features.shape} and {new_features.shape}"
             )
         if not (np.all(np.isfinite(old_features)) and np.all(np.isfinite(new_features))):
             raise DegenerateInputError("queued features contain non-finite components")
-        left_old = self.old_queue.push_rows(old_features)
-        left_new = self.new_queue.push_rows(new_features)
-        self._entered += old_features.shape[0]
+        entering = np.concatenate([old_features, new_features], axis=1)
+        left = self._enqueue(entering)
+        self._entered += len(entering)
         if self._entered >= self.capacity:
             q_old, q_new = self.matrices()
             self.gram[...] = q_old.T @ q_old
             self.cross[...] = q_old.T @ q_new
             self._entered = 0
             self.recomputes += 1
-            return left_old, left_new
-        # entering rows count with weight +1, leaving rows with -1; the
-        # transposed views are Fortran-ordered, so f2py copies none of them
-        moved_old = np.concatenate([old_features, left_old])
-        moved_new = np.concatenate([new_features, left_new])
-        signed = moved_old.copy()
-        signed[len(old_features):] *= -1.0
-        self.gram = dgemm(1.0, signed.T, moved_old.T, beta=1.0, c=self.gram,
-                          trans_b=1, overwrite_c=1)
-        self.cross = dgemm(1.0, signed.T, moved_new.T, beta=1.0, c=self.cross,
-                           trans_b=1, overwrite_c=1)
-        return left_old, left_new
+        else:
+            # entering rows count +1, leaving rows -1; the transposed views are
+            # Fortran-ordered, so f2py copies none and writes the block in place
+            moved = np.concatenate([entering, left])
+            signed = moved[:, :d].copy()
+            signed[len(entering):] *= -1.0
+            dgemm(1.0, signed.T, moved.T, beta=1.0, c=self._normal, trans_b=1, overwrite_c=1)
+        return left[:, :d], left[:, d:]
 
-    def matrices(self):
-        return self.old_queue.matrix(), self.new_queue.matrix()
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (old, new) rows held, oldest first, as two C-ordered (length, d)
+        copies; contiguous halves keep the GD solver's products fast."""
+        d, first, count = self.dimension, self._start, self._length
+        return self._ordered(first, count, np.s_[:d]), self._ordered(first, count, np.s_[d:])
 
 
 def init_with_pseudo_features(
@@ -159,7 +134,7 @@ def init_with_pseudo_features(
 
     Each old-space row is a uniformly chosen old prototype plus isotropic
     Gaussian noise scaled by `noise_scale`, and is paired with itself, so
-    the queues' first fit is the identity map. Reproducible from `rng_seed`.
+    the queue's first fit is the identity map. Reproducible from `rng_seed`.
     """
     if noise_scale < 0:
         raise ValueError(f"noise_scale must be non-negative, got {noise_scale}")

@@ -263,14 +263,11 @@ def test_criterion_6_queue_property_suite():
             history_old.extend(old)
             history_new.extend(new)
             # paired-length invariant after every push
-            assert len(pair.old_queue) == len(pair.new_queue) <= capacity
+            q_old, q_new = pair.matrices()
+            assert len(q_old) == len(q_new) == len(pair) <= capacity
         # FIFO equivalence against an unbounded-list tail
-        np.testing.assert_array_equal(
-            pair.old_queue.matrix(), np.vstack(history_old[-capacity:])
-        )
-        np.testing.assert_array_equal(
-            pair.new_queue.matrix(), np.vstack(history_new[-capacity:])
-        )
+        np.testing.assert_array_equal(q_old, np.vstack(history_old[-capacity:]))
+        np.testing.assert_array_equal(q_new, np.vstack(history_new[-capacity:]))
         # pseudo-feature fill with S >= d and positive noise has a full-rank Gram
         classes = int(rng.integers(1, 6))
         table = PrototypeTable(
@@ -280,7 +277,7 @@ def test_criterion_6_queue_property_suite():
             table, capacity=capacity,
             noise_scale=float(rng.uniform(0.01, 0.5)), rng_seed=trials,
         )
-        q = filled.old_queue.matrix()
+        q = filled.matrices()[0]
         s = np.linalg.svd(q, compute_uv=False)
         assert int(np.sum(s > s[0] * 1e-10)) == d
         trials += 1

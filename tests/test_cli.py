@@ -75,6 +75,17 @@ class TestRun:
         assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == EXIT_DIVERGED
         assert "divergence" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "format_version = abc\n", "split_style = warm\n",
+    ])
+    def test_config_error_exit_code(self, tmp_path, text, capsys):
+        # a format_version line is checked wherever it stands; SMALL_CFG has 3
+        # tasks of 2 classes, which the warm split cannot divide
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMALL_CFG + text)
+        assert main(["run", "-c", str(bad), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_unknown_key_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("not_a_key = 1\n")

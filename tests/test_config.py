@@ -64,6 +64,10 @@ class TestParsing:
         with pytest.raises(ConfigError, match="format_version"):
             parse_config_text("format_version = 9\n")
 
+    def test_non_integer_format_version_names_line(self):
+        with pytest.raises(ConfigError, match="line 2: unsupported config format_version 'abc'"):
+            parse_config_text("seed = 3\nformat_version = abc\n")
+
 
 class TestValidation:
     def test_bad_solver(self):
@@ -122,6 +126,12 @@ class TestClassCounts:
     def test_non_integer_rejected(self):
         cfg = RunConfig(classes_per_task="5,x")
         with pytest.raises(ConfigError, match="integers"):
+            cfg.class_counts()
+
+    def test_warm_split_that_does_not_divide_rejected(self):
+        # 9 classes: 4 in the first task leave 5 for the other 2
+        cfg = RunConfig(num_tasks=3, classes_per_task="3", split_style="warm")
+        with pytest.raises(ConfigError, match="classes_per_task='3'"):
             cfg.class_counts()
 
 

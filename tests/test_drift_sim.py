@@ -263,6 +263,13 @@ class TestTrueDriftSimilarity:
             sims = true_drift_similarity(ref, ref, ref)
         assert sims == {0: 1.0, 1: 1.0}
 
+    def test_zero_estimate_scores_zero(self):
+        # prototypes that never moved against a non-zero true drift
+        ref, true = self.tables()
+        with pytest.warns(RuntimeWarning, match=r"class \d has a zero-length estimated drift"):
+            sims = true_drift_similarity(ref, true, ref)
+        assert sims == {0: 0.0, 1: 0.0}
+
     def test_class_mismatch_rejected(self):
         ref, true = self.tables()
         est = PrototypeTable({0: ([2.0, 0.0], 2)})

@@ -98,6 +98,16 @@ class TestBasicRuns:
         assert final is not None
         assert np.mean(list(final.values())) > 0.5
 
+    def test_task_that_never_solves_scores_zero_similarity(self):
+        # no sample reaches a resolve, so no old prototype moves while the
+        # true drift is non-zero: similarity 0.0, not a perfect 1.0
+        cfg = load_config(GOLDEN_CONFIG).replace(resolve_stride=100000)
+        with pytest.warns(RuntimeWarning, match=r"class \d+ has a zero-length estimated drift"):
+            _, result = run_with(cfg)
+        for rec in result.tasks[1:]:
+            assert not rec.projector_snapshots
+            assert rec.drift_similarity == {c: 0.0 for c in rec.old_table.class_ids}
+
 
 class TestSolverVariants:
     def test_all_solvers_complete(self):

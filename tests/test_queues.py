@@ -8,47 +8,59 @@ from driftcomp.core import PrototypeTable
 from driftcomp.engine import _StreamFit
 from driftcomp.errors import DegenerateInputError, DimensionError
 from driftcomp.projector import solve_normal_equations
-from driftcomp.queues import FeatureQueue, QueuePair, init_with_pseudo_features
+from driftcomp.queues import QueuePair, init_with_pseudo_features
 
 
 def make_pair(d=4, capacity=3):
     return QueuePair(d, capacity)
 
 
-class TestFeatureQueue:
+def paired(old):
+    """Old rows with new rows that differ from them, so mixed-up halves show."""
+    return old, -10.0 * old - 1.0
+
+
+def assert_pairs_equal(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestQueueRing:
     def test_fifo_step(self):
-        q = FeatureQueue(2, 3)
-        q.push_rows(np.array([[1, 1], [2, 2], [3, 3]], dtype=float))
-        q.push_rows(np.array([[4, 4]], dtype=float))
-        np.testing.assert_array_equal(q.matrix(), [[2, 2], [3, 3], [4, 4]])
+        pair = QueuePair(2, 3)
+        pair.push(*paired(np.array([[1, 1], [2, 2], [3, 3]], dtype=float)))
+        left = pair.push(*paired(np.array([[4, 4]], dtype=float)))
+        assert_pairs_equal(left, paired(np.array([[1, 1]], dtype=float)))
+        assert_pairs_equal(pair.matrices(), paired(np.array([[2, 2], [3, 3], [4, 4]], dtype=float)))
 
     def test_full_replacement(self):
-        q = FeatureQueue(2, 3)
-        q.push_rows(np.arange(6, dtype=float).reshape(3, 2))
+        pair = QueuePair(2, 3)
+        pair.push(*paired(np.arange(6, dtype=float).reshape(3, 2)))
         fresh = np.arange(10, 16, dtype=float).reshape(3, 2)
-        q.push_rows(fresh)
-        np.testing.assert_array_equal(q.matrix(), fresh)
+        pair.push(*paired(fresh))
+        assert_pairs_equal(pair.matrices(), paired(fresh))
 
     def test_evicted_then_held_rows_replay_history(self):
         # oracle: the rows a queue gave back, then the rows it holds, are
-        # every row pushed, in order
+        # every row pushed, in order, on both sides
         rng = np.random.default_rng(3)
-        q = FeatureQueue(2, 5)
+        pair = QueuePair(2, 5)
         history, left = [], []
         for k in rng.integers(1, 9, size=60):
-            rows = rng.standard_normal((k, 2))
-            left.extend(q.push_rows(rows))
-            history.extend(rows)
-            np.testing.assert_array_equal(np.vstack(left + list(q.matrix())), np.vstack(history))
+            old, new = rng.standard_normal((k, 2)), rng.standard_normal((k, 2))
+            left.append(np.hstack(pair.push(old, new)))
+            history.append(np.hstack([old, new]))
+            held = np.hstack(pair.matrices())
+            np.testing.assert_array_equal(np.vstack(left + [held]), np.vstack(history))
 
     def test_empty_matrix_shape(self):
-        q = FeatureQueue(5, 2)
-        assert q.matrix().shape == (0, 5)
+        pair = QueuePair(5, 2)
+        assert [m.shape for m in pair.matrices()] == [(0, 5), (0, 5)]
 
     def test_dimension_rejected(self):
-        q = FeatureQueue(3, 2)
+        pair = QueuePair(3, 2)
         with pytest.raises(DimensionError):
-            q.push_rows(np.zeros((1, 4)))
+            pair.push(np.zeros((1, 4)), np.zeros((1, 4)))
 
 
 class TestPushPair:
@@ -58,7 +70,8 @@ class TestPushPair:
         for _ in range(20):
             k = int(rng.integers(1, 4))
             pair.push(rng.standard_normal((k, 4)), rng.standard_normal((k, 4)))
-            assert len(pair.old_queue) == len(pair.new_queue) <= pair.capacity
+            q_old, q_new = pair.matrices()
+            assert len(q_old) == len(q_new) == len(pair) <= pair.capacity
 
     def test_mismatched_k_rejected(self):
         pair = make_pair()
@@ -78,8 +91,8 @@ class TestPushPair:
             pair.push(old, new)
             history_old.extend(old)
             history_new.extend(new)
-        np.testing.assert_array_equal(pair.old_queue.matrix(), np.vstack(history_old[-capacity:]))
-        np.testing.assert_array_equal(pair.new_queue.matrix(), np.vstack(history_new[-capacity:]))
+        assert_pairs_equal(pair.matrices(),
+                           (np.vstack(history_old[-capacity:]), np.vstack(history_new[-capacity:])))
 
 
 class TestPseudoFeatureInit:
@@ -90,7 +103,7 @@ class TestPseudoFeatureInit:
         table = PrototypeTable({0: ([1.0, -2.0, 3.0], 1)})
         with pytest.warns(RuntimeWarning):
             pair = init_with_pseudo_features(table, capacity=5, noise_scale=0.0, rng_seed=0)
-        q_old = pair.old_queue.matrix()
+        q_old = pair.matrices()[0]
         assert q_old.shape == (5, 3)
         np.testing.assert_array_equal(q_old, np.tile([1.0, -2.0, 3.0], (5, 1)))
 
@@ -98,7 +111,7 @@ class TestPseudoFeatureInit:
         rng = np.random.default_rng(1)
         table = self.proto_table(rng)
         pair = init_with_pseudo_features(table, capacity=100, noise_scale=0.1, rng_seed=3)
-        np.testing.assert_array_equal(pair.old_queue.matrix(), pair.new_queue.matrix())
+        np.testing.assert_array_equal(*pair.matrices())
 
     def test_capacity_rows_generated(self):
         rng = np.random.default_rng(2)
@@ -111,8 +124,7 @@ class TestPseudoFeatureInit:
         table = self.proto_table(rng)
         a = init_with_pseudo_features(table, 50, 0.02, rng_seed=9)
         b = init_with_pseudo_features(table, 50, 0.02, rng_seed=9)
-        np.testing.assert_array_equal(a.old_queue.matrix(), b.old_queue.matrix())
-        np.testing.assert_array_equal(a.new_queue.matrix(), b.new_queue.matrix())
+        assert_pairs_equal(a.matrices(), b.matrices())
 
     def test_gram_full_rank_via_svd_oracle(self):
         # svd rank-count oracle on the padded old-feature matrix
@@ -120,7 +132,7 @@ class TestPseudoFeatureInit:
         d = 64
         table = self.proto_table(rng, classes=10, d=d)
         pair = init_with_pseudo_features(table, capacity=3000, noise_scale=0.02, rng_seed=1)
-        q_old = pair.old_queue.matrix()
+        q_old = pair.matrices()[0]
         singular_values = np.linalg.svd(q_old, compute_uv=False)
         rank = int(np.sum(singular_values > singular_values[0] * 1e-10))
         assert rank == d
@@ -129,19 +141,27 @@ class TestPseudoFeatureInit:
 
 
 class TestNonFiniteRows:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "width"])
     @pytest.mark.parametrize("side", ["old", "new"])
     def test_rejected_and_pair_untouched(self, bad, side):
         rng = np.random.default_rng(12)
         pair = QueuePair(3, 4)
         pair.push(rng.standard_normal((6, 3)), rng.standard_normal((6, 3)))
         pair.push(rng.standard_normal((1, 3)), rng.standard_normal((1, 3)))
-        before = (*pair.matrices(), pair.gram.copy(), pair.cross.copy())
+        before = (*pair.matrices(), pair.gram.copy(), pair.cross.copy(), len(pair))
         rows = {"old": rng.standard_normal((2, 3)), "new": rng.standard_normal((2, 3))}
-        rows[side][1, 2] = bad
-        with pytest.raises(DegenerateInputError):
+        if bad == "width":
+            # both sides one column too wide ("old") or too narrow ("new"),
+            # so only the pair's own width check can see it
+            width = 4 if side == "old" else 2
+            rows = {s: rng.standard_normal((2, width)) for s in rows}
+            error = DimensionError
+        else:
+            rows[side][1, 2] = bad
+            error = DegenerateInputError
+        with pytest.raises(error):
             pair.push(rows["old"], rows["new"])
-        after = (*pair.matrices(), pair.gram, pair.cross)
+        after = (*pair.matrices(), pair.gram, pair.cross, len(pair))
         for got, want in zip(after, before):
             np.testing.assert_array_equal(got, want)
 
@@ -318,16 +338,18 @@ class TestRingSlices:
         states = [(length, 0) for length in range(cap + 1)]
         states += [(cap, rotation) for rotation in range(1, cap)]
         for length, rotation in states:
-            q = FeatureQueue(d, cap)
-            pushed = rng.standard_normal((length + rotation, d))
+            pair = QueuePair(d, cap)
+            # each model row is the old features then the new
+            pushed = rng.standard_normal((length + rotation, 2 * d))
             for row in pushed:
-                q.push_rows(row[None])
-            assert q._start == rotation
-            fresh = rng.standard_normal((k, d))
+                pair.push(row[None, :d], row[None, d:])
+            assert pair._start == rotation
+            fresh = rng.standard_normal((k, 2 * d))
             model = np.concatenate([pushed[-cap:], fresh]) if length else fresh
             n_left = max(0, len(model) - cap)
-            np.testing.assert_array_equal(q.push_rows(fresh), model[:n_left])
-            np.testing.assert_array_equal(q.matrix(), model[n_left:])
+            left = pair.push(fresh[:, :d], fresh[:, d:])
+            assert_pairs_equal(left, (model[:n_left, :d], model[:n_left, d:]))
+            assert_pairs_equal(pair.matrices(), (model[n_left:, :d], model[n_left:, d:]))
 
 
 def former_push_update(gram, cross, old, new, left_old, left_new):
@@ -372,7 +394,9 @@ class TestInPlaceNormalEquations:
                 want_gram, want_cross = q_old.T @ q_old, q_old.T @ q_new
             else:
                 former_push_update(want_gram, want_cross, old, new, left_old, left_new)
-            # f2py silently copies a c it cannot write, which would drop the update
+            # gram and cross stay the halves of the one block the gemm writes;
+            # f2py silently copies a c it cannot write, which would drop the
+            # update, and the comparison with the former formula shows that
             assert pair.gram is gram and pair.cross is cross
             assert gram.flags.f_contiguous and cross.flags.f_contiguous
             np.testing.assert_array_equal(gram, gram.T)
