@@ -44,10 +44,10 @@ print(f"fitted {q_old.shape[0]} paired features in d={spec.dimension}")
 print(f"relative error vs true map: {rel:.2e}")
 print(f"fit residual: {residual:.2e}  gram condition: {gram_condition:.1f}")
 
-old_table = class_means({c: scenario.train_matrix(1, c) for c in scenario.classes_of_task(1)}, 1)
+old_table = class_means({c: scenario.train_matrix(1, c) for c in scenario.classes_of_task(1)})
 evolved = evolve_prototypes(old_table, weights, old_table.class_ids)
 reference = PrototypeTable(
-    {c: (dmap.apply(old_table.prototype(c)), 2) for c in old_table.class_ids}
+    old_table.class_ids, [dmap.apply(old_table.prototype(c)) for c in old_table.class_ids]
 )
 sims = true_drift_similarity(evolved, reference, old_table)
 print("per-class drift cosine vs ground truth:")

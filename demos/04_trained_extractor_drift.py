@@ -8,8 +8,7 @@ compensate that genuine drift.
 
 import numpy as np
 
-from driftcomp import RunConfig, compute_prototypes, run_engine
-from driftcomp.core import FeatureRecord
+from driftcomp import RunConfig, class_means, run_engine
 from driftcomp.sources import ToySource
 
 config = RunConfig(
@@ -26,9 +25,9 @@ source = ToySource(config)
 f1, f2 = source.model(1), source.model(2)
 for c in source.classes_of_task(1):
     x = source._train_x[c]
-    p_old = compute_prototypes([FeatureRecord(v, c, 1) for v in f1.features(x)])
-    p_new = compute_prototypes([FeatureRecord(v, c, 2) for v in f2.features(x)])
-    shift = np.linalg.norm(p_new.prototype(c) - p_old.prototype(c))
+    p_old = class_means({c: f1.features(x)}).prototype(c)
+    p_new = class_means({c: f2.features(x)}).prototype(c)
+    shift = np.linalg.norm(p_new - p_old)
     print(f"  class {c}: prototype moved {shift:.3f} between extractor snapshots")
 
 print()

@@ -2,7 +2,8 @@
 feature streams.
 
 Library layers:
-  core       feature records, prototypes, cosine nearest-class-mean
+  core       prototype tables (class ids and one matrix), class means,
+             cosine nearest-class-mean
   queues     one ring of paired [old | new] feature rows with running normal
              equations and pseudo-feature initialization
   projector  the drift projector's one solve: Cholesky on the queues' normal
@@ -15,15 +16,7 @@ Library layers:
 """
 
 from .config import RunConfig, load_config, parse_config_text, write_config
-from .core import (
-    FeatureRecord,
-    PrototypeTable,
-    class_means,
-    compute_prototypes,
-    cosine_similarity,
-    ncm_predict,
-    ncm_predict_batch,
-)
+from .core import FeatureRecord, PrototypeTable, class_means, cosine_similarity, ncm_predict
 from .drift_sim import (
     DriftSpec,
     GeneratedScenario,

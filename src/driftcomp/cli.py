@@ -33,7 +33,7 @@ def _cmd_run(args) -> int:
     seeds = [config.seed + i for i in range(args.seeds)]
     for seed in seeds:
         source = open_source(config, seed)
-        result = run_engine(source, config.replace(seed=seed), seed)
+        result = run_engine(source, config.replace(seed=seed))
         if not replay_audit(result):
             print("replay audit FAILED", file=sys.stderr)
             return EXIT_OTHER

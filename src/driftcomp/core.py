@@ -1,5 +1,6 @@
-"""Core domain types: feature records, prototype tables,
-prototype computation and cosine nearest-class-mean prediction.
+"""Core domain types: prototype tables (class ids and one matrix), class
+means, and cosine nearest-class-mean prediction. `FeatureRecord`, one
+checked vector with its class and task, remains for `_Source.train_records`.
 
 All arithmetic is float64; values are immutable after construction and safe
 to share across threads.
@@ -8,24 +9,11 @@ to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Tuple
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
-
-
-def _as_feature_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"feature vector must be 1-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DimensionError("feature vector must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise DegenerateInputError("feature vector contains non-finite components")
-    arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -37,7 +25,13 @@ class FeatureRecord:
     task_id: int
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", _as_feature_vector(self.vector))
+        vector = np.array(self.vector, dtype=np.float64)
+        if vector.ndim != 1 or vector.size == 0:
+            raise DimensionError(f"feature vector must be 1-D and non-empty, got shape {vector.shape}")
+        if not np.all(np.isfinite(vector)):
+            raise DegenerateInputError("feature vector contains non-finite components")
+        vector.flags.writeable = False
+        object.__setattr__(self, "vector", vector)
         if self.class_id < 0:
             raise ValueError(f"class_id must be non-negative, got {self.class_id}")
         if self.task_id < 0:
@@ -49,40 +43,43 @@ class FeatureRecord:
 
 
 class PrototypeTable:
-    """Map from class id to (prototype vector, task at which it was last aligned).
+    """Class prototypes: the class ids in ascending order and a read-only
+    (C, d) matrix whose rows follow that order.
 
-    Held as a sorted class-id tuple, a read-only (C, d) matrix whose rows
-    follow that order, and the aligned tasks in the same order. Instances
-    are immutable; evolution operations return new tables.
+    The constructor checks its input once: the ids are distinct
+    non-negative integers, the matrix is (len(class_ids), d) with d >= 1,
+    and every value is finite. Unsorted ids are sorted together with their
+    rows. Instances are immutable; evolution operations return new tables.
     """
 
-    def __init__(self, entries: Mapping[int, Tuple[np.ndarray, int]]):
-        if not entries:
+    def __init__(self, class_ids, matrix):
+        ids = np.asarray(class_ids)
+        if ids.size == 0:
             raise ValueError("prototype table must contain at least one class")
-        class_ids = sorted(entries)
-        rows = [_as_feature_vector(entries[c][0]) for c in class_ids]
-        dim = rows[0].shape[0]
-        for class_id, row in zip(class_ids, rows):
-            if row.shape[0] != dim:
-                raise DimensionError(
-                    f"prototype for class {class_id} has dimension {row.shape[0]}, expected {dim}"
-                )
-        self._assign(tuple(int(c) for c in class_ids), np.vstack(rows),
-                     tuple(int(entries[c][1]) for c in class_ids))
+        if (ids.ndim != 1 or ids.dtype.kind not in "iu" or ids.min() < 0
+                or np.unique(ids).size != ids.size):
+            raise ValueError("class ids must be a 1-D array of distinct non-negative integers")
+        order = np.argsort(ids)
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[0] != len(ids) or matrix.shape[1] == 0:
+            raise DimensionError(
+                f"prototype matrix must be ({len(ids)}, d) with d >= 1, got shape {matrix.shape}"
+            )
+        if not np.all(np.isfinite(matrix)):
+            raise DegenerateInputError("prototype matrix contains non-finite components")
+        self._assign(tuple(int(c) for c in ids[order]), matrix[order])
 
-    def _assign(self, class_ids: Tuple[int, ...], matrix: np.ndarray,
-                aligned_tasks: Tuple[int, ...]) -> None:
+    def _assign(self, class_ids: Tuple[int, ...], matrix: np.ndarray) -> None:
         self._class_ids = class_ids
         self._matrix = matrix
         self._matrix.flags.writeable = False
-        self._aligned_tasks = aligned_tasks
         self._row = {c: i for i, c in enumerate(class_ids)}
 
     @classmethod
-    def _from_checked_rows(cls, class_ids, matrix: np.ndarray, aligned_tasks) -> "PrototypeTable":
+    def _from_checked_rows(cls, class_ids, matrix: np.ndarray) -> "PrototypeTable":
         """Table over rows already validated; `class_ids` must be ascending."""
         table = cls.__new__(cls)
-        table._assign(tuple(class_ids), matrix, tuple(aligned_tasks))
+        table._assign(tuple(class_ids), matrix)
         return table
 
     @property
@@ -102,9 +99,6 @@ class PrototypeTable:
     def prototype(self, class_id: int) -> np.ndarray:
         return self._matrix[self._row[class_id]]
 
-    def aligned_task(self, class_id: int) -> int:
-        return self._aligned_tasks[self._row[class_id]]
-
     def matrix(self) -> np.ndarray:
         """Prototypes stacked as rows, in ascending class-id order (read-only)."""
         return self._matrix
@@ -117,23 +111,20 @@ class PrototypeTable:
             )
         kept = [i for i, c in enumerate(self._class_ids) if c not in other]
         class_ids = [self._class_ids[i] for i in kept] + list(other._class_ids)
-        tasks = [self._aligned_tasks[i] for i in kept] + list(other._aligned_tasks)
         order = sorted(range(len(class_ids)), key=class_ids.__getitem__)
         matrix = np.vstack([self._matrix[kept], other._matrix])[order]
-        return PrototypeTable._from_checked_rows(
-            [class_ids[i] for i in order], matrix, [tasks[i] for i in order])
+        return PrototypeTable._from_checked_rows([class_ids[i] for i in order], matrix)
 
     def restricted_to(self, class_ids: Iterable[int]) -> "PrototypeTable":
         rows = sorted({self._row[c] for c in class_ids})
         if not rows:
             raise ValueError("prototype table must contain at least one class")
         return PrototypeTable._from_checked_rows(
-            [self._class_ids[i] for i in rows], self._matrix[rows],
-            [self._aligned_tasks[i] for i in rows])
+            [self._class_ids[i] for i in rows], self._matrix[rows])
 
 
-def class_means(matrices: Mapping[int, np.ndarray], task: int) -> PrototypeTable:
-    """Prototype table of per-class arithmetic means, all aligned at `task`.
+def class_means(matrices: Mapping[int, np.ndarray]) -> PrototypeTable:
+    """Prototype table of per-class arithmetic means.
 
     `matrices` maps each class id to its (n, d) feature rows. Each mean is
     summed row by row, first to last, as adding the rows one at a time
@@ -159,30 +150,7 @@ def class_means(matrices: Mapping[int, np.ndarray], task: int) -> PrototypeTable
     # a non-finite feature makes its column's sum non-finite
     if not np.all(np.isfinite(matrix)):
         raise DegenerateInputError("class features contain non-finite components")
-    return PrototypeTable._from_checked_rows(class_ids, matrix, (int(task),) * len(class_ids))
-
-
-def compute_prototypes(records: Sequence[FeatureRecord]) -> PrototypeTable:
-    """Per-class arithmetic mean of the feature vectors, by `class_means`.
-
-    The aligned task of each prototype is the task_id of that class's
-    first record.
-    """
-    if not records:
-        raise ValueError("cannot compute prototypes from an empty record sequence")
-    dim = records[0].dimension
-    rows: Dict[int, list] = {}
-    tasks: Dict[int, int] = {}
-    for rec in records:
-        if rec.dimension != dim:
-            raise DimensionError(
-                f"record dimension {rec.dimension} does not match expected {dim}"
-            )
-        rows.setdefault(rec.class_id, []).append(rec.vector)
-        tasks.setdefault(rec.class_id, rec.task_id)
-    means = class_means({c: np.vstack(v) for c, v in rows.items()}, 0)
-    return PrototypeTable._from_checked_rows(
-        means.class_ids, means.matrix(), [tasks[c] for c in means.class_ids])
+    return PrototypeTable._from_checked_rows(class_ids, matrix)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -216,23 +184,3 @@ def ncm_predict(feature: np.ndarray, prototypes: PrototypeTable) -> int:
     # class_ids are ascending and argmax returns the first maximum, so ties
     # resolve to the smallest class id
     return prototypes.class_ids[int(np.argmax(sims))]
-
-
-def ncm_predict_batch(features: np.ndarray, prototypes: PrototypeTable) -> np.ndarray:
-    """Vectorized `ncm_predict` over rows of `features`."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != prototypes.dimension:
-        raise DimensionError(
-            f"features shape {features.shape} does not match table dimension {prototypes.dimension}"
-        )
-    fnorms = np.linalg.norm(features, axis=1)
-    if np.any(fnorms == 0.0):
-        raise DegenerateInputError("cosine similarity undefined for zero-norm feature")
-    proto = prototypes.matrix()
-    pnorms = np.linalg.norm(proto, axis=1)
-    if np.any(pnorms == 0.0):
-        bad = prototypes.class_ids[int(np.argmin(pnorms))]
-        raise DegenerateInputError(f"prototype of class {bad} has zero norm")
-    sims = (features / fnorms[:, None]) @ (proto / pnorms[:, None]).T
-    ids = np.asarray(prototypes.class_ids)
-    return ids[np.argmax(sims, axis=1)]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import BinaryIO, Iterable, Tuple
+from typing import BinaryIO, Tuple
 
 import numpy as np
 
@@ -28,9 +28,6 @@ SPLIT_TEST = 1
 
 _HEADER = struct.Struct("<8sIIQ")
 
-# record tuple: (class_id, task_id, split, vector)
-DumpRecord = Tuple[int, int, int, np.ndarray]
-
 
 def record_dtype(dimension: int) -> np.dtype:
     """The packed layout of one record, as the writer and reader share it."""
@@ -38,34 +35,51 @@ def record_dtype(dimension: int) -> np.dtype:
                      ("vector", "<f4", (dimension,))])
 
 
-def write_dump(path, dimension: int, records: Iterable[DumpRecord]) -> int:
-    """Write records to `path`; returns the record count.
+def write_dump(path, class_ids, task_ids, splits, vectors) -> int:
+    """Write one record per row of the (n, d) `vectors`, with its class id,
+    task id and split (the four arrays `load_dump` returns); returns n.
 
-    Every record is checked before `path` is opened, so a rejected write
-    leaves no file behind: DumpFormatError "dimension", "split", or
-    "nonfinite" for a vector that is not finite at float32 (a NaN or
-    infinity, or a value beyond the float32 range).
+    Everything is checked before `path` is opened, so a rejected write
+    leaves no file behind: DumpFormatError "dimension" for `vectors` not
+    (n, d) with d >= 1 or a column not of length n, "id" for an id column
+    that is not integer-typed or holds a value outside [0, 2**32), "split"
+    likewise for a split other than 0 or 1, and "nonfinite" naming the
+    first record whose vector is not finite at float32 (a NaN or infinity,
+    or a value beyond the float32 range).
     """
-    records = list(records)
-    table = np.zeros(len(records), dtype=record_dtype(dimension))
-    for i, (class_id, task_id, split, vector) in enumerate(records):
-        with np.errstate(over="ignore"):   # out-of-range values become inf
-            vector = np.asarray(vector, dtype=np.float32)
-        if vector.shape != (dimension,):
-            raise DumpFormatError(
-                "dimension", f"record vector shape {vector.shape} != ({dimension},)"
-            )
-        if split not in (SPLIT_TRAIN, SPLIT_TEST):
-            raise DumpFormatError("split", f"invalid split value {split}")
-        if not np.all(np.isfinite(vector)):
-            raise DumpFormatError(
-                "nonfinite", f"record {i} contains values that are not finite at float32"
-            )
-        table[i] = (class_id, task_id, split, vector)
+    with np.errstate(over="ignore"):   # out-of-range values become inf
+        vectors = np.asarray(vectors, dtype=np.float32)
+    if vectors.ndim != 2 or vectors.shape[1] == 0:
+        raise DumpFormatError("dimension", f"vectors of shape {vectors.shape} are not (n, d >= 1)")
+    count, dim = vectors.shape
+    table = np.empty(count, dtype=record_dtype(dim))
+    top = {"class_id": 2**32 - 1, "task_id": 2**32 - 1, "split": SPLIT_TEST}
+    for field, values in zip(top, (class_ids, task_ids, splits)):
+        column = np.asarray(values)
+        if column.shape != (count,):
+            raise DumpFormatError("dimension", f"{field} column of shape {column.shape} "
+                                  f"does not match {count} vectors")
+        # the cast into the record field would truncate a float and wrap an
+        # integer out of the field's range
+        code = "split" if field == "split" else "id"
+        if count and column.dtype.kind not in "iu":   # [] reads as float
+            raise DumpFormatError(code, f"{field} values must be integers of at most 64 bits, "
+                                  f"got a {column.dtype} column")
+        bad = np.flatnonzero((column < 0) | (column > top[field]))
+        if bad.size:
+            raise DumpFormatError(code, f"record {bad[0]} has {field} {column[bad[0]]}, "
+                                  f"outside [0, {top[field]}]")
+        table[field] = column
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if bad.size:
+        raise DumpFormatError(
+            "nonfinite", f"record {bad[0]} contains values that are not finite at float32"
+        )
+    table["vector"] = vectors
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, DUMP_VERSION, dimension, len(records)))
+        fh.write(_HEADER.pack(MAGIC, DUMP_VERSION, dim, count))
         table.tofile(fh)
-    return len(records)
+    return count
 
 
 def _read_header(fh: BinaryIO) -> Tuple[int, int, int]:

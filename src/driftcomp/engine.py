@@ -206,21 +206,20 @@ def _selected_classes(source, config: RunConfig) -> Optional[frozenset]:
     return frozenset(all_classes[i] for i in picked)
 
 
-def run_engine(source, config: RunConfig, seed: Optional[int] = None) -> RunResult:
-    """Run the full task sequence and collect metrics."""
-    seed = config.seed if seed is None else seed
+def run_engine(source, config: RunConfig) -> RunResult:
+    """Run the full task sequence at `config.seed` and collect metrics."""
     selected = _selected_classes(source, config)
     table: Optional[PrototypeTable] = None
     records: List[TaskRunRecord] = []
     for t in range(1, source.num_tasks + 1):
-        table, rec = run_task_cycle(source, config, t, table, seed, selected)
+        table, rec = run_task_cycle(source, config, t, table, selected)
         records.append(rec)
-    return RunResult(config=config, seed=seed, tasks=records)
+    return RunResult(config=config, seed=config.seed, tasks=records)
 
 
 def _fresh_table(source, t: int) -> PrototypeTable:
-    """Class means of task t's train features, aligned at t."""
-    return class_means({c: source.train_matrix(t, c) for c in source.classes_of_task(t)}, t)
+    """Class means of task t's train features."""
+    return class_means({c: source.train_matrix(t, c) for c in source.classes_of_task(t)})
 
 
 def run_task_cycle(
@@ -228,11 +227,11 @@ def run_task_cycle(
     config: RunConfig,
     t: int,
     old_table: Optional[PrototypeTable],
-    seed: int,
     selected: Optional[frozenset] = None,
 ) -> Tuple[PrototypeTable, TaskRunRecord]:
-    """One task's test stage; returns (prototype table for the next task,
-    metrics record)."""
+    """One task's test stage at `config.seed`; returns (prototype table for
+    the next task, metrics record)."""
+    seed = config.seed
     fresh = _fresh_table(source, t)
     pairs = source.test_pairs(t)
     streamed = [pairs[i] for i in _stream_order(len(pairs), seed, t)]
@@ -290,9 +289,9 @@ class _TaskLayout:
     with the task's fresh prototypes.
 
     What depends only on class ids is built once per task: the stale merged
-    table, the positions in it of the old classes that no fresh prototype
-    overrides, and the aligned tasks of an evolved table. A snapshot's table
-    is then the stale matrix with those rows overwritten by their images.
+    table and the positions in it of the old classes that no fresh prototype
+    overrides. A snapshot's table is then the stale matrix with those rows
+    overwritten by their images.
     """
 
     def __init__(self, rec: TaskRunRecord):
@@ -306,18 +305,13 @@ class _TaskLayout:
         self.old_rows = old.matrix()[kept]
         self.positions = np.searchsorted(self.stale.class_ids,
                                          [old.class_ids[i] for i in kept])
-        tasks = [self.stale.aligned_task(c) for c in self.stale.class_ids]
-        for p in self.positions:
-            tasks[p] += 1
-        self.evolved_tasks = tuple(tasks)
 
     def table(self, w_index: int) -> PrototypeTable:
         if w_index < 0:
             return self.stale
         matrix = self.stale.matrix().copy()
         matrix[self.positions] = _map_rows(self.old_rows, self.snapshots[w_index])
-        return PrototypeTable._from_checked_rows(self.stale.class_ids, matrix,
-                                                 self.evolved_tasks)
+        return PrototypeTable._from_checked_rows(self.stale.class_ids, matrix)
 
 
 def _record_drift_similarity(rec: TaskRunRecord, source, table: PrototypeTable) -> None:
@@ -329,13 +323,12 @@ def _record_drift_similarity(rec: TaskRunRecord, source, table: PrototypeTable) 
     )
 
 
-def run_gd_oracle(source, config: RunConfig, seed: Optional[int] = None,
-                  max_steps: int = 20000, grad_tol: float = 1e-10) -> RunResult:
+def run_gd_oracle(source, config: RunConfig, max_steps: int = 20000,
+                  grad_tol: float = 1e-10) -> RunResult:
     """Offline oracle: the projector is optimized by gradient descent to
     convergence on the full paired test stream before any prediction.
 
     Explicitly non-online; the result is labeled as an oracle."""
-    seed = config.seed if seed is None else seed
     selected = _selected_classes(source, config)
     table: Optional[PrototypeTable] = None
     records: List[TaskRunRecord] = []
@@ -362,7 +355,7 @@ def run_gd_oracle(source, config: RunConfig, seed: Optional[int] = None,
             rec.features_new.append(np.asarray(z_new, dtype=np.float64))
         rec.n_stream_samples = len(pairs)
         records.append(rec)
-    return RunResult(config=config, seed=seed, tasks=records, oracle=True)
+    return RunResult(config=config, seed=config.seed, tasks=records, oracle=True)
 
 
 def _offline_gd(q_old: np.ndarray, q_new: np.ndarray, learning_rate: float,

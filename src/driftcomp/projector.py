@@ -170,8 +170,7 @@ def evolve_prototypes(
     d x d projector `weights`.
 
     Always maps from the table passed in (never re-projects an already
-    evolved prototype); evolved entries get aligned_task incremented. Returns
-    a new table, leaving the input untouched.
+    evolved prototype). Returns a new table, leaving the input untouched.
     """
     old_classes = set(old_classes)
     for c in sorted(old_classes):
@@ -187,5 +186,4 @@ def evolve_prototypes(
     rows = [i for i, c in enumerate(class_ids) if c in old_classes]
     matrix = prototypes.matrix().copy()
     matrix[rows] = _map_rows(matrix[rows], weights)
-    tasks = [prototypes.aligned_task(c) + (c in old_classes) for c in class_ids]
-    return PrototypeTable._from_checked_rows(class_ids, matrix, tasks)
+    return PrototypeTable._from_checked_rows(class_ids, matrix)

@@ -2,12 +2,14 @@
 summary per run, and seed aggregation for reports.
 
 Wall-clock numbers live only in timing.csv so results.csv and the
-summaries stay byte-identical across repeated seeded runs.
+summaries stay byte-identical across repeated seeded runs. A report groups
+runs whose configs differ only in seed and output directory.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 from typing import Dict, Iterable, List, Sequence
@@ -19,7 +21,7 @@ from .engine import PHASES, RunResult
 RESULTS_VERSION_LINE = "# driftcomp-results v1"
 SIMILARITY_VERSION_LINE = "# driftcomp-drift-similarity v1"
 TIMING_VERSION_LINE = "# driftcomp-timing v2"
-REPORT_VERSION_LINE = "# driftcomp-report v1"
+REPORT_VERSION_LINE = "# driftcomp-report v2"
 SUMMARY_FORMAT_VERSION = 1
 
 RESULT_COLUMNS = ("run_id", "seed", "solver", "task", "metric", "value")
@@ -30,7 +32,7 @@ def run_id(result: RunResult) -> str:
     return f"{result.config.config_hash()}-s{result.seed}{suffix}"
 
 
-def _result_rows(result: RunResult, source=None) -> List[tuple]:
+def _result_rows(result: RunResult, source) -> List[tuple]:
     rid = run_id(result)
     cfg = result.config
     solver = "gd_oracle" if result.oracle else cfg.solver
@@ -41,19 +43,17 @@ def _result_rows(result: RunResult, source=None) -> List[tuple]:
     t_last = len(result.tasks)
     rows.append((rid, result.seed, solver, t_last, "last_accuracy",
                  f"{result.last_accuracy:.10f}"))
-    if source is not None:
-        old_acc, new_acc = result.old_new_accuracy(source)
-        rows.append((rid, result.seed, solver, t_last, "old_accuracy", f"{old_acc:.10f}"))
-        rows.append((rid, result.seed, solver, t_last, "new_accuracy", f"{new_acc:.10f}"))
+    old_acc, new_acc = result.old_new_accuracy(source)
+    rows.append((rid, result.seed, solver, t_last, "old_accuracy", f"{old_acc:.10f}"))
+    rows.append((rid, result.seed, solver, t_last, "new_accuracy", f"{new_acc:.10f}"))
     return rows
 
 
-def emit_results(results: Sequence[RunResult], out_dir, sources=None) -> Dict[str, str]:
+def emit_results(results: Sequence[RunResult], out_dir, sources: Sequence) -> Dict[str, str]:
     """Write results.csv, drift_similarity.csv, timing.csv and one summary
-    JSON per run into `out_dir`; returns the paths written."""
+    JSON per run into `out_dir`; `sources[i]` is the source of `results[i]`.
+    Returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
-    if sources is None:
-        sources = [None] * len(results)
 
     paths = {}
 
@@ -96,6 +96,7 @@ def emit_results(results: Sequence[RunResult], out_dir, sources=None) -> Dict[st
 
     for result, source in zip(results, sources):
         rid = run_id(result)
+        old_acc, new_acc = result.old_new_accuracy(source)
         summary = {
             "format_version": SUMMARY_FORMAT_VERSION,
             "run_id": rid,
@@ -105,11 +106,9 @@ def emit_results(results: Sequence[RunResult], out_dir, sources=None) -> Dict[st
             "config_hash": result.config.config_hash(),
             "per_task_accuracy": [round(a, 10) for a in result.per_task_accuracy],
             "last_accuracy": round(result.last_accuracy, 10),
+            "old_accuracy": round(old_acc, 10),
+            "new_accuracy": round(new_acc, 10),
         }
-        if source is not None:
-            old_acc, new_acc = result.old_new_accuracy(source)
-            summary["old_accuracy"] = round(old_acc, 10)
-            summary["new_accuracy"] = round(new_acc, 10)
         path = os.path.join(out_dir, f"summary_{rid}.json")
         with open(path, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
@@ -118,24 +117,30 @@ def emit_results(results: Sequence[RunResult], out_dir, sources=None) -> Dict[st
     return paths
 
 
+def _report_key(summary: dict) -> str:
+    """A summary's report group: 16 hex digits of the SHA-256 of its config,
+    as sorted-key JSON without `seed` and `output_dir`, plus "-oracle"."""
+    config = {k: v for k, v in summary["config"].items() if k not in ("seed", "output_dir")}
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
+    return digest + ("-oracle" if summary.get("oracle") else "")
+
+
 def aggregate_report(summary_paths: Iterable[str], out_path) -> str:
-    """Aggregate per-run summaries into mean/std columns per metric."""
+    """Aggregate per-run summaries into mean/std columns per metric, one
+    group per `_report_key`."""
     groups: Dict[str, Dict[str, List[float]]] = {}
     for path in summary_paths:
         with open(path) as fh:
             summary = json.load(fh)
-        key = summary["config_hash"] + ("-oracle" if summary.get("oracle") else "")
-        bucket = groups.setdefault(key, {})
-        bucket.setdefault("last_accuracy", []).append(summary["last_accuracy"])
-        for metric in ("old_accuracy", "new_accuracy"):
-            if metric in summary:
-                bucket.setdefault(metric, []).append(summary[metric])
+        bucket = groups.setdefault(_report_key(summary), {})
+        for metric in ("last_accuracy", "old_accuracy", "new_accuracy"):
+            bucket.setdefault(metric, []).append(summary[metric])
         for t, acc in enumerate(summary["per_task_accuracy"], start=1):
             bucket.setdefault(f"task_{t}_accuracy", []).append(acc)
     with open(out_path, "w", newline="") as fh:
         fh.write(REPORT_VERSION_LINE + "\n")
         writer = csv.writer(fh)
-        writer.writerow(("config_hash", "metric", "runs", "mean", "std"))
+        writer.writerow(("config_key", "metric", "runs", "mean", "std"))
         for key in sorted(groups):
             for metric in sorted(groups[key]):
                 vals = groups[key][metric]

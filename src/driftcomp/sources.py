@@ -85,11 +85,8 @@ class SyntheticSource(_Source):
     def reference_drifted_prototypes(self, t: int, old_table: PrototypeTable) -> PrototypeTable:
         """Ground-truth drift map applied to the old prototypes."""
         dmap = self.scenario.drift_map(t)
-        entries = {
-            c: (dmap.apply(old_table.prototype(c)), old_table.aligned_task(c) + 1)
-            for c in old_table.class_ids
-        }
-        return PrototypeTable(entries)
+        return PrototypeTable(old_table.class_ids,
+                              [dmap.apply(old_table.prototype(c)) for c in old_table.class_ids])
 
 
 class ToySource(_Source):
@@ -157,13 +154,14 @@ class ToySource(_Source):
     def reference_drifted_prototypes(self, t: int, old_table: PrototypeTable) -> PrototypeTable:
         """Empirical drifted prototypes: old-class training inputs pushed
         through the current extractor (the "real drift" reference)."""
-        return class_means({c: self.train_matrix(t, c) for c in old_table.class_ids}, t)
+        return class_means({c: self.train_matrix(t, c) for c in old_table.class_ids})
 
 
 class DumpSource(_Source):
     """Source backed by a feature dump file.
 
-    Train records at task_id=t are the task's train features in space t.
+    Train records at task_id=t are the task's train features in space t;
+    tasks are numbered from 1, and a train record at task 0 is an error.
     Test records at task_id=t are test features in space t; pairs are formed
     by index between spaces t-1 and t of the same class.
     """
@@ -185,6 +183,10 @@ class DumpSource(_Source):
         task_of_class: Dict[int, int] = {}
         for split, t, c in self._rows:
             if split == SPLIT_TRAIN:
+                if t < 1:
+                    raise DumpFormatError(
+                        "class_task", f"class {c} has train records at task {t}; tasks start at 1"
+                    )
                 if c in task_of_class:
                     raise DumpFormatError(
                         "class_task",
@@ -224,19 +226,20 @@ class DumpSource(_Source):
 
 def write_source_dump(source, path) -> int:
     """Serialize any source to the dump format, preserving pair ordering."""
-    records = []
+    blocks = []   # (class, task, split, rows), in file order
     for t in range(1, source.num_tasks + 1):
         new_at_t = sorted(source.classes_of_task(t))
-        for c in new_at_t:
-            records += [(c, t, SPLIT_TRAIN, vec) for vec in source.train_matrix(t, c)]
+        blocks += [(c, t, SPLIT_TRAIN, source.train_matrix(t, c)) for c in new_at_t]
         # space t-1 features of classes introduced at t are not covered by
         # any earlier task's stream, so they are emitted here
         if t > 1:
-            for c in new_at_t:
-                records += [(c, t - 1, SPLIT_TEST, vec) for vec in source.test_matrix(t - 1, c)]
-        for c in sorted(source.seen_classes(t)):
-            records += [(c, t, SPLIT_TEST, vec) for vec in source.test_matrix(t, c)]
-    return write_dump(path, source.dimension, records)
+            blocks += [(c, t - 1, SPLIT_TEST, source.test_matrix(t - 1, c)) for c in new_at_t]
+        blocks += [(c, t, SPLIT_TEST, source.test_matrix(t, c))
+                   for c in sorted(source.seen_classes(t))]
+    counts = [len(rows) for *_, rows in blocks]
+    class_ids, task_ids, splits = (np.repeat([b[i] for b in blocks], counts) for i in range(3))
+    vectors = np.concatenate([rows for *_, rows in blocks])
+    return write_dump(path, class_ids, task_ids, splits, vectors)
 
 
 def open_source(config: RunConfig, seed: Optional[int] = None):

@@ -107,11 +107,11 @@ def test_criterion_1_exact_drift_recovery():
         assert rel < 1e-8, f"{kind} d={d} seed={seed}: relative error {rel:.3e}"
         worst_rel = max(worst_rel, rel)
 
-        old_table = class_means({c: scen.train_matrix(1, c) for c in scen.classes_of_task(1)}, 1)
+        old_table = class_means({c: scen.train_matrix(1, c) for c in scen.classes_of_task(1)})
         evolved = evolve_prototypes(old_table, weights, old_table.class_ids)
-        reference = PrototypeTable({
-            c: (dmap.apply(old_table.prototype(c)), 2) for c in old_table.class_ids
-        })
+        reference = PrototypeTable(
+            old_table.class_ids, [dmap.apply(old_table.prototype(c)) for c in old_table.class_ids]
+        )
         sims = true_drift_similarity(evolved, reference, old_table)
         low = min(sims.values())
         assert low > 0.999, f"{kind} d={d} seed={seed}: drift cosine {low:.6f}"
@@ -270,9 +270,7 @@ def test_criterion_6_queue_property_suite():
         np.testing.assert_array_equal(q_new, np.vstack(history_new[-capacity:]))
         # pseudo-feature fill with S >= d and positive noise has a full-rank Gram
         classes = int(rng.integers(1, 6))
-        table = PrototypeTable(
-            {c: (rng.standard_normal(d), 1) for c in range(classes)}
-        )
+        table = PrototypeTable(range(classes), rng.standard_normal((classes, d)))
         filled = init_with_pseudo_features(
             table, capacity=capacity,
             noise_scale=float(rng.uniform(0.01, 0.5)), rng_seed=trials,

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from driftcomp.cli import (
     main,
 )
 from driftcomp.config import CONFIG_FORMAT_VERSION
+from driftcomp.results import REPORT_VERSION_LINE
 from driftcomp.sources import DumpSource
 
 SMALL_CFG = f"""
@@ -184,6 +186,18 @@ class TestReportAndInit:
         report = str(tmp_path / "report.csv")
         assert main(["report", str(out), "-o", report]) == EXIT_OK
         assert "aggregated 2 summaries" in capsys.readouterr().out
+
+    def test_report_groups_seeds_of_one_config(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["run", "-c", cfg_path, "-o", str(out), "--seeds", "3"]) == EXIT_OK
+        report = tmp_path / "report.csv"
+        assert main(["report", str(out), "-o", str(report)]) == EXIT_OK
+        with open(report) as fh:
+            assert fh.readline().strip() == REPORT_VERSION_LINE
+            rows = list(csv.DictReader(fh))
+        assert {r["config_key"] for r in rows} == {rows[0]["config_key"]}
+        last = [r for r in rows if r["metric"] == "last_accuracy"]
+        assert len(last) == 1 and last[0]["runs"] == "3"
 
     def test_report_no_matches(self, tmp_path):
         assert main(["report", str(tmp_path / "missing"),

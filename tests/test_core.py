@@ -3,19 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftcomp.core import (
-    FeatureRecord,
-    PrototypeTable,
-    class_means,
-    compute_prototypes,
-    ncm_predict,
-    ncm_predict_batch,
-)
+from driftcomp.core import FeatureRecord, PrototypeTable, class_means, ncm_predict
 from driftcomp.errors import DegenerateInputError, DimensionError
 
 
-def records_from(matrix, class_ids, task_id=1):
-    return [FeatureRecord(row, c, task_id) for row, c in zip(matrix, class_ids)]
+def means_of(matrix, class_ids):
+    """`class_means` over the rows of `matrix` grouped by their class ids."""
+    matrix, class_ids = np.asarray(matrix, dtype=np.float64), np.asarray(class_ids)
+    return class_means({c: matrix[class_ids == c] for c in set(class_ids.tolist())})
 
 
 def naive_class_means(matrix, class_ids):
@@ -53,14 +48,14 @@ class TestFeatureRecord:
 
 
 class TestComputePrototypes:
+    """Prototypes computed by `class_means` from feature rows labelled by class."""
+
     def test_single_record(self):
-        table = compute_prototypes([FeatureRecord([1.0, 2.0, 3.0], 7, 1)])
+        table = means_of([[1.0, 2.0, 3.0]], [7])
         np.testing.assert_array_equal(table.prototype(7), [1.0, 2.0, 3.0])
-        assert table.aligned_task(7) == 1
 
     def test_two_point_means(self):
-        recs = records_from([[0, 0], [2, 0], [0, 4]], [0, 0, 1])
-        table = compute_prototypes(recs)
+        table = means_of([[0, 0], [2, 0], [0, 4]], [0, 0, 1])
         np.testing.assert_array_equal(table.prototype(0), [1.0, 0.0])
         np.testing.assert_array_equal(table.prototype(1), [0.0, 4.0])
 
@@ -68,7 +63,7 @@ class TestComputePrototypes:
         rng = np.random.default_rng(11)
         matrix = rng.standard_normal((200, 16))
         class_ids = [i // 50 for i in range(200)]
-        table = compute_prototypes(records_from(matrix, class_ids))
+        table = means_of(matrix, class_ids)
         oracle = naive_class_means(matrix, class_ids)
         assert set(table.class_ids) == set(oracle)
         for c, mean in oracle.items():
@@ -77,23 +72,51 @@ class TestComputePrototypes:
     def test_permutation_invariant(self):
         rng = np.random.default_rng(3)
         matrix = rng.standard_normal((60, 8))
-        class_ids = list(rng.integers(0, 4, size=60))
-        recs = records_from(matrix, class_ids)
-        shuffled = [recs[i] for i in rng.permutation(60)]
-        a = compute_prototypes(recs)
-        b = compute_prototypes(shuffled)
+        class_ids = rng.integers(0, 4, size=60)
+        shuffled = rng.permutation(60)
+        a = means_of(matrix, class_ids)
+        b = means_of(matrix[shuffled], class_ids[shuffled])
         for c in a.class_ids:
             np.testing.assert_allclose(a.prototype(c), b.prototype(c), atol=1e-12)
 
-    def test_empty_input_rejected(self):
+
+
+class TestPrototypeTable:
+    def test_sorts_unsorted_ids_with_their_rows(self):
+        table = PrototypeTable([9, 2, 5], [[9.0, 0.0], [2.0, 0.0], [5.0, 0.0]])
+        assert table.class_ids == (2, 5, 9)
+        assert all(type(c) is int for c in table.class_ids)
+        np.testing.assert_array_equal(table.matrix(), [[2.0, 0.0], [5.0, 0.0], [9.0, 0.0]])
+        np.testing.assert_array_equal(table.prototype(9), [9.0, 0.0])
+
+    def test_matrix_is_a_read_only_copy(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+        table = PrototypeTable(np.array([0, 1]), rows)
+        rows[0, 0] = 7.0
+        assert table.prototype(0)[0] == 1.0
         with pytest.raises(ValueError):
-            compute_prototypes([])
+            table.matrix()[0, 0] = 5.0
 
-    def test_dimension_mismatch_rejected(self):
-        recs = [FeatureRecord([1.0, 2.0], 0, 1), FeatureRecord([1.0, 2.0, 3.0], 0, 1)]
+    @pytest.mark.parametrize("ids", [[3, 1, 3], [0, -1], [0.0, 1.0], [[0, 1]]])
+    def test_bad_ids_rejected(self, ids):
+        with pytest.raises(ValueError, match="distinct non-negative integers"):
+            PrototypeTable(ids, np.ones((len(np.ravel(ids)), 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (3, 0), (3, 2, 1)])
+    def test_shape_mismatch_rejected(self, shape):
         with pytest.raises(DimensionError):
-            compute_prototypes(recs)
+            PrototypeTable([0, 1, 2], np.ones(shape))
 
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="at least one class"):
+            PrototypeTable([], np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        rows = np.ones((2, 3))
+        rows[1, 2] = bad
+        with pytest.raises(DegenerateInputError):
+            PrototypeTable([0, 1], rows)
 
 
 def sequential_mean(rows):
@@ -112,55 +135,44 @@ class TestClassMeans:
         rng = np.random.default_rng(d * 7919 + n)
         matrices = {c: rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
                     for c in (4, 0, 9)}
-        table = class_means(matrices, task=3)
-        records = [FeatureRecord(row, c, 3) for c, m in matrices.items() for row in m]
-        by_records = compute_prototypes(records)
-        assert table.class_ids == by_records.class_ids == (0, 4, 9)
+        table = class_means(matrices)
+        assert table.class_ids == (0, 4, 9)
         for c, rows in matrices.items():
             assert np.array_equal(table.prototype(c), sequential_mean(rows))
-            assert np.array_equal(by_records.prototype(c), sequential_mean(rows))
-            assert table.aligned_task(c) == by_records.aligned_task(c) == 3
-
-    def test_compute_prototypes_keeps_each_class_task(self):
-        records = [FeatureRecord([1.0, 2.0], 5, 2), FeatureRecord([3.0, 4.0], 1, 1),
-                   FeatureRecord([5.0, 6.0], 5, 4)]
-        table = compute_prototypes(records)
-        assert [table.aligned_task(c) for c in table.class_ids] == [1, 2]
-        np.testing.assert_array_equal(table.prototype(5), [3.0, 4.0])
 
     @pytest.mark.parametrize("rows", [np.zeros((0, 3)), np.zeros((2, 0)), np.ones(3),
                                       np.ones((2, 3, 1))])
     def test_malformed_matrix_rejected(self, rows):
         with pytest.raises(DimensionError):
-            class_means({0: np.ones((2, 3)), 1: rows}, task=1)
+            class_means({0: np.ones((2, 3)), 1: rows})
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            class_means({0: np.ones((2, 3)), 1: np.ones((2, 4))}, task=1)
+            class_means({0: np.ones((2, 3)), 1: np.ones((2, 4))})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         rows = np.ones((4, 3))
         rows[2, 1] = bad
         with pytest.raises(DegenerateInputError):
-            class_means({0: rows}, task=1)
+            class_means({0: rows})
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_mean_rejected(self):
         with pytest.raises(DegenerateInputError):
-            class_means({0: np.full((2, 3), 1e308)}, task=1)
+            class_means({0: np.full((2, 3), 1e308)})
 
     def test_empty_mapping_rejected(self):
         with pytest.raises(ValueError):
-            class_means({}, task=1)
+            class_means({})
 
 
 class TestNcmPredict:
     def make_table(self, rng, classes=10, d=32):
-        return PrototypeTable({c: (rng.standard_normal(d), 1) for c in range(classes)})
+        return PrototypeTable(range(classes), rng.standard_normal((classes, d)))
 
     def test_self_match(self):
-        table = PrototypeTable({1: ([1.0, 0.0], 1), 3: ([0.0, 1.0], 1)})
+        table = PrototypeTable([1, 3], [[1.0, 0.0], [0.0, 1.0]])
         assert ncm_predict(np.array([0.0, 1.0]), table) == 3
 
     def test_scale_invariance(self):
@@ -181,14 +193,10 @@ class TestNcmPredict:
                 if sim > best_sim:
                     best, best_sim = c, sim
             assert ncm_predict(z, table) == best
-        np.testing.assert_array_equal(
-            ncm_predict_batch(features, table),
-            [ncm_predict(z, table) for z in features],
-        )
 
     def test_tie_breaks_to_smallest_class(self):
         # two identical prototypes: smallest class id must win
-        table = PrototypeTable({5: ([1.0, 1.0], 1), 9: ([1.0, 1.0], 1)})
+        table = PrototypeTable([5, 9], [[1.0, 1.0], [1.0, 1.0]])
         assert ncm_predict(np.array([2.0, 2.0]), table) == 5
 
     def test_zero_norm_feature_rejected(self):
@@ -197,7 +205,7 @@ class TestNcmPredict:
             ncm_predict(np.zeros(32), table)
 
     def test_zero_norm_prototype_rejected(self):
-        table = PrototypeTable({0: ([0.0, 0.0], 1), 1: ([1.0, 0.0], 1)})
+        table = PrototypeTable([0, 1], [[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DegenerateInputError):
             ncm_predict(np.array([1.0, 1.0]), table)
 
@@ -206,9 +214,8 @@ class TestNcmPredict:
         d = 16
         table = self.make_table(rng, classes=6, d=d)
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        rotated = PrototypeTable(
-            {c: (q @ table.prototype(c), 1) for c in table.class_ids}
-        )
+        rotated = PrototypeTable(table.class_ids,
+                                 [q @ table.prototype(c) for c in table.class_ids])
         for _ in range(50):
             z = rng.standard_normal(d)
             assert ncm_predict(z, table) == ncm_predict(q @ z, rotated)

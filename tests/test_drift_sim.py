@@ -224,16 +224,18 @@ class TestGeneratedScenario:
 
     def test_clusters_separable_by_prototypes(self):
         # with generous separation, NCM on true prototypes should be near-perfect
-        from driftcomp.core import ncm_predict_batch
         scen = generate_scenario(simple_spec(
             classes_per_task=[4, 4, 4], cluster_separation=6.0, dimension=16,
         ))
         table = class_means({c: scen.train_matrix(t, c)
-                             for t in (1, 2, 3) for c in scen.classes_of_task(t)}, 1)
+                             for t in (1, 2, 3) for c in scen.classes_of_task(t)})
+        # cosine NCM: a feature's norm does not change its arg max
+        unit = table.matrix() / np.linalg.norm(table.matrix(), axis=1, keepdims=True)
         correct = total = 0
         for t in (1, 2, 3):
             for c in scen.classes_of_task(t):
-                predicted = ncm_predict_batch(scen.test_matrix(t, c), table)
+                predicted = np.array(table.class_ids)[np.argmax(scen.test_matrix(t, c) @ unit.T,
+                                                                axis=1)]
                 correct += int(np.sum(predicted == c))
                 total += len(predicted)
         assert correct / total > 0.95
@@ -241,8 +243,8 @@ class TestGeneratedScenario:
 
 class TestTrueDriftSimilarity:
     def tables(self):
-        ref = PrototypeTable({0: ([1.0, 0.0], 1), 1: ([0.0, 1.0], 1)})
-        true = PrototypeTable({0: ([2.0, 0.0], 2), 1: ([0.0, 3.0], 2)})
+        ref = PrototypeTable([0, 1], [[1.0, 0.0], [0.0, 1.0]])
+        true = PrototypeTable([0, 1], [[2.0, 0.0], [0.0, 3.0]])
         return ref, true
 
     def test_perfect_estimate_scores_one(self):
@@ -252,7 +254,7 @@ class TestTrueDriftSimilarity:
 
     def test_opposite_estimate_scores_minus_one(self):
         ref, true = self.tables()
-        est = PrototypeTable({0: ([0.0, 0.0], 2), 1: ([0.0, -1.0], 2)})
+        est = PrototypeTable([0, 1], [[0.0, 0.0], [0.0, -1.0]])
         sims = true_drift_similarity(est, true, ref)
         assert sims[0] == pytest.approx(-1.0)
         assert sims[1] == pytest.approx(-1.0)
@@ -272,7 +274,7 @@ class TestTrueDriftSimilarity:
 
     def test_class_mismatch_rejected(self):
         ref, true = self.tables()
-        est = PrototypeTable({0: ([2.0, 0.0], 2)})
+        est = PrototypeTable([0], [[2.0, 0.0]])
         with pytest.raises(ValueError):
             true_drift_similarity(est, true, ref)
 
@@ -291,14 +293,8 @@ class TestTrueDriftSimilarity:
         pair = QueuePair(8, old.shape[0])
         pair.push(old, new)
         weights, _, _ = solve_normal_equations(pair.gram, pair.cross)
-        ref = PrototypeTable(
-            {c: (scen.train_matrix(1, c).mean(axis=0), 1) for c in range(9)}
-        )
-        est = PrototypeTable(
-            {c: (ref.prototype(c) @ weights, 2) for c in range(9)}
-        )
-        true = PrototypeTable(
-            {c: (scen.train_matrix(2, c).mean(axis=0), 2) for c in range(9)}
-        )
+        ref = PrototypeTable(range(9), [scen.train_matrix(1, c).mean(axis=0) for c in range(9)])
+        est = PrototypeTable(range(9), [ref.prototype(c) @ weights for c in range(9)])
+        true = PrototypeTable(range(9), [scen.train_matrix(2, c).mean(axis=0) for c in range(9)])
         sims = true_drift_similarity(est, true, ref)
         assert min(sims.values()) > 0.999

@@ -73,6 +73,13 @@ def load_outcome(path):
     return (class_ids.tolist(), task_ids.tolist(), splits.tolist(), vectors)
 
 
+def columns(records, d):
+    """The four arrays `write_dump` takes, from (class, task, split, vector)
+    records."""
+    return ([r[0] for r in records], [r[1] for r in records], [r[2] for r in records],
+            np.array([r[3] for r in records], dtype=np.float64).reshape(len(records), d))
+
+
 def sample_records(rng, count=20, d=6):
     out = []
     for i in range(count):
@@ -86,7 +93,7 @@ class TestRoundTrip:
         rng = np.random.default_rng(0)
         records = sample_records(rng)
         path = tmp_path / "features.bin"
-        assert write_dump(path, 6, records) == 20
+        assert write_dump(path, *columns(records, 6)) == 20
         class_ids, task_ids, splits, vectors = load_dump(path)
         assert vectors.shape == (20, 6) and vectors.dtype == np.float64
         for i, (c0, t0, s0, v0) in enumerate(records):
@@ -96,12 +103,12 @@ class TestRoundTrip:
 
     def test_header_fields(self, tmp_path):
         path = tmp_path / "f.bin"
-        write_dump(path, 4, [(0, 1, SPLIT_TRAIN, np.zeros(4))])
+        write_dump(path, [0], [1], [SPLIT_TRAIN], np.zeros((1, 4)))
         assert read_dump_header(path) == (DUMP_VERSION, 4, 1)
 
     def test_empty_dump(self, tmp_path):
         path = tmp_path / "empty.bin"
-        write_dump(path, 8, [])
+        write_dump(path, [], [], [], np.zeros((0, 8)))
         assert read_dump_header(path) == (DUMP_VERSION, 8, 0)
         class_ids, task_ids, splits, vectors = load_dump(path)
         assert class_ids.size == task_ids.size == splits.size == 0
@@ -113,18 +120,23 @@ class TestRoundTrip:
         records = [(int(c), int(t), s, rng.standard_normal(d) * 10.0 ** rng.integers(-30, 30))
                    for c, t, s in [(0, 1, 0), (2**32 - 1, 7, 1), (5, 2**32 - 1, 0), (3, 0, 1)]]
         records.append((9, 2, SPLIT_TEST, [1.5] * d))
-        write_dump(tmp_path / "new.bin", d, records)
+        write_dump(tmp_path / "new.bin", *columns(records, d))
         struct_write(tmp_path / "old.bin", d, records)
         assert (tmp_path / "new.bin").read_bytes() == (tmp_path / "old.bin").read_bytes()
 
     def test_write_rejects_wrong_dimension(self, tmp_path):
-        with pytest.raises(DumpFormatError) as err:
-            write_dump(tmp_path / "f.bin", 4, [(0, 1, 0, np.zeros(5))])
-        assert err.value.code == "dimension"
+        # a vector where an (n, d) matrix belongs, a zero-width matrix, and
+        # a column whose length is not the number of vectors
+        for args in [([0], [1], [0], np.zeros(5)), ([0], [1], [0], np.zeros((1, 0))),
+                     ([0, 1], [1], [0], np.zeros((1, 5)))]:
+            with pytest.raises(DumpFormatError) as err:
+                write_dump(tmp_path / "f.bin", *args)
+            assert err.value.code == "dimension"
+        assert not (tmp_path / "f.bin").exists()
 
     def test_write_rejects_bad_split(self, tmp_path):
         with pytest.raises(DumpFormatError) as err:
-            write_dump(tmp_path / "f.bin", 4, [(0, 1, 7, np.zeros(4))])
+            write_dump(tmp_path / "f.bin", [0], [1], [7], np.zeros((1, 4)))
         assert err.value.code == "split"
 
     @pytest.mark.parametrize("bad", [1e39, -1e39, np.nan, np.inf, -np.inf])
@@ -135,25 +147,38 @@ class TestRoundTrip:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DumpFormatError, match="record 1 ") as err:
-                write_dump(path, 4, records)
+                write_dump(path, *columns(records, 4))
         assert err.value.code == "nonfinite"
         assert not path.exists()
         path.write_bytes(b"kept")
         with pytest.raises(DumpFormatError):
-            write_dump(path, 4, records)
+            write_dump(path, *columns(records, 4))
         assert path.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("column", ["class_ids", "task_ids"])
+    @pytest.mark.parametrize("bad", [-1, 2**32, 2**64, 1.5])
+    def test_write_rejects_id_outside_u32(self, tmp_path, column, bad):
+        # a cast would wrap -1 and 2**32, and truncate 1.5, into a valid id;
+        # 2**64 does not fit an integer array at all
+        path = tmp_path / "f.bin"
+        ids = {"class_ids": [0, 1], "task_ids": [1, 1]}
+        ids[column] = [ids[column][0], bad]
+        with pytest.raises(DumpFormatError, match=r"record 1 |of at most 64 bits") as err:
+            write_dump(path, ids["class_ids"], ids["task_ids"], [0, 1], np.zeros((2, 4)))
+        assert err.value.code == "id"
+        assert not path.exists()
 
     def test_float32_max_round_trips(self, tmp_path):
         top = float(np.finfo(np.float32).max)   # 3.4028235e38
         path = tmp_path / "f.bin"
-        write_dump(path, 2, [(0, 1, 0, [top, -top])])
+        write_dump(path, [0], [1], [0], [[top, -top]])
         np.testing.assert_array_equal(load_dump(path)[3], [[top, -top]])
 
 
 class TestCorruptInputs:
     def write_valid(self, path, count=3, d=4):
         rng = np.random.default_rng(2)
-        write_dump(path, d, sample_records(rng, count=count, d=d))
+        write_dump(path, *columns(sample_records(rng, count=count, d=d), d))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.bin"
@@ -196,7 +221,7 @@ class TestCorruptInputs:
     def test_nonfinite_payload(self, tmp_path):
         path = tmp_path / "f.bin"
         vec = np.array([1.0, np.nan, 0.0, 2.0], dtype=np.float32)
-        # bypass FeatureRecord-level checks: pack the bytes by hand
+        # bypass the writer's checks: pack the bytes by hand
         with open(path, "wb") as fh:
             fh.write(HEADER.pack(MAGIC, DUMP_VERSION, 4, 1))
             fh.write(struct.pack("<IIB", 0, 1, SPLIT_TEST))
@@ -284,7 +309,7 @@ class TestAgainstRecordLoop:
     def test_one_mutation_matches_reference(self, tmp_path, seed, count, d, kind, where,
                                             value, mask, part):
         path = tmp_path / "f.bin"
-        write_dump(path, d, sample_records(np.random.default_rng(seed), count=count, d=d))
+        write_dump(path, *columns(sample_records(np.random.default_rng(seed), count=count, d=d), d))
         data = bytearray(path.read_bytes())
         if kind == "truncate":
             data = data[:where % len(data)]

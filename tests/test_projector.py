@@ -4,7 +4,7 @@ import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftcomp.core import PrototypeTable, compute_prototypes, FeatureRecord
+from driftcomp.core import PrototypeTable, class_means
 from driftcomp.errors import (
     DegenerateInputError,
     DimensionError,
@@ -203,18 +203,16 @@ class TestSolveGradientDescent:
 
 class TestEvolvePrototypes:
     def table(self):
-        return PrototypeTable({0: ([1.0, -1.0], 1), 1: ([0.5, 2.0], 1), 7: ([3.0, 0.0], 2)})
+        return PrototypeTable([0, 1, 7], [[1.0, -1.0], [0.5, 2.0], [3.0, 0.0]])
 
     def test_identity_preserves_vectors(self):
         table = self.table()
         out = evolve_prototypes(table, np.eye(2), [0, 1])
         for c in (0, 1):
             np.testing.assert_array_equal(out.prototype(c), table.prototype(c))
-            assert out.aligned_task(c) == table.aligned_task(c) + 1
-        assert out.aligned_task(7) == 2
 
     def test_scalar_map(self):
-        table = PrototypeTable({0: ([1.0, -1.0], 1)})
+        table = PrototypeTable([0], [[1.0, -1.0]])
         out = evolve_prototypes(table, 2.0 * np.eye(2), [0])
         np.testing.assert_array_equal(out.prototype(0), [2.0, -2.0])
 
@@ -243,11 +241,9 @@ class TestEvolvePrototypes:
         pair = QueuePair(d, n)
         pair.push(feats, drifted)
         weights, _, _ = solve(pair)
-        table = compute_prototypes([FeatureRecord(v, int(c), 1) for v, c in zip(feats, labels)])
+        table = class_means({c: feats[labels == c] for c in np.unique(labels)})
         evolved = evolve_prototypes(table, weights, table.class_ids)
-        recomputed = compute_prototypes(
-            [FeatureRecord(v, int(c), 2) for v, c in zip(drifted, labels)]
-        )
+        recomputed = class_means({c: drifted[labels == c] for c in np.unique(labels)})
         for c in table.class_ids:
             a, b = evolved.prototype(c), recomputed.prototype(c)
             cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
@@ -256,7 +252,7 @@ class TestEvolvePrototypes:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_image_raises(self):
         # a finite projector whose product with large prototypes overflows
-        table = PrototypeTable({0: (np.full(4, 5e9), 1), 3: (np.full(4, -5e9), 1)})
+        table = PrototypeTable([0, 3], [np.full(4, 5e9), np.full(4, -5e9)])
         with pytest.raises(DegenerateInputError, match="evolved prototype"):
             evolve_prototypes(table, 1e300 * np.eye(4), [3])
 
@@ -269,8 +265,6 @@ class TestEvolvePrototypes:
         out = evolve_prototypes(table, np.full((2, 2), 0.3), [])
         assert out.class_ids == table.class_ids
         np.testing.assert_array_equal(out.matrix(), table.matrix())
-        assert [out.aligned_task(c) for c in out.class_ids] == \
-               [table.aligned_task(c) for c in table.class_ids]
 
 
 class TestStackedEvolve:
@@ -285,9 +279,7 @@ class TestStackedEvolve:
         rng = np.random.default_rng(seed)
         matrix = 10.0 ** log_scale * rng.standard_normal((n_classes, d))
         class_ids = rng.choice(10 * n_classes, size=n_classes, replace=False)
-        tasks = rng.integers(1, 5, size=n_classes)
-        table = PrototypeTable({int(c): (row, int(t))
-                                for c, row, t in zip(class_ids, matrix, tasks)})
+        table = PrototypeTable(class_ids, matrix)
         old = {c for c in table.class_ids if rng.random() < old_fraction}
         weights = np.eye(d) + rng.standard_normal((d, d)) / np.sqrt(d)
 
@@ -299,8 +291,6 @@ class TestStackedEvolve:
                 expected[i] = expected[i] @ weights
         assert out.class_ids == table.class_ids
         assert np.array_equal(out.matrix(), expected)
-        assert [out.aligned_task(c) for c in out.class_ids] == \
-               [table.aligned_task(c) + (c in old) for c in table.class_ids]
 
 
 class TestRankKUpdateOutput:

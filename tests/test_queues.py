@@ -97,10 +97,10 @@ class TestPushPair:
 
 class TestPseudoFeatureInit:
     def proto_table(self, rng, classes=10, d=8):
-        return PrototypeTable({c: (rng.standard_normal(d), 1) for c in range(classes)})
+        return PrototypeTable(range(classes), rng.standard_normal((classes, d)))
 
     def test_zero_noise_single_class(self):
-        table = PrototypeTable({0: ([1.0, -2.0, 3.0], 1)})
+        table = PrototypeTable([0], [[1.0, -2.0, 3.0]])
         with pytest.warns(RuntimeWarning):
             pair = init_with_pseudo_features(table, capacity=5, noise_scale=0.0, rng_seed=0)
         q_old = pair.matrices()[0]
@@ -193,7 +193,7 @@ class TestRunningNormalEquations:
         real pairs."""
         rng = np.random.default_rng(seed)
         d = self.D
-        table = PrototypeTable({c: (rng.standard_normal(d), 1) for c in range(10)})
+        table = PrototypeTable(range(10), rng.standard_normal((10, d)))
         pair = init_with_pseudo_features(table, capacity=self.CAPACITY,
                                          noise_scale=0.02, rng_seed=seed)
         w_true = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
@@ -246,7 +246,7 @@ class TestRankKUpdate:
 
     def stream(self, d, capacity, seed, **config):
         rng = np.random.default_rng(seed)
-        table = PrototypeTable({c: (rng.standard_normal(d), 1) for c in range(10)})
+        table = PrototypeTable(range(10), rng.standard_normal((10, d)))
         cfg = RunConfig(solver="analytic", dimension=d, queue_capacity=capacity, **config)
         fit = _StreamFit(cfg, table, rng_seed=seed)
         w_true = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)

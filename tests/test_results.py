@@ -63,7 +63,7 @@ class TestEmit:
         assert "wall" not in json.dumps(summary).lower()
 
     def test_empty_results_header_only(self, tmp_path):
-        paths = emit_results([], tmp_path)
+        paths = emit_results([], tmp_path, [])
         with open(paths["results"]) as fh:
             lines = fh.read().strip().splitlines()
         assert len(lines) == 2  # version line + column header
@@ -105,7 +105,7 @@ class TestReport:
         summary_paths = []
         for seed in (0, 1, 2):
             source = SyntheticSource.from_config(cfg, seed=seed)
-            result = run_engine(source, cfg, seed=seed)
+            result = run_engine(source, cfg.replace(seed=seed))
             out = tmp_path / f"seed{seed}"
             paths = emit_results([result], out, sources=[source])
             summary_paths.append(paths[f"summary_{run_id(result)}"])

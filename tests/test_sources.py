@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from driftcomp.config import RunConfig
-from driftcomp.core import FeatureRecord, compute_prototypes
+from driftcomp.core import class_means
 from driftcomp.engine import _fresh_table
 from driftcomp.errors import DumpFormatError
 from driftcomp.sources import (
@@ -46,8 +46,7 @@ class TestSyntheticSource:
 
     def test_reference_drifted_prototypes(self):
         source = SyntheticSource.from_config(small_config())
-        from driftcomp.core import compute_prototypes
-        old = compute_prototypes(list(source.train_records(1)))
+        old = class_means({c: source.train_matrix(1, c) for c in source.classes_of_task(1)})
         ref = source.reference_drifted_prototypes(2, old)
         dmap = source.scenario.drift_map(2)
         for c in old.class_ids:
@@ -131,15 +130,10 @@ class TestDumpRoundTrip:
     def test_pairing_length_mismatch_rejected(self, tmp_path):
         from driftcomp.dump import SPLIT_TEST, SPLIT_TRAIN, write_dump
         path = tmp_path / "bad.bin"
-        records = [
-            (0, 1, SPLIT_TRAIN, np.ones(3)),
-            (1, 2, SPLIT_TRAIN, np.ones(3)),
-            (0, 1, SPLIT_TEST, np.ones(3)),
-            (0, 1, SPLIT_TEST, np.ones(3)),
-            (0, 2, SPLIT_TEST, np.ones(3)),  # 2 old vs 1 new for class 0
-            (1, 2, SPLIT_TEST, np.ones(3)),
-        ]
-        write_dump(path, 3, records)
+        # class 0 has 2 test records in space 1 but 1 in space 2
+        write_dump(path, [0, 1, 0, 0, 0, 1], [1, 2, 1, 1, 2, 2],
+                   [SPLIT_TRAIN, SPLIT_TRAIN, SPLIT_TEST, SPLIT_TEST, SPLIT_TEST, SPLIT_TEST],
+                   np.ones((6, 3)))
         source = DumpSource(path)
         with pytest.raises(DumpFormatError) as err:
             source.test_pairs(2)
@@ -148,10 +142,7 @@ class TestDumpRoundTrip:
     def test_class_in_two_tasks_rejected(self, tmp_path):
         from driftcomp.dump import SPLIT_TRAIN, write_dump
         path = tmp_path / "bad.bin"
-        write_dump(path, 2, [
-            (0, 1, SPLIT_TRAIN, np.ones(2)),
-            (0, 2, SPLIT_TRAIN, np.ones(2)),
-        ])
+        write_dump(path, [0, 0], [1, 2], [SPLIT_TRAIN] * 2, np.ones((2, 2)))
         with pytest.raises(DumpFormatError) as err:
             DumpSource(path)
         assert err.value.code == "class_task"
@@ -159,20 +150,26 @@ class TestDumpRoundTrip:
     def test_class_in_two_tasks_rejected_when_both_keep_classes(self, tmp_path):
         from driftcomp.dump import SPLIT_TRAIN, write_dump
         path = tmp_path / "bad.bin"
-        write_dump(path, 2, [
-            (1, 1, SPLIT_TRAIN, np.ones(2)),
-            (0, 2, SPLIT_TRAIN, np.ones(2)),
-            (2, 2, SPLIT_TRAIN, np.ones(2)),
-            (0, 1, SPLIT_TRAIN, np.ones(2)),
-        ])
+        write_dump(path, [1, 0, 2, 0], [1, 2, 2, 1], [SPLIT_TRAIN] * 4, np.ones((4, 2)))
         with pytest.raises(DumpFormatError, match="class 0 has train records in tasks") as err:
+            DumpSource(path)
+        assert err.value.code == "class_task"
+
+    def test_train_records_at_task_zero_rejected(self, tmp_path):
+        # class 0 trained at task 0 would drop out of every task's classes,
+        # and its test records with it
+        from driftcomp.dump import SPLIT_TEST, SPLIT_TRAIN, write_dump
+        path = tmp_path / "bad.bin"
+        write_dump(path, [0, 1, 1, 0], [0, 1, 1, 1],
+                   [SPLIT_TRAIN, SPLIT_TRAIN, SPLIT_TEST, SPLIT_TEST], np.ones((4, 2)))
+        with pytest.raises(DumpFormatError, match="class 0 has train records at task 0") as err:
             DumpSource(path)
         assert err.value.code == "class_task"
 
     def test_empty_dump_rejected(self, tmp_path):
         from driftcomp.dump import write_dump
         path = tmp_path / "empty.bin"
-        write_dump(path, 2, [])
+        write_dump(path, [], [], [], np.zeros((0, 2)))
         with pytest.raises(DumpFormatError) as err:
             DumpSource(path)
         assert err.value.code == "empty"
@@ -188,8 +185,8 @@ def sequential_mean(rows):
 
 class TestTrainMatrix:
     """`train_matrix(t, c)` holds class c's rows of `train_records(t)`, in
-    order, and the fresh table built from it equals `compute_prototypes`
-    over the records bit for bit."""
+    order, and the fresh table built from it equals the class means of the
+    records' vectors bit for bit."""
 
     @pytest.fixture(params=["synthetic", "dump", "toy"])
     def source(self, request, tmp_path, toy_source):
@@ -210,20 +207,20 @@ class TestTrainMatrix:
             assert np.array_equal(np.vstack(matrices), np.vstack([r.vector for r in records]))
             assert [r.class_id for r in records] == \
                    [c for c, m in zip(classes, matrices) for _ in m]
-            fresh, by_records = _fresh_table(source, t), compute_prototypes(records)
+            fresh = _fresh_table(source, t)
+            by_records = class_means({c: np.vstack([r.vector for r in records if r.class_id == c])
+                                      for c in classes})
             assert fresh.class_ids == by_records.class_ids
             assert np.array_equal(fresh.matrix(), by_records.matrix())
-            assert [fresh.aligned_task(c) for c in classes] == [t] * len(classes)
 
 
 def test_toy_reference_drifted_prototypes_are_sequential_means(toy_source):
-    old = compute_prototypes(list(toy_source.train_records(1)))
+    old = class_means({c: toy_source.train_matrix(1, c) for c in toy_source.classes_of_task(1)})
     ref = toy_source.reference_drifted_prototypes(2, old)
     f2 = toy_source.model(2)
     assert ref.class_ids == old.class_ids
     for c in old.class_ids:
         assert np.array_equal(ref.prototype(c), sequential_mean(f2.features(toy_source._train_x[c])))
-        assert ref.aligned_task(c) == 2
 
 
 class TestOpenSource:
