@@ -23,7 +23,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from driftcomp.config import load_config
+from driftcomp.config import RunConfig, load_config
 from driftcomp.engine import run_engine, run_gd_oracle
 from driftcomp.results import emit_results
 from driftcomp.sources import DumpSource, SyntheticSource, write_source_dump
@@ -62,6 +62,14 @@ RUNS = {
     # written to a temporary directory
     "small_analytic_dump": (_small(solver="analytic", source="dump",
                                    dump_path="golden_small.bin"), False),
+    # the wide_dump benchmark scenario (d=128) with a shorter stream and a
+    # smaller queue: 320 fitted samples through a 200-row window, so task 2
+    # crosses one queue recompute
+    "wide_analytic": (RunConfig(
+        solver="analytic", num_tasks=2, classes_per_task="4", dimension=128,
+        cluster_separation=1.0, train_per_class=1000, test_per_class=40,
+        drift_kind="rotation", drift_magnitude=2.0, observation_noise=0.5,
+        queue_capacity=200, noise_scale=0.02), False),
 }
 
 
