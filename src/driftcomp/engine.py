@@ -20,7 +20,7 @@ import numpy as np
 from .config import RunConfig
 from .core import PrototypeTable, class_means, ncm_predict
 from .drift_sim import true_drift_similarity
-from .projector import _Descent, _map_rows, _queue_gradient, solve_normal_equations
+from .projector import SolveCounts, WindowSolver, _Descent, _map_rows, _queue_gradient
 from .queues import init_with_pseudo_features
 
 PHASES = ("queue", "solve", "predict")
@@ -48,6 +48,7 @@ class TaskRunRecord:
     drift_similarity: Optional[Dict[int, float]] = None
     phase_seconds: Dict[str, float] = field(default_factory=lambda: {p: 0.0 for p in PHASES})
     n_stream_samples: int = 0
+    solve_counts: SolveCounts = field(default_factory=SolveCounts)   # analytic solves
 
     @property
     def accuracy(self) -> float:
@@ -124,10 +125,9 @@ class _StreamFit:
     queued rows; "gd" descends on each pair alone, as a one-row queue, at
     every sample.
 
-    "analytic" keeps its last solution and the rows that entered or left
-    the queues since, so that the next solve updates that solution by them;
-    the first solve of a task and the first after the queues recompute
-    their normal equations are direct.
+    "analytic" solves through a WindowSolver; each push tells it the rows
+    that entered and left the queues, or that the queues recomputed their
+    normal equations.
     """
 
     def __init__(self, config: RunConfig, old_table: PrototypeTable, rng_seed: int):
@@ -140,12 +140,10 @@ class _StreamFit:
                 old_table, capacity=config.queue_capacity,
                 noise_scale=config.noise_scale, rng_seed=rng_seed,
             )
+        self.window = WindowSolver(old_table.dimension, config.ridge,
+                                   singular_policy=config.singular_policy,
+                                   min_ridge=config.min_ridge)
         self.pending: List[Tuple[np.ndarray, np.ndarray]] = []
-        # analytic: (W, ridge used) of the last solve, and the (old, new) row
-        # blocks pushed into and evicted from the queues since
-        self.previous: Optional[Tuple[np.ndarray, float]] = None
-        self.entered: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.left: List[Tuple[np.ndarray, np.ndarray]] = []
 
     def push(self, z_old: np.ndarray, z_new: np.ndarray) -> None:
         self.pending.append((np.asarray(z_old, dtype=np.float64),
@@ -158,10 +156,9 @@ class _StreamFit:
             recomputes = self.queue.recomputes
             left = self.queue.push(old, new)
             if self.queue.recomputes != recomputes:
-                self.previous = None
-            elif self.previous is not None:
-                self.entered.append((old, new))
-                self.left.append(left)
+                self.window.restart()
+            else:
+                self.window.moved((old, new), left)
 
     def solve(self, i: int) -> Optional[np.ndarray]:
         """Re-fitted weights after the i-th pair, or None when no solve is due."""
@@ -171,19 +168,7 @@ class _StreamFit:
         elif (i + 1) % cfg.resolve_stride:
             return None
         elif cfg.solver == "analytic":
-            moved = None
-            if self.previous is not None and self.entered:
-                old, new = zip(*self.entered, *self.left)
-                moved = (np.concatenate(old), np.concatenate(new),
-                         sum(len(rows) for rows, _ in self.entered))
-            weights, _, ridge = solve_normal_equations(
-                self.queue.gram, self.queue.cross, cfg.ridge,
-                previous=self.previous, moved=moved,
-                singular_policy=cfg.singular_policy, min_ridge=cfg.min_ridge)
-            self.previous = (weights, ridge)
-            self.entered.clear()
-            self.left.clear()
-            return weights
+            return self.window.solve(self.queue.gram, self.queue.cross)[0]
         else:
             q_old, q_new = self.queue.matrices()
         for _ in range(cfg.gd_steps):
@@ -279,6 +264,7 @@ def run_task_cycle(
         predict(class_id, z_new, True)
 
     if fit is not None:
+        rec.solve_counts = fit.window.counts
         _record_drift_similarity(rec, source, table)
     return table, rec
 

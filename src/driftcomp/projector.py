@@ -9,6 +9,8 @@ Q_old @ W = Q_new.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg.lapack
 from scipy.linalg.blas import dgemm
@@ -34,6 +36,62 @@ def _cholesky(gram: np.ndarray, ridge: float) -> tuple[np.ndarray | None, float]
     return factor, (1.0 / rcond if rcond > 0.0 else np.inf)
 
 
+def _factor(gram, ridge, singular_policy, min_ridge, cond_threshold):
+    """Upper Cholesky factor of gram + ridge I under the singular policy:
+    (factor, condition estimate, ridge used); see solve_normal_equations."""
+    factor, cond = _cholesky(gram, ridge)
+    effective_ridge = ridge
+    if factor is None or (ridge == 0.0 and cond > cond_threshold):
+        if singular_policy == "strict":
+            raise SingularGramError(
+                f"Gram matrix condition estimate {cond:.3e} exceeds threshold "
+                f"{cond_threshold:.1e} and singular_policy is strict"
+            )
+        effective_ridge = max(ridge, min_ridge)
+        factor, _ = _cholesky(gram, effective_ridge)
+        while factor is None and 0.0 < effective_ridge < np.inf:
+            effective_ridge *= 10.0
+            factor, _ = _cholesky(gram, effective_ridge)
+        if factor is None:
+            raise SingularGramError(
+                f"Gram matrix does not factor with ridge {effective_ridge:.1e}"
+            )
+    return factor, cond, effective_ridge
+
+
+def _updated(weights: np.ndarray, moved, solved: np.ndarray) -> np.ndarray:
+    """W_prev + solved @ diag(s) (Z - U W_prev) for moved = (U, Z, k) and
+    solved = (gram + ridge I)^-1 U^T, as a new C-ordered array."""
+    rows_old, rows_new, entered = moved
+    correction = rows_new - rows_old @ weights
+    correction[entered:] *= -1.0
+    # one beta=1 gemm on the transposes, into the copy of W_prev^T that f2py
+    # makes without overwrite_c
+    return dgemm(1.0, correction.T, solved.T, beta=1.0, c=weights.T).T
+
+
+def _solve(gram, cross, ridge, previous, moved, singular_policy, min_ridge, cond_threshold):
+    """solve_normal_equations without its argument checks, also returning
+    the Cholesky factor it solved with."""
+    factor, cond, effective_ridge = _factor(gram, ridge, singular_policy, min_ridge,
+                                            cond_threshold)
+    m = 0 if moved is None else len(moved[0])
+    if previous is None or previous[1] != effective_ridge or m >= len(gram):
+        weights, _ = scipy.linalg.lapack.dpotrs(factor, cross)
+        return np.ascontiguousarray(weights), cond, effective_ridge, factor
+    if m == 0:
+        return previous[0], cond, effective_ridge, factor
+    solved, _ = scipy.linalg.lapack.dpotrs(factor, moved[0].T)
+    return _updated(previous[0], moved, solved), cond, effective_ridge, factor
+
+
+def _check_policy(ridge: float, singular_policy: str) -> None:
+    if ridge < 0:
+        raise ValueError(f"ridge must be non-negative, got {ridge}")
+    if singular_policy not in ("strict", "fallback"):
+        raise ValueError(f"unknown singular_policy {singular_policy!r}")
+
+
 def solve_normal_equations(
     gram: np.ndarray,
     cross: np.ndarray,
@@ -45,8 +103,9 @@ def solve_normal_equations(
     min_ridge: float = DEFAULT_MIN_RIDGE,
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> tuple[np.ndarray, float, float]:
-    """Solve (gram + ridge I) W = cross through a Cholesky factorization,
-    reusing the previous solution when only a few rows moved since it.
+    """Solve (gram + ridge I) W = cross through a fresh Cholesky
+    factorization, reusing the previous solution when only a few rows moved
+    since it.
 
     Returns (W, condition estimate, ridge used). With ridge 0, a Gram whose
     factorization fails or whose condition estimate exceeds
@@ -69,42 +128,172 @@ def solve_normal_equations(
     The direct solve is taken without a previous solution, when the ridge
     used changes, or when m >= d. The returned W is C-ordered, and is
     W_prev itself when no row moved; W_prev is never written.
+
+    This is the per-solve path: every call factors gram afresh. A stream
+    of solves goes through `WindowSolver`, which at d >= HELD_MIN_DIMENSION
+    holds the factor of its last refactor and takes (gram + ridge I)^-1 U^T
+    from it by the Sherman-Morrison-Woodbury formula. Each of its refactors
+    is this function, taken at the first solve, after a queue recompute,
+    once more than held_rows_cap(d) rows have moved since the last
+    refactor, while a ridge fallback is active, and when its guard trips: a
+    bound on the Gram's condition number, from the held factor's estimate
+    and the small Woodbury matrix's, above cond_threshold / d.
     """
-    if ridge < 0:
-        raise ValueError(f"ridge must be non-negative, got {ridge}")
-    if singular_policy not in ("strict", "fallback"):
-        raise ValueError(f"unknown singular_policy {singular_policy!r}")
-    factor, cond = _cholesky(gram, ridge)
-    effective_ridge = ridge
-    if factor is None or (ridge == 0.0 and cond > cond_threshold):
-        if singular_policy == "strict":
-            raise SingularGramError(
-                f"Gram matrix condition estimate {cond:.3e} exceeds threshold "
-                f"{cond_threshold:.1e} and singular_policy is strict"
-            )
-        effective_ridge = max(ridge, min_ridge)
-        factor, _ = _cholesky(gram, effective_ridge)
-        while factor is None and 0.0 < effective_ridge < np.inf:
-            effective_ridge *= 10.0
-            factor, _ = _cholesky(gram, effective_ridge)
-        if factor is None:
-            raise SingularGramError(
-                f"Gram matrix does not factor with ridge {effective_ridge:.1e}"
-            )
-    m = 0 if moved is None else len(moved[0])
-    if previous is None or previous[1] != effective_ridge or m >= len(gram):
-        weights, _ = scipy.linalg.lapack.dpotrs(factor, cross)
-        return np.ascontiguousarray(weights), cond, effective_ridge
-    if m == 0:
-        return previous[0], cond, effective_ridge
-    weights, (rows_old, rows_new, entered) = previous[0], moved
-    correction = rows_new - rows_old @ weights
-    correction[entered:] *= -1.0
-    solved, _ = scipy.linalg.lapack.dpotrs(factor, rows_old.T)
-    # W_prev + solved @ correction as one beta=1 gemm on the transposes, into
-    # the copy of W_prev^T that f2py makes without overwrite_c
-    updated = dgemm(1.0, correction.T, solved.T, beta=1.0, c=weights.T).T
-    return updated, cond, effective_ridge
+    _check_policy(ridge, singular_policy)
+    return _solve(gram, cross, ridge, previous, moved, singular_policy, min_ridge,
+                  cond_threshold)[:3]
+
+
+# The held factor absorbs up to held_rows_cap(d) moved rows between two
+# refactors. Below HELD_MIN_DIMENSION refactoring costs less than the
+# update's own calls, and every solve refactors (measured in CHANGES.md).
+HELD_MIN_DIMENSION = 64
+
+
+def held_rows_cap(dimension: int) -> int:
+    return 0 if dimension < HELD_MIN_DIMENSION else dimension // 4
+
+
+@dataclass
+class SolveCounts:
+    """What a WindowSolver's solves did: solves, refactors (factorizations of
+    the Gram), ridge fallbacks (solves whose ridge differs from the one
+    requested) and the largest condition estimate seen."""
+
+    solves: int = 0
+    refactors: int = 0
+    ridge_fallbacks: int = 0
+    max_condition: float = 0.0
+
+
+class WindowSolver:
+    """The analytic solves over one sliding window's normal equations.
+
+    It keeps the last solution with its ridge and the rows that moved
+    through the window since (`moved`), so that each solve updates that
+    solution by the m moved rows U with signs s, as solve_normal_equations
+    does. It also keeps the upper Cholesky factor F0 of G0 + ridge I from
+    its last refactor, with the k rows V (signs S) that moved since, so
+    that gram + ridge I = G0 + ridge I + V^T S V. By Sherman-Morrison-
+    Woodbury (Golub & Van Loan, Matrix Computations, 2.1.4; Hager, SIAM
+    Review 31, 1989), with U appended to V,
+
+        X = (gram + ridge I)^-1 U^T = Y_U - Y K^-1 (V Y_U),
+        Y = G0^-1 V^T,  Y_U = G0^-1 U^T,  K = S + V Y  (k x k),
+
+    one m-column dpotrs on F0 and O(d k m) work in place of a refactor.
+    V, Y and K grow by m rows and columns per solve in buffers sized for
+    held_rows_cap(d) rows.
+
+    A solve refactors, through solve_normal_equations' arithmetic and
+    singular policy, when no factor is held (the first solve, and the first
+    after `restart`, which the window's recompute calls), when k + m would
+    exceed the cap (always, below HELD_MIN_DIMENSION), while a ridge
+    fallback is active, and when the guard trips. Guard: G = L (I + B S B^T)
+    L^T with B = L^-1 V^T, and the eigenvalues of the middle factor other
+    than 1 are those of S K, so cond_2(G) <= cond(G0) max(1, |K|)
+    max(1, |K^-1|); when that bound, from F0's dpocon estimate and dgecon
+    on K's LU in the 1-norm, exceeds cond_threshold / d, the solve
+    refactors. A held solve reports the bound as its condition estimate.
+    """
+
+    def __init__(self, dimension: int, ridge: float = 0.0, *,
+                 singular_policy: str = "fallback", min_ridge: float = DEFAULT_MIN_RIDGE,
+                 cond_threshold: float = DEFAULT_COND_THRESHOLD):
+        _check_policy(ridge, singular_policy)
+        self.ridge = ridge
+        self.policy = (singular_policy, min_ridge, cond_threshold)
+        self.guard_limit = cond_threshold / dimension
+        self.cap = cap = held_rows_cap(dimension)
+        self.counts = SolveCounts()
+        self._previous: tuple[np.ndarray, float] | None = None
+        self._entered: list[tuple[np.ndarray, np.ndarray]] = []
+        self._left: list[tuple[np.ndarray, np.ndarray]] = []
+        self._factor: np.ndarray | None = None   # F0, while it is held
+        self._factor_cond = self._cond = np.inf
+        self._held = 0                            # k
+        self._rows = np.empty((cap, dimension))   # V
+        self._signs = np.empty(cap)               # diagonal of S
+        self._solved = np.empty((dimension, cap), order="F")   # Y
+        self._schur = np.empty((cap, cap), order="F")          # K
+
+    def moved(self, entered: tuple[np.ndarray, np.ndarray],
+              left: tuple[np.ndarray, np.ndarray]) -> None:
+        """Record the (old, new) rows pushed into the window and those that
+        left it."""
+        if self._previous is not None:
+            self._entered.append(entered)
+            self._left.append(left)
+
+    def restart(self) -> None:
+        """The window's normal equations were recomputed from its rows: the
+        next solve is direct."""
+        self._previous = self._factor = None
+        self._entered.clear()
+        self._left.clear()
+
+    def solve(self, gram: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, float, float]:
+        """(W, condition estimate, ridge used) for the window's current
+        normal equations, as solve_normal_equations returns them; W is
+        never written afterwards."""
+        moved = None
+        if self._entered:
+            old, new = zip(*self._entered, *self._left)
+            moved = (np.concatenate(old), np.concatenate(new),
+                     sum(len(rows) for rows, _ in self._entered))
+            self._entered.clear()
+            self._left.clear()
+        m = 0 if moved is None else len(moved[0])
+        counts = self.counts
+        counts.solves += 1
+        if self._previous is not None and m == 0:
+            return self._previous[0], self._cond, self._previous[1]
+        held = None
+        if self._factor is not None and self._held + m <= self.cap:
+            held = self._held_solve(moved)
+        if held is not None:
+            weights, cond = held
+            ridge = self.ridge
+        else:
+            weights, cond, ridge, factor = _solve(gram, cross, self.ridge, self._previous,
+                                                  moved, *self.policy)
+            counts.refactors += 1
+            self._factor = factor if ridge == self.ridge and self.cap else None
+            self._factor_cond, self._held = cond, 0
+        counts.ridge_fallbacks += ridge != self.ridge
+        counts.max_condition = max(counts.max_condition, cond)
+        self._previous, self._cond = (weights, ridge), cond
+        return weights, cond, ridge
+
+    def _held_solve(self, moved) -> tuple[np.ndarray, float] | None:
+        """(W, condition bound) from the held factor, or None when the
+        guard trips."""
+        rows_old, _, entered = moved
+        m, k = len(rows_old), self._held + len(rows_old)
+        new = slice(k - m, k)
+        y_new, _ = scipy.linalg.lapack.dpotrs(self._factor, rows_old.T)
+        self._rows[new] = rows_old
+        self._signs[new] = 1.0
+        self._signs[k - m + entered:k] = -1.0
+        self._solved[:, new] = y_new
+        vy = self._rows[:k] @ y_new               # V Y_U, (k, m)
+        schur = self._schur
+        schur[:k, new] = vy
+        schur[new, :k - m] = vy[:k - m].T
+        diagonal = np.arange(k - m, k)
+        schur[diagonal, diagonal] += self._signs[new]
+        lu, pivots, info = scipy.linalg.lapack.dgetrf(schur[:k, :k])
+        anorm = float(np.abs(schur[:k, :k]).sum(axis=0).max())
+        rcond = scipy.linalg.lapack.dgecon(lu, anorm)[0] if info == 0 else 0.0
+        if rcond <= 0.0:
+            return None
+        bound = self._factor_cond * max(1.0, anorm) * max(1.0, 1.0 / (rcond * anorm))
+        if not bound <= self.guard_limit:
+            return None
+        t, _ = scipy.linalg.lapack.dgetrs(lu, pivots, vy)
+        solved = y_new - self._solved[:, :k] @ t
+        self._held = k
+        return _updated(self._previous[0], moved, solved), bound
 
 
 class _Descent:

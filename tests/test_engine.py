@@ -230,6 +230,37 @@ class TestRankDeficientQueue:
         assert all(rec.accuracy > 0.9 for rec in result.tasks)
 
 
+class TestSolveCounts:
+    """Each task record counts its analytic solves, refactors and ridge
+    fallbacks, and keeps the largest condition estimate."""
+
+    def test_every_solve_refactors_below_the_crossover(self):
+        _, result = run_with(engine_config(dimension=32, num_tasks=3))
+        assert result.tasks[0].solve_counts.solves == 0
+        for rec in result.tasks[1:]:
+            counts = rec.solve_counts
+            assert counts.solves == rec.n_stream_samples > 0
+            assert counts.refactors == counts.solves
+            assert counts.ridge_fallbacks == 0 and 1.0 <= counts.max_condition < 1e12
+
+    def test_held_factor_refactors_far_less_at_d128(self):
+        cfg = engine_config(dimension=128, num_tasks=2, classes_per_task="4",
+                            cluster_separation=1.0, train_per_class=200, test_per_class=40,
+                            drift_kind="rotation", drift_magnitude=2.0,
+                            observation_noise=0.5, queue_capacity=1000)
+        _, result = run_with(cfg)
+        counts = result.tasks[1].solve_counts
+        assert counts.solves == 320
+        assert 0 < counts.refactors < counts.solves / 8
+
+    def test_fallbacks_counted(self):
+        cfg = load_config(GOLDEN_CONFIG).replace(solver="analytic", noise_scale=0.0)
+        with pytest.warns(RuntimeWarning, match="noise_scale=0"):
+            _, result = run_with(cfg)
+        assert sum(rec.solve_counts.ridge_fallbacks for rec in result.tasks) == 5
+        assert result.tasks[1].solve_counts.max_condition == np.inf
+
+
 class TestReplayAudit:
     @pytest.mark.parametrize("solver", ["analytic", "gd", "gd_with_queue", "none",
                                         "golden_analytic_variant"])
@@ -310,9 +341,9 @@ class TestNonFiniteEvolvedPrototypes:
         return load_config(GOLDEN_CONFIG).replace(solver="analytic", cluster_separation=1e10)
 
     def test_stream_raises(self, monkeypatch):
-        def overflowing_solve(gram, cross, ridge, **kwargs):
-            return 1e300 * np.eye(gram.shape[0]), 1.0, ridge
-        monkeypatch.setattr("driftcomp.engine.solve_normal_equations", overflowing_solve)
+        def overflowing_solve(window, gram, cross):
+            return 1e300 * np.eye(gram.shape[0]), 1.0, window.ridge
+        monkeypatch.setattr("driftcomp.projector.WindowSolver.solve", overflowing_solve)
         with pytest.raises(DegenerateInputError, match="evolved prototype"):
             run_with(self.config())
 

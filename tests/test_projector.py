@@ -12,7 +12,15 @@ from driftcomp.errors import (
     SingularGramError,
 )
 from driftcomp.engine import _offline_gd
-from driftcomp.projector import _cholesky, evolve_prototypes, solve_normal_equations
+from driftcomp import projector
+from driftcomp.projector import (
+    HELD_MIN_DIMENSION,
+    WindowSolver,
+    _cholesky,
+    evolve_prototypes,
+    held_rows_cap,
+    solve_normal_equations,
+)
 from driftcomp.queues import QueuePair
 
 
@@ -327,3 +335,135 @@ class TestRankKUpdateOutput:
         correction[k + 1:] *= -1.0
         solved, _ = scipy.linalg.lapack.dpotrs(factor, rows_old.T)
         np.testing.assert_array_equal(updated, weights + solved @ correction)
+
+
+def window_stream(window, rows, d, capacity, prefill_rank, seed):
+    """Yield (i, recomputed, rows moved) after each single-row push of `rows`
+    (n, d) old-space rows, mapped by a fixed W, into a window pre-filled with
+    `capacity` rows of rank `prefill_rank`; the caller then solves."""
+    rng = np.random.default_rng(seed)
+    w_true = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
+    pair = QueuePair(d, capacity)
+    prefill = rng.standard_normal((capacity, prefill_rank)) @ rng.standard_normal(
+        (prefill_rank, d))
+    pair.push(prefill, prefill @ w_true)
+    for i, row in enumerate(rows):
+        old = row[None, :]
+        new = old @ w_true + 0.1 * rng.standard_normal((1, d))
+        recomputes = pair.recomputes
+        left = pair.push(old, new)
+        recomputed = pair.recomputes != recomputes
+        if recomputed:
+            window.restart()
+        else:
+            window.moved((old, new), left)
+        yield pair, recomputed, 1 + len(left[0])
+
+
+class TestHeldFactor:
+    """WindowSolver at d >= HELD_MIN_DIMENSION solves from the factor of its
+    last refactor by Sherman-Morrison-Woodbury; below it, every solve
+    refactors."""
+
+    D = 128
+
+    def test_cap_is_zero_below_the_crossover(self):
+        assert held_rows_cap(HELD_MIN_DIMENSION - 1) == 0
+        assert held_rows_cap(32) == 0
+        assert 0 < held_rows_cap(self.D) < self.D
+
+    def test_long_stream_matches_direct_and_every_trigger_fires(self):
+        # a rank-10 pre-fill keeps the ridge fallback on until real rows
+        # fill the Gram out; 2,000 single-row pushes through 600 rows
+        # recompute the normal equations three times
+        d, capacity, n = self.D, 600, 2000
+        rng = np.random.default_rng(21)
+        window = WindowSolver(d)
+        fired = {"cap": 0, "recompute": 0, "ridge": 0}
+        ridge_used = 0.0
+        held = 0
+        for pair, recomputed, m in window_stream(window, 2.0 * rng.standard_normal((n, d)),
+                                                 d, capacity, prefill_rank=10, seed=22):
+            over_cap = window._held + m > window.cap
+            refactors = window.counts.refactors
+            fallback_active = ridge_used != 0.0
+            weights, _, ridge_used = window.solve(pair.gram, pair.cross)
+            refactored = window.counts.refactors > refactors
+            for trigger, hit in (("cap", over_cap), ("recompute", recomputed),
+                                 ("ridge", fallback_active)):
+                if hit:
+                    assert refactored, trigger
+                    fired[trigger] += 1
+            held += not refactored
+            direct, _, direct_ridge = solve_normal_equations(pair.gram, pair.cross)
+            assert ridge_used == direct_ridge
+            if ridge_used == 0.0:
+                gap = np.linalg.norm(weights - direct) / np.linalg.norm(direct)
+                assert gap <= 1e-10
+        assert all(fired.values()), fired
+        assert fired["recompute"] >= 2
+        counts = window.counts
+        assert counts.solves == n and counts.refactors + held == n
+        assert counts.refactors < n / 4
+        assert counts.ridge_fallbacks > 100
+
+    def test_guard_trip_is_a_refactor(self, monkeypatch):
+        # a threshold between cond(G) and d cond(G): no solve falls back, and
+        # the guard sends every solve to the per-solve path's arithmetic
+        d, capacity, n = self.D, 1000, 100
+        rows = np.random.default_rng(25).standard_normal((n, d))
+        weights = {}
+        for name in ("held", "per_solve"):
+            if name == "per_solve":
+                monkeypatch.setattr(projector, "held_rows_cap", lambda d: 0)
+            window = WindowSolver(d, cond_threshold=1e6)
+            weights[name] = [window.solve(pair.gram, pair.cross)[0] for pair, _, _ in
+                             window_stream(window, rows, d, capacity, prefill_rank=d, seed=26)]
+            assert window.counts.refactors == n and window.counts.ridge_fallbacks == 0
+            assert 1e6 / d < window.counts.max_condition < 1e6
+        for got, want in zip(weights["held"], weights["per_solve"]):
+            np.testing.assert_array_equal(got, want)
+
+    def per_solve_path(self, monkeypatch, policy):
+        monkeypatch.setattr(projector, "held_rows_cap", lambda d: 0)
+        window = WindowSolver(self.D, singular_policy=policy)
+        monkeypatch.undo()
+        return window
+
+    def ridges(self, window, start_full_rank):
+        """The ridge of every solve over a stream whose window goes
+        rank-deficient (rows from a 20-dimensional subspace) and back; a
+        SingularGramError ends the list with its solve index."""
+        d, capacity, n = self.D, 300, 900
+        rng = np.random.default_rng(23)
+        rows = rng.standard_normal((n, 20)) @ rng.standard_normal((20, d))
+        rows[n // 2:] = rng.standard_normal((n - n // 2, d))
+        out = []
+        stream = window_stream(window, rows, d, capacity,
+                               prefill_rank=d if start_full_rank else 10, seed=24)
+        for i, (pair, _, _) in enumerate(stream):
+            try:
+                out.append(window.solve(pair.gram, pair.cross)[2])
+            except SingularGramError:
+                out.append(("raised", i))
+                break
+        return out
+
+    @pytest.mark.parametrize("start_full_rank", [True, False])
+    def test_fallback_at_the_same_solves_as_the_per_solve_path(self, monkeypatch,
+                                                               start_full_rank):
+        per_solve = self.per_solve_path(monkeypatch, "fallback")
+        held = WindowSolver(self.D)
+        want = self.ridges(per_solve, start_full_rank)
+        got = self.ridges(held, start_full_rank)
+        assert got == want
+        assert sum(r != 0.0 for r in got) > 50
+        assert per_solve.counts.refactors == per_solve.counts.solves
+        assert held.counts.refactors < held.counts.solves
+
+    @pytest.mark.parametrize("start_full_rank", [True, False])
+    def test_strict_raises_at_the_same_solve(self, monkeypatch, start_full_rank):
+        want = self.ridges(self.per_solve_path(monkeypatch, "strict"), start_full_rank)
+        got = self.ridges(WindowSolver(self.D, singular_policy="strict"), start_full_rank)
+        assert got == want
+        assert got[-1][0] == "raised" and (got[-1][1] > 100) == start_full_rank
