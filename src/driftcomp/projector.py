@@ -213,7 +213,6 @@ class WindowSolver:
         self._factor_cond = self._cond = np.inf
         self._held = 0                            # k
         self._rows = np.empty((cap, dimension))   # V
-        self._signs = np.empty(cap)               # diagonal of S
         self._solved = np.empty((dimension, cap), order="F")   # Y
         self._schur = np.empty((cap, cap), order="F")          # K
 
@@ -273,15 +272,13 @@ class WindowSolver:
         new = slice(k - m, k)
         y_new, _ = scipy.linalg.lapack.dpotrs(self._factor, rows_old.T)
         self._rows[new] = rows_old
-        self._signs[new] = 1.0
-        self._signs[k - m + entered:k] = -1.0
         self._solved[:, new] = y_new
         vy = self._rows[:k] @ y_new               # V Y_U, (k, m)
         schur = self._schur
         schur[:k, new] = vy
         schur[new, :k - m] = vy[:k - m].T
         diagonal = np.arange(k - m, k)
-        schur[diagonal, diagonal] += self._signs[new]
+        schur[diagonal, diagonal] += np.where(diagonal < k - m + entered, 1.0, -1.0)   # S
         lu, pivots, info = scipy.linalg.lapack.dgetrf(schur[:k, :k])
         anorm = float(np.abs(schur[:k, :k]).sum(axis=0).max())
         rcond = scipy.linalg.lapack.dgecon(lu, anorm)[0] if info == 0 else 0.0
