@@ -74,8 +74,6 @@ class PrototypeTable:
         self._matrix = matrix
         self._matrix.flags.writeable = False
         self._row = {c: i for i, c in enumerate(class_ids)}
-        self._norms = None       # row norms, on first use
-        self._zero_norm = None   # class of the first zero-norm row
 
     @classmethod
     def _from_checked_rows(cls, class_ids, matrix: np.ndarray) -> "PrototypeTable":
@@ -104,18 +102,6 @@ class PrototypeTable:
     def matrix(self) -> np.ndarray:
         """Prototypes stacked as rows, in ascending class-id order (read-only)."""
         return self._matrix
-
-    def row_norms(self) -> np.ndarray:
-        """Euclidean norm of each prototype row, computed on first use;
-        raises DegenerateInputError on every call if a row has zero norm."""
-        if self._norms is None:
-            norms = np.linalg.norm(self._matrix, axis=1)
-            if np.any(norms == 0.0):
-                self._zero_norm = self._class_ids[int(np.argmin(norms))]
-            self._norms = norms
-        if self._zero_norm is not None:
-            raise DegenerateInputError(f"prototype of class {self._zero_norm} has zero norm")
-        return self._norms
 
     def merged_with(self, other: "PrototypeTable") -> "PrototypeTable":
         """Union of two tables; overlapping class ids take `other`'s entry."""
@@ -189,8 +175,12 @@ def ncm_predict(feature: np.ndarray, prototypes: PrototypeTable) -> int:
     fnorm = np.linalg.norm(feature)
     if fnorm == 0.0:
         raise DegenerateInputError("cosine similarity undefined for zero-norm feature")
-    norms = prototypes.row_norms()
-    sims = prototypes.matrix() @ feature / (norms * fnorm)
+    proto = prototypes.matrix()
+    norms = np.linalg.norm(proto, axis=1)
+    if np.any(norms == 0.0):
+        bad = prototypes.class_ids[int(np.argmin(norms))]
+        raise DegenerateInputError(f"prototype of class {bad} has zero norm")
+    sims = proto @ feature / (norms * fnorm)
     # class_ids are ascending and argmax returns the first maximum, so ties
     # resolve to the smallest class id
     return prototypes.class_ids[int(np.argmax(sims))]

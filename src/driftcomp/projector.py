@@ -70,21 +70,6 @@ def _updated(weights: np.ndarray, moved, solved: np.ndarray) -> np.ndarray:
     return dgemm(1.0, correction.T, solved.T, beta=1.0, c=weights.T).T
 
 
-def _solve(gram, cross, ridge, previous, moved, singular_policy, min_ridge, cond_threshold):
-    """solve_normal_equations without its argument checks, also returning
-    the Cholesky factor it solved with."""
-    factor, cond, effective_ridge = _factor(gram, ridge, singular_policy, min_ridge,
-                                            cond_threshold)
-    m = 0 if moved is None else len(moved[0])
-    if previous is None or previous[1] != effective_ridge or m >= len(gram):
-        weights, _ = scipy.linalg.lapack.dpotrs(factor, cross)
-        return np.ascontiguousarray(weights), cond, effective_ridge, factor
-    if m == 0:
-        return previous[0], cond, effective_ridge, factor
-    solved, _ = scipy.linalg.lapack.dpotrs(factor, moved[0].T)
-    return _updated(previous[0], moved, solved), cond, effective_ridge, factor
-
-
 def _check_policy(ridge: float, singular_policy: str) -> None:
     if ridge < 0:
         raise ValueError(f"ridge must be non-negative, got {ridge}")
@@ -97,51 +82,36 @@ def solve_normal_equations(
     cross: np.ndarray,
     ridge: float = 0.0,
     *,
-    previous: tuple[np.ndarray, float] | None = None,
-    moved: tuple[np.ndarray, np.ndarray, int] | None = None,
     singular_policy: str = "fallback",
     min_ridge: float = DEFAULT_MIN_RIDGE,
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> tuple[np.ndarray, float, float]:
     """Solve (gram + ridge I) W = cross through a fresh Cholesky
-    factorization, reusing the previous solution when only a few rows moved
-    since it.
+    factorization.
 
-    Returns (W, condition estimate, ridge used). With ridge 0, a Gram whose
-    factorization fails or whose condition estimate exceeds
+    Returns (W, condition estimate, ridge used), W C-ordered. With ridge 0,
+    a Gram whose factorization fails or whose condition estimate exceeds
     `cond_threshold` is numerically singular: "strict" raises
     SingularGramError, "fallback" solves with `min_ridge` instead. A
     ridged matrix that still fails to factor (the Gram's rounding outweighs
     the ridge) raises under "strict"; under "fallback" its ridge is
     multiplied by ten until it factors, and a zero ridge raises.
 
-    `previous` is (W_prev, ridge used) from the last solve and `moved` is
-    (U, Z, k): the old- and new-space rows that moved through the queues
-    since (None when none did), the k that entered first, with sign s = +1,
-    then those that left, with s = -1. So gram and cross are the previous
-    ones plus U^T diag(s) U and U^T diag(s) Z, and, in exact arithmetic,
-
-        W = W_prev + (gram + ridge I)^-1 U^T diag(s) (Z - U W_prev),
-
-    which takes m right-hand sides instead of d. The factorization, its
-    condition estimate and the singular policy are the same on both routes.
-    The direct solve is taken without a previous solution, when the ridge
-    used changes, or when m >= d. The returned W is C-ordered, and is
-    W_prev itself when no row moved; W_prev is never written.
-
-    This is the per-solve path: every call factors gram afresh. A stream
-    of solves goes through `WindowSolver`, which at d >= HELD_MIN_DIMENSION
-    holds the factor of its last refactor and takes (gram + ridge I)^-1 U^T
-    from it by the Sherman-Morrison-Woodbury formula. Each of its refactors
-    is this function, taken at the first solve, after a queue recompute,
-    once more than held_rows_cap(d) rows have moved since the last
-    refactor, while a ridge fallback is active, and when its guard trips: a
-    bound on the Gram's condition number, from the held factor's estimate
-    and the small Woodbury matrix's, above cond_threshold / d.
+    A stream of solves over one sliding window goes through `WindowSolver`,
+    which updates its last solution by the rows that moved since. Each of
+    its refactors is this function's factorization and singular policy,
+    taken at the first solve, after a queue recompute, once more than
+    held_rows_cap(d) rows have moved since the last refactor (at every
+    solve below HELD_MIN_DIMENSION), while a ridge fallback is active, and
+    when its guard trips: a bound on the Gram's condition number, from the
+    held factor's estimate and the small Woodbury matrix's, above
+    cond_threshold / d.
     """
     _check_policy(ridge, singular_policy)
-    return _solve(gram, cross, ridge, previous, moved, singular_policy, min_ridge,
-                  cond_threshold)[:3]
+    factor, cond, effective_ridge = _factor(gram, ridge, singular_policy, min_ridge,
+                                            cond_threshold)
+    weights, _ = scipy.linalg.lapack.dpotrs(factor, cross)
+    return np.ascontiguousarray(weights), cond, effective_ridge
 
 
 # The held factor absorbs up to held_rows_cap(d) moved rows between two
@@ -169,10 +139,19 @@ class SolveCounts:
 class WindowSolver:
     """The analytic solves over one sliding window's normal equations.
 
-    It keeps the last solution with its ridge and the rows that moved
-    through the window since (`moved`), so that each solve updates that
-    solution by the m moved rows U with signs s, as solve_normal_equations
-    does. It also keeps the upper Cholesky factor F0 of G0 + ridge I from
+    It keeps the last solution W_prev with its ridge and the (old, new)
+    rows U, Z that moved through the window since (`moved`): the k that
+    entered first, with sign s = +1, then those that left, with s = -1. So
+    gram and cross are the previous ones plus U^T diag(s) U and
+    U^T diag(s) Z, and, in exact arithmetic,
+
+        W = W_prev + (gram + ridge I)^-1 U^T diag(s) (Z - U W_prev),
+
+    which takes m right-hand sides instead of d, accumulated by one gemm
+    into a new copy of W_prev, which is never written. The solve is direct
+    (solve_normal_equations) without a previous solution, when the ridge
+    used changes, or when m >= d, and returns W_prev itself when no row
+    moved. It also keeps the upper Cholesky factor F0 of G0 + ridge I from
     its last refactor, with the k rows V (signs S) that moved since, so
     that gram + ridge I = G0 + ridge I + V^T S V. By Sherman-Morrison-
     Woodbury (Golub & Van Loan, Matrix Computations, 2.1.4; Hager, SIAM
@@ -185,7 +164,7 @@ class WindowSolver:
     V, Y and K grow by m rows and columns per solve in buffers sized for
     held_rows_cap(d) rows.
 
-    A solve refactors, through solve_normal_equations' arithmetic and
+    A solve refactors, through solve_normal_equations' factorization and
     singular policy, when no factor is held (the first solve, and the first
     after `restart`, which the window's recompute calls), when k + m would
     exceed the cap (always, below HELD_MIN_DIMENSION), while a ridge
@@ -234,35 +213,42 @@ class WindowSolver:
     def solve(self, gram: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, float, float]:
         """(W, condition estimate, ridge used) for the window's current
         normal equations, as solve_normal_equations returns them; W is
-        never written afterwards."""
-        moved = None
-        if self._entered:
+        never written afterwards. A solve that raises keeps the moved rows,
+        so the next one still updates by all of them."""
+        counts = self.counts
+        counts.solves += 1
+        if self._previous is None or self._entered:
+            weights, cond, ridge = self._moved_solve(gram, cross)
+            self._previous, self._cond = (weights, ridge), cond
+            self._entered.clear()
+            self._left.clear()
+        else:
+            (weights, ridge), cond = self._previous, self._cond
+        counts.ridge_fallbacks += ridge != self.ridge
+        counts.max_condition = max(counts.max_condition, cond)
+        return weights, cond, ridge
+
+    def _moved_solve(self, gram, cross) -> tuple[np.ndarray, float, float]:
+        """solve() when rows moved or no solution is held."""
+        moved, m = None, 0
+        if self._previous is not None:
             old, new = zip(*self._entered, *self._left)
             moved = (np.concatenate(old), np.concatenate(new),
                      sum(len(rows) for rows, _ in self._entered))
-            self._entered.clear()
-            self._left.clear()
-        m = 0 if moved is None else len(moved[0])
-        counts = self.counts
-        counts.solves += 1
-        if self._previous is not None and m == 0:
-            return self._previous[0], self._cond, self._previous[1]
-        held = None
+            m = len(moved[0])
         if self._factor is not None and self._held + m <= self.cap:
             held = self._held_solve(moved)
-        if held is not None:
-            weights, cond = held
-            ridge = self.ridge
-        else:
-            weights, cond, ridge, factor = _solve(gram, cross, self.ridge, self._previous,
-                                                  moved, *self.policy)
-            counts.refactors += 1
-            self._factor = factor if ridge == self.ridge and self.cap else None
-            self._factor_cond, self._held = cond, 0
-        counts.ridge_fallbacks += ridge != self.ridge
-        counts.max_condition = max(counts.max_condition, cond)
-        self._previous, self._cond = (weights, ridge), cond
-        return weights, cond, ridge
+            if held is not None:
+                return (*held, self.ridge)
+        factor, cond, ridge = _factor(gram, self.ridge, *self.policy)
+        self.counts.refactors += 1
+        self._factor = factor if ridge == self.ridge and self.cap else None
+        self._factor_cond, self._held = cond, 0
+        if moved is None or self._previous[1] != ridge or m >= len(gram):
+            weights, _ = scipy.linalg.lapack.dpotrs(factor, cross)
+            return np.ascontiguousarray(weights), cond, ridge
+        solved, _ = scipy.linalg.lapack.dpotrs(factor, moved[0].T)
+        return _updated(self._previous[0], moved, solved), cond, ridge
 
     def _held_solve(self, moved) -> tuple[np.ndarray, float] | None:
         """(W, condition bound) from the held factor, or None when the

@@ -209,28 +209,6 @@ class TestNcmPredict:
         with pytest.raises(DegenerateInputError):
             ncm_predict(np.array([1.0, 1.0]), table)
 
-    def test_zero_norm_prototype_raises_on_every_call(self):
-        # the feature is checked before the table, so the first call names the
-        # feature; the cached check then raises on each later call
-        table = PrototypeTable([0, 4, 6], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(DegenerateInputError, match="zero-norm feature"):
-            ncm_predict(np.zeros(2), table)
-        for _ in range(2):
-            with pytest.raises(DegenerateInputError, match="prototype of class 4 has zero norm"):
-                ncm_predict(np.array([1.0, 1.0]), table)
-
-    def test_row_norms_cached_and_bit_identical(self):
-        rng = np.random.default_rng(6)
-        table = self.make_table(rng, classes=7, d=16)
-        norms = table.row_norms()
-        assert table.row_norms() is norms
-        assert np.array_equal(norms, np.linalg.norm(table.matrix(), axis=1))
-        for _ in range(20):
-            z = rng.standard_normal(16)
-            sims = table.matrix() @ z / (np.linalg.norm(table.matrix(), axis=1)
-                                         * np.linalg.norm(z))
-            assert ncm_predict(z, table) == table.class_ids[int(np.argmax(sims))]
-
     def test_rotation_invariance(self):
         rng = np.random.default_rng(5)
         d = 16

@@ -13,7 +13,7 @@ from driftcomp.engine import (
     run_gd_oracle,
 )
 from driftcomp.errors import DegenerateInputError, SingularGramError
-from driftcomp.projector import evolve_prototypes, solve_normal_equations
+from driftcomp.projector import WindowSolver, evolve_prototypes, solve_normal_equations
 from driftcomp.queues import init_with_pseudo_features
 from driftcomp.sources import DumpSource, SyntheticSource, write_source_dump
 
@@ -260,6 +260,26 @@ class TestSolveCounts:
         assert sum(rec.solve_counts.ridge_fallbacks for rec in result.tasks) == 5
         assert result.tasks[1].solve_counts.max_condition == np.inf
 
+
+    def test_fallbacks_counted_on_solves_without_moved_rows(self, monkeypatch):
+        # with update_stride=2 every other solve sees no moved row and hands
+        # back the last solution, fallback ridge included
+        solve = WindowSolver.solve
+        solves = []
+
+        def recording(window, gram, cross):
+            weights, cond, ridge = solve(window, gram, cross)
+            repeated = bool(solves) and solves[-1][0] is weights
+            solves.append((weights, ridge != window.ridge, repeated))
+            return weights, cond, ridge
+        monkeypatch.setattr(WindowSolver, "solve", recording)
+        cfg = load_config(GOLDEN_CONFIG).replace(solver="analytic", noise_scale=0.0,
+                                                 update_stride=2)
+        with pytest.warns(RuntimeWarning, match="noise_scale=0"):
+            _, result = run_with(cfg)
+        fallbacks = sum(fallback for _, fallback, _ in solves)
+        assert sum(fallback and repeated for _, fallback, repeated in solves) > 0
+        assert sum(rec.solve_counts.ridge_fallbacks for rec in result.tasks) == fallbacks
 
 class TestReplayAudit:
     @pytest.mark.parametrize("solver", ["analytic", "gd", "gd_with_queue", "none",

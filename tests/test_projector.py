@@ -307,24 +307,26 @@ class TestRankKUpdateOutput:
 
     # 2(k + 1) rows move, fewer than d, so the update is taken
     @pytest.mark.parametrize("d, k", [(4, 0), (8, 1), (32, 2), (128, 3)])
-    def test_previous_untouched_and_result_new(self, d, k):
+    def test_previous_untouched_and_result_new(self, monkeypatch, d, k):
+        # every solve refactors, so the update is the factor's own
+        monkeypatch.setattr(projector, "held_rows_cap", lambda d: 0)
         rng = np.random.default_rng(d)
         capacity = 3 * d + 10
         pair = QueuePair(d, capacity)
         old = rng.standard_normal((capacity, d))
         pair.push(old, old @ rng.standard_normal((d, d)))
+        window = WindowSolver(d)
         # a C-ordered W_prev, as the direct route hands the stream
-        weights, _, ridge = solve_normal_equations(pair.gram, pair.cross)
+        weights, _, _ = window.solve(pair.gram, pair.cross)
         assert weights.flags.c_contiguous
         kept = weights.copy()
         entering_old, entering_new = rng.standard_normal((2, k + 1, d))
         left_old, left_new = pair.push(entering_old, entering_new)
+        window.moved((entering_old, entering_new), (left_old, left_new))
         rows_old = np.vstack([entering_old, left_old])
         rows_new = np.vstack([entering_new, left_new])
-        moved = (rows_old, rows_new, k + 1)
 
-        updated, _, _ = solve_normal_equations(pair.gram, pair.cross, 0.0,
-                                               previous=(weights, ridge), moved=moved)
+        updated, _, _ = window.solve(pair.gram, pair.cross)
 
         np.testing.assert_array_equal(weights, kept)
         assert not np.shares_memory(updated, weights)
@@ -423,6 +425,29 @@ class TestHeldFactor:
             assert 1e6 / d < window.counts.max_condition < 1e6
         for got, want in zip(weights["held"], weights["per_solve"]):
             np.testing.assert_array_equal(got, want)
+
+    def test_failed_solve_keeps_the_moved_rows(self, monkeypatch):
+        # the third solve raises; the fourth updates by the rows of both
+        # pushes and matches the direct solve
+        d, capacity = 16, 60
+        rows = np.random.default_rng(27).standard_normal((6, d))
+        window = WindowSolver(d)
+        factor = projector._factor
+
+        def fail_once(*args):
+            monkeypatch.setattr(projector, "_factor", factor)
+            raise SingularGramError("injected")
+        stream = window_stream(window, rows, d, capacity, prefill_rank=d, seed=28)
+        for i, (pair, _, _) in enumerate(stream):
+            if i == 2:
+                monkeypatch.setattr(projector, "_factor", fail_once)
+                with pytest.raises(SingularGramError, match="injected"):
+                    window.solve(pair.gram, pair.cross)
+                continue
+            weights = window.solve(pair.gram, pair.cross)[0]
+            direct = solve_normal_equations(pair.gram, pair.cross)[0]
+            assert np.linalg.norm(weights - direct) / np.linalg.norm(direct) <= 1e-10
+        assert window.counts.refactors == 5
 
     def per_solve_path(self, monkeypatch, policy):
         monkeypatch.setattr(projector, "held_rows_cap", lambda d: 0)

@@ -7,7 +7,7 @@ from driftcomp.config import RunConfig
 from driftcomp.core import PrototypeTable
 from driftcomp.engine import _StreamFit
 from driftcomp.errors import DegenerateInputError, DimensionError
-from driftcomp.projector import solve_normal_equations
+from driftcomp.projector import WindowSolver, solve_normal_equations
 from driftcomp.queues import QueuePair, init_with_pseudo_features
 
 
@@ -295,32 +295,30 @@ class TestRankKUpdate:
                 recomputes = fit.queue.recomputes
 
     def test_ridge_change_forces_direct_solve(self):
+        # a window of rank d - 1 falls back to min_ridge; two full-rank rows
+        # end the fallback, and the solve after them is direct although
+        # only four rows moved
         rng = np.random.default_rng(4)
         d = 16
-        pair = QueuePair(d, 60)
         w_true = rng.standard_normal((d, d))
-
-        def rows(k):
-            old = rng.standard_normal((k, d))
-            return old, old @ w_true + 0.1 * rng.standard_normal((k, d))
-        pair.push(*rows(60))
-        weights, _, ridge = solve_normal_equations(pair.gram, pair.cross, 10.0)
-        previous = (weights, ridge)
-        old, new = rows(2)
-        left_old, left_new = pair.push(old, new)
-        moved = (np.vstack([old, left_old]), np.vstack([new, left_new]), len(old))
-        weights, _, ridge = solve_normal_equations(pair.gram, pair.cross, 0.0,
-                                                   previous=previous, moved=moved)
-        assert ridge == 0.0
-        direct = solve_normal_equations(pair.gram, pair.cross)[0]
-        assert relative_gap(weights, direct) <= WEIGHTS_RTOL
-        np.testing.assert_array_equal(weights, direct)
-        # the same rows with an unchanged ridge take the update
-        updated, _, _ = solve_normal_equations(pair.gram, pair.cross, 10.0,
-                                               previous=previous, moved=moved)
-        ridged = solve_normal_equations(pair.gram, pair.cross, 10.0)[0]
-        assert relative_gap(updated, ridged) <= WEIGHTS_RTOL
-
+        prefill = rng.standard_normal((60, d - 1)) @ rng.standard_normal((d - 1, d))
+        entering = rng.standard_normal((2, d))
+        entering_new = entering @ w_true + 0.1 * rng.standard_normal((2, d))
+        for requested in (0.0, 10.0):
+            pair = QueuePair(d, 60)
+            window = WindowSolver(d, requested, min_ridge=10.0)
+            pair.push(prefill, prefill @ w_true)
+            assert window.solve(pair.gram, pair.cross)[2] == 10.0
+            left = pair.push(entering, entering_new)
+            window.moved((entering, entering_new), left)
+            weights, _, ridge = window.solve(pair.gram, pair.cross)
+            direct, _, direct_ridge = solve_normal_equations(pair.gram, pair.cross, requested)
+            assert ridge == direct_ridge == requested
+            assert relative_gap(weights, direct) <= WEIGHTS_RTOL
+            if requested == 0.0:
+                np.testing.assert_array_equal(weights, direct)
+        # with ridge 10 requested, the same rows take the update
+        assert window.counts.ridge_fallbacks == 0
 
 
 class TestRingSlices:
