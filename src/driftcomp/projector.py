@@ -140,7 +140,7 @@ class WindowSolver:
     """The analytic solves over one sliding window's normal equations.
 
     It keeps the last solution W_prev with its ridge and the (old, new)
-    rows U, Z that moved through the window since (`moved`): the k that
+    rows U, Z that moved through the window since (`moved`): those that
     entered first, with sign s = +1, then those that left, with s = -1. So
     gram and cross are the previous ones plus U^T diag(s) U and
     U^T diag(s) Z, and, in exact arithmetic,
@@ -148,8 +148,8 @@ class WindowSolver:
         W = W_prev + (gram + ridge I)^-1 U^T diag(s) (Z - U W_prev),
 
     which takes m right-hand sides instead of d, accumulated by one gemm
-    into a new copy of W_prev, which is never written. The solve is direct
-    (solve_normal_equations) without a previous solution, when the ridge
+    into a new copy of W_prev, which is never written. The solve is direct,
+    as in solve_normal_equations, without a previous solution, when the ridge
     used changes, or when m >= d, and returns W_prev itself when no row
     moved. It also keeps the upper Cholesky factor F0 of G0 + ridge I from
     its last refactor, with the k rows V (signs S) that moved since, so
