@@ -8,6 +8,7 @@ to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Tuple
 
@@ -162,25 +163,46 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (C, d) matrix, by the arithmetic of
+    `np.linalg.norm(matrix, axis=1)`, which reduces every row on its own."""
+    return np.sqrt(np.add.reduce(matrix * matrix, axis=1))
+
+
+def _nearest_class(feature: np.ndarray, class_ids: Tuple[int, ...], matrix: np.ndarray,
+                   norms: np.ndarray, zero_norm: bool) -> int:
+    """Cosine nearest-class-mean over prototype rows `matrix` (C, d) in
+    ascending `class_ids` order, given their `_row_norms` and whether any of
+    them is zero.
+
+    The feature norm is `np.linalg.norm`'s on a 1-D array: the square root
+    of the dot product of its contiguous copy (a strided dot rounds
+    differently). Raises DimensionError on a feature of the wrong shape and
+    DegenerateInputError on a zero-norm feature or prototype.
+    """
+    feature = np.asarray(feature, dtype=np.float64)
+    if feature.shape != (matrix.shape[1],):
+        raise DimensionError(
+            f"feature shape {feature.shape} does not match table dimension {matrix.shape[1]}"
+        )
+    flat = feature.ravel()
+    fnorm = math.sqrt(flat.dot(flat))
+    if fnorm == 0.0:
+        raise DegenerateInputError("cosine similarity undefined for zero-norm feature")
+    if zero_norm:
+        bad = class_ids[int(np.argmin(norms))]
+        raise DegenerateInputError(f"prototype of class {bad} has zero norm")
+    sims = matrix @ feature / (norms * fnorm)
+    # argmax returns the first maximum, the smallest class id among ties
+    return class_ids[sims.argmax()]
+
+
 def ncm_predict(feature: np.ndarray, prototypes: PrototypeTable) -> int:
     """Class whose prototype has the highest cosine similarity to `feature`.
 
     Ties break toward the smallest class id, making streams bit-reproducible.
     """
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.shape != (prototypes.dimension,):
-        raise DimensionError(
-            f"feature shape {feature.shape} does not match table dimension {prototypes.dimension}"
-        )
-    fnorm = np.linalg.norm(feature)
-    if fnorm == 0.0:
-        raise DegenerateInputError("cosine similarity undefined for zero-norm feature")
-    proto = prototypes.matrix()
-    norms = np.linalg.norm(proto, axis=1)
-    if np.any(norms == 0.0):
-        bad = prototypes.class_ids[int(np.argmin(norms))]
-        raise DegenerateInputError(f"prototype of class {bad} has zero norm")
-    sims = proto @ feature / (norms * fnorm)
-    # class_ids are ascending and argmax returns the first maximum, so ties
-    # resolve to the smallest class id
-    return prototypes.class_ids[int(np.argmax(sims))]
+    matrix = prototypes.matrix()
+    norms = _row_norms(matrix)
+    return _nearest_class(feature, prototypes.class_ids, matrix, norms,
+                          bool((norms == 0.0).any()))

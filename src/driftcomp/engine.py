@@ -7,6 +7,12 @@ previous-space values, and classify by cosine nearest class mean over the
 union of evolved old and fresh new prototypes. A task without old classes,
 or a run with solver "none", fits nothing and classifies against the stale
 old prototypes.
+
+The union is held per task as one matrix and its row norms (`_TaskLayout`):
+each solve overwrites the evolved rows and their norms in place, and each
+sample is classified against those arrays. A `PrototypeTable` is built once,
+at task end, for the drift similarity and the next task. The replay audit
+and the offline oracle classify through the same layout.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import RunConfig
-from .core import PrototypeTable, class_means, ncm_predict
+from .core import PrototypeTable, _nearest_class, _row_norms, class_means
 from .drift_sim import true_drift_similarity
 from .projector import SolveCounts, WindowSolver, _Descent, _map_rows, _queue_gradient
 from .queues import init_with_pseudo_features
@@ -151,7 +157,7 @@ class _StreamFit:
         if self.queue is None:
             del self.pending[:-1]   # gd keeps the latest pair only
         elif len(self.pending) >= self.config.update_stride:
-            old, new = (np.vstack(rows) for rows in zip(*self.pending))
+            old, new = (np.array(rows) for rows in zip(*self.pending))
             self.pending.clear()
             recomputes = self.queue.recomputes
             left = self.queue.push(old, new)
@@ -230,12 +236,11 @@ def run_task_cycle(
     if old_table is not None and config.solver != "none":
         fit = _StreamFit(config, old_table, rng_seed=seed * 1000 + t)
     layout = _TaskLayout(rec)
-    table = layout.table(-1)
     w_index = -1
 
     def predict(class_id: int, z_new: np.ndarray, is_excluded: bool) -> None:
         start = time.perf_counter()
-        pred = ncm_predict(z_new, table)
+        pred = layout.predict(z_new)
         rec.phase_seconds["predict"] += time.perf_counter() - start
         rec.samples.append(SampleLog(class_id, int(pred), w_index, excluded=is_excluded))
         rec.features_new.append(np.asarray(z_new, dtype=np.float64))
@@ -251,7 +256,7 @@ def run_task_cycle(
             if weights is not None:
                 rec.projector_snapshots.append(weights)
                 w_index = len(rec.projector_snapshots) - 1
-                table = layout.table(w_index)
+                layout.evolve(w_index)
             rec.phase_seconds["queue"] += pushed - start
             rec.phase_seconds["solve"] += time.perf_counter() - pushed
         if not config.predict_before_update:
@@ -263,6 +268,7 @@ def run_task_cycle(
     for class_id, _, z_new in excluded:
         predict(class_id, z_new, True)
 
+    table = layout.table()
     if fit is not None:
         rec.solve_counts = fit.window.counts
         _record_drift_similarity(rec, source, table)
@@ -270,34 +276,44 @@ def run_task_cycle(
 
 
 class _TaskLayout:
-    """The tables a task classifies against: its old prototypes carried
-    through projector snapshot `w_index` (left as they are for -1), merged
-    with the task's fresh prototypes.
+    """The table a task classifies against, held as arrays updated in place:
+    its old prototypes carried through one projector snapshot, merged with
+    the task's fresh prototypes.
 
-    What depends only on class ids is built once per task: the stale merged
-    table and the positions in it of the old classes that no fresh prototype
-    overrides. A snapshot's table is then the stale matrix with those rows
-    overwritten by their images.
+    What depends only on class ids is built once per task: the ascending
+    class ids, a writable copy of the stale merged matrix with its row norms
+    and zero-norm flag, and the old rows that no fresh prototype overrides
+    with their positions in the matrix. `evolve` writes those rows' images
+    under a snapshot, and their norms, over the held ones; `predict`
+    classifies against the held arrays.
     """
 
     def __init__(self, rec: TaskRunRecord):
         self.snapshots = rec.projector_snapshots
         old, fresh = rec.old_table, rec.fresh_table
-        if old is None:
-            self.stale = fresh
-            return
-        self.stale = old.merged_with(fresh)
-        kept = [i for i, c in enumerate(old.class_ids) if c not in fresh]
-        self.old_rows = old.matrix()[kept]
-        self.positions = np.searchsorted(self.stale.class_ids,
-                                         [old.class_ids[i] for i in kept])
+        stale = fresh if old is None else old.merged_with(fresh)
+        self.class_ids = stale.class_ids
+        self.matrix = stale.matrix().copy()
+        self.norms = _row_norms(self.matrix)
+        self.zero_norm = bool((self.norms == 0.0).any())
+        kept = [] if old is None else [c for c in old.class_ids if c not in fresh]
+        self.positions = np.searchsorted(self.class_ids, kept)
+        self.old_rows = self.matrix[self.positions]
 
-    def table(self, w_index: int) -> PrototypeTable:
-        if w_index < 0:
-            return self.stale
-        matrix = self.stale.matrix().copy()
-        matrix[self.positions] = _map_rows(self.old_rows, self.snapshots[w_index])
-        return PrototypeTable._from_checked_rows(self.stale.class_ids, matrix)
+    def evolve(self, w_index: int) -> None:
+        """Map the old rows through snapshot `w_index` (-1 restores them)."""
+        images = self.old_rows if w_index < 0 else _map_rows(self.old_rows,
+                                                             self.snapshots[w_index])
+        self.matrix[self.positions] = images
+        self.norms[self.positions] = _row_norms(images)
+        self.zero_norm = bool((self.norms == 0.0).any())
+
+    def predict(self, feature: np.ndarray) -> int:
+        return _nearest_class(feature, self.class_ids, self.matrix, self.norms, self.zero_norm)
+
+    def table(self) -> PrototypeTable:
+        """The held table as a PrototypeTable of its own."""
+        return PrototypeTable._from_checked_rows(self.class_ids, self.matrix.copy())
 
 
 def _record_drift_similarity(rec: TaskRunRecord, source, table: PrototypeTable) -> None:
@@ -331,11 +347,13 @@ def run_gd_oracle(source, config: RunConfig, max_steps: int = 20000,
             rec.projector_snapshots.append(_offline_gd(q_old, q_new, config.gd_learning_rate,
                                                        config.gd_optimizer, max_steps, grad_tol))
             w_index = 0
-        table = _TaskLayout(rec).table(w_index)
+        layout = _TaskLayout(rec)
+        layout.evolve(w_index)
+        table = layout.table()
         if w_index == 0:
             _record_drift_similarity(rec, source, table)
         for class_id, _, z_new in pairs:
-            pred = ncm_predict(z_new, table)
+            pred = layout.predict(z_new)
             is_excluded = selected is not None and class_id not in selected
             rec.samples.append(SampleLog(class_id, int(pred), w_index, excluded=is_excluded))
             rec.features_new.append(np.asarray(z_new, dtype=np.float64))
@@ -364,11 +382,11 @@ def replay_audit(result: RunResult) -> bool:
     """Re-evaluate every logged prediction from the stored projector
     snapshots and base tables; returns True iff all match exactly."""
     for rec in result.tasks:
-        layout, w_index, table = _TaskLayout(rec), None, None
+        layout, w_index = _TaskLayout(rec), -1
         for sample, z_new in zip(rec.samples, rec.features_new):
             if sample.w_index != w_index:
                 w_index = sample.w_index
-                table = layout.table(w_index)
-            if ncm_predict(z_new, table) != sample.predicted:
+                layout.evolve(w_index)
+            if layout.predict(z_new) != sample.predicted:
                 return False
     return True

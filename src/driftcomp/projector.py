@@ -295,7 +295,7 @@ class _Descent:
         self.v = np.zeros_like(weights)
 
     def step(self, grad: np.ndarray) -> None:
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise DivergenceError(self.t)
         self.t += 1
         if self.optimizer == "sgd":
@@ -328,7 +328,7 @@ def _map_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     images = (rows[:, None, :] @ weights)[:, 0, :]
-    if not np.all(np.isfinite(images)):
+    if not np.isfinite(images).all():
         raise DegenerateInputError("evolved prototype contains non-finite components")
     return images
 

@@ -89,15 +89,20 @@ class QueuePair:
         """Push paired rows and return the (old, new) rows that left, oldest
         first; rows of the wrong shape raise DimensionError and non-finite
         rows DegenerateInputError, both leaving the pair as it was."""
-        old_features = np.atleast_2d(np.asarray(old_features, dtype=np.float64))
-        new_features = np.atleast_2d(np.asarray(new_features, dtype=np.float64))
+        old_features = np.asarray(old_features, dtype=np.float64)
+        new_features = np.asarray(new_features, dtype=np.float64)
+        # a 0-d or 1-d push is one row, as np.atleast_2d reads it
+        if old_features.ndim < 2:
+            old_features = old_features.reshape(1, -1)
+        if new_features.ndim < 2:
+            new_features = new_features.reshape(1, -1)
         d = self.dimension
         if old_features.shape != new_features.shape or old_features.shape[1:] != (d,):
             raise DimensionError(
                 f"paired pushes must both be (k, {d}) matrices, got "
                 f"{old_features.shape} and {new_features.shape}"
             )
-        if not (np.all(np.isfinite(old_features)) and np.all(np.isfinite(new_features))):
+        if not (np.isfinite(old_features).all() and np.isfinite(new_features).all()):
             raise DegenerateInputError("queued features contain non-finite components")
         entering = np.concatenate([old_features, new_features], axis=1)
         left = self._enqueue(entering)

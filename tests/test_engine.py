@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from driftcomp.config import RunConfig, load_config
-from driftcomp.core import PrototypeTable
+from driftcomp.core import PrototypeTable, ncm_predict
 from driftcomp.engine import (
     TaskRunRecord,
     _TaskLayout,
@@ -12,7 +12,7 @@ from driftcomp.engine import (
     run_engine,
     run_gd_oracle,
 )
-from driftcomp.errors import DegenerateInputError, SingularGramError
+from driftcomp.errors import DegenerateInputError, DimensionError, SingularGramError
 from driftcomp.projector import WindowSolver, evolve_prototypes, solve_normal_equations
 from driftcomp.queues import init_with_pseudo_features
 from driftcomp.sources import DumpSource, SyntheticSource, write_source_dump
@@ -317,9 +317,9 @@ class TestReplayAudit:
         assert replay_audit(run_gd_oracle(source, cfg))
 
 
-def assert_same_table(got, want):
-    assert got.class_ids == want.class_ids
-    assert np.array_equal(got.matrix(), want.matrix())
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def reference_table(rec, w_index):
@@ -331,14 +331,73 @@ def reference_table(rec, w_index):
     return old.merged_with(rec.fresh_table)
 
 
+def assert_layout_holds(layout, rec, w_index):
+    """The held arrays against a table built from scratch: the matrix bit for
+    bit, and the norms and zero-norm flag as np.linalg.norm gives them."""
+    want = reference_table(rec, w_index)
+    assert layout.class_ids == want.class_ids
+    assert_same_bits(layout.matrix, want.matrix())
+    norms = np.linalg.norm(layout.matrix, axis=1)
+    assert_same_bits(layout.norms, norms)
+    assert layout.zero_norm == bool(np.any(norms == 0.0))
+
+
+def random_record(rng, d, old_classes=30, fresh_classes=8, overlap=3):
+    """A record whose fresh table overrides `overlap` of the old classes."""
+    old_ids = rng.choice(100, size=old_classes, replace=False)
+    fresh_ids = np.concatenate([old_ids[:overlap],
+                                100 + rng.choice(100, size=fresh_classes - overlap, replace=False)])
+    old = PrototypeTable(old_ids, rng.standard_normal((old_classes, d)))
+    fresh = PrototypeTable(fresh_ids, rng.standard_normal((fresh_classes, d)))
+    return TaskRunRecord(task=2, old_table=old, fresh_table=fresh)
+
+
+def random_snapshot(rng, d):
+    """Near-identity, scaled random, or zero weights."""
+    kind = rng.integers(4)
+    if kind == 0:
+        return np.eye(d) + 0.1 * rng.standard_normal((d, d))
+    if kind == 1:
+        return 10.0 ** rng.uniform(-3, 3) * rng.standard_normal((d, d))
+    if kind == 2:
+        return np.asfortranarray(rng.standard_normal((d, d)))
+    return np.zeros((d, d)) if rng.random() < 0.1 else rng.standard_normal((d, d))
+
+
 class TestTaskLayout:
     def test_matches_evolve_then_merge_on_every_snapshot(self):
         _, result = run_with(load_config(GOLDEN_CONFIG).replace(solver="analytic"))
-        assert_same_table(_TaskLayout(result.tasks[0]).table(-1), result.tasks[0].fresh_table)
+        first = _TaskLayout(result.tasks[0])
+        assert first.class_ids == result.tasks[0].fresh_table.class_ids
+        assert_same_bits(first.matrix, result.tasks[0].fresh_table.matrix())
         for rec in result.tasks[1:]:
             layout = _TaskLayout(rec)
-            for w_index in range(-1, len(rec.projector_snapshots)):
-                assert_same_table(layout.table(w_index), reference_table(rec, w_index))
+            assert_layout_holds(layout, rec, -1)
+            for w_index in range(len(rec.projector_snapshots)):
+                layout.evolve(w_index)
+                assert_layout_holds(layout, rec, w_index)
+            layout.evolve(-1)
+            assert_layout_holds(layout, rec, -1)
+
+    @pytest.mark.parametrize("d", [32, 128])
+    def test_random_stream_of_solves(self, d):
+        rng = np.random.default_rng(d)
+        rec = random_record(rng, d)
+        # one snapshot slot, rewritten before each solve: the layout must
+        # read the snapshot list at every evolve
+        rec.projector_snapshots.append(None)
+        layout = _TaskLayout(rec)
+        zero_norm_seen = False
+        for _ in range(1200):
+            if rng.random() < 0.02:
+                layout.evolve(-1)
+                assert_layout_holds(layout, rec, -1)
+                continue
+            rec.projector_snapshots[0] = random_snapshot(rng, d)
+            layout.evolve(0)
+            assert_layout_holds(layout, rec, 0)
+            zero_norm_seen |= layout.zero_norm
+        assert zero_norm_seen
 
     def test_fresh_overrides_old(self):
         rng = np.random.default_rng(3)
@@ -346,10 +405,92 @@ class TestTaskLayout:
         fresh = PrototypeTable([2, 7], rng.standard_normal((2, 4)))
         rec = TaskRunRecord(task=2, old_table=old, fresh_table=fresh,
                             projector_snapshots=[rng.standard_normal((4, 4))])
-        table = _TaskLayout(rec).table(0)
-        assert_same_table(table, reference_table(rec, 0))
+        layout = _TaskLayout(rec)
+        layout.evolve(0)
+        assert_layout_holds(layout, rec, 0)
+        table = layout.table()
         assert table.class_ids == (0, 2, 5, 7, 9)
         np.testing.assert_array_equal(table.prototype(2), fresh.prototype(2))
+        # the table is a copy: a later solve leaves it as it was
+        weights = rec.projector_snapshots[0]
+        rec.projector_snapshots[0] = np.zeros((4, 4))
+        layout.evolve(0)
+        rec.projector_snapshots[0] = weights
+        assert_same_bits(table.matrix(), reference_table(rec, 0).matrix())
+
+
+def former_ncm_predict(feature, table):
+    """Cosine NCM as `ncm_predict` computed it before the shared kernel."""
+    proto = table.matrix()
+    sims = proto @ feature / (np.linalg.norm(proto, axis=1) * np.linalg.norm(feature))
+    return table.class_ids[int(np.argmax(sims))]
+
+
+def tied_rows(rng, d):
+    """Random prototypes with exact ties: a duplicated row, and rows scaled by
+    powers of two, whose cosines with any feature are bit-equal."""
+    rows = rng.standard_normal((12, d))
+    rows[7] = rows[2]
+    rows[9] = 4.0 * rows[1]
+    rows[11] = 0.5 * rows[2]
+    return rows
+
+
+class TestLayoutPredict:
+    @pytest.mark.parametrize("d", [1, 8, 32])
+    def test_matches_ncm_predict(self, d):
+        rng = np.random.default_rng(d)
+        # ids 0, 2, ..., 22: ids 4, 14 and 22 tie, as do 2 and 18; fresh
+        # class 6 overrides an old one
+        old = PrototypeTable(range(0, 24, 2), tied_rows(rng, d))
+        fresh = PrototypeTable([6, 31], rng.standard_normal((2, d)))
+        snapshots = [np.eye(d) + 0.1 * rng.standard_normal((d, d)), rng.standard_normal((d, d))]
+        rec = TaskRunRecord(task=2, old_table=old, fresh_table=fresh,
+                            projector_snapshots=snapshots)
+        layout = _TaskLayout(rec)
+        for w_index in (-1, 0, 1):
+            layout.evolve(w_index)
+            table = layout.table()
+            if d > 1:   # at d = 1 every row of the feature's sign ties
+                assert layout.predict(table.matrix()[table.class_ids.index(14)]) == 4
+            strided = np.zeros((10, 2 * d))
+            strided[:, ::2] = rng.standard_normal((10, d))
+            features = [*rng.standard_normal((40, d)), *table.matrix(), *strided[:, ::2]]
+            for z in features:
+                for lam in (1.0, 1e-3, 3.0, 1e3):
+                    got = layout.predict(lam * z)
+                    assert got == ncm_predict(lam * z, table) == former_ncm_predict(lam * z, table)
+
+    def test_errors_match_ncm_predict(self):
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((3, 4))
+        cases = [
+            (rows, np.ones(5), DimensionError,
+             "feature shape (5,) does not match table dimension 4"),
+            (rows, np.ones((1, 4)), DimensionError,
+             "feature shape (1, 4) does not match table dimension 4"),
+            (rows, np.zeros(4), DegenerateInputError,
+             "cosine similarity undefined for zero-norm feature"),
+            (rows * [[1], [0], [0]], np.ones(4), DegenerateInputError,
+             "prototype of class 5 has zero norm"),
+            (rows * [[1], [0], [0]], np.zeros(4), DegenerateInputError,
+             "cosine similarity undefined for zero-norm feature"),
+        ]
+        for matrix, z, error, message in cases:
+            table = PrototypeTable([3, 5, 8], matrix)
+            layout = _TaskLayout(TaskRunRecord(task=1, old_table=None, fresh_table=table))
+            for predict in (layout.predict, lambda f: ncm_predict(f, table)):
+                with pytest.raises(error) as info:
+                    predict(z)
+                assert str(info.value) == message
+
+    def test_zero_weights_in_stream(self, monkeypatch):
+        def zero_solve(window, gram, cross):
+            return np.zeros_like(gram), 1.0, window.ridge
+        monkeypatch.setattr("driftcomp.projector.WindowSolver.solve", zero_solve)
+        with pytest.raises(DegenerateInputError) as info:
+            run_with(load_config(GOLDEN_CONFIG).replace(solver="analytic"))
+        assert str(info.value) == "prototype of class 0 has zero norm"
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

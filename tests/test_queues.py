@@ -166,6 +166,62 @@ class TestNonFiniteRows:
             np.testing.assert_array_equal(got, want)
 
 
+def push_inputs(d):
+    """0-d, 1-d, (k, d), empty and wrong-width inputs at dimension d."""
+    rng = np.random.default_rng(d)
+    return {
+        "scalar": 1.5,
+        "0-d": np.array(-0.5),
+        "1-d": rng.standard_normal(d),
+        "1-d long": rng.standard_normal(d + 3),
+        "list": list(rng.standard_normal(d)),
+        "(1, d)": rng.standard_normal((1, d)),
+        "(3, d)": rng.standard_normal((3, d)),
+        "(0, d)": np.empty((0, d)),
+        "(3, d+1)": rng.standard_normal((3, d + 1)),
+        "(d, 1)": rng.standard_normal((d, 1)),
+        "(1, 1, d)": rng.standard_normal((1, 1, d)),
+        "strided": rng.standard_normal(2 * d)[::2],
+    }
+
+
+class TestPushInputShapes:
+    """A 0-d or 1-d push is one row, as np.atleast_2d reads it; a pair is
+    accepted iff both sides read as the same (k, d) shape."""
+
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_accepts_or_raises_as_atleast_2d_reads(self, d):
+        inputs = push_inputs(d)
+        rng = np.random.default_rng(100 + d)
+        for old_name, old in inputs.items():
+            for new_name, new in inputs.items():
+                pair = QueuePair(d, 5)
+                pair.push(*paired(rng.standard_normal((4, d))))
+                before = (*pair.matrices(), pair.gram.copy(), pair.cross.copy())
+                want_old, want_new = np.atleast_2d(old), np.atleast_2d(new)
+                if want_old.shape == want_new.shape and want_old.shape[1:] == (d,):
+                    pair.push(old, new)
+                    k = len(want_old)
+                    q_old, q_new = pair.matrices()
+                    np.testing.assert_array_equal(q_old[len(q_old) - k:], want_old)
+                    np.testing.assert_array_equal(q_new[len(q_new) - k:], want_new)
+                    continue
+                with pytest.raises(DimensionError):
+                    pair.push(old, new)
+                after = (*pair.matrices(), pair.gram, pair.cross)
+                for got, want in zip(after, before):
+                    np.testing.assert_array_equal(got, want, err_msg=f"{old_name}, {new_name}")
+
+    def test_outcomes_at_dimension_one(self):
+        # at d = 1 a 1-d push of length k is one row of width k, not k rows
+        pair = QueuePair(1, 5)
+        pair.push(2.0, np.array(3.0))
+        pair.push(np.ones(1), [[4.0]])
+        with pytest.raises(DimensionError):
+            pair.push(np.ones(3), np.ones(3))
+        assert_pairs_equal(pair.matrices(), ([[2.0], [1.0]], [[3.0], [4.0]]))
+
+
 # The running normal equations against a recomputation from the queued rows:
 # gram and cross within GRAM_RTOL, and the weights solved from them within
 # WEIGHTS_RTOL of the weights solved from the recomputed ones (all relative
