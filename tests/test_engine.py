@@ -353,7 +353,7 @@ def random_record(rng, d, old_classes=30, fresh_classes=8, overlap=3):
 
 
 def random_snapshot(rng, d):
-    """Near-identity, scaled random, or zero weights."""
+    """Near-identity, widely scaled, Fortran-ordered or (rarely) zero weights."""
     kind = rng.integers(4)
     if kind == 0:
         return np.eye(d) + 0.1 * rng.standard_normal((d, d))
