@@ -8,7 +8,8 @@ drift_similarity.csv written by `emit_results`. Predictions, indices,
 accuracies and file bytes must match exactly; snapshots must match to a
 relative Frobenius distance of SNAPSHOT_RTOL. A run whose config has
 source=dump streams its config's synthetic scenario written to a feature
-dump and read back by DumpSource.
+dump and read back by DumpSource; one with source=toy trains its toy
+extractors first.
 
 Regenerate only for a change meant to move outputs, and say so in
 CHANGES.md:
@@ -26,7 +27,7 @@ import pytest
 from driftcomp.config import RunConfig, load_config
 from driftcomp.engine import run_engine, run_gd_oracle
 from driftcomp.results import emit_results
-from driftcomp.sources import DumpSource, SyntheticSource, write_source_dump
+from driftcomp.sources import DumpSource, SyntheticSource, open_source, write_source_dump
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "golden")
@@ -70,6 +71,9 @@ RUNS = {
         cluster_separation=1.0, train_per_class=1000, test_per_class=40,
         drift_kind="rotation", drift_magnitude=2.0, observation_noise=0.5,
         queue_capacity=200, noise_scale=0.02), False),
+    # features from toy extractors retrained task by task, so any change in
+    # the toy trainer's rounding moves this run
+    "small_toy": (_small(source="toy", solver="gd_with_queue"), False),
 }
 
 
@@ -83,10 +87,7 @@ def _dump_source(config):
 
 def golden_run(name):
     config, oracle = RUNS[name]
-    if config.source == "dump":
-        source = _dump_source(config)
-    else:
-        source = SyntheticSource.from_config(config)
+    source = _dump_source(config) if config.source == "dump" else open_source(config)
     result = run_gd_oracle(source, config) if oracle else run_engine(source, config)
     return source, result
 
