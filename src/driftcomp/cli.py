@@ -26,6 +26,8 @@ EXIT_DIVERGED = 4
 
 
 def _cmd_run(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     config = load_config(args.config)
     if args.output:
         config = config.replace(output_dir=args.output)
@@ -52,13 +54,14 @@ def _cmd_sweep(args) -> int:
     if args.output:
         config = config.replace(output_dir=args.output)
     values = [coerce_value(args.key, raw) for raw in args.values.split(",")]
-    results, sources = [], []
-    for value in values:
-        cfg = config.replace(**{args.key: value})
-        source = open_source(cfg)
+    # every value's config and source is built before the first run, so a bad
+    # value fails the sweep before any work is done
+    configs = [config.replace(**{args.key: value}) for value in values]
+    sources = [open_source(cfg) for cfg in configs]
+    results = []
+    for value, cfg, source in zip(values, configs, sources):
         result = run_engine(source, cfg)
         results.append(result)
-        sources.append(source)
         print(f"{args.key}={value}: last_accuracy={result.last_accuracy:.4f}")
     paths = emit_results(results, config.output_dir, sources)
     print(f"wrote {paths['results']}")

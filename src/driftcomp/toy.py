@@ -114,18 +114,27 @@ def _backprop_extractor(model: ToyModel, x: np.ndarray, h: np.ndarray,
     grads["b1"] += dh.sum(axis=0)
 
 
+def _as_batch(x: np.ndarray) -> np.ndarray:
+    return np.atleast_2d(np.asarray(x, dtype=np.float64))
+
+
 def ce_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray
             ) -> Tuple[float, Dict[str, np.ndarray]]:
     """Mean softmax cross-entropy over the head, with parameter gradients."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
+    x = _as_batch(x)
+    return _ce_loss(model, x, np.asarray(labels, dtype=np.int64), model.forward(x))
+
+
+def _ce_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, forward
+             ) -> Tuple[float, Dict[str, np.ndarray]]:
+    """`ce_loss` given `forward`, the model's (h, z, logits) for `x`."""
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError(
             f"labels must lie in [0, {model.num_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
     n = x.shape[0]
-    h, z, logits = model.forward(x)
+    h, z, logits = forward
     probs = _softmax(logits)
     loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
     dlogits = probs.copy()
@@ -148,6 +157,14 @@ def kd_loss(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
     """
     if old_class_count == 0:
         return 0.0, zero_grads(model)
+    x = _as_batch(x)
+    return _kd_loss(model, old_model, x, old_class_count, model.forward(x))
+
+
+def _kd_loss(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
+             old_class_count: int, forward) -> Tuple[float, Dict[str, np.ndarray]]:
+    """`kd_loss` for a positive `old_class_count`, given `forward`, the
+    current model's (h, z, logits) for `x`."""
     if old_model is None:
         raise ValueError("old_model required when old_class_count > 0")
     if old_model.num_classes != old_class_count:
@@ -157,10 +174,9 @@ def kd_loss(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
         )
     if old_class_count > model.num_classes:
         raise ValueError("old_class_count exceeds current head width")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
     q = _softmax(old_model.forward(x)[2])
-    h, z, logits = model.forward(x)
+    h, z, logits = forward
     grads = zero_grads(model)
     r = _softmax(logits[:, :old_class_count])
     loss = float(-np.mean(np.sum(q * np.log(r + 1e-300), axis=1)))
@@ -169,6 +185,19 @@ def kd_loss(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
     grads["Wh"] += z.T @ dlogits
     _backprop_extractor(model, x, h, dlogits @ model.Wh.T, grads)
     return loss, grads
+
+
+# scl_loss builds its anchor-by-row table of gradient additions in chunks of
+# anchors holding at most this many floats (8 MiB), so a large batch does
+# not need n * n * d floats at once.
+_DU_TABLE_FLOATS = 1 << 20
+
+
+def _others(group: np.ndarray) -> np.ndarray:
+    """(g, g - 1) array whose row k is `group` without its k-th entry."""
+    g = group.size
+    col = np.arange(g - 1)
+    return group[col + (col >= np.arange(g)[:, None])]
 
 
 def scl_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, tau: float
@@ -180,41 +209,79 @@ def scl_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, tau: float
     positive similarity against the other-class features, averaged over
     valid anchors. Returns (loss, extractor gradients, valid anchor count);
     a fully degenerate batch yields (0, zeros, 0).
+
+    The anchors of one label share their negatives, so the work runs once
+    per label present in the batch. The result is bit for bit that of a
+    loop over anchors: each row sum reduces a C-ordered row, each weighted
+    negative sum is one matrix-vector product, and the loss terms and every
+    feature gradient's additions are summed in anchor order.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels = np.asarray(labels, dtype=np.int64)
-    n = x.shape[0]
-    h, z, _ = model.forward(x)
+    x = _as_batch(x)
+    return _scl_loss(model, x, np.asarray(labels, dtype=np.int64), tau, model.forward(x))
+
+
+def _scl_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, tau: float, forward
+              ) -> Tuple[float, Dict[str, np.ndarray], int]:
+    """`scl_loss` given `forward`, the model's (h, z, logits) for `x`."""
+    h, z, _ = forward
+    n, d = z.shape
     znorm = np.linalg.norm(z, axis=1, keepdims=True)
     u = z / znorm
     sim = (u @ u.T) / tau
 
-    total = 0.0
-    du = np.zeros_like(u)
-    valid = 0
-    for i in range(n):
-        pos = np.flatnonzero((labels == labels[i]) & (np.arange(n) != i))
-        neg = np.flatnonzero(labels != labels[i])
-        if pos.size == 0 or neg.size == 0:
+    terms = np.zeros(n)            # each anchor's loss term
+    own = np.zeros_like(u)         # each anchor's addition to its own du row
+    coef = np.zeros((n, n))        # anchor j adds coef[j, k] * u[j] to du[k], k negative
+    anchors = np.zeros(n, dtype=bool)
+    for label in np.unique(labels):
+        in_group = labels == label
+        group = np.flatnonzero(in_group)
+        neg = np.flatnonzero(~in_group)
+        p = group.size - 1
+        if p == 0 or neg.size == 0:
             continue
-        valid += 1
-        row = sim[i, neg]
-        m = row.max()
-        expd = np.exp(row - m)
-        lse = m + np.log(expd.sum())
-        w = expd / expd.sum()
-        total += float(pos.size * lse - sim[i, pos].sum())
-        # d/du_i and d/du_j of sum_p [lse(neg) - sim_ip]
-        du[i] += (pos.size * (w @ u[neg]) - u[pos].sum(axis=0)) / tau
-        du[pos] += -u[i] / tau
-        du[neg] += (pos.size / tau) * w[:, None] * u[i]
+        pos = _others(group)
+        rows = group[:, None]
+        # indexing both axes by arrays keeps the block C-ordered, so each
+        # row's sum is the pairwise sum a single row gets
+        block = sim[rows, neg]
+        m = block.max(axis=1, keepdims=True)
+        expd = np.exp(block - m)
+        denom = expd.sum(axis=1, keepdims=True)
+        w = expd / denom
+        terms[group] = p * (m + np.log(denom))[:, 0] - sim[rows, pos].sum(axis=1)
+        # a stack of (1, n_neg) @ (n_neg, d) products runs one gemv per
+        # anchor; a single 2-D product would be a gemm that rounds otherwise
+        own[group] = (p * (w[:, None, :] @ u[neg])[:, 0] - u[pos].sum(axis=1)) / tau
+        coef[rows, neg] = (p / tau) * w
+        anchors[group] = True
+    valid = int(np.count_nonzero(anchors))
     grads = zero_grads(model)
     if valid == 0:
         return 0.0, grads, 0
+    total = 0.0
+    for term in terms[anchors].tolist():
+        total += term
+
+    # table[j, k] is anchor j's addition to du[k]: its own term on k = j,
+    # -u[j] / tau on its positives, coef[j, k] * u[j] on its negatives, and
+    # a zero for an anchor that is not valid. Reducing over j adds them in
+    # anchor order.
+    positive = (labels[:, None] == labels) & anchors[:, None]
+    np.fill_diagonal(positive, False)
+    neg_u = -u / tau
+    du = np.zeros((1, n, d))
+    step = max(1, _DU_TABLE_FLOATS // (n * d))
+    for start in range(0, n, step):
+        chunk = np.arange(start, min(start + step, n))
+        table = coef[chunk, :, None] * u[chunk, None, :]
+        table = np.where(positive[chunk, :, None], neg_u[chunk, None, :], table)
+        table[np.arange(chunk.size), chunk] = own[chunk]
+        du = np.add.reduce(np.concatenate([du, table]), axis=0, keepdims=True)
     loss = total / valid
-    du /= valid
+    du = du[0] / valid
     dz = (du - (np.sum(du * u, axis=1, keepdims=True)) * u) / znorm
     _backprop_extractor(model, x, h, dz, grads)
     return loss, grads, valid
@@ -225,15 +292,19 @@ def composite_loss(model: ToyModel, old_model: Optional[ToyModel],
                    ) -> Tuple[float, Dict[str, np.ndarray]]:
     """Cross-entropy + lambda1 * distillation + lambda2 * contrastive.
 
+    The current model's forward pass runs once and serves all three terms.
     The distillation term is dropped when there is no old model."""
-    loss, grads = ce_loss(model, x, labels)
+    x = _as_batch(x)
+    labels = np.asarray(labels, dtype=np.int64)
+    forward = model.forward(x)
+    loss, grads = _ce_loss(model, x, labels, forward)
     if old_model is not None and weights.lambda1 > 0:
-        kd, kd_grads = kd_loss(model, old_model, x, old_model.num_classes)
+        kd, kd_grads = _kd_loss(model, old_model, x, old_model.num_classes, forward)
         loss += weights.lambda1 * kd
         for name in PARAM_NAMES:
             grads[name] += weights.lambda1 * kd_grads[name]
     if weights.lambda2 > 0:
-        scl, scl_grads, _ = scl_loss(model, x, labels, weights.tau)
+        scl, scl_grads, _ = _scl_loss(model, x, labels, weights.tau, forward)
         loss += weights.lambda2 * scl
         for name in PARAM_NAMES:
             grads[name] += weights.lambda2 * scl_grads[name]

@@ -53,6 +53,15 @@ class TestRun:
         assert main(["run", "-c", cfg_path, "-o", str(out), "--seeds", "2"]) == EXIT_OK
         assert len(list(out.glob("summary_*.json"))) == 2
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_seed_count_below_one_exit_code(self, cfg_path, tmp_path, capsys, seeds):
+        out = tmp_path / "results"
+        assert main(["run", "-c", cfg_path, "-o", str(out), "--seeds", seeds]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: --seeds")
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path):
         code = main(["run", "-c", str(tmp_path / "nope.cfg")])
         assert code != EXIT_OK
@@ -139,6 +148,20 @@ class TestSweep:
                      "-o", str(tmp_path / "sweep")])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("key,values", [
+        ("solver", "analytic,bogus"),
+        # SMALL_CFG's 3 tasks of 2 classes cannot be split warm
+        ("split_style", "cold,warm"),
+    ])
+    def test_bad_last_value_runs_nothing(self, cfg_path, tmp_path, capsys, key, values):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "-c", cfg_path, "--key", key, "--values", values,
+                     "-o", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
 
 class TestOracle:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from driftcomp import toy
 from driftcomp.toy import (
     PARAM_NAMES,
     LossWeights,
     ToyModel,
+    _backprop_extractor,
     ce_loss,
     composite_loss,
     kd_loss,
@@ -187,6 +189,89 @@ class TestSclLoss:
         perm = rng.permutation(10)
         loss_b, _, _ = scl_loss(model, x[perm], labels[perm], tau=0.5)
         assert loss_a == pytest.approx(loss_b, rel=1e-12)
+
+
+def loop_scl_loss(model, x, labels, tau):
+    """Reference: scl_loss as a loop over anchors, each anchor's positives
+    and negatives gathered and its gradient additions made one by one."""
+    n = x.shape[0]
+    h, z, _ = model.forward(x)
+    znorm = np.linalg.norm(z, axis=1, keepdims=True)
+    u = z / znorm
+    sim = (u @ u.T) / tau
+    total = 0.0
+    du = np.zeros_like(u)
+    valid = 0
+    for i in range(n):
+        pos = np.flatnonzero((labels == labels[i]) & (np.arange(n) != i))
+        neg = np.flatnonzero(labels != labels[i])
+        if pos.size == 0 or neg.size == 0:
+            continue
+        valid += 1
+        row = sim[i, neg]
+        m = row.max()
+        expd = np.exp(row - m)
+        lse = m + np.log(expd.sum())
+        w = expd / expd.sum()
+        total += float(pos.size * lse - sim[i, pos].sum())
+        du[i] += (pos.size * (w @ u[neg]) - u[pos].sum(axis=0)) / tau
+        du[pos] += -u[i] / tau
+        du[neg] += (pos.size / tau) * w[:, None] * u[i]
+    grads = zero_grads(model)
+    if valid == 0:
+        return 0.0, grads, 0
+    du /= valid
+    dz = (du - (np.sum(du * u, axis=1, keepdims=True)) * u) / znorm
+    _backprop_extractor(model, x, h, dz, grads)
+    return total / valid, grads, valid
+
+
+def random_scl_batch(rng):
+    """A model and batch drawn over batch size, label pattern, feature
+    dimension, temperature and the scale of inputs and features."""
+    n = int(rng.integers(1, 40))
+    pattern = rng.integers(4)
+    if pattern == 0:
+        labels = np.zeros(n, dtype=np.int64)              # one label
+    elif pattern == 1:
+        labels = rng.permutation(n)                       # all labels distinct
+    else:                                                 # 1-6 labels, singletons likely
+        labels = rng.integers(0, int(rng.integers(1, 7)), size=n)
+    d = int(rng.choice([1, 2, 3, 16, 33]))
+    model = ToyModel.init(5, 7, d, 2, rng)
+    feature_scale = float(rng.choice([1e-3, 1.0, 1e3]))
+    model.W2 *= feature_scale
+    model.b2 = feature_scale * rng.standard_normal(d)
+    x = float(rng.choice([0.1, 1.0, 10.0])) * rng.standard_normal((n, 5))
+    tau = float(rng.choice([0.05, 0.1, 0.5, 1.0, 3.0]))
+    return model, x, labels, tau
+
+
+def assert_scl_bitwise_equal(model, x, labels, tau):
+    loss, grads, valid = scl_loss(model, x, labels, tau)
+    want_loss, want_grads, want_valid = loop_scl_loss(model, x, labels, tau)
+    assert valid == want_valid
+    assert loss == want_loss
+    for name in PARAM_NAMES:
+        assert np.array_equal(grads[name], want_grads[name]), name
+
+
+class TestSclLossMatchesLoop:
+    """scl_loss works once per label, and must equal the per-anchor loop
+    bit for bit: toy training, and so every toy feature, depends on it."""
+
+    def test_random_batches(self):
+        rng = np.random.default_rng(21)
+        for _ in range(2000):
+            assert_scl_bitwise_equal(*random_scl_batch(rng))
+
+    @pytest.mark.parametrize("table_floats", [1, 500])
+    def test_random_batches_with_chunked_table(self, monkeypatch, table_floats):
+        # one anchor, or a few, per chunk of the gradient table
+        monkeypatch.setattr(toy, "_DU_TABLE_FLOATS", table_floats)
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            assert_scl_bitwise_equal(*random_scl_batch(rng))
 
 
 class TestCompositeAndTraining:
