@@ -154,15 +154,6 @@ def class_means(matrices: Mapping[int, np.ndarray]) -> PrototypeTable:
     return PrototypeTable._from_checked_rows(class_ids, matrix)
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity with hard errors on zero-norm inputs."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine similarity undefined for zero-norm vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a (C, d) matrix, by the arithmetic of
     `np.linalg.norm(matrix, axis=1)`, which reduces every row on its own."""

@@ -14,9 +14,11 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .core import PrototypeTable, cosine_similarity
+from .core import PrototypeTable
 
 DRIFT_KINDS = ("identity", "rotation", "scaled_rotation", "general_affine", "nonlinear")
+# largest condition number of a general_affine (and nonlinear) linear part
+CONDITION_BOUND = 50.0
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,6 @@ class DriftSpec:
     magnitude: float = 0.0
     scale: float = 1.0
     observation_noise: float = 0.0
-    condition_bound: float = 50.0
 
     def __post_init__(self):
         if self.kind not in DRIFT_KINDS:
@@ -84,13 +85,13 @@ def _random_rotation(d: int, magnitude: float, rng: np.random.Generator) -> np.n
     return scipy.linalg.expm(magnitude * skew)
 
 
-def _random_affine(d: int, magnitude: float, bound: float, rng: np.random.Generator) -> np.ndarray:
+def _random_affine(d: int, magnitude: float, rng: np.random.Generator) -> np.ndarray:
     for _ in range(100):
         a = np.eye(d) + magnitude * rng.standard_normal((d, d)) / np.sqrt(d)
-        if np.linalg.cond(a) <= bound:
+        if np.linalg.cond(a) <= CONDITION_BOUND:
             return a
     raise RuntimeError(
-        f"could not draw a matrix with condition number <= {bound} after 100 tries"
+        f"could not draw a matrix with condition number <= {CONDITION_BOUND} after 100 tries"
     )
 
 
@@ -105,11 +106,9 @@ def realize_drift(spec: DriftSpec, dimension: int, rng: np.random.Generator) -> 
         rot = _random_rotation(d, spec.magnitude, rng)
         return DriftMap(spec.scale * rot, kind="scaled_rotation")
     if spec.kind == "general_affine":
-        return DriftMap(
-            _random_affine(d, spec.magnitude, spec.condition_bound, rng), kind="general_affine"
-        )
+        return DriftMap(_random_affine(d, spec.magnitude, rng), kind="general_affine")
     # nonlinear: well-conditioned linear part plus elementwise sine perturbation
-    a = _random_affine(d, spec.magnitude, spec.condition_bound, rng)
+    a = _random_affine(d, spec.magnitude, rng)
     return DriftMap(a, sine_strength=spec.magnitude, kind="nonlinear")
 
 
@@ -270,15 +269,16 @@ def true_drift_similarity(
         ref = reference_prototypes.prototype(c)
         est = estimated_prototypes.prototype(c) - ref
         true = true_drifted_prototypes.prototype(c) - ref
-        if np.linalg.norm(true) == 0.0:
+        est_norm, true_norm = np.linalg.norm(est), np.linalg.norm(true)
+        if true_norm == 0.0:
             warnings.warn(f"class {c} has a zero-length true drift vector; "
                           "similarity set to 1.0", RuntimeWarning, stacklevel=2)
             out[c] = 1.0
-        elif np.linalg.norm(est) == 0.0:
+        elif est_norm == 0.0:
             warnings.warn(f"class {c} has a zero-length estimated drift vector against "
                           "a non-zero true drift; similarity set to 0.0",
                           RuntimeWarning, stacklevel=2)
             out[c] = 0.0
         else:
-            out[c] = cosine_similarity(est, true)
+            out[c] = float(np.dot(est, true) / (est_norm * true_norm))
     return out

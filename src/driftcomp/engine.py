@@ -125,46 +125,37 @@ class RunResult:
 class _StreamFit:
     """Drift-projector fit over one task's stream of (old, new) feature pairs.
 
-    "analytic" and "gd_with_queue" push into paired queues pre-filled with
-    pseudo-features and re-solve every `resolve_stride` samples, "analytic"
-    from the normal equations the queues keep and "gd_with_queue" from the
-    queued rows; "gd" descends on each pair alone, as a one-row queue, at
-    every sample.
-
-    "analytic" solves through a WindowSolver; each push tells it the rows
-    that entered and left the queues, or that the queues recomputed their
-    normal equations.
+    "analytic" and "gd_with_queue" push through a WindowSolver into paired
+    queues pre-filled with pseudo-features and re-solve every
+    `resolve_stride` samples, "analytic" by the window's solve and
+    "gd_with_queue" from the queued rows; "gd" descends on each pair alone,
+    as a one-row queue, at every sample.
     """
 
     def __init__(self, config: RunConfig, old_table: PrototypeTable, rng_seed: int):
         self.config = config
         self.descent = _Descent(np.eye(old_table.dimension), config.gd_learning_rate,
                                 config.gd_optimizer)
-        self.queue = None
+        self.window = None
         if config.solver != "gd":
-            self.queue = init_with_pseudo_features(
+            queue = init_with_pseudo_features(
                 old_table, capacity=config.queue_capacity,
                 noise_scale=config.noise_scale, rng_seed=rng_seed,
             )
-        self.window = WindowSolver(old_table.dimension, config.ridge,
-                                   singular_policy=config.singular_policy,
-                                   min_ridge=config.min_ridge)
+            self.window = WindowSolver(queue, config.ridge,
+                                       singular_policy=config.singular_policy,
+                                       min_ridge=config.min_ridge)
         self.pending: List[Tuple[np.ndarray, np.ndarray]] = []
 
     def push(self, z_old: np.ndarray, z_new: np.ndarray) -> None:
         self.pending.append((np.asarray(z_old, dtype=np.float64),
                              np.asarray(z_new, dtype=np.float64)))
-        if self.queue is None:
+        if self.window is None:
             del self.pending[:-1]   # gd keeps the latest pair only
         elif len(self.pending) >= self.config.update_stride:
             old, new = (np.array(rows) for rows in zip(*self.pending))
             self.pending.clear()
-            recomputes = self.queue.recomputes
-            left = self.queue.push(old, new)
-            if self.queue.recomputes != recomputes:
-                self.window.restart()
-            else:
-                self.window.moved((old, new), left)
+            self.window.push(old, new)
 
     def solve(self, i: int) -> Optional[np.ndarray]:
         """Re-fitted weights after the i-th pair, or None when no solve is due."""
@@ -174,9 +165,9 @@ class _StreamFit:
         elif (i + 1) % cfg.resolve_stride:
             return None
         elif cfg.solver == "analytic":
-            return self.window.solve(self.queue.gram, self.queue.cross)[0]
+            return self.window.solve()[0]
         else:
-            q_old, q_new = self.queue.matrices()
+            q_old, q_new = self.window.queue.matrices()
         for _ in range(cfg.gd_steps):
             self.descent.step(_queue_gradient(q_old, q_new, self.descent.weights))
         return self.descent.weights
@@ -270,7 +261,8 @@ def run_task_cycle(
 
     table = layout.table()
     if fit is not None:
-        rec.solve_counts = fit.window.counts
+        if fit.window is not None:
+            rec.solve_counts = fit.window.counts
         _record_drift_similarity(rec, source, table)
     return table, rec
 
@@ -325,8 +317,7 @@ def _record_drift_similarity(rec: TaskRunRecord, source, table: PrototypeTable) 
     )
 
 
-def run_gd_oracle(source, config: RunConfig, max_steps: int = 20000,
-                  grad_tol: float = 1e-10) -> RunResult:
+def run_gd_oracle(source, config: RunConfig) -> RunResult:
     """Offline oracle: the projector is optimized by gradient descent to
     convergence on the full paired test stream before any prediction.
 
@@ -345,7 +336,7 @@ def run_gd_oracle(source, config: RunConfig, max_steps: int = 20000,
             q_old = np.vstack([p[1] for p in fit_pairs])
             q_new = np.vstack([p[2] for p in fit_pairs])
             rec.projector_snapshots.append(_offline_gd(q_old, q_new, config.gd_learning_rate,
-                                                       config.gd_optimizer, max_steps, grad_tol))
+                                                       config.gd_optimizer))
             w_index = 0
         layout = _TaskLayout(rec)
         layout.evolve(w_index)
@@ -363,7 +354,7 @@ def run_gd_oracle(source, config: RunConfig, max_steps: int = 20000,
 
 
 def _offline_gd(q_old: np.ndarray, q_new: np.ndarray, learning_rate: float,
-                optimizer: str, max_steps: int, grad_tol: float) -> np.ndarray:
+                optimizer: str, max_steps: int = 20000, grad_tol: float = 1e-10) -> np.ndarray:
     """Full-batch descent on precomputed Gram products until the gradient
     norm falls below tolerance."""
     n, d = q_old.shape

@@ -17,8 +17,9 @@ from scipy.linalg.blas import dgemm
 
 from .core import PrototypeTable
 from .errors import DegenerateInputError, DimensionError, DivergenceError, SingularGramError
+from .queues import QueuePair
 
-DEFAULT_COND_THRESHOLD = 1e12
+COND_THRESHOLD = 1e12   # see solve_normal_equations
 DEFAULT_MIN_RIDGE = 1e-8
 
 
@@ -36,16 +37,16 @@ def _cholesky(gram: np.ndarray, ridge: float) -> tuple[np.ndarray | None, float]
     return factor, (1.0 / rcond if rcond > 0.0 else np.inf)
 
 
-def _factor(gram, ridge, singular_policy, min_ridge, cond_threshold):
+def _factor(gram, ridge, singular_policy, min_ridge):
     """Upper Cholesky factor of gram + ridge I under the singular policy:
     (factor, condition estimate, ridge used); see solve_normal_equations."""
     factor, cond = _cholesky(gram, ridge)
     effective_ridge = ridge
-    if factor is None or (ridge == 0.0 and cond > cond_threshold):
+    if factor is None or (ridge == 0.0 and cond > COND_THRESHOLD):
         if singular_policy == "strict":
             raise SingularGramError(
                 f"Gram matrix condition estimate {cond:.3e} exceeds threshold "
-                f"{cond_threshold:.1e} and singular_policy is strict"
+                f"{COND_THRESHOLD:.1e} and singular_policy is strict"
             )
         effective_ridge = max(ridge, min_ridge)
         factor, _ = _cholesky(gram, effective_ridge)
@@ -84,14 +85,13 @@ def solve_normal_equations(
     *,
     singular_policy: str = "fallback",
     min_ridge: float = DEFAULT_MIN_RIDGE,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> tuple[np.ndarray, float, float]:
     """Solve (gram + ridge I) W = cross through a fresh Cholesky
     factorization.
 
     Returns (W, condition estimate, ridge used), W C-ordered. With ridge 0,
     a Gram whose factorization fails or whose condition estimate exceeds
-    `cond_threshold` is numerically singular: "strict" raises
+    COND_THRESHOLD is numerically singular: "strict" raises
     SingularGramError, "fallback" solves with `min_ridge` instead. A
     ridged matrix that still fails to factor (the Gram's rounding outweighs
     the ridge) raises under "strict"; under "fallback" its ridge is
@@ -105,11 +105,10 @@ def solve_normal_equations(
     solve below HELD_MIN_DIMENSION), while a ridge fallback is active, and
     when its guard trips: a bound on the Gram's condition number, from the
     held factor's estimate and the small Woodbury matrix's, above
-    cond_threshold / d.
+    COND_THRESHOLD / d.
     """
     _check_policy(ridge, singular_policy)
-    factor, cond, effective_ridge = _factor(gram, ridge, singular_policy, min_ridge,
-                                            cond_threshold)
+    factor, cond, effective_ridge = _factor(gram, ridge, singular_policy, min_ridge)
     weights, _ = scipy.linalg.lapack.dpotrs(factor, cross)
     return np.ascontiguousarray(weights), cond, effective_ridge
 
@@ -137,25 +136,28 @@ class SolveCounts:
 
 
 class WindowSolver:
-    """The analytic solves over one sliding window's normal equations.
+    """The analytic solves over one sliding window: the QueuePair `queue`,
+    whose normal equations it solves.
 
-    It keeps the last solution W_prev with its ridge and the (old, new)
-    rows U, Z that moved through the window since (`moved`): those that
-    entered first, with sign s = +1, then those that left, with s = -1. So
-    gram and cross are the previous ones plus U^T diag(s) U and
-    U^T diag(s) Z, and, in exact arithmetic,
+    Rows enter the window through `push`. The solver keeps the last
+    solution W_prev with its ridge and the (old, new) rows U, Z that moved
+    through the window since: those that entered first, with sign s = +1,
+    then those that left, with s = -1. So gram and cross are the previous
+    ones plus U^T diag(s) U and U^T diag(s) Z, and, in exact arithmetic,
 
         W = W_prev + (gram + ridge I)^-1 U^T diag(s) (Z - U W_prev),
 
     which takes m right-hand sides instead of d, accumulated by one gemm
     into a new copy of W_prev, which is never written. The solve is direct,
-    as in solve_normal_equations, without a previous solution, when the ridge
-    used changes, or when m >= d, and returns W_prev itself when no row
-    moved. It also keeps the upper Cholesky factor F0 of G0 + ridge I from
-    its last refactor, with the k rows V (signs S) that moved since, so
-    that gram + ridge I = G0 + ridge I + V^T S V. By Sherman-Morrison-
-    Woodbury (Golub & Van Loan, Matrix Computations, 2.1.4; Hager, SIAM
-    Review 31, 1989), with U appended to V,
+    as in solve_normal_equations, without a previous solution (the first
+    solve, and the first after a push that recomputed the queue's normal
+    equations), when the ridge used differs from the one requested or from
+    W_prev's, or when m >= d, and returns W_prev itself when no row moved.
+    It also keeps the upper Cholesky factor F0 of G0 + ridge I from its
+    last refactor, with the k rows V (signs S) that moved since, so that
+    gram + ridge I = G0 + ridge I + V^T S V. By Sherman-Morrison-Woodbury
+    (Golub & Van Loan, Matrix Computations, 2.1.4; Hager, SIAM Review 31,
+    1989), with U appended to V,
 
         X = (gram + ridge I)^-1 U^T = Y_U - Y K^-1 (V Y_U),
         Y = G0^-1 V^T,  Y_U = G0^-1 U^T,  K = S + V Y  (k x k),
@@ -165,25 +167,26 @@ class WindowSolver:
     held_rows_cap(d) rows.
 
     A solve refactors, through solve_normal_equations' factorization and
-    singular policy, when no factor is held (the first solve, and the first
-    after `restart`, which the window's recompute calls), when k + m would
-    exceed the cap (always, below HELD_MIN_DIMENSION), while a ridge
-    fallback is active, and when the guard trips. Guard: G = L (I + B S B^T)
-    L^T with B = L^-1 V^T, and the eigenvalues of the middle factor other
-    than 1 are those of S K, so cond_2(G) <= cond(G0) max(1, |K|)
-    max(1, |K^-1|); when that bound, from F0's dpocon estimate and dgecon
-    on K's LU in the 1-norm, exceeds cond_threshold / d, the solve
-    refactors. A held solve reports the bound as its condition estimate.
+    singular policy, when no factor is held (without a previous solution),
+    when k + m would exceed the cap (always, below HELD_MIN_DIMENSION),
+    while a ridge fallback is active, and when the guard trips. Guard:
+    G = L (I + B S B^T) L^T with B = L^-1 V^T, and the eigenvalues of the
+    middle factor other than 1 are those of S K, so cond_2(G) <= cond(G0)
+    max(1, |K|) max(1, |K^-1|); when that bound, from F0's dpocon estimate
+    and dgecon on K's LU in the 1-norm, exceeds COND_THRESHOLD / d, the
+    solve refactors. A held solve reports the bound as its condition
+    estimate.
     """
 
-    def __init__(self, dimension: int, ridge: float = 0.0, *,
-                 singular_policy: str = "fallback", min_ridge: float = DEFAULT_MIN_RIDGE,
-                 cond_threshold: float = DEFAULT_COND_THRESHOLD):
+    def __init__(self, queue: QueuePair, ridge: float = 0.0, *,
+                 singular_policy: str = "fallback", min_ridge: float = DEFAULT_MIN_RIDGE):
         _check_policy(ridge, singular_policy)
+        self.queue = queue
         self.ridge = ridge
-        self.policy = (singular_policy, min_ridge, cond_threshold)
-        self.guard_limit = cond_threshold / dimension
-        self.cap = cap = held_rows_cap(dimension)
+        self.policy = (singular_policy, min_ridge)
+        d = queue.dimension
+        self.guard_limit = COND_THRESHOLD / d
+        self.cap = cap = held_rows_cap(d)
         self.counts = SolveCounts()
         self._previous: tuple[np.ndarray, float] | None = None
         self._entered: list[tuple[np.ndarray, np.ndarray]] = []
@@ -191,34 +194,37 @@ class WindowSolver:
         self._factor: np.ndarray | None = None   # F0, while it is held
         self._factor_cond = self._cond = np.inf
         self._held = 0                            # k
-        self._rows = np.empty((cap, dimension))   # V
-        self._solved = np.empty((dimension, cap), order="F")   # Y
-        self._schur = np.empty((cap, cap), order="F")          # K
+        self._rows = np.empty((cap, d))           # V
+        self._solved = np.empty((d, cap), order="F")   # Y
+        self._schur = np.empty((cap, cap), order="F")  # K
 
-    def moved(self, entered: tuple[np.ndarray, np.ndarray],
-              left: tuple[np.ndarray, np.ndarray]) -> None:
-        """Record the (old, new) rows pushed into the window and those that
-        left it."""
-        if self._previous is not None:
-            self._entered.append(entered)
+    def push(self, old_features: np.ndarray,
+             new_features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Push paired rows into the queue, as QueuePair.push does, and
+        return the (old, new) rows that left, oldest first."""
+        queue = self.queue
+        recomputes = queue.recomputes
+        left = queue.push(old_features, new_features)
+        if queue.recomputes != recomputes:
+            # gram and cross were recomputed from the rows: the next solve is direct
+            self._previous = self._factor = None
+            self._entered.clear()
+            self._left.clear()
+        elif self._previous is not None:
+            self._entered.append((np.array(old_features, dtype=np.float64, ndmin=2),
+                                  np.array(new_features, dtype=np.float64, ndmin=2)))
             self._left.append(left)
+        return left
 
-    def restart(self) -> None:
-        """The window's normal equations were recomputed from its rows: the
-        next solve is direct."""
-        self._previous = self._factor = None
-        self._entered.clear()
-        self._left.clear()
-
-    def solve(self, gram: np.ndarray, cross: np.ndarray) -> tuple[np.ndarray, float, float]:
-        """(W, condition estimate, ridge used) for the window's current
+    def solve(self) -> tuple[np.ndarray, float, float]:
+        """(W, condition estimate, ridge used) for the queue's current
         normal equations, as solve_normal_equations returns them; W is
         never written afterwards. A solve that raises keeps the moved rows,
         so the next one still updates by all of them."""
         counts = self.counts
         counts.solves += 1
         if self._previous is None or self._entered:
-            weights, cond, ridge = self._moved_solve(gram, cross)
+            weights, cond, ridge = self._moved_solve()
             self._previous, self._cond = (weights, ridge), cond
             self._entered.clear()
             self._left.clear()
@@ -228,7 +234,7 @@ class WindowSolver:
         counts.max_condition = max(counts.max_condition, cond)
         return weights, cond, ridge
 
-    def _moved_solve(self, gram, cross) -> tuple[np.ndarray, float, float]:
+    def _moved_solve(self) -> tuple[np.ndarray, float, float]:
         """solve() when rows moved or no solution is held."""
         moved, m = None, 0
         if self._previous is not None:
@@ -240,12 +246,14 @@ class WindowSolver:
             held = self._held_solve(moved)
             if held is not None:
                 return (*held, self.ridge)
-        factor, cond, ridge = _factor(gram, self.ridge, *self.policy)
+        queue = self.queue
+        factor, cond, ridge = _factor(queue.gram, self.ridge, *self.policy)
         self.counts.refactors += 1
         self._factor = factor if ridge == self.ridge and self.cap else None
         self._factor_cond, self._held = cond, 0
-        if moved is None or self._previous[1] != ridge or m >= len(gram):
-            weights, _ = scipy.linalg.lapack.dpotrs(factor, cross)
+        if (moved is None or ridge != self.ridge or self._previous[1] != ridge
+                or m >= queue.dimension):
+            weights, _ = scipy.linalg.lapack.dpotrs(factor, queue.cross)
             return np.ascontiguousarray(weights), cond, ridge
         solved, _ = scipy.linalg.lapack.dpotrs(factor, moved[0].T)
         return _updated(self._previous[0], moved, solved), cond, ridge

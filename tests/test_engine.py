@@ -267,8 +267,8 @@ class TestSolveCounts:
         solve = WindowSolver.solve
         solves = []
 
-        def recording(window, gram, cross):
-            weights, cond, ridge = solve(window, gram, cross)
+        def recording(window):
+            weights, cond, ridge = solve(window)
             repeated = bool(solves) and solves[-1][0] is weights
             solves.append((weights, ridge != window.ridge, repeated))
             return weights, cond, ridge
@@ -485,8 +485,8 @@ class TestLayoutPredict:
                 assert str(info.value) == message
 
     def test_zero_weights_in_stream(self, monkeypatch):
-        def zero_solve(window, gram, cross):
-            return np.zeros_like(gram), 1.0, window.ridge
+        def zero_solve(window):
+            return np.zeros_like(window.queue.gram), 1.0, window.ridge
         monkeypatch.setattr("driftcomp.projector.WindowSolver.solve", zero_solve)
         with pytest.raises(DegenerateInputError) as info:
             run_with(load_config(GOLDEN_CONFIG).replace(solver="analytic"))
@@ -502,8 +502,8 @@ class TestNonFiniteEvolvedPrototypes:
         return load_config(GOLDEN_CONFIG).replace(solver="analytic", cluster_separation=1e10)
 
     def test_stream_raises(self, monkeypatch):
-        def overflowing_solve(window, gram, cross):
-            return 1e300 * np.eye(gram.shape[0]), 1.0, window.ridge
+        def overflowing_solve(window):
+            return 1e300 * np.eye(window.queue.dimension), 1.0, window.ridge
         monkeypatch.setattr("driftcomp.projector.WindowSolver.solve", overflowing_solve)
         with pytest.raises(DegenerateInputError, match="evolved prototype"):
             run_with(self.config())

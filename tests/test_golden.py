@@ -12,9 +12,9 @@ dump and read back by DumpSource; one with source=toy trains its toy
 extractors first.
 
 Regenerate only for a change meant to move outputs, and say so in
-CHANGES.md:
+CHANGES.md, naming the runs to rewrite (or --all for every run):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py small_analytic wide_analytic
 """
 
 import os
@@ -137,7 +137,33 @@ def test_matches_golden(name):
             assert data == fh.read(), f"{name}: {file_name} differs from the golden copy"
 
 
-if __name__ == "__main__":
-    for run_name in sys.argv[1:] or sorted(RUNS):
+def main(args):
+    """Rewrite the golden runs named in `args`, or all of them for
+    ["--all"]; returns the exit status, 2 for no or unknown names."""
+    names = sorted(RUNS) if args == ["--all"] else args
+    unknown = [name for name in names if name not in RUNS]
+    if not names or unknown:
+        print("usage: tests/test_golden.py --all | RUN [RUN ...]\nruns: " + " ".join(sorted(RUNS)),
+              file=sys.stderr)
+        return 2
+    for run_name in names:
         write_golden(run_name)
         print(f"wrote {os.path.join(GOLDEN_DIR, run_name)}")
+    return 0
+
+
+@pytest.mark.parametrize("args, written", [
+    ([], None), (["no_such_run"], None), (["small_gd", "no_such_run"], None),
+    (["--all", "small_gd"], None), (["small_gd"], ["small_gd"]), (["--all"], sorted(RUNS)),
+])
+def test_regeneration_names_its_runs(monkeypatch, capsys, args, written):
+    calls = []
+    monkeypatch.setattr(sys.modules[__name__], "write_golden", calls.append)
+    assert main(args) == (0 if written else 2)
+    assert calls == (written or [])
+    if not written:
+        assert "usage:" in capsys.readouterr().err
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -315,18 +315,17 @@ class TestRankKUpdateOutput:
         pair = QueuePair(d, capacity)
         old = rng.standard_normal((capacity, d))
         pair.push(old, old @ rng.standard_normal((d, d)))
-        window = WindowSolver(d)
+        window = WindowSolver(pair)
         # a C-ordered W_prev, as the direct route hands the stream
-        weights, _, _ = window.solve(pair.gram, pair.cross)
+        weights, _, _ = window.solve()
         assert weights.flags.c_contiguous
         kept = weights.copy()
         entering_old, entering_new = rng.standard_normal((2, k + 1, d))
-        left_old, left_new = pair.push(entering_old, entering_new)
-        window.moved((entering_old, entering_new), (left_old, left_new))
+        left_old, left_new = window.push(entering_old, entering_new)
         rows_old = np.vstack([entering_old, left_old])
         rows_new = np.vstack([entering_new, left_new])
 
-        updated, _, _ = window.solve(pair.gram, pair.cross)
+        updated, _, _ = window.solve()
 
         np.testing.assert_array_equal(weights, kept)
         assert not np.shares_memory(updated, weights)
@@ -339,27 +338,24 @@ class TestRankKUpdateOutput:
         np.testing.assert_array_equal(updated, weights + solved @ correction)
 
 
-def window_stream(window, rows, d, capacity, prefill_rank, seed):
-    """Yield (i, recomputed, rows moved) after each single-row push of `rows`
-    (n, d) old-space rows, mapped by a fixed W, into a window pre-filled with
-    `capacity` rows of rank `prefill_rank`; the caller then solves."""
+def window_stream(window, rows, prefill_rank, seed):
+    """Yield (queue, recomputed, rows moved) after each single-row push of
+    `rows` (n, d) old-space rows, mapped by a fixed W, through `window`,
+    whose empty queue is first filled with rows of rank `prefill_rank`; the
+    caller then solves."""
+    pair = window.queue
+    d, capacity = pair.dimension, pair.capacity
     rng = np.random.default_rng(seed)
     w_true = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
-    pair = QueuePair(d, capacity)
     prefill = rng.standard_normal((capacity, prefill_rank)) @ rng.standard_normal(
         (prefill_rank, d))
-    pair.push(prefill, prefill @ w_true)
-    for i, row in enumerate(rows):
+    window.push(prefill, prefill @ w_true)
+    for row in rows:
         old = row[None, :]
         new = old @ w_true + 0.1 * rng.standard_normal((1, d))
         recomputes = pair.recomputes
-        left = pair.push(old, new)
-        recomputed = pair.recomputes != recomputes
-        if recomputed:
-            window.restart()
-        else:
-            window.moved((old, new), left)
-        yield pair, recomputed, 1 + len(left[0])
+        left = window.push(old, new)
+        yield pair, pair.recomputes != recomputes, 1 + len(left[0])
 
 
 class TestHeldFactor:
@@ -380,16 +376,16 @@ class TestHeldFactor:
         # recompute the normal equations three times
         d, capacity, n = self.D, 600, 2000
         rng = np.random.default_rng(21)
-        window = WindowSolver(d)
+        window = WindowSolver(QueuePair(d, capacity))
         fired = {"cap": 0, "recompute": 0, "ridge": 0}
         ridge_used = 0.0
         held = 0
         for pair, recomputed, m in window_stream(window, 2.0 * rng.standard_normal((n, d)),
-                                                 d, capacity, prefill_rank=10, seed=22):
+                                                 prefill_rank=10, seed=22):
             over_cap = window._held + m > window.cap
             refactors = window.counts.refactors
             fallback_active = ridge_used != 0.0
-            weights, _, ridge_used = window.solve(pair.gram, pair.cross)
+            weights, _, ridge_used = window.solve()
             refactored = window.counts.refactors > refactors
             for trigger, hit in (("cap", over_cap), ("recompute", recomputed),
                                  ("ridge", fallback_active)):
@@ -414,13 +410,14 @@ class TestHeldFactor:
         # the guard sends every solve to the per-solve path's arithmetic
         d, capacity, n = self.D, 1000, 100
         rows = np.random.default_rng(25).standard_normal((n, d))
+        monkeypatch.setattr(projector, "COND_THRESHOLD", 1e6)
         weights = {}
         for name in ("held", "per_solve"):
             if name == "per_solve":
                 monkeypatch.setattr(projector, "held_rows_cap", lambda d: 0)
-            window = WindowSolver(d, cond_threshold=1e6)
-            weights[name] = [window.solve(pair.gram, pair.cross)[0] for pair, _, _ in
-                             window_stream(window, rows, d, capacity, prefill_rank=d, seed=26)]
+            window = WindowSolver(QueuePair(d, capacity))
+            weights[name] = [window.solve()[0] for _ in
+                             window_stream(window, rows, prefill_rank=d, seed=26)]
             assert window.counts.refactors == n and window.counts.ridge_fallbacks == 0
             assert 1e6 / d < window.counts.max_condition < 1e6
         for got, want in zip(weights["held"], weights["per_solve"]):
@@ -431,27 +428,30 @@ class TestHeldFactor:
         # pushes and matches the direct solve
         d, capacity = 16, 60
         rows = np.random.default_rng(27).standard_normal((6, d))
-        window = WindowSolver(d)
+        window = WindowSolver(QueuePair(d, capacity))
         factor = projector._factor
 
         def fail_once(*args):
             monkeypatch.setattr(projector, "_factor", factor)
             raise SingularGramError("injected")
-        stream = window_stream(window, rows, d, capacity, prefill_rank=d, seed=28)
+        stream = window_stream(window, rows, prefill_rank=d, seed=28)
         for i, (pair, _, _) in enumerate(stream):
             if i == 2:
                 monkeypatch.setattr(projector, "_factor", fail_once)
                 with pytest.raises(SingularGramError, match="injected"):
-                    window.solve(pair.gram, pair.cross)
+                    window.solve()
                 continue
-            weights = window.solve(pair.gram, pair.cross)[0]
+            weights = window.solve()[0]
             direct = solve_normal_equations(pair.gram, pair.cross)[0]
             assert np.linalg.norm(weights - direct) / np.linalg.norm(direct) <= 1e-10
         assert window.counts.refactors == 5
 
-    def per_solve_path(self, monkeypatch, policy):
-        monkeypatch.setattr(projector, "held_rows_cap", lambda d: 0)
-        window = WindowSolver(self.D, singular_policy=policy)
+    def window(self, monkeypatch, policy, per_solve=False):
+        """A window over an empty 300-row queue; the per-solve path
+        refactors at every solve."""
+        if per_solve:
+            monkeypatch.setattr(projector, "held_rows_cap", lambda d: 0)
+        window = WindowSolver(QueuePair(self.D, 300), singular_policy=policy)
         monkeypatch.undo()
         return window
 
@@ -459,16 +459,15 @@ class TestHeldFactor:
         """The ridge of every solve over a stream whose window goes
         rank-deficient (rows from a 20-dimensional subspace) and back; a
         SingularGramError ends the list with its solve index."""
-        d, capacity, n = self.D, 300, 900
+        d, n = self.D, 900
         rng = np.random.default_rng(23)
         rows = rng.standard_normal((n, 20)) @ rng.standard_normal((20, d))
         rows[n // 2:] = rng.standard_normal((n - n // 2, d))
         out = []
-        stream = window_stream(window, rows, d, capacity,
-                               prefill_rank=d if start_full_rank else 10, seed=24)
-        for i, (pair, _, _) in enumerate(stream):
+        stream = window_stream(window, rows, prefill_rank=d if start_full_rank else 10, seed=24)
+        for i, _ in enumerate(stream):
             try:
-                out.append(window.solve(pair.gram, pair.cross)[2])
+                out.append(window.solve()[2])
             except SingularGramError:
                 out.append(("raised", i))
                 break
@@ -477,8 +476,8 @@ class TestHeldFactor:
     @pytest.mark.parametrize("start_full_rank", [True, False])
     def test_fallback_at_the_same_solves_as_the_per_solve_path(self, monkeypatch,
                                                                start_full_rank):
-        per_solve = self.per_solve_path(monkeypatch, "fallback")
-        held = WindowSolver(self.D)
+        per_solve = self.window(monkeypatch, "fallback", per_solve=True)
+        held = self.window(monkeypatch, "fallback")
         want = self.ridges(per_solve, start_full_rank)
         got = self.ridges(held, start_full_rank)
         assert got == want
@@ -488,7 +487,49 @@ class TestHeldFactor:
 
     @pytest.mark.parametrize("start_full_rank", [True, False])
     def test_strict_raises_at_the_same_solve(self, monkeypatch, start_full_rank):
-        want = self.ridges(self.per_solve_path(monkeypatch, "strict"), start_full_rank)
-        got = self.ridges(WindowSolver(self.D, singular_policy="strict"), start_full_rank)
+        want = self.ridges(self.window(monkeypatch, "strict", per_solve=True), start_full_rank)
+        got = self.ridges(self.window(monkeypatch, "strict"), start_full_rank)
         assert got == want
         assert got[-1][0] == "raised" and (got[-1][1] > 100) == start_full_rank
+
+
+class TestFallbackSolves:
+    """While the ridge fallback is active, each solve is the direct solve of
+    the ridged normal equations, never an update of the last solution."""
+
+    @pytest.mark.parametrize("d", [8, 32, 128])
+    def test_every_fallback_solve_is_direct(self, d):
+        # a pre-fill of rank d/4 keeps the fallback on until about 3d/4 real
+        # rows have entered; each of those solves moves two rows
+        window = WindowSolver(QueuePair(d, 600))
+        rows = 2.0 * np.random.default_rng(d).standard_normal((d, d))
+        fallbacks = 0
+        for pair, _, _ in window_stream(window, rows, prefill_rank=d // 4, seed=d + 1):
+            weights, _, ridge = window.solve()
+            if ridge != 0.0:
+                fallbacks += 1
+                direct = solve_normal_equations(pair.gram, pair.cross, ridge)[0]
+                np.testing.assert_array_equal(weights, direct)
+        assert fallbacks >= d // 2
+        assert window.counts.ridge_fallbacks == fallbacks
+
+
+class TestWindowPush:
+    def test_one_dimensional_and_rejected_pushes(self):
+        # a 1-d push is one row, as for QueuePair.push; a rejected push
+        # leaves the window as it was, so every update matches the direct solve
+        d = 6
+        rng = np.random.default_rng(30)
+        prefill = rng.standard_normal((40, d))
+        window = WindowSolver(pair_from(prefill, prefill))
+        window.solve()
+        for _ in range(5):
+            row = rng.standard_normal(d)
+            left_old, _ = window.push(row, 2.0 * row)
+            assert left_old.shape == (1, d)
+            with pytest.raises(DimensionError):
+                window.push(row[:-1], row[:-1])
+            weights = window.solve()[0]
+            direct = solve(window.queue)[0]
+            assert np.linalg.norm(weights - direct) <= 1e-10 * np.linalg.norm(direct)
+        assert window.counts.refactors == 6

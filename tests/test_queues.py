@@ -313,7 +313,7 @@ class TestRankKUpdate:
         return fit, pair
 
     def assert_matches_direct(self, fit, weights, recomputed):
-        direct = solve_normal_equations(fit.queue.gram, fit.queue.cross)[0]
+        direct = solve_normal_equations(fit.window.queue.gram, fit.window.queue.cross)[0]
         assert relative_gap(weights, direct) <= WEIGHTS_RTOL
         if recomputed:
             # a recompute resets the rounding the updates carry: direct solve
@@ -323,16 +323,17 @@ class TestRankKUpdate:
         # the pseudo-feature fill was the first recompute; the next comes
         # once capacity real rows have entered, at i = 2999
         fit, pair = self.stream(512, 3000, seed=0)
+        queue = fit.window.queue
         checkpoints = {2800, 2801, 2998, 2999, 3000, 3100}
         for i in range(max(checkpoints) + 1):
-            recomputes = fit.queue.recomputes
+            recomputes = queue.recomputes
             fit.push(*pair())
             if i < min(checkpoints):
                 continue
             weights = fit.solve(i)
             if i in checkpoints:
-                self.assert_matches_direct(fit, weights, fit.queue.recomputes != recomputes)
-        assert fit.queue.recomputes == 2
+                self.assert_matches_direct(fit, weights, queue.recomputes != recomputes)
+        assert queue.recomputes == 2
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(4, 24), st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
@@ -342,13 +343,14 @@ class TestRankKUpdate:
         capacity = 3 * d * capacity_factor
         fit, pair = self.stream(d, capacity, seed, update_stride=update_stride,
                                 resolve_stride=resolve_stride)
-        recomputes = fit.queue.recomputes
+        queue = fit.window.queue
+        recomputes = queue.recomputes
         for i in range(3 * capacity):
             fit.push(*pair())
             weights = fit.solve(i)
             if weights is not None:
-                self.assert_matches_direct(fit, weights, fit.queue.recomputes != recomputes)
-                recomputes = fit.queue.recomputes
+                self.assert_matches_direct(fit, weights, queue.recomputes != recomputes)
+                recomputes = queue.recomputes
 
     def test_ridge_change_forces_direct_solve(self):
         # a window of rank d - 1 falls back to min_ridge; two full-rank rows
@@ -362,12 +364,11 @@ class TestRankKUpdate:
         entering_new = entering @ w_true + 0.1 * rng.standard_normal((2, d))
         for requested in (0.0, 10.0):
             pair = QueuePair(d, 60)
-            window = WindowSolver(d, requested, min_ridge=10.0)
-            pair.push(prefill, prefill @ w_true)
-            assert window.solve(pair.gram, pair.cross)[2] == 10.0
-            left = pair.push(entering, entering_new)
-            window.moved((entering, entering_new), left)
-            weights, _, ridge = window.solve(pair.gram, pair.cross)
+            window = WindowSolver(pair, requested, min_ridge=10.0)
+            window.push(prefill, prefill @ w_true)
+            assert window.solve()[2] == 10.0
+            window.push(entering, entering_new)
+            weights, _, ridge = window.solve()
             direct, _, direct_ridge = solve_normal_equations(pair.gram, pair.cross, requested)
             assert ridge == direct_ridge == requested
             assert relative_gap(weights, direct) <= WEIGHTS_RTOL
