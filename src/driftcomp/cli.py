@@ -25,6 +25,14 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 
+def _audited(result) -> bool:
+    """Whether `result` passes the replay audit; says so on stderr if not."""
+    if replay_audit(result):
+        return True
+    print("replay audit FAILED", file=sys.stderr)
+    return False
+
+
 def _cmd_run(args) -> int:
     if args.seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
@@ -36,8 +44,7 @@ def _cmd_run(args) -> int:
     for seed in seeds:
         source = open_source(config, seed)
         result = run_engine(source, config.replace(seed=seed))
-        if not replay_audit(result):
-            print("replay audit FAILED", file=sys.stderr)
+        if not _audited(result):
             return EXIT_OTHER
         results.append(result)
         sources.append(source)
@@ -61,6 +68,8 @@ def _cmd_sweep(args) -> int:
     results = []
     for value, cfg, source in zip(values, configs, sources):
         result = run_engine(source, cfg)
+        if not _audited(result):
+            return EXIT_OTHER
         results.append(result)
         print(f"{args.key}={value}: last_accuracy={result.last_accuracy:.4f}")
     paths = emit_results(results, config.output_dir, sources)
@@ -75,6 +84,8 @@ def _cmd_gd_oracle(args) -> int:
     source = open_source(config)
     oracle = run_gd_oracle(source, config)
     analytic = run_engine(source, config.replace(solver="analytic"))
+    if not (_audited(oracle) and _audited(analytic)):
+        return EXIT_OTHER
     emit_results([analytic, oracle], config.output_dir, [source, source])
     print(f"analytic last_accuracy={analytic.last_accuracy:.4f}")
     print(f"gd_oracle last_accuracy={oracle.last_accuracy:.4f} (offline, non-online)")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -77,6 +78,10 @@ class RunConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"invalid configuration: {name}={value} is not finite")
         checks = [
             (self.source in ("synthetic", "toy", "dump"), f"source={self.source!r}"),
             (self.solver in ("analytic", "gd", "gd_with_queue", "none"), f"solver={self.solver!r}"),
@@ -169,6 +174,7 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_FLOAT_FIELDS = tuple(name for name, kind in _FIELD_TYPES.items() if kind == "float")
 
 
 def coerce_value(key: str, raw: str):

@@ -148,6 +148,9 @@ class _StreamFit:
         self.pending: List[Tuple[np.ndarray, np.ndarray]] = []
 
     def push(self, z_old: np.ndarray, z_new: np.ndarray) -> None:
+        if self.window is not None and self.config.update_stride == 1:
+            self.window.push(z_old, z_new)
+            return
         self.pending.append((np.asarray(z_old, dtype=np.float64),
                              np.asarray(z_new, dtype=np.float64)))
         if self.window is None:
@@ -274,10 +277,12 @@ class _TaskLayout:
 
     What depends only on class ids is built once per task: the ascending
     class ids, a writable copy of the stale merged matrix with its row norms
-    and zero-norm flag, and the old rows that no fresh prototype overrides
-    with their positions in the matrix. `evolve` writes those rows' images
-    under a snapshot, and their norms, over the held ones; `predict`
-    classifies against the held arrays.
+    and zero-norm flag, the old rows that no fresh prototype overrides with
+    their positions in the matrix, and whether any other row has zero norm.
+    The positions are a slice when those rows are one block, as they always
+    are in class-incremental order, and an index array otherwise. `evolve`
+    writes those rows' images under a snapshot, and their norms, over the
+    held ones; `predict` classifies against the held arrays.
     """
 
     def __init__(self, rec: TaskRunRecord):
@@ -289,16 +294,22 @@ class _TaskLayout:
         self.norms = _row_norms(self.matrix)
         self.zero_norm = bool((self.norms == 0.0).any())
         kept = [] if old is None else [c for c in old.class_ids if c not in fresh]
-        self.positions = np.searchsorted(self.class_ids, kept)
-        self.old_rows = self.matrix[self.positions]
+        positions = np.searchsorted(self.class_ids, kept)
+        self.fixed_zero_norm = bool((np.delete(self.norms, positions) == 0.0).any())
+        # ascending positions are one block iff they span exactly their count
+        if kept and positions[-1] - positions[0] == len(kept) - 1:
+            positions = slice(positions[0], positions[-1] + 1)
+        self.positions = positions
+        self.old_rows = self.matrix[positions].copy()
 
     def evolve(self, w_index: int) -> None:
         """Map the old rows through snapshot `w_index` (-1 restores them)."""
         images = self.old_rows if w_index < 0 else _map_rows(self.old_rows,
                                                              self.snapshots[w_index])
+        norms = _row_norms(images)
         self.matrix[self.positions] = images
-        self.norms[self.positions] = _row_norms(images)
-        self.zero_norm = bool((self.norms == 0.0).any())
+        self.norms[self.positions] = norms
+        self.zero_norm = self.fixed_zero_norm or bool((norms == 0.0).any())
 
     def predict(self, feature: np.ndarray) -> int:
         return _nearest_class(feature, self.class_ids, self.matrix, self.norms, self.zero_norm)

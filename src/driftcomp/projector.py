@@ -28,7 +28,8 @@ def _cholesky(gram: np.ndarray, ridge: float) -> tuple[np.ndarray | None, float]
     condition estimate; (None, inf) when it is not numerically positive
     definite."""
     lhs = np.array(gram, order="F")
-    lhs.flat[::lhs.shape[0] + 1] += ridge   # the diagonal, through a strided view
+    if ridge != 0.0:   # x + 0.0 == x for every entry
+        lhs.flat[::lhs.shape[0] + 1] += ridge   # the diagonal, through a strided view
     anorm = float(np.abs(lhs).sum(axis=0).max())
     factor, info = scipy.linalg.lapack.dpotrf(lhs, overwrite_a=True)
     if info != 0:
@@ -202,17 +203,20 @@ class WindowSolver:
              new_features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Push paired rows into the queue, as QueuePair.push does, and
         return the (old, new) rows that left, oldest first."""
+        # one copy, which the queue reads and the next solve keeps, so a
+        # caller may reuse its buffers
+        entering = (np.array(old_features, dtype=np.float64, ndmin=2),
+                    np.array(new_features, dtype=np.float64, ndmin=2))
         queue = self.queue
         recomputes = queue.recomputes
-        left = queue.push(old_features, new_features)
+        left = queue.push(*entering)
         if queue.recomputes != recomputes:
             # gram and cross were recomputed from the rows: the next solve is direct
             self._previous = self._factor = None
             self._entered.clear()
             self._left.clear()
         elif self._previous is not None:
-            self._entered.append((np.array(old_features, dtype=np.float64, ndmin=2),
-                                  np.array(new_features, dtype=np.float64, ndmin=2)))
+            self._entered.append(entering)
             self._left.append(left)
         return left
 
@@ -238,9 +242,14 @@ class WindowSolver:
         """solve() when rows moved or no solution is held."""
         moved, m = None, 0
         if self._previous is not None:
-            old, new = zip(*self._entered, *self._left)
-            moved = (np.concatenate(old), np.concatenate(new),
-                     sum(len(rows) for rows, _ in self._entered))
+            if len(self._entered) == 1:
+                (entered_old, entered_new), (left_old, left_new) = self._entered[0], self._left[0]
+                moved = (np.concatenate([entered_old, left_old]),
+                         np.concatenate([entered_new, left_new]), len(entered_old))
+            else:
+                old, new = zip(*self._entered, *self._left)
+                moved = (np.concatenate(old), np.concatenate(new),
+                         sum(len(rows) for rows, _ in self._entered))
             m = len(moved[0])
         if self._factor is not None and self._held + m <= self.cap:
             held = self._held_solve(moved)

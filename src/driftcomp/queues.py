@@ -59,6 +59,8 @@ class QueuePair:
     def _ordered(self, first: int, count: int, columns=np.s_[:]) -> np.ndarray:
         """Copy of `count` rows from ring slot `first` on, wrapping around."""
         head = self._rows[first:first + count, columns]
+        if len(head) == count:
+            return head.copy()
         return np.concatenate([head, self._rows[:count - len(head), columns]])
 
     def _enqueue(self, rows: np.ndarray) -> np.ndarray:
@@ -79,7 +81,8 @@ class QueuePair:
         first = (self._start + self._length) % self.capacity
         split = min(k, self.capacity - first)   # rows that fit before the ring end
         self._rows[first:first + split] = rows[:split]
-        self._rows[:k - split] = rows[split:]
+        if split < k:
+            self._rows[:k - split] = rows[split:]
         self._start = (self._start + n_evicted) % self.capacity
         self._length += k - n_evicted
         return evicted
@@ -102,9 +105,9 @@ class QueuePair:
                 f"paired pushes must both be (k, {d}) matrices, got "
                 f"{old_features.shape} and {new_features.shape}"
             )
-        if not (np.isfinite(old_features).all() and np.isfinite(new_features).all()):
-            raise DegenerateInputError("queued features contain non-finite components")
         entering = np.concatenate([old_features, new_features], axis=1)
+        if not np.isfinite(entering).all():
+            raise DegenerateInputError("queued features contain non-finite components")
         left = self._enqueue(entering)
         self._entered += len(entering)
         if self._entered >= self.capacity:
@@ -144,16 +147,22 @@ def init_with_pseudo_features(
     if noise_scale < 0:
         raise ValueError(f"noise_scale must be non-negative, got {noise_scale}")
     d = prototypes.dimension
-    if noise_scale == 0.0 and capacity > len(prototypes):
-        warnings.warn(
-            "noise_scale=0 with capacity above the class count leaves the Gram "
-            "matrix rank-deficient until real features arrive",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     rng = np.random.default_rng(rng_seed)
     proto_matrix = prototypes.matrix()
     choices = rng.integers(0, len(prototypes), size=capacity)
+    if noise_scale == 0.0:
+        # every row is a drawn prototype, so the Gram's rank is at most the
+        # number of distinct prototypes drawn, itself at most
+        # min(capacity, classes)
+        drawn = len(np.unique(choices))
+        if drawn < d:
+            warnings.warn(
+                f"noise_scale=0 leaves the Gram matrix rank-deficient until real features "
+                f"arrive: its rank is at most {drawn}, the number of distinct prototypes "
+                f"drawn, below d = {d}",
+                RuntimeWarning,
+                stacklevel=2,
+            )
     rows = proto_matrix[choices] + noise_scale * rng.standard_normal((capacity, d))
     pair = QueuePair(d, capacity)
     pair.push(rows, rows)

@@ -87,11 +87,13 @@ class TestRun:
         assert "divergence" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
-        "format_version = abc\n", "split_style = warm\n",
+        "format_version = abc\n", "split_style = warm\n", "ridge = inf\n",
+        "cluster_separation = nan\n", "min_ridge = inf\n", "gd_learning_rate = inf\n",
     ])
     def test_config_error_exit_code(self, tmp_path, text, capsys):
         # a format_version line is checked wherever it stands; SMALL_CFG has 3
-        # tasks of 2 classes, which the warm split cannot divide
+        # tasks of 2 classes, which the warm split cannot divide; a non-finite
+        # float is rejected before any run
         bad = tmp_path / "bad.cfg"
         bad.write_text(SMALL_CFG + text)
         assert main(["run", "-c", str(bad), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
@@ -172,6 +174,44 @@ class TestOracle:
         assert "analytic last_accuracy=" in stdout
         assert "gd_oracle last_accuracy=" in stdout
         assert "non-online" in stdout
+
+
+class TestReplayAuditGate:
+    """Every run a command makes is replay-audited before anything is written."""
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep", "--key", "queue_capacity", "--values", "50,100"], ["gd-oracle"],
+    ])
+    def test_failed_audit_exit_code(self, cfg_path, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr("driftcomp.cli.replay_audit", lambda result: False)
+        out = tmp_path / "out"
+        assert main([command[0], "-c", cfg_path, "-o", str(out), *command[1:]]) == EXIT_OTHER
+        assert "replay audit FAILED" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_audits_every_run(self, cfg_path, tmp_path, capsys, monkeypatch):
+        audited = []
+
+        def audit(result):
+            audited.append(result.config.queue_capacity)
+            return result.config.queue_capacity != 100
+        monkeypatch.setattr("driftcomp.cli.replay_audit", audit)
+        out = tmp_path / "out"
+        assert main(["sweep", "-c", cfg_path, "--key", "queue_capacity",
+                     "--values", "50,100", "-o", str(out)]) == EXIT_OTHER
+        assert audited == [50, 100]
+        assert "replay audit FAILED" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("failing_oracle", [True, False])
+    def test_gd_oracle_audits_both_runs(self, cfg_path, tmp_path, capsys, monkeypatch,
+                                        failing_oracle):
+        monkeypatch.setattr("driftcomp.cli.replay_audit",
+                            lambda result: result.oracle != failing_oracle)
+        out = tmp_path / "out"
+        assert main(["gd-oracle", "-c", cfg_path, "-o", str(out)]) == EXIT_OTHER
+        assert "replay audit FAILED" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGenAndIngest:

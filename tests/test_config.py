@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from driftcomp.config import (
@@ -98,6 +100,13 @@ class TestValidation:
     ])
     def test_bad_toy_values(self, key, value):
         with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
+                                     if f.type == "float"])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}={value} is not finite"):
             RunConfig(**{key: value})
 
     def test_toy_boundary_values_accepted(self):

@@ -419,6 +419,39 @@ class TestTaskLayout:
         assert_same_bits(table.matrix(), reference_table(rec, 0).matrix())
 
 
+    def test_kept_block_after_fresh_rows(self):
+        # the kept old rows are one block at rows 2-4 of the merged table
+        rng = np.random.default_rng(4)
+        old = PrototypeTable([5, 6, 7], rng.standard_normal((3, 4)))
+        fresh = PrototypeTable([0, 1], rng.standard_normal((2, 4)))
+        rec = TaskRunRecord(task=2, old_table=old, fresh_table=fresh,
+                            projector_snapshots=[rng.standard_normal((4, 4)),
+                                                 np.eye(4) + 0.1 * rng.standard_normal((4, 4))])
+        layout = _TaskLayout(rec)
+        assert layout.positions == slice(2, 5)
+        for w_index in (0, 1, -1, 1):
+            layout.evolve(w_index)
+            assert_layout_holds(layout, rec, w_index)
+
+    def test_zero_norm_fresh_row_stays_flagged(self):
+        # a fresh row of zero norm is never rewritten; every image is non-zero
+        rng = np.random.default_rng(5)
+        old = PrototypeTable([0, 1, 2], rng.standard_normal((3, 4)))
+        fresh = PrototypeTable([3, 4], np.vstack([np.zeros(4), rng.standard_normal(4)]))
+        rec = TaskRunRecord(task=2, old_table=old, fresh_table=fresh,
+                            projector_snapshots=[np.eye(4) + 0.1 * rng.standard_normal((4, 4))])
+        layout = _TaskLayout(rec)
+        for w_index in (0, -1, 0):
+            layout.evolve(w_index)
+            assert_layout_holds(layout, rec, w_index)
+            assert layout.zero_norm and (layout.norms[:3] > 0.0).all()
+            table = layout.table()
+            for predict in (layout.predict, lambda f: ncm_predict(f, table)):
+                with pytest.raises(DegenerateInputError) as info:
+                    predict(rng.standard_normal(4))
+                assert str(info.value) == "prototype of class 3 has zero norm"
+
+
 def former_ncm_predict(feature, table):
     """Cosine NCM as `ncm_predict` computed it before the shared kernel."""
     proto = table.matrix()

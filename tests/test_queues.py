@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,33 @@ class TestPseudoFeatureInit:
         q_old = pair.matrices()[0]
         assert q_old.shape == (5, 3)
         np.testing.assert_array_equal(q_old, np.tile([1.0, -2.0, 3.0], (5, 1)))
+
+    @pytest.mark.parametrize("classes, capacity, warns", [
+        (10, 5, True),      # fewer rows than d
+        (10, 150, True),    # fewer prototypes than d
+        (40, 32, True),     # d rows, but repeated draws among them
+        (100, 150, False),
+        (40, 150, False),
+    ])
+    def test_zero_noise_warns_iff_rank_deficient(self, classes, capacity, warns):
+        # generic prototypes: the Gram's rank is the number of distinct ones
+        # drawn, capped at d
+        d = 32
+        table = self.proto_table(np.random.default_rng(classes + capacity), classes, d)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pair = init_with_pseudo_features(table, capacity=capacity, noise_scale=0.0,
+                                             rng_seed=0)
+        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+        rank = np.linalg.matrix_rank(pair.gram)
+        assert (rank < d) == warns
+        if warns:
+            assert messages == [
+                "noise_scale=0 leaves the Gram matrix rank-deficient until real features "
+                f"arrive: its rank is at most {rank}, the number of distinct prototypes "
+                f"drawn, below d = {d}"]
+        else:
+            assert messages == []
 
     def test_identity_projector_pairs_bitwise(self):
         rng = np.random.default_rng(1)
