@@ -300,7 +300,7 @@ class _TaskLayout:
         if kept and positions[-1] - positions[0] == len(kept) - 1:
             positions = slice(positions[0], positions[-1] + 1)
         self.positions = positions
-        self.old_rows = self.matrix[positions].copy()
+        self.old_rows = self.matrix[positions].copy()   # a slice is a view of what evolve writes
 
     def evolve(self, w_index: int) -> None:
         """Map the old rows through snapshot `w_index` (-1 restores them)."""

@@ -8,8 +8,11 @@ drift_similarity.csv. The golden test compares only each task's last
 snapshot, and that to a relative tolerance; two trees whose lines agree
 computed every snapshot to the same bits.
 
+The d=128 run `wide_analytic` moves in its last bits with the number of
+BLAS threads, so compare lines made under the same thread setting:
+
     PYTHONPATH=src python tests/fingerprint.py small_analytic wide_analytic
-    PYTHONPATH=src python tests/fingerprint.py --all
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/fingerprint.py --all
 """
 
 import hashlib

@@ -418,7 +418,6 @@ class TestTaskLayout:
         rec.projector_snapshots[0] = weights
         assert_same_bits(table.matrix(), reference_table(rec, 0).matrix())
 
-
     def test_kept_block_after_fresh_rows(self):
         # the kept old rows are one block at rows 2-4 of the merged table
         rng = np.random.default_rng(4)
