@@ -148,23 +148,19 @@ class _StreamFit:
         self.pending: List[Tuple[np.ndarray, np.ndarray]] = []
 
     def push(self, z_old: np.ndarray, z_new: np.ndarray) -> None:
-        if self.window is not None and self.config.update_stride == 1:
-            self.window.push(z_old, z_new)
-            return
-        self.pending.append((np.asarray(z_old, dtype=np.float64),
-                             np.asarray(z_new, dtype=np.float64)))
+        self.pending.append((z_old, z_new))
         if self.window is None:
             del self.pending[:-1]   # gd keeps the latest pair only
         elif len(self.pending) >= self.config.update_stride:
-            old, new = (np.array(rows) for rows in zip(*self.pending))
+            old, new = zip(*self.pending)
             self.pending.clear()
-            self.window.push(old, new)
+            self.window.push(old, new)   # which stacks each side's rows once
 
     def solve(self, i: int) -> Optional[np.ndarray]:
         """Re-fitted weights after the i-th pair, or None when no solve is due."""
         cfg = self.config
         if cfg.solver == "gd":
-            q_old, q_new = self.pending[0][0][None], self.pending[0][1][None]
+            q_old, q_new = (np.asarray(rows, dtype=np.float64)[None] for rows in self.pending[0])
         elif (i + 1) % cfg.resolve_stride:
             return None
         elif cfg.solver == "analytic":

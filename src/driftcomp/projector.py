@@ -191,6 +191,7 @@ class WindowSolver:
         self.counts = SolveCounts()
         self._previous: tuple[np.ndarray, float] | None = None
         self._entered: list[tuple[np.ndarray, np.ndarray]] = []
+        self._entered_rows = 0
         self._left: list[tuple[np.ndarray, np.ndarray]] = []
         self._factor: np.ndarray | None = None   # F0, while it is held
         self._factor_cond = self._cond = np.inf
@@ -215,9 +216,11 @@ class WindowSolver:
             self._previous = self._factor = None
             self._entered.clear()
             self._left.clear()
+            self._entered_rows = 0
         elif self._previous is not None:
             self._entered.append(entering)
             self._left.append(left)
+            self._entered_rows += len(entering[0])
         return left
 
     def solve(self) -> tuple[np.ndarray, float, float]:
@@ -232,6 +235,7 @@ class WindowSolver:
             self._previous, self._cond = (weights, ridge), cond
             self._entered.clear()
             self._left.clear()
+            self._entered_rows = 0
         else:
             (weights, ridge), cond = self._previous, self._cond
         counts.ridge_fallbacks += ridge != self.ridge
@@ -242,14 +246,8 @@ class WindowSolver:
         """solve() when rows moved or no solution is held."""
         moved, m = None, 0
         if self._previous is not None:
-            if len(self._entered) == 1:
-                (entered_old, entered_new), (left_old, left_new) = self._entered[0], self._left[0]
-                moved = (np.concatenate([entered_old, left_old]),
-                         np.concatenate([entered_new, left_new]), len(entered_old))
-            else:
-                old, new = zip(*self._entered, *self._left)
-                moved = (np.concatenate(old), np.concatenate(new),
-                         sum(len(rows) for rows, _ in self._entered))
+            old, new = zip(*self._entered, *self._left)
+            moved = np.concatenate(old), np.concatenate(new), self._entered_rows
             m = len(moved[0])
         if self._factor is not None and self._held + m <= self.cap:
             held = self._held_solve(moved)
