@@ -533,3 +533,26 @@ class TestWindowPush:
             direct = solve(window.queue)[0]
             assert np.linalg.norm(weights - direct) <= 1e-10 * np.linalg.norm(direct)
         assert window.counts.refactors == 6
+
+    def test_staged_rows_and_several_pushes_per_solve(self):
+        # the stream hands its staged rows over as tuples of 1-d rows, which
+        # push the same bits as their stacked matrix; the rows entered by
+        # several pushes keep their sign in the next solve's update (m < d)
+        d = 16
+        rng = np.random.default_rng(31)
+        prefill = rng.standard_normal((40, d))
+        stacked = WindowSolver(pair_from(prefill, prefill))
+        staged = WindowSolver(pair_from(prefill, prefill))
+        stacked.solve()
+        staged.solve()
+        for pushes in (1, 2, 3, 1):
+            for _ in range(pushes):
+                rows = (rng.standard_normal(d), rng.standard_normal(d))
+                images = (2.0 * rows[0], 3.0 * rows[1])
+                left = stacked.push(np.array(rows), np.array(images))
+                for got, want in zip(staged.push(rows, images), left):
+                    np.testing.assert_array_equal(got, want)
+            weights = staged.solve()[0]
+            np.testing.assert_array_equal(weights, stacked.solve()[0])
+            direct = solve(staged.queue)[0]
+            assert np.linalg.norm(weights - direct) <= 1e-10 * np.linalg.norm(direct)
