@@ -14,7 +14,8 @@ import sys
 from .config import RunConfig, coerce_value, load_config, write_config
 from .dump import read_dump_header
 from .engine import replay_audit, run_engine, run_gd_oracle
-from .errors import ConfigError, DivergenceError, DriftCompError, DumpFormatError
+from .errors import (ConfigError, DivergenceError, DriftCompError, DumpFormatError,
+                     SummaryFormatError)
 from .results import aggregate_report, emit_results, run_id
 from .sources import DumpSource, open_source, write_source_dump
 
@@ -190,6 +191,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except DumpFormatError as exc:
         print(f"dump format error [{exc.code}]: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except SummaryFormatError as exc:
+        print(f"summary format error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

@@ -40,7 +40,6 @@ class RunConfig:
     gd_learning_rate: float = 0.001
     gd_steps: int = 1
     gd_optimizer: str = "adam"           # sgd | adam
-    gd_init: str = "identity"
     predict_before_update: bool = False
     seed: int = 0
     output_dir: str = "results"
@@ -95,7 +94,6 @@ class RunConfig:
             (self.gd_learning_rate > 0, f"gd_learning_rate={self.gd_learning_rate}"),
             (self.gd_steps >= 0, f"gd_steps={self.gd_steps}"),
             (self.gd_optimizer in ("sgd", "adam"), f"gd_optimizer={self.gd_optimizer!r}"),
-            (self.gd_init in ("identity",), f"gd_init={self.gd_init!r}"),
             (self.num_tasks >= 1, f"num_tasks={self.num_tasks}"),
             (self.dimension >= 1, f"dimension={self.dimension}"),
             (self.train_per_class >= 1, f"train_per_class={self.train_per_class}"),
@@ -166,7 +164,11 @@ class RunConfig:
             yield f.name, getattr(self, f.name)
 
     def config_hash(self) -> str:
-        text = "\n".join(f"{k}={v!r}" for k, v in sorted(self.canonical_items()))
+        """16 hex digits naming this config apart from `seed` and
+        `output_dir`: a run's id adds the seed, and where it is written
+        does not change it."""
+        text = "\n".join(f"{k}={v!r}" for k, v in sorted(self.canonical_items())
+                         if k not in ("seed", "output_dir"))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def replace(self, **changes) -> "RunConfig":

@@ -29,6 +29,10 @@ class ConfigError(DriftCompError, ValueError):
     """Run configuration is malformed or out of range."""
 
 
+class SummaryFormatError(DriftCompError, ValueError):
+    """A run summary file is not JSON, lacks a field or has another format version."""
+
+
 class DumpFormatError(DriftCompError, ValueError):
     """A feature dump file violates the binary format.
 

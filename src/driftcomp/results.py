@@ -9,7 +9,6 @@ runs whose configs differ only in seed and output directory.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 from typing import Dict, Iterable, List, Sequence
@@ -17,12 +16,13 @@ from typing import Dict, Iterable, List, Sequence
 import numpy as np
 
 from .engine import PHASES, RunResult
+from .errors import SummaryFormatError
 
 RESULTS_VERSION_LINE = "# driftcomp-results v1"
 SIMILARITY_VERSION_LINE = "# driftcomp-drift-similarity v1"
 TIMING_VERSION_LINE = "# driftcomp-timing v2"
-REPORT_VERSION_LINE = "# driftcomp-report v2"
-SUMMARY_FORMAT_VERSION = 1
+REPORT_VERSION_LINE = "# driftcomp-report v3"
+SUMMARY_FORMAT_VERSION = 2
 
 RESULT_COLUMNS = ("run_id", "seed", "solver", "task", "metric", "value")
 
@@ -117,26 +117,30 @@ def emit_results(results: Sequence[RunResult], out_dir, sources: Sequence) -> Di
     return paths
 
 
-def _report_key(summary: dict) -> str:
-    """A summary's report group: 16 hex digits of the SHA-256 of its config,
-    as sorted-key JSON without `seed` and `output_dir`, plus "-oracle"."""
-    config = {k: v for k, v in summary["config"].items() if k not in ("seed", "output_dir")}
-    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()[:16]
-    return digest + ("-oracle" if summary.get("oracle") else "")
-
-
 def aggregate_report(summary_paths: Iterable[str], out_path) -> str:
     """Aggregate per-run summaries into mean/std columns per metric, one
-    group per `_report_key`."""
+    group per config hash, with "-oracle" added for oracle runs.
+
+    Raises SummaryFormatError, naming the file, for a summary that is not
+    JSON, lacks a field or has another `format_version`."""
     groups: Dict[str, Dict[str, List[float]]] = {}
     for path in summary_paths:
-        with open(path) as fh:
-            summary = json.load(fh)
-        bucket = groups.setdefault(_report_key(summary), {})
-        for metric in ("last_accuracy", "old_accuracy", "new_accuracy"):
-            bucket.setdefault(metric, []).append(summary[metric])
-        for t, acc in enumerate(summary["per_task_accuracy"], start=1):
-            bucket.setdefault(f"task_{t}_accuracy", []).append(acc)
+        try:
+            with open(path) as fh:
+                summary = json.load(fh)
+            if summary["format_version"] != SUMMARY_FORMAT_VERSION:
+                raise ValueError(f"format_version {summary['format_version']!r}, "
+                                 f"expected {SUMMARY_FORMAT_VERSION}")
+            key = summary["config_hash"] + ("-oracle" if summary["oracle"] else "")
+            metrics = [(m, float(summary[m]))
+                       for m in ("last_accuracy", "old_accuracy", "new_accuracy")]
+            metrics += [(f"task_{t}_accuracy", float(acc))
+                        for t, acc in enumerate(summary["per_task_accuracy"], start=1)]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SummaryFormatError(f"{path}: not a run summary: {exc!r}") from None
+        bucket = groups.setdefault(key, {})
+        for metric, value in metrics:
+            bucket.setdefault(metric, []).append(value)
     with open(out_path, "w", newline="") as fh:
         fh.write(REPORT_VERSION_LINE + "\n")
         writer = csv.writer(fh)

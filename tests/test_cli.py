@@ -53,6 +53,24 @@ class TestRun:
         assert main(["run", "-c", cfg_path, "-o", str(out), "--seeds", "2"]) == EXIT_OK
         assert len(list(out.glob("summary_*.json"))) == 2
 
+    def test_run_id_independent_of_output_dir(self, cfg_path, tmp_path, capsys):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["run", "-c", cfg_path, "-o", str(out)]) == EXIT_OK
+        ids = [[p.name for p in out.glob("summary_*.json")] for out in outs]
+        assert len(ids[0]) == 1 and ids[0] == ids[1]
+        for name in ("results.csv", "drift_similarity.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_seeds_differ_only_in_run_id_suffix(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["run", "-c", cfg_path, "-o", str(out), "--seeds", "2"]) == EXIT_OK
+        with open(out / "results.csv") as fh:
+            fh.readline()
+            ids = sorted({row["run_id"] for row in csv.DictReader(fh)})
+        stem = ids[0].rsplit("-", 1)[0]
+        assert ids == [f"{stem}-s{seed}" for seed in (0, 1)]
+
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_seed_count_below_one_exit_code(self, cfg_path, tmp_path, capsys, seeds):
         out = tmp_path / "results"
@@ -265,6 +283,27 @@ class TestReportAndInit:
     def test_report_no_matches(self, tmp_path):
         assert main(["report", str(tmp_path / "missing"),
                      "-o", str(tmp_path / "r.csv")]) == EXIT_DATA
+
+    @pytest.mark.parametrize("case", ["not_json", "missing_key", "old_version"])
+    def test_report_rejects_bad_summary(self, cfg_path, tmp_path, capsys, case):
+        out = tmp_path / "results"
+        assert main(["run", "-c", cfg_path, "-o", str(out), "--seeds", "2"]) == EXIT_OK
+        bad = sorted(out.glob("summary_*.json"))[1]
+        summary = json.loads(bad.read_text())
+        if case == "not_json":
+            bad.write_text("# driftcomp\n\nnot a summary\n")
+        elif case == "missing_key":
+            del summary["config_hash"]
+            bad.write_text(json.dumps(summary))
+        else:
+            summary["format_version"] = 1
+            bad.write_text(json.dumps(summary))
+        capsys.readouterr()
+        report = tmp_path / "report.csv"
+        assert main(["report", str(out), "-o", str(report)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "summary format error" in err and str(bad) in err
+        assert not report.exists()
 
     def test_init_config_round_trips(self, tmp_path, capsys):
         out = tmp_path / "default.cfg"

@@ -157,11 +157,31 @@ class TestRoundTripAndHash:
 
     def test_hash_stable_and_sensitive(self):
         a = RunConfig()
-        b = RunConfig()
-        c = RunConfig(seed=1)
-        assert a.config_hash() == b.config_hash()
-        assert a.config_hash() != c.config_hash()
+        assert a.config_hash() == RunConfig().config_hash()
         assert len(a.config_hash()) == 16
+        # the run id carries the seed, and where results go is no part of a run
+        assert RunConfig(seed=1, output_dir="elsewhere").config_hash() == a.config_hash()
+        texts = {"source": "toy", "solver": "gd", "singular_policy": "strict",
+                 "gd_optimizer": "sgd", "drift_kind": "rotation",
+                 "test_balance": "unbalanced", "split_style": "warm",
+                 "classes_per_task": "5", "dump_path": "features.bin"}
+        for field in dataclasses.fields(RunConfig):
+            value = getattr(a, field.name)
+            if field.name in ("seed", "output_dir"):
+                continue
+            if field.type == "str":
+                changed = texts[field.name]
+            elif field.type == "bool":
+                changed = not value
+            elif field.type == "int":
+                changed = value + 1
+            else:
+                changed = value / 2 if value > 0 else 0.5
+            assert a.replace(**{field.name: changed}).config_hash() != a.config_hash(), field.name
+
+    def test_gd_init_is_an_unknown_key(self):
+        with pytest.raises(ConfigError, match="unknown key 'gd_init'"):
+            parse_config_text("gd_init = identity")
 
     def test_replace_revalidates(self):
         cfg = RunConfig()
