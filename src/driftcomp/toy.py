@@ -58,10 +58,6 @@ class ToyModel:
         )
 
     @property
-    def in_dim(self) -> int:
-        return self.W1.shape[0]
-
-    @property
     def feature_dim(self) -> int:
         return self.W2.shape[1]
 
@@ -91,13 +87,6 @@ class ToyModel:
     def features(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[1]
 
-    def params(self) -> Dict[str, np.ndarray]:
-        return {n: getattr(self, n) for n in PARAM_NAMES}
-
-
-def zero_grads(model: ToyModel) -> Dict[str, np.ndarray]:
-    return {n: np.zeros_like(getattr(model, n)) for n in PARAM_NAMES}
-
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -105,13 +94,19 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _backprop_extractor(model: ToyModel, x: np.ndarray, h: np.ndarray,
-                        dz: np.ndarray, grads: Dict[str, np.ndarray]) -> None:
-    grads["W2"] += h.T @ dz
-    grads["b2"] += dz.sum(axis=0)
+def _backprop(model: ToyModel, x: np.ndarray, forward, dlogits: Optional[np.ndarray] = None,
+              dz: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
+    """The parameter gradients of a loss whose derivatives with respect to
+    the logits and the features of `forward`, the model's (h, z, logits) for
+    `x`, are `dlogits` and `dz`; None stands for zero."""
+    h, z, _ = forward
+    if dlogits is not None:
+        dz = dlogits @ model.Wh.T if dz is None else dlogits @ model.Wh.T + dz
+    if dz is None:
+        return {n: np.zeros_like(getattr(model, n)) for n in PARAM_NAMES}
     dh = (dz @ model.W2.T) * (1.0 - h * h)
-    grads["W1"] += x.T @ dh
-    grads["b1"] += dh.sum(axis=0)
+    return {"W1": x.T @ dh, "b1": dh.sum(axis=0), "W2": h.T @ dz, "b2": dz.sum(axis=0),
+            "Wh": np.zeros_like(model.Wh) if dlogits is None else z.T @ dlogits}
 
 
 def _as_batch(x: np.ndarray) -> np.ndarray:
@@ -122,28 +117,22 @@ def ce_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray
             ) -> Tuple[float, Dict[str, np.ndarray]]:
     """Mean softmax cross-entropy over the head, with parameter gradients."""
     x = _as_batch(x)
-    return _ce_loss(model, x, np.asarray(labels, dtype=np.int64), model.forward(x))
+    forward = model.forward(x)
+    loss, dlogits = _ce_loss(np.asarray(labels, dtype=np.int64), forward[2])
+    return loss, _backprop(model, x, forward, dlogits)
 
 
-def _ce_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, forward
-             ) -> Tuple[float, Dict[str, np.ndarray]]:
-    """`ce_loss` given `forward`, the model's (h, z, logits) for `x`."""
-    if labels.min() < 0 or labels.max() >= model.num_classes:
-        raise ValueError(
-            f"labels must lie in [0, {model.num_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    n = x.shape[0]
-    h, z, logits = forward
+def _ce_loss(labels: np.ndarray, logits: np.ndarray) -> Tuple[float, np.ndarray]:
+    """`ce_loss` and its derivative with respect to `logits`."""
+    if labels.min() < 0 or labels.max() >= logits.shape[1]:
+        raise ValueError(f"labels must lie in [0, {logits.shape[1]}), got range "
+                         f"[{labels.min()}, {labels.max()}]")
+    n = logits.shape[0]
     probs = _softmax(logits)
     loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
-    dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    grads = zero_grads(model)
-    grads["Wh"] += z.T @ dlogits
-    _backprop_extractor(model, x, h, dlogits @ model.Wh.T, grads)
-    return loss, grads
+    probs[np.arange(n), labels] -= 1.0
+    probs /= n
+    return loss, probs
 
 
 def kd_loss(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
@@ -155,36 +144,32 @@ def kd_loss(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
     (the full softmax renormalized over the old classes). The old model's
     outputs are constants (no gradient flows through them).
     """
-    if old_class_count == 0:
-        return 0.0, zero_grads(model)
     x = _as_batch(x)
-    return _kd_loss(model, old_model, x, old_class_count, model.forward(x))
+    forward = model.forward(x)
+    if old_class_count == 0:
+        return 0.0, _backprop(model, x, forward)
+    loss, dlogits = _kd_loss(old_model, x, old_class_count, forward[2])
+    return loss, _backprop(model, x, forward, dlogits)
 
 
-def _kd_loss(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
-             old_class_count: int, forward) -> Tuple[float, Dict[str, np.ndarray]]:
-    """`kd_loss` for a positive `old_class_count`, given `forward`, the
-    current model's (h, z, logits) for `x`."""
+def _kd_loss(old_model: Optional[ToyModel], x: np.ndarray, old_class_count: int,
+             logits: np.ndarray) -> Tuple[float, np.ndarray]:
+    """`kd_loss` for a positive `old_class_count` and its derivative with
+    respect to `logits`, the current model's logits for `x`."""
     if old_model is None:
         raise ValueError("old_model required when old_class_count > 0")
     if old_model.num_classes != old_class_count:
-        raise ValueError(
-            f"old model head width {old_model.num_classes} does not match "
-            f"old_class_count {old_class_count}"
-        )
-    if old_class_count > model.num_classes:
+        raise ValueError(f"old model head width {old_model.num_classes} does not match "
+                         f"old_class_count {old_class_count}")
+    if old_class_count > logits.shape[1]:
         raise ValueError("old_class_count exceeds current head width")
     n = x.shape[0]
     q = _softmax(old_model.forward(x)[2])
-    h, z, logits = forward
-    grads = zero_grads(model)
     r = _softmax(logits[:, :old_class_count])
     loss = float(-np.mean(np.sum(q * np.log(r + 1e-300), axis=1)))
     dlogits = np.zeros_like(logits)
     dlogits[:, :old_class_count] = (r - q) / n
-    grads["Wh"] += z.T @ dlogits
-    _backprop_extractor(model, x, h, dlogits @ model.Wh.T, grads)
-    return loss, grads
+    return loss, dlogits
 
 
 # scl_loss builds its anchor-by-row table of gradient additions in chunks of
@@ -219,13 +204,15 @@ def scl_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, tau: float
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     x = _as_batch(x)
-    return _scl_loss(model, x, np.asarray(labels, dtype=np.int64), tau, model.forward(x))
+    forward = model.forward(x)
+    loss, dz, valid = _scl_loss(forward[1], np.asarray(labels, dtype=np.int64), tau)
+    return loss, _backprop(model, x, forward, dz=dz), valid
 
 
-def _scl_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, tau: float, forward
-              ) -> Tuple[float, Dict[str, np.ndarray], int]:
-    """`scl_loss` given `forward`, the model's (h, z, logits) for `x`."""
-    h, z, _ = forward
+def _scl_loss(z: np.ndarray, labels: np.ndarray, tau: float
+              ) -> Tuple[float, Optional[np.ndarray], int]:
+    """`scl_loss` of the features `z`, its derivative with respect to `z`
+    (None for no valid anchor) and the valid anchor count."""
     n, d = z.shape
     znorm = np.linalg.norm(z, axis=1, keepdims=True)
     u = z / znorm
@@ -258,9 +245,8 @@ def _scl_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, tau: float, fo
         coef[rows, neg] = (p / tau) * w
         anchors[group] = True
     valid = int(np.count_nonzero(anchors))
-    grads = zero_grads(model)
     if valid == 0:
-        return 0.0, grads, 0
+        return 0.0, None, 0
     total = 0.0
     for term in terms[anchors].tolist():
         total += term
@@ -283,8 +269,7 @@ def _scl_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, tau: float, fo
     loss = total / valid
     du = du[0] / valid
     dz = (du - (np.sum(du * u, axis=1, keepdims=True)) * u) / znorm
-    _backprop_extractor(model, x, h, dz, grads)
-    return loss, grads, valid
+    return loss, dz, valid
 
 
 def composite_loss(model: ToyModel, old_model: Optional[ToyModel],
@@ -292,23 +277,24 @@ def composite_loss(model: ToyModel, old_model: Optional[ToyModel],
                    ) -> Tuple[float, Dict[str, np.ndarray]]:
     """Cross-entropy + lambda1 * distillation + lambda2 * contrastive.
 
-    The current model's forward pass runs once and serves all three terms.
-    The distillation term is dropped when there is no old model."""
+    The current model's forward pass runs once and serves all three terms,
+    whose weighted derivatives are summed before one backward pass. The
+    distillation term is dropped when there is no old model."""
     x = _as_batch(x)
     labels = np.asarray(labels, dtype=np.int64)
     forward = model.forward(x)
-    loss, grads = _ce_loss(model, x, labels, forward)
+    loss, dlogits = _ce_loss(labels, forward[2])
+    dz = None
     if old_model is not None and weights.lambda1 > 0:
-        kd, kd_grads = _kd_loss(model, old_model, x, old_model.num_classes, forward)
+        kd, dkd = _kd_loss(old_model, x, old_model.num_classes, forward[2])
         loss += weights.lambda1 * kd
-        for name in PARAM_NAMES:
-            grads[name] += weights.lambda1 * kd_grads[name]
+        dlogits += weights.lambda1 * dkd
     if weights.lambda2 > 0:
-        scl, scl_grads, _ = _scl_loss(model, x, labels, weights.tau, forward)
+        scl, dscl, valid = _scl_loss(forward[1], labels, weights.tau)
         loss += weights.lambda2 * scl
-        for name in PARAM_NAMES:
-            grads[name] += weights.lambda2 * scl_grads[name]
-    return loss, grads
+        if valid:
+            dz = weights.lambda2 * dscl
+    return loss, _backprop(model, x, forward, dlogits, dz)
 
 
 def train_task(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,

@@ -6,13 +6,12 @@ from driftcomp.toy import (
     PARAM_NAMES,
     LossWeights,
     ToyModel,
-    _backprop_extractor,
+    _backprop,
     ce_loss,
     composite_loss,
     kd_loss,
     scl_loss,
     train_task,
-    zero_grads,
 )
 
 
@@ -195,7 +194,8 @@ def loop_scl_loss(model, x, labels, tau):
     """Reference: scl_loss as a loop over anchors, each anchor's positives
     and negatives gathered and its gradient additions made one by one."""
     n = x.shape[0]
-    h, z, _ = model.forward(x)
+    forward = model.forward(x)
+    z = forward[1]
     znorm = np.linalg.norm(z, axis=1, keepdims=True)
     u = z / znorm
     sim = (u @ u.T) / tau
@@ -217,13 +217,11 @@ def loop_scl_loss(model, x, labels, tau):
         du[i] += (pos.size * (w @ u[neg]) - u[pos].sum(axis=0)) / tau
         du[pos] += -u[i] / tau
         du[neg] += (pos.size / tau) * w[:, None] * u[i]
-    grads = zero_grads(model)
     if valid == 0:
-        return 0.0, grads, 0
+        return 0.0, _backprop(model, x, forward), 0
     du /= valid
     dz = (du - (np.sum(du * u, axis=1, keepdims=True)) * u) / znorm
-    _backprop_extractor(model, x, h, dz, grads)
-    return total / valid, grads, valid
+    return total / valid, _backprop(model, x, forward, dz=dz), valid
 
 
 def random_scl_batch(rng):
@@ -284,6 +282,24 @@ class TestCompositeAndTraining:
         total, _ = composite_loss(model, None, x, y, weights)
         ce, _ = ce_loss(model, x, y)
         assert total == ce
+
+    def test_gradients_match_finite_differences(self):
+        # all three terms weighted, with an old model to distill from
+        rng = np.random.default_rng(19)
+        model = small_model(rng, classes=5)
+        old_model = small_model(rng, classes=3)
+        x = rng.standard_normal((12, 10))
+        labels = rng.integers(0, 5, size=12)
+        weights = LossWeights(lambda1=2.0, lambda2=0.5, tau=0.5)
+        loss, grads = composite_loss(model, old_model, x, labels, weights)
+        ce, _ = ce_loss(model, x, labels)
+        kd, _ = kd_loss(model, old_model, x, 3)
+        scl, _, valid = scl_loss(model, x, labels, tau=0.5)
+        assert valid > 0 and kd > 0
+        assert loss == pytest.approx(ce + 2.0 * kd + 0.5 * scl, rel=1e-12)
+        numeric = finite_difference_grads(
+            lambda m: composite_loss(m, old_model, x, labels, weights)[0], model)
+        assert_grads_close(grads, numeric, rtol=1e-5)
 
     def test_separable_blobs_high_accuracy(self):
         rng = np.random.default_rng(14)
