@@ -9,15 +9,22 @@ snapshot, and that to a relative tolerance; two trees whose lines agree
 computed every snapshot to the same bits.
 
 The d=128 run `wide_analytic` moves in its last bits with the number of
-BLAS threads, so compare lines made under the same thread setting:
+BLAS threads. So, run as a script, it sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy loads, unless they
+are already set, and its lines compare across machines:
 
     PYTHONPATH=src python tests/fingerprint.py small_analytic wide_analytic
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/fingerprint.py --all
+    PYTHONPATH=src python tests/fingerprint.py --all
 """
 
 import hashlib
+import os
 import sys
 import warnings
+
+if __name__ == "__main__":
+    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_name, "1")
 
 import numpy as np
 
