@@ -164,9 +164,7 @@ class RunConfig:
             yield f.name, getattr(self, f.name)
 
     def config_hash(self) -> str:
-        """16 hex digits naming this config apart from `seed` and
-        `output_dir`: a run's id adds the seed, and where it is written
-        does not change it."""
+        """16 hex digits naming this config; `seed` and `output_dir` are no part of it."""
         text = "\n".join(f"{k}={v!r}" for k, v in sorted(self.canonical_items())
                          if k not in ("seed", "output_dir"))
         return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -128,9 +128,9 @@ def aggregate_report(summary_paths: Iterable[str], out_path) -> str:
         try:
             with open(path) as fh:
                 summary = json.load(fh)
-            if summary["format_version"] != SUMMARY_FORMAT_VERSION:
-                raise ValueError(f"format_version {summary['format_version']!r}, "
-                                 f"expected {SUMMARY_FORMAT_VERSION}")
+            version = summary["format_version"]
+            if version != SUMMARY_FORMAT_VERSION:
+                raise ValueError(f"format_version {version!r}, expected {SUMMARY_FORMAT_VERSION}")
             key = summary["config_hash"] + ("-oracle" if summary["oracle"] else "")
             metrics = [(m, float(summary[m]))
                        for m in ("last_accuracy", "old_accuracy", "new_accuracy")]
