@@ -99,11 +99,11 @@ def _backprop(model: ToyModel, x: np.ndarray, forward, dlogits: Optional[np.ndar
     """The parameter gradients of a loss whose derivatives with respect to
     the logits and the features of `forward`, the model's (h, z, logits) for
     `x`, are `dlogits` and `dz`; None stands for zero."""
-    h, z, _ = forward
     if dlogits is not None:
         dz = dlogits @ model.Wh.T if dz is None else dlogits @ model.Wh.T + dz
     if dz is None:
         return {n: np.zeros_like(getattr(model, n)) for n in PARAM_NAMES}
+    h, z, _ = forward
     dh = (dz @ model.W2.T) * (1.0 - h * h)
     return {"W1": x.T @ dh, "b1": dh.sum(axis=0), "W2": h.T @ dz, "b2": dz.sum(axis=0),
             "Wh": np.zeros_like(model.Wh) if dlogits is None else z.T @ dlogits}
@@ -144,10 +144,10 @@ def kd_loss(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
     (the full softmax renormalized over the old classes). The old model's
     outputs are constants (no gradient flows through them).
     """
+    if old_class_count == 0:
+        return 0.0, _backprop(model, x, None)
     x = _as_batch(x)
     forward = model.forward(x)
-    if old_class_count == 0:
-        return 0.0, _backprop(model, x, forward)
     loss, dlogits = _kd_loss(old_model, x, old_class_count, forward[2])
     return loss, _backprop(model, x, forward, dlogits)
 
