@@ -17,7 +17,7 @@ from scipy.linalg.blas import dgemm
 
 from .core import PrototypeTable
 from .errors import DegenerateInputError, DimensionError, DivergenceError, SingularGramError
-from .queues import QueuePair
+from .queues import HELD_MIN_DIMENSION, QueuePair
 
 COND_THRESHOLD = 1e12   # see solve_normal_equations
 DEFAULT_MIN_RIDGE = 1e-8
@@ -117,9 +117,6 @@ def solve_normal_equations(
 # The held factor absorbs up to held_rows_cap(d) moved rows between two
 # refactors. Below HELD_MIN_DIMENSION refactoring costs less than the
 # update's own calls, and every solve refactors (measured in CHANGES.md).
-HELD_MIN_DIMENSION = 64
-
-
 def held_rows_cap(dimension: int) -> int:
     return 0 if dimension < HELD_MIN_DIMENSION else dimension // 4
 
@@ -199,6 +196,7 @@ class WindowSolver:
         self._rows = np.empty((cap, d))           # V
         self._solved = np.empty((d, cap), order="F")   # Y
         self._schur = np.empty((cap, cap), order="F")  # K
+        self._schur_diagonal = self._schur.reshape(-1, order="F")[::cap + 1]   # a view
 
     def push(self, old_features: np.ndarray,
              new_features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,10 +276,11 @@ class WindowSolver:
         schur = self._schur
         schur[:k, new] = vy
         schur[new, :k - m] = vy[:k - m].T
-        diagonal = np.arange(k - m, k)
-        schur[diagonal, diagonal] += np.where(diagonal < k - m + entered, 1.0, -1.0)   # S
+        diagonal = self._schur_diagonal   # S: +1 for each row that entered, -1 for each that left
+        diagonal[k - m:k - m + entered] += 1.0
+        diagonal[k - m + entered:k] -= 1.0
         lu, pivots, info = scipy.linalg.lapack.dgetrf(schur[:k, :k])
-        anorm = float(np.abs(schur[:k, :k]).sum(axis=0).max())
+        anorm = scipy.linalg.lapack.dlange("1", schur[:k, :k])
         rcond = scipy.linalg.lapack.dgecon(lu, anorm)[0] if info == 0 else 0.0
         if rcond <= 0.0:
             return None
@@ -332,17 +331,24 @@ def _map_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Each row v of the (k, d) `rows` mapped to v @ weights; raises
     DegenerateInputError if any image is non-finite.
 
-    The rows go through one stacked (k, 1, d) @ (d, d) product, which numpy
-    runs as k vector-matrix products (gemv), the same kernel as `v @ W` on
-    one row, so every image is bit-identical to mapping its row alone. A
-    plain (k, d) @ (d, d) product is a matrix-matrix product (gemm) that
-    rounds differently, and the stream's predictions are pinned to the
-    per-row arithmetic. `weights` is read in C order, as the solve returns
-    it: a Fortran-order array selects a transposed kernel that also rounds
-    differently.
+    From HELD_MIN_DIMENSION on, the rows go through one (k, d) @ (d, d)
+    matrix product (gemm). Below it, they go through one stacked
+    (k, 1, d) @ (d, d) product, which numpy runs as k vector-matrix products
+    (gemv), the same kernel as `v @ W` on one row, so every image is
+    bit-identical to mapping its row alone: gemm rounds differently, and
+    the descent of "gd_with_queue" turns a last-bit difference into a
+    different prediction (CHANGES.md). Each gemm image is within the
+    forward-error bound 2 d eps (|v| @ |W|) of the per-row one (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.5), and the replay
+    audit maps through this function too. `weights` is read in C order, as
+    the solve returns it: a Fortran-order array selects a transposed kernel
+    that also rounds differently.
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
-    images = (rows[:, None, :] @ weights)[:, 0, :]
+    if rows.shape[1] >= HELD_MIN_DIMENSION:
+        images = rows @ weights
+    else:
+        images = (rows[:, None, :] @ weights)[:, 0, :]
     if not np.isfinite(images).all():
         raise DegenerateInputError("evolved prototype contains non-finite components")
     return images

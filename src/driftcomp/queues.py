@@ -21,6 +21,16 @@ from .errors import DegenerateInputError, DimensionError
 DEFAULT_CAPACITY = 3000
 DEFAULT_NOISE_SCALE = 0.02
 
+# From this dimension on, the stream's per-sample work is batched: the queue
+# brings its normal equations up to date only when they are read, the
+# analytic window holds a Cholesky factor between refactors
+# (projector.held_rows_cap), and the old prototypes are mapped by one
+# matrix product (projector._map_rows). Below it, each push updates the
+# normal equations, each solve refactors and each old prototype is mapped
+# alone: there the batching's own calls cost about what they save, and the
+# results stay bit for bit the per-push, per-row arithmetic.
+HELD_MIN_DIMENSION = 64
+
 
 class QueuePair:
     """Bounded FIFO of paired (old-space, new-space) feature rows, with the
@@ -30,12 +40,17 @@ class QueuePair:
     features then the new, so the two sides always move together. `gram`
     (Q_old^T Q_old) and `cross` (Q_old^T Q_new) over the rows held are the
     two column halves of one Fortran-ordered (d, 2d) block
-    Q_old^T [Q_old | Q_new], updated in place. Each push adds the entering
+    Q_old^T [Q_old | Q_new], updated in place. An update adds the entering
     rows' products and subtracts the leaving rows' with one rank-k gemm
-    (beta = 1) into that block; once `capacity` rows have entered since the
-    last recompute, both halves are recomputed from the rows, which bounds
-    the rounding the updates accumulate; `recomputes` counts those
-    recomputes. Callers must not write to them.
+    (beta = 1) into that block. Below HELD_MIN_DIMENSION each push updates
+    it. From there on a push only records what moved, and a read of `gram`
+    or `cross` applies every row moved since the last update in one gemm:
+    the rows that entered are still in the ring, and the rows that left are
+    the arrays push returned, so the record copies no row. Once `capacity`
+    rows have entered since the last recompute, both halves are recomputed
+    from the rows, which bounds the rounding the updates accumulate and
+    discards the record; `recomputes` counts those recomputes. Each read
+    returns the same two views; callers must not write to them.
     """
 
     def __init__(self, dimension: int, capacity: int):
@@ -49,9 +64,26 @@ class QueuePair:
         self._start = 0      # slot of the oldest row
         self._length = 0
         self._normal = np.zeros((d, 2 * d), order="F")
-        self.gram, self.cross = self._normal[:, :d], self._normal[:, d:]
+        self._gram, self._cross = self._normal[:, :d], self._normal[:, d:]
         self._entered = 0    # rows pushed since gram and cross were recomputed
         self.recomputes = 0
+        self._lazy = d >= HELD_MIN_DIMENSION
+        self._pending = 0    # newest rows of the ring that the block does not count yet
+        self._pending_left: list[np.ndarray] = []   # rows that left since, per push
+
+    @property
+    def gram(self) -> np.ndarray:
+        """Q_old^T Q_old over the rows held, a (d, d) Fortran-ordered view."""
+        if self._pending_left:
+            self._catch_up()
+        return self._gram
+
+    @property
+    def cross(self) -> np.ndarray:
+        """Q_old^T Q_new over the rows held, a (d, d) Fortran-ordered view."""
+        if self._pending_left:
+            self._catch_up()
+        return self._cross
 
     def __len__(self) -> int:
         return self._length
@@ -112,18 +144,34 @@ class QueuePair:
         self._entered += len(entering)
         if self._entered >= self.capacity:
             q_old, q_new = self.matrices()
-            self.gram[...] = q_old.T @ q_old
-            self.cross[...] = q_old.T @ q_new
-            self._entered = 0
+            self._gram[...] = q_old.T @ q_old
+            self._cross[...] = q_old.T @ q_new
+            self._entered = self._pending = 0
+            self._pending_left.clear()
             self.recomputes += 1
+        elif self._lazy:
+            self._pending += len(entering)
+            self._pending_left.append(left)
         else:
-            # entering rows count +1, leaving rows -1; the transposed views are
-            # Fortran-ordered, so f2py copies none and writes the block in place
-            moved = np.concatenate([entering, left])
-            signed = moved[:, :d].copy()
-            signed[len(entering):] *= -1.0
-            dgemm(1.0, signed.T, moved.T, beta=1.0, c=self._normal, trans_b=1, overwrite_c=1)
+            self._update(entering, left)
         return left[:, :d], left[:, d:]
+
+    def _catch_up(self) -> None:
+        """Apply the rows recorded since the block's last update."""
+        first = (self._start + self._length - self._pending) % self.capacity
+        self._update(self._ordered(first, self._pending), np.concatenate(self._pending_left))
+        self._pending = 0
+        self._pending_left.clear()
+
+    def _update(self, entering: np.ndarray, left: np.ndarray) -> None:
+        """Add the entering (old | new) rows' products to the block and
+        subtract the leaving rows', with one gemm."""
+        # entering rows count +1, leaving rows -1; the transposed views are
+        # Fortran-ordered, so f2py copies none and writes the block in place
+        moved = np.concatenate([entering, left])
+        signed = moved[:, :self.dimension].copy()
+        signed[len(entering):] *= -1.0
+        dgemm(1.0, signed.T, moved.T, beta=1.0, c=self._normal, trans_b=1, overwrite_c=1)
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """The (old, new) rows held, oldest first, as two C-ordered (length, d)

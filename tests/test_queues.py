@@ -10,7 +10,7 @@ from driftcomp.core import PrototypeTable
 from driftcomp.engine import _StreamFit
 from driftcomp.errors import DegenerateInputError, DimensionError
 from driftcomp.projector import WindowSolver, solve_normal_equations
-from driftcomp.queues import QueuePair, init_with_pseudo_features
+from driftcomp.queues import HELD_MIN_DIMENSION, QueuePair, init_with_pseudo_features
 
 
 def make_pair(d=4, capacity=3):
@@ -513,3 +513,70 @@ class TestInPlaceNormalEquations:
         for got, want in self.stream(1, 150, sizes, seed=1):
             np.testing.assert_allclose(got[0], want[0], rtol=1e-13)
             np.testing.assert_allclose(got[1], want[1], rtol=1e-13)
+
+
+class TestLazyNormalEquations:
+    """From HELD_MIN_DIMENSION on, a push only records the rows that moved,
+    and a read of gram or cross applies them all in one gemm."""
+
+    def test_reads_at_random_points_match_rows(self):
+        # 2,400 one-row and strided pushes through a 500-row window, read at
+        # random points. Every entry of the block is a sum over the rows held
+        # at the last recompute and those entered since (A below): each held
+        # or entered row counts once, and each row that left once more. So
+        # fewer than T = 2 len(A) rounded products are summed, whose
+        # magnitudes add up to at most 2 (|A|^T |A|), and any summation
+        # order is within T (eps / 2) of that (Higham, Accuracy and
+        # Stability of Numerical Algorithms, 3.1 and 4.2)
+        d, capacity = 128, 500
+        assert d >= HELD_MIN_DIMENSION
+        rng = np.random.default_rng(40)
+        pair = QueuePair(d, capacity)
+        gram, cross = pair.gram, pair.cross
+        w_true = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
+        history = []      # every (old | new) row pushed, in order
+        first = 0         # index in history of the oldest row held at the last recompute
+        reads = recomputes_with_rows_pending = 0
+        for i in range(2400):
+            k = 1 if rng.random() < 0.5 else int(rng.choice([2, 3, 5, 8]))
+            old = 2.0 * rng.standard_normal((k, d))
+            new = old @ w_true + 0.1 * rng.standard_normal((k, d))
+            history.extend(np.concatenate([old, new], axis=1))
+            pending = bool(pair._pending_left)
+            recomputes = pair.recomputes
+            pair.push(old, new)
+            if pair.recomputes != recomputes:
+                # the recompute drops the rows recorded before it
+                assert pair._pending == 0 and pair._pending_left == []
+                recomputes_with_rows_pending += pending
+                first = len(history) - len(pair)
+                q_old, q_new = pair.matrices()
+                assert pair.gram is gram and pair.cross is cross
+                np.testing.assert_array_equal(gram, q_old.T @ q_old)
+                np.testing.assert_array_equal(cross, q_old.T @ q_new)
+            elif rng.random() < 0.1:
+                reads += 1
+                # either read brings both halves up to date
+                pair.cross if rng.random() < 0.5 else pair.gram
+                assert not pair._pending_left
+                q_old, q_new = pair.matrices()
+                rows = np.abs(np.array(history[first:]))
+                magnitude = rows[:, :d].T @ rows
+                bound = 2 * len(rows) * np.finfo(float).eps * magnitude
+                assert pair.gram is gram and pair.cross is cross
+                assert gram.flags.f_contiguous and cross.flags.f_contiguous
+                assert np.all(np.abs(gram - q_old.T @ q_old) <= bound[:, :d])
+                assert np.all(np.abs(cross - q_old.T @ q_new) <= bound[:, d:])
+        assert pair.recomputes >= 3 and recomputes_with_rows_pending >= 3
+        assert reads >= 100
+
+    def test_pushes_only_record_until_read(self):
+        d = HELD_MIN_DIMENSION
+        rng = np.random.default_rng(41)
+        pair = QueuePair(d, 200)
+        pair.push(*paired(rng.standard_normal((200, d))))
+        before = pair.gram.copy()
+        for _ in range(10):
+            pair.push(*paired(rng.standard_normal((1, d))))
+        np.testing.assert_array_equal(pair._gram, before)
+        assert_matches_rows(pair)
