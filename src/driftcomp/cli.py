@@ -61,7 +61,13 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     if args.output:
         config = config.replace(output_dir=args.output)
+    if args.key == "output_dir":
+        # the run id leaves out output_dir, and every run goes to one directory
+        raise ConfigError("sweep cannot vary output_dir; use -o/--output")
     values = [coerce_value(args.key, raw) for raw in args.values.split(",")]
+    repeated = [value for i, value in enumerate(values) if value in values[:i]]
+    if repeated:
+        raise ConfigError(f"--values repeats {args.key}={repeated[0]!r}")
     # every value's config and source is built before the first run, so a bad
     # value fails the sweep before any work is done
     configs = [config.replace(**{args.key: value}) for value in values]
@@ -116,12 +122,13 @@ def _cmd_ingest_check(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    paths = []
+    paths = {}   # real path -> the path first matched, in first-seen order
     for pattern in args.summaries:
         if os.path.isdir(pattern):
-            paths.extend(sorted(glob.glob(os.path.join(pattern, "summary_*.json"))))
-        else:
-            paths.extend(sorted(glob.glob(pattern)))
+            pattern = os.path.join(pattern, "summary_*.json")
+        for path in sorted(glob.glob(pattern)):
+            paths.setdefault(os.path.realpath(path), path)
+    paths = list(paths.values())
     if not paths:
         print("no summary files found", file=sys.stderr)
         return EXIT_DATA

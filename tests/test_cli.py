@@ -183,6 +183,24 @@ class TestSweep:
         assert capsys.readouterr().out == ""
         assert not out.exists()
 
+    # runs that share a run id: config_hash leaves out output_dir, and a
+    # repeated value (after parsing) is the same config twice
+    @pytest.mark.parametrize("key,values,message", [
+        ("output_dir", "a,b", "cannot vary output_dir"),
+        ("queue_capacity", "50,100,50", "repeats queue_capacity=50"),
+        ("noise_scale", "0.1,0.10", "repeats noise_scale=0.1"),
+        ("solver", "analytic, analytic", "repeats solver='analytic'"),
+    ])
+    def test_shared_run_id_rejected_before_any_run(self, cfg_path, tmp_path, capsys,
+                                                    key, values, message):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "-c", cfg_path, "--key", key, "--values", values,
+                     "-o", str(out)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        assert not out.exists()
+
 
 class TestOracle:
     def test_gd_oracle_prints_both(self, cfg_path, tmp_path, capsys):
@@ -279,6 +297,22 @@ class TestReportAndInit:
         assert {r["config_key"] for r in rows} == {rows[0]["config_key"]}
         last = [r for r in rows if r["metric"] == "last_accuracy"]
         assert len(last) == 1 and last[0]["runs"] == "3"
+
+    def test_report_counts_each_summary_once(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["run", "-c", cfg_path, "-o", str(out)]) == EXIT_OK
+        summary = next(out.glob("summary_*.json"))
+        (tmp_path / "link").symlink_to(out)
+        report = tmp_path / "report.csv"
+        capsys.readouterr()
+        for args in ([str(out), str(out)],
+                     [str(out), str(summary), str(tmp_path / "link" / summary.name)]):
+            assert main(["report", *args, "-o", str(report)]) == EXIT_OK
+            assert "aggregated 1 summaries" in capsys.readouterr().out
+            with open(report) as fh:
+                fh.readline()
+                last = [r for r in csv.DictReader(fh) if r["metric"] == "last_accuracy"]
+            assert len(last) == 1 and last[0]["runs"] == "1"
 
     def test_report_no_matches(self, tmp_path):
         assert main(["report", str(tmp_path / "missing"),
