@@ -21,14 +21,11 @@ from .errors import DegenerateInputError, DimensionError
 DEFAULT_CAPACITY = 3000
 DEFAULT_NOISE_SCALE = 0.02
 
-# From this dimension on, the stream's per-sample work is batched: the queue
-# brings its normal equations up to date only when they are read, the
-# analytic window holds a Cholesky factor between refactors
-# (projector.held_rows_cap), and the old prototypes are mapped by one
-# matrix product (projector._map_rows). Below it, each push updates the
-# normal equations, each solve refactors and each old prototype is mapped
-# alone: there the batching's own calls cost about what they save, and the
-# results stay bit for bit the per-push, per-row arithmetic.
+# From this dimension on, the stream batches its per-sample work: the normal
+# equations catch up only when read, the analytic window holds a factor
+# (projector.held_rows_cap) and the old prototypes are mapped by one gemm
+# (projector._map_rows). Below it every result keeps the per-push, per-row
+# arithmetic bit for bit.
 HELD_MIN_DIMENSION = 64
 
 
