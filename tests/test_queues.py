@@ -537,7 +537,7 @@ class TestLazyNormalEquations:
         history = []      # every (old | new) row pushed, in order
         first = 0         # index in history of the oldest row held at the last recompute
         reads = recomputes_with_rows_pending = 0
-        for i in range(2400):
+        for _ in range(2400):
             k = 1 if rng.random() < 0.5 else int(rng.choice([2, 3, 5, 8]))
             old = 2.0 * rng.standard_normal((k, d))
             new = old @ w_true + 0.1 * rng.standard_normal((k, d))
