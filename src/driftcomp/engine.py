@@ -9,9 +9,10 @@ or a run with solver "none", fits nothing and classifies against the stale
 old prototypes.
 
 The union is held per task as one matrix and its row norms (`_TaskLayout`):
-each solve overwrites the evolved rows and their norms in place, and each
-sample is classified against those arrays. A `PrototypeTable` is built once,
-at task end, for the drift similarity and the next task. The replay audit
+each solve overwrites the evolved rows, mapped by one gemm, and their norms
+in place, and each sample is classified against those arrays. A
+`PrototypeTable` is built once, at task end, for the drift similarity and
+the next task, from the old rows mapped again row by row. The replay audit
 and the offline oracle classify through the same layout.
 """
 
@@ -26,6 +27,7 @@ import numpy as np
 from .config import RunConfig
 from .core import PrototypeTable, _nearest_class, _row_norms, class_means
 from .drift_sim import true_drift_similarity
+from .errors import DegenerateInputError
 from .projector import SolveCounts, WindowSolver, _Descent, _map_rows, _queue_gradient
 from .queues import init_with_pseudo_features
 
@@ -279,6 +281,13 @@ class _TaskLayout:
     are in class-incremental order, and an index array otherwise. `evolve`
     writes those rows' images under a snapshot, and their norms, over the
     held ones; `predict` classifies against the held arrays.
+
+    `evolve` maps the old rows by one (k, d) @ (d, d) gemm at every d, within
+    2 d eps (|P| |W|) of the per-row products, which only pick an argmax.
+    `table`, which seeds the next task, maps them again through
+    `projector._map_rows`, so the rows a task hands on keep its per-row bits
+    below HELD_MIN_DIMENSION: "gd_with_queue" turns a last-bit difference
+    there into a different projector (CHANGES.md).
     """
 
     def __init__(self, rec: TaskRunRecord):
@@ -297,22 +306,39 @@ class _TaskLayout:
             positions = slice(positions[0], positions[-1] + 1)
         self.positions = positions
         self.old_rows = self.matrix[positions].copy()   # a slice is a view of what evolve writes
+        self.weights: Optional[np.ndarray] = None       # the last evolve's, None for the stale rows
 
     def evolve(self, w_index: int) -> None:
-        """Map the old rows through snapshot `w_index` (-1 restores them)."""
-        images = self.old_rows if w_index < 0 else _map_rows(self.old_rows,
-                                                             self.snapshots[w_index])
+        """Map the old rows through snapshot `w_index` (-1 restores them);
+        raises DegenerateInputError, and writes nothing, if an image is
+        non-finite."""
+        if w_index < 0:
+            weights, images = None, self.old_rows
+        else:
+            weights = np.ascontiguousarray(self.snapshots[w_index], dtype=np.float64)
+            images = self.old_rows @ weights
         norms = _row_norms(images)
+        # a non-finite image has a non-finite norm, so the images are
+        # scanned only when some norm is zero, overflows or is NaN
+        low = np.minimum.reduce(norms, initial=np.inf)
+        if (not (low > 0.0 and np.maximum.reduce(norms, initial=0.0) < np.inf)
+                and not np.isfinite(images).all()):
+            raise DegenerateInputError("evolved prototype contains non-finite components")
         self.matrix[self.positions] = images
         self.norms[self.positions] = norms
-        self.zero_norm = self.fixed_zero_norm or bool((norms == 0.0).any())
+        self.zero_norm = self.fixed_zero_norm or not low > 0.0
+        self.weights = weights
 
     def predict(self, feature: np.ndarray) -> int:
         return _nearest_class(feature, self.class_ids, self.matrix, self.norms, self.zero_norm)
 
     def table(self) -> PrototypeTable:
-        """The held table as a PrototypeTable of its own."""
-        return PrototypeTable._from_checked_rows(self.class_ids, self.matrix.copy())
+        """The held table as a PrototypeTable of its own, with the old rows
+        mapped by `_map_rows` under the last evolve's snapshot."""
+        matrix = self.matrix.copy()
+        if self.weights is not None:
+            matrix[self.positions] = _map_rows(self.old_rows, self.weights)
+        return PrototypeTable._from_checked_rows(self.class_ids, matrix)
 
 
 def _record_drift_similarity(rec: TaskRunRecord, source, table: PrototypeTable) -> None:

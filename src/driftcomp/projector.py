@@ -30,7 +30,7 @@ def _cholesky(gram: np.ndarray, ridge: float) -> tuple[np.ndarray | None, float]
     lhs = np.array(gram, order="F")
     if ridge != 0.0:   # x + 0.0 == x for every entry
         lhs.flat[::lhs.shape[0] + 1] += ridge   # the diagonal, through a strided view
-    anorm = float(np.abs(lhs).sum(axis=0).max())
+    anorm = scipy.linalg.lapack.dlange("1", lhs)   # read before dpotrf overwrites lhs
     factor, info = scipy.linalg.lapack.dpotrf(lhs, overwrite_a=True)
     if info != 0:
         return None, np.inf
@@ -337,12 +337,14 @@ def _map_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     (gemv), the same kernel as `v @ W` on one row, so every image is
     bit-identical to mapping its row alone: gemm rounds differently, and
     the descent of "gd_with_queue" turns a last-bit difference into a
-    different prediction (CHANGES.md). Each gemm image is within the
-    forward-error bound 2 d eps (|v| @ |W|) of the per-row one (Higham,
-    Accuracy and Stability of Numerical Algorithms, 3.5), and the replay
-    audit maps through this function too. `weights` is read in C order, as
-    the solve returns it: a Fortran-order array selects a transposed kernel
-    that also rounds differently.
+    different prediction of the next task (CHANGES.md). Each gemm image is
+    within the forward-error bound 2 d eps (|v| @ |W|) of the per-row one
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.5). `weights`
+    is read in C order, as the solve returns it: a Fortran-order array
+    selects a transposed kernel that also rounds differently.
+
+    It maps the tables a task hands on (`engine._TaskLayout.table`) and
+    `evolve_prototypes`; the per-sample images map by gemm at every d.
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     if rows.shape[1] >= HELD_MIN_DIMENSION:

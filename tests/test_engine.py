@@ -324,22 +324,41 @@ def assert_same_bits(got, want):
 
 def reference_table(rec, w_index):
     """Old prototypes evolved through snapshot `w_index`, merged with the
-    fresh ones, built with the public table operations."""
+    fresh ones, built with the public table operations: the per-row bits
+    below d = 64."""
     old = rec.old_table
+    if old is None:
+        return rec.fresh_table
     if w_index >= 0:
         old = evolve_prototypes(old, rec.projector_snapshots[w_index], old.class_ids)
     return old.merged_with(rec.fresh_table)
 
 
+def gemm_table(rec, w_index):
+    """The old rows that no fresh class overrides, mapped by one gemm under
+    the C-ordered snapshot `w_index`, merged with the fresh ones."""
+    old, fresh = rec.old_table, rec.fresh_table
+    kept = [c for c in old.class_ids if c not in fresh]
+    rows = np.array([old.prototype(c) for c in kept]).reshape(len(kept), old.dimension)
+    if w_index >= 0:
+        rows = rows @ np.ascontiguousarray(rec.projector_snapshots[w_index])
+    return PrototypeTable._from_checked_rows(kept, rows).merged_with(fresh)
+
+
 def assert_layout_holds(layout, rec, w_index):
-    """The held arrays against a table built from scratch: the matrix bit for
-    bit, and the norms and zero-norm flag as np.linalg.norm gives them."""
-    want = reference_table(rec, w_index)
+    """The held arrays against tables built from scratch: the matrix bit for
+    bit as one gemm maps the old rows, the norms and zero-norm flag as
+    np.linalg.norm gives them, and the table handed on bit for bit as
+    evolve_prototypes maps the old rows."""
+    want = gemm_table(rec, w_index)
     assert layout.class_ids == want.class_ids
     assert_same_bits(layout.matrix, want.matrix())
     norms = np.linalg.norm(layout.matrix, axis=1)
     assert_same_bits(layout.norms, norms)
     assert layout.zero_norm == bool(np.any(norms == 0.0))
+    table = layout.table()
+    assert table.class_ids == layout.class_ids
+    assert_same_bits(table.matrix(), reference_table(rec, w_index).matrix())
 
 
 def random_record(rng, d, old_classes=30, fresh_classes=8, overlap=3):
@@ -449,6 +468,136 @@ class TestTaskLayout:
                 with pytest.raises(DegenerateInputError) as info:
                     predict(rng.standard_normal(4))
                 assert str(info.value) == "prototype of class 3 has zero norm"
+
+
+class TestHandOff:
+    @pytest.mark.parametrize("solver", ["analytic", "gd", "gd_with_queue"])
+    def test_old_table_is_the_previous_per_row_table(self, solver):
+        # each task starts from the table the previous one evolved under its
+        # last snapshot, mapped row by row as evolve_prototypes maps it
+        _, result = run_with(load_config(GOLDEN_CONFIG).replace(solver=solver))
+        for prev, rec in zip(result.tasks, result.tasks[1:]):
+            want = reference_table(prev, len(prev.projector_snapshots) - 1)
+            assert rec.old_table.class_ids == want.class_ids
+            assert_same_bits(rec.old_table.matrix(), want.matrix())
+
+
+class TestGemmImages:
+    def test_predictions_match_per_row_images_beyond_error_bound(self):
+        # The held images map by gemm, the table handed on row by row. Each
+        # image is within b = 2 d eps (|P| |W|) of its per-row one, so each
+        # cosine moves by at most 2 |b| / |p| plus the rounding of two
+        # cosines, and the two predictions agree wherever the per-row top
+        # two are further apart than twice that.
+        d, eps = 32, np.finfo(float).eps
+        rng = np.random.default_rng(1032)
+        rec = random_record(rng, d)
+        rec.projector_snapshots.append(None)
+        layout = _TaskLayout(rec)
+        held = layout.positions
+        checked = near_ties = disagreements = 0
+        for _ in range(1200):
+            weights = random_snapshot(rng, d)
+            rec.projector_snapshots[0] = weights
+            layout.evolve(0)
+            table = layout.table()
+            per_row = table.matrix()
+            bound = 2 * d * eps * (np.abs(layout.old_rows) @ np.abs(weights))
+            assert np.all(np.abs(layout.matrix[held] - per_row[held]) <= bound)
+            if layout.zero_norm:
+                continue
+            norms = np.linalg.norm(per_row, axis=1)
+            slack = np.zeros(len(norms))
+            slack[held] = 2 * np.linalg.norm(bound, axis=1) / norms[held]
+            margin = 2 * (slack.max() + 2 * (d + 3) * eps)
+            # random features, and one halfway between two rows: a near tie
+            i, j = rng.choice(len(norms), size=2, replace=False)
+            halfway = per_row[i] / norms[i] + per_row[j] / norms[j]
+            for z in [*rng.standard_normal((4, d)), halfway]:
+                cosines = np.sort(per_row @ z / (norms * np.linalg.norm(z)))
+                if cosines[-1] - cosines[-2] > margin:
+                    checked += 1
+                    disagreements += layout.predict(z) != ncm_predict(z, table)
+                else:
+                    near_ties += 1
+        assert checked > 4000 and near_ties > 0
+        assert disagreements == 0
+
+
+class TestEvolveChecks:
+    """evolve tests the k image norms, and scans the images only when a norm
+    is zero or not finite."""
+
+    @staticmethod
+    def layout(old_rows, seed=0):
+        rng = np.random.default_rng(seed)
+        k, d = old_rows.shape
+        old = PrototypeTable(range(k), old_rows)
+        fresh = PrototypeTable([k, k + 1], rng.standard_normal((2, d)))
+        rec = TaskRunRecord(task=2, old_table=old, fresh_table=fresh,
+                            projector_snapshots=[None])
+        return rec, _TaskLayout(rec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("first", ["finite", "zero"])
+    def test_non_finite_snapshot_raises_and_writes_nothing(self, bad, first):
+        rng = np.random.default_rng(1)
+        rec, layout = self.layout(rng.standard_normal((5, 8)))
+        rec.projector_snapshots[0] = (np.zeros((8, 8)) if first == "zero"
+                                      else rng.standard_normal((8, 8)))
+        layout.evolve(0)
+        matrix, norms, zero_norm = layout.matrix.copy(), layout.norms.copy(), layout.zero_norm
+        table = layout.table().matrix()
+        assert zero_norm == (first == "zero")
+        weights = rng.standard_normal((8, 8))
+        weights[3, 5] = bad
+        rec.projector_snapshots[0] = weights
+        with pytest.raises(DegenerateInputError, match="evolved prototype"):
+            layout.evolve(0)
+        assert_same_bits(layout.matrix, matrix)
+        assert_same_bits(layout.norms, norms)
+        assert layout.zero_norm == zero_norm
+        assert_same_bits(layout.table().matrix(), table)
+
+    def test_zero_norm_image_sets_the_flag(self):
+        rng = np.random.default_rng(2)
+        rows = rng.standard_normal((4, 8))
+        rows[2] = 0.0
+        rows[2, 0] = 3.0
+        rec, layout = self.layout(rows)
+        weights = rng.standard_normal((8, 8))
+        weights[0] = 0.0   # maps row 2 to exactly zero, and no other row
+        rec.projector_snapshots[0] = weights
+        for w_index, flagged in ((0, True), (-1, False), (0, True)):
+            layout.evolve(w_index)
+            assert layout.zero_norm == flagged
+            assert_layout_holds(layout, rec, w_index)
+        assert (layout.norms == 0.0).sum() == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_finite_image_with_overflowing_norm_does_not_raise(self):
+        rng = np.random.default_rng(3)
+        rec, layout = self.layout(1e150 * rng.standard_normal((4, 8)))
+        rec.projector_snapshots[0] = 1e10 * np.eye(8)
+        layout.evolve(0)
+        held = layout.matrix[layout.positions]
+        assert np.isfinite(held).all() and np.isinf(layout.norms[layout.positions]).all()
+        assert not layout.zero_norm
+        assert_same_bits(held, layout.old_rows @ rec.projector_snapshots[0])
+
+    def test_task_without_old_rows(self):
+        # every old class is overridden, or there is none: nothing is mapped
+        rng = np.random.default_rng(4)
+        fresh = PrototypeTable([0, 1], rng.standard_normal((2, 8)))
+        for old in (PrototypeTable([1], rng.standard_normal((1, 8))), None):
+            rec = TaskRunRecord(task=2, old_table=old, fresh_table=fresh,
+                                projector_snapshots=[np.full((8, 8), np.nan)])
+            layout = _TaskLayout(rec)
+            for w_index in (0, -1):
+                layout.evolve(w_index)
+                assert not layout.zero_norm
+                assert_same_bits(layout.matrix, fresh.matrix())
+                assert_same_bits(layout.table().matrix(), fresh.matrix())
 
 
 def former_ncm_predict(feature, table):

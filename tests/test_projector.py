@@ -275,6 +275,27 @@ class TestEvolvePrototypes:
         np.testing.assert_array_equal(out.matrix(), table.matrix())
 
 
+class TestCholeskyNorm:
+    """_cholesky takes the 1-norm it hands dpocon from one dlange; the former
+    numpy column sum is the reference. Both sum d non-negative terms, in
+    different orders, so they agree to d eps of the norm, and the condition
+    estimate, linear in the norm, to that and the rounding of its division."""
+
+    @pytest.mark.parametrize("d", [4, 32, 128])
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3])
+    def test_condition_estimate_against_numpy_norm(self, d, ridge):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(d)
+        q = rng.standard_normal((3 * d, d)) * 10.0 ** rng.uniform(-3, 3, d)
+        gram = q.T @ q
+        lhs = gram + ridge * np.eye(d)
+        anorm = float(np.abs(lhs).sum(axis=0).max())
+        assert abs(scipy.linalg.lapack.dlange("1", lhs) - anorm) <= d * eps * anorm
+        factor, cond = _cholesky(gram, ridge)
+        rcond, _ = scipy.linalg.lapack.dpocon(factor, anorm)
+        assert abs(cond - 1.0 / rcond) <= (d + 4) * eps / rcond
+
+
 class TestStackedEvolve:
     """evolve_prototypes maps all old rows in one product. Below
     HELD_MIN_DIMENSION every image must equal the one-row product `v @ W`
