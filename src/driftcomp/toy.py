@@ -113,20 +113,48 @@ def _as_batch(x: np.ndarray) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=np.float64))
 
 
+def _check_labels(labels: np.ndarray, head_width: int) -> None:
+    if labels.min() < 0 or labels.max() >= head_width:
+        raise ValueError(f"labels must lie in [0, {head_width}), got [{labels.min()}, {labels.max()}]")
+
+
+def _check_old_model(old_model: Optional[ToyModel], old_class_count: int, head_width: int) -> None:
+    if old_model is None:
+        raise ValueError("old_model required when old_class_count > 0")
+    if old_model.num_classes != old_class_count:
+        raise ValueError(f"old model head width {old_model.num_classes} != old_class_count {old_class_count}")
+    if old_class_count > head_width:
+        raise ValueError(f"old_class_count {old_class_count} exceeds current head width {head_width}")
+
+
+def _step(model: ToyModel, x: np.ndarray, labels: Optional[np.ndarray], q: Optional[np.ndarray],
+          weights: LossWeights, ce: bool = True) -> Tuple[float, Dict[str, np.ndarray], int]:
+    """Unchecked (loss, gradients, valid contrastive anchors) of cross-entropy
+    if `ce`, lambda1 * distillation towards the old class distribution `q` if
+    given, and lambda2 * contrastive: one forward and one backward pass."""
+    forward = model.forward(x)
+    loss, dlogits = _ce_loss(labels, forward[2]) if ce else (0.0, None)
+    dz, valid = None, 0
+    if q is not None:
+        kd, dkd = _kd_loss(q, forward[2])
+        loss += weights.lambda1 * kd
+        dlogits = weights.lambda1 * dkd if dlogits is None else dlogits + weights.lambda1 * dkd
+    if weights.lambda2 > 0:
+        scl, dscl, valid = _scl_loss(forward[1], labels, weights.tau)
+        loss += weights.lambda2 * scl
+        if valid:
+            dz = weights.lambda2 * dscl
+    return loss, _backprop(model, x, forward, dlogits, dz), valid
+
+
 def ce_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray
             ) -> Tuple[float, Dict[str, np.ndarray]]:
     """Mean softmax cross-entropy over the head, with parameter gradients."""
-    x = _as_batch(x)
-    forward = model.forward(x)
-    loss, dlogits = _ce_loss(np.asarray(labels, dtype=np.int64), forward[2])
-    return loss, _backprop(model, x, forward, dlogits)
+    return composite_loss(model, None, x, labels, LossWeights(0.0, 0.0))
 
 
 def _ce_loss(labels: np.ndarray, logits: np.ndarray) -> Tuple[float, np.ndarray]:
     """`ce_loss` and its derivative with respect to `logits`."""
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValueError(f"labels must lie in [0, {logits.shape[1]}), got range "
-                         f"[{labels.min()}, {labels.max()}]")
     n = logits.shape[0]
     probs = _softmax(logits)
     loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
@@ -147,24 +175,15 @@ def kd_loss(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
     if old_class_count == 0:
         return 0.0, _backprop(model, x, None)
     x = _as_batch(x)
-    forward = model.forward(x)
-    loss, dlogits = _kd_loss(old_model, x, old_class_count, forward[2])
-    return loss, _backprop(model, x, forward, dlogits)
-
-
-def _kd_loss(old_model: Optional[ToyModel], x: np.ndarray, old_class_count: int,
-             logits: np.ndarray) -> Tuple[float, np.ndarray]:
-    """`kd_loss` for a positive `old_class_count` and its derivative with
-    respect to `logits`, the current model's logits for `x`."""
-    if old_model is None:
-        raise ValueError("old_model required when old_class_count > 0")
-    if old_model.num_classes != old_class_count:
-        raise ValueError(f"old model head width {old_model.num_classes} does not match "
-                         f"old_class_count {old_class_count}")
-    if old_class_count > logits.shape[1]:
-        raise ValueError("old_class_count exceeds current head width")
-    n = x.shape[0]
+    _check_old_model(old_model, old_class_count, model.num_classes)
     q = _softmax(old_model.forward(x)[2])
+    return _step(model, x, None, q, LossWeights(1.0, 0.0), ce=False)[:2]
+
+
+def _kd_loss(q: np.ndarray, logits: np.ndarray) -> Tuple[float, np.ndarray]:
+    """`kd_loss` towards the old model's class distribution `q` and its
+    derivative with respect to `logits`, the current model's logits."""
+    n, old_class_count = q.shape
     r = _softmax(logits[:, :old_class_count])
     loss = float(-np.mean(np.sum(q * np.log(r + 1e-300), axis=1)))
     dlogits = np.zeros_like(logits)
@@ -178,13 +197,6 @@ def _kd_loss(old_model: Optional[ToyModel], x: np.ndarray, old_class_count: int,
 _DU_TABLE_FLOATS = 1 << 20
 
 
-def _others(group: np.ndarray) -> np.ndarray:
-    """(g, g - 1) array whose row k is `group` without its k-th entry."""
-    g = group.size
-    col = np.arange(g - 1)
-    return group[col + (col >= np.arange(g)[:, None])]
-
-
 def scl_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, tau: float
              ) -> Tuple[float, Dict[str, np.ndarray], int]:
     """Supervised contrastive loss over L2-normalized batch features.
@@ -195,18 +207,14 @@ def scl_loss(model: ToyModel, x: np.ndarray, labels: np.ndarray, tau: float
     valid anchors. Returns (loss, extractor gradients, valid anchor count);
     a fully degenerate batch yields (0, zeros, 0).
 
-    The anchors of one label share their negatives, so the work runs once
-    per label present in the batch. The result is bit for bit that of a
-    loop over anchors: each row sum reduces a C-ordered row, each weighted
-    negative sum is one matrix-vector product, and the loss terms and every
+    The result is bit for bit that of a loop over anchors. Elementwise work
+    and maxima run once over the batch; per label, each anchor's negative
+    exponentials, positive similarities and features are summed as rows of
+    one C-ordered block, and its weighted negative sum is one gemv. Every
     feature gradient's additions are summed in anchor order.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    x = _as_batch(x)
-    forward = model.forward(x)
-    loss, dz, valid = _scl_loss(forward[1], np.asarray(labels, dtype=np.int64), tau)
-    return loss, _backprop(model, x, forward, dz=dz), valid
+    return _step(model, _as_batch(x), np.asarray(labels, dtype=np.int64), None,
+                 LossWeights(0.0, 1.0, tau), ce=False)
 
 
 def _scl_loss(z: np.ndarray, labels: np.ndarray, tau: float
@@ -214,62 +222,73 @@ def _scl_loss(z: np.ndarray, labels: np.ndarray, tau: float
     """`scl_loss` of the features `z`, its derivative with respect to `z`
     (None for no valid anchor) and the valid anchor count."""
     n, d = z.shape
-    znorm = np.linalg.norm(z, axis=1, keepdims=True)
+    groups: Dict[int, list] = {}
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
+    # the labels of valid anchors, which have a positive and a negative
+    groups = [g for g in groups.values() if len(g) > 1] if len(groups) > 1 else []
+    if not groups:
+        return 0.0, None, 0
+    anchors = np.array([i for g in groups for i in g])
+    k = anchors.size
+    znorm = np.sqrt((z * z).sum(axis=1, keepdims=True))  # np.linalg.norm's arithmetic
     u = z / znorm
     sim = (u @ u.T) / tau
-
-    terms = np.zeros(n)            # each anchor's loss term
-    own = np.zeros_like(u)         # each anchor's addition to its own du row
-    coef = np.zeros((n, n))        # anchor j adds coef[j, k] * u[j] to du[k], k negative
-    anchors = np.zeros(n, dtype=bool)
-    for label in np.unique(labels):
-        in_group = labels == label
-        group = np.flatnonzero(in_group)
-        neg = np.flatnonzero(~in_group)
-        p = group.size - 1
-        if p == 0 or neg.size == 0:
-            continue
-        pos = _others(group)
-        rows = group[:, None]
-        # indexing both axes by arrays keeps the block C-ordered, so each
-        # row's sum is the pairwise sum a single row gets
-        block = sim[rows, neg]
-        m = block.max(axis=1, keepdims=True)
-        expd = np.exp(block - m)
-        denom = expd.sum(axis=1, keepdims=True)
-        w = expd / denom
-        terms[group] = p * (m + np.log(denom))[:, 0] - sim[rows, pos].sum(axis=1)
-        # a stack of (1, n_neg) @ (n_neg, d) products runs one gemv per
-        # anchor; a single 2-D product would be a gemm that rounds otherwise
-        own[group] = (p * (w[:, None, :] @ u[neg])[:, 0] - u[pos].sum(axis=1)) / tau
-        coef[rows, neg] = (p / tau) * w
-        anchors[group] = True
-    valid = int(np.count_nonzero(anchors))
-    if valid == 0:
-        return 0.0, None, 0
+    positive = labels[:, None] == labels
+    masked = np.where(positive, -np.inf, sim)
+    m = masked.max(axis=1, keepdims=True)
+    expd = np.exp(masked - m)
+    neg_rows, neg = np.nonzero(~positive[anchors])
+    positive.flat[::n + 1] = False  # off the diagonal
+    pos_rows, pos = np.nonzero(positive[anchors])
+    p = positive.sum(axis=1)  # each anchor's positive count
+    # Each valid anchor's negatives and positives, anchor after anchor: a label's
+    # anchors make C-ordered blocks, whose row sums are each the pairwise sum of a
+    # lone row, and a stack of (1, kn) @ (kn, d) products is one gemv per anchor.
+    neg_rows = anchors[neg_rows]
+    neg_expd, pos_sim = expd[neg_rows, neg], sim[anchors[pos_rows], pos]
+    denom, pos_sim_sum, neg_w = np.empty(k), np.empty(k), np.empty_like(neg_expd)
+    pos_u_sum, wu = np.empty((k, d)), np.empty((k, d))
+    a = b = c = 0
+    for g in map(len, groups):
+        rows, kn, kp = slice(a, a + g), n - g, g - 1
+        np.add.reduce(neg_expd[b:b + g * kn].reshape(g, kn), axis=1, out=denom[rows])
+        np.add.reduce(pos_sim[c:c + g * kp].reshape(g, kp), axis=1, out=pos_sim_sum[rows])
+        step = max(1, _DU_TABLE_FLOATS // (kp * d))  # (anchors, kp, d) gathers in chunks
+        for s in range(0, g, step):
+            e = min(s + step, g)
+            np.add.reduce(u[pos[c + s * kp:c + e * kp]].reshape(e - s, kp, d), axis=1,
+                          out=pos_u_sum[a + s:a + e])
+        w = np.divide(neg_expd[b:b + g * kn].reshape(g, 1, kn), denom[rows, None, None],
+                      out=neg_w[b:b + g * kn].reshape(g, 1, kn))
+        np.matmul(w, u[neg[b:b + kn]], out=wu[rows, None, :])
+        a, b, c = a + g, b + g * kn, c + g * kp
+    coef = np.zeros((n, n))  # anchor j adds coef[j, k] * u[j] to du[k], k negative
+    coef[neg_rows, neg] = (p[neg_rows] / tau) * neg_w
+    terms = p[anchors] * (m[anchors, 0] + np.log(denom)) - pos_sim_sum
+    own = np.zeros_like(u)  # each anchor's addition to its own du row
+    own[anchors] = (p[anchors, None] * wu - pos_u_sum) / tau
     total = 0.0
-    for term in terms[anchors].tolist():
+    for term in terms[np.argsort(anchors)].tolist():
         total += term
 
-    # table[j, k] is anchor j's addition to du[k]: its own term on k = j,
-    # -u[j] / tau on its positives, coef[j, k] * u[j] on its negatives, and
-    # a zero for an anchor that is not valid. Reducing over j adds them in
-    # anchor order.
-    positive = (labels[:, None] == labels) & anchors[:, None]
-    np.fill_diagonal(positive, False)
+    # table[j, k] is anchor j's addition to du[k]: its own term on k = j, -u[j] / tau
+    # on its positives, coef[j, k] * u[j] on its negatives, zero if j is not valid.
+    # Reducing over j, after the sum of the chunks before, adds them in anchor order.
     neg_u = -u / tau
-    du = np.zeros((1, n, d))
+    diagonal = np.eye(n, dtype=bool)
+    du = np.zeros((n, d))
     step = max(1, _DU_TABLE_FLOATS // (n * d))
     for start in range(0, n, step):
-        chunk = np.arange(start, min(start + step, n))
-        table = coef[chunk, :, None] * u[chunk, None, :]
-        table = np.where(positive[chunk, :, None], neg_u[chunk, None, :], table)
-        table[np.arange(chunk.size), chunk] = own[chunk]
-        du = np.add.reduce(np.concatenate([du, table]), axis=0, keepdims=True)
-    loss = total / valid
-    du = du[0] / valid
-    dz = (du - (np.sum(du * u, axis=1, keepdims=True)) * u) / znorm
-    return loss, dz, valid
+        rows = slice(start, start + step)
+        table = coef[rows, :, None] * u[rows, None, :]
+        np.copyto(table, neg_u[rows, None, :], where=positive[rows, :, None])
+        np.copyto(table, own[rows, None, :], where=diagonal[rows, :, None])
+        table[0] += du
+        du = np.add.reduce(table, axis=0)
+    du = du / k
+    dz = (du - (du * u).sum(axis=1, keepdims=True) * u) / znorm
+    return total / k, dz, k
 
 
 def composite_loss(model: ToyModel, old_model: Optional[ToyModel],
@@ -282,19 +301,12 @@ def composite_loss(model: ToyModel, old_model: Optional[ToyModel],
     distillation term is dropped when there is no old model."""
     x = _as_batch(x)
     labels = np.asarray(labels, dtype=np.int64)
-    forward = model.forward(x)
-    loss, dlogits = _ce_loss(labels, forward[2])
-    dz = None
+    _check_labels(labels, model.num_classes)
+    q = None
     if old_model is not None and weights.lambda1 > 0:
-        kd, dkd = _kd_loss(old_model, x, old_model.num_classes, forward[2])
-        loss += weights.lambda1 * kd
-        dlogits += weights.lambda1 * dkd
-    if weights.lambda2 > 0:
-        scl, dscl, valid = _scl_loss(forward[1], labels, weights.tau)
-        loss += weights.lambda2 * scl
-        if valid:
-            dz = weights.lambda2 * dscl
-    return loss, _backprop(model, x, forward, dlogits, dz)
+        _check_old_model(old_model, old_model.num_classes, model.num_classes)
+        q = _softmax(old_model.forward(x)[2])
+    return _step(model, x, labels, q, weights)[:2]
 
 
 def train_task(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
@@ -306,17 +318,21 @@ def train_task(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
     The input model is left untouched (it is the previous-space snapshot).
     The base learning rate is scaled by |new classes| / |old classes| from
     the second task on, where the new classes are the distinct labels, so
-    later small tasks take proportionally smaller steps.
+    later small tasks take proportionally smaller steps. The arguments are
+    checked once, and the old model's class distribution that each step
+    distills towards is computed once for the whole task.
     """
-    if labels.max() >= model.num_classes:
-        raise ValueError(
-            f"head width {model.num_classes} too small for class {labels.max()}; "
-            "extend the head before training"
-        )
-    lr = base_lr
+    labels = np.asarray(labels, dtype=np.int64)
+    if batch_size < 1 or epochs < 0:
+        raise ValueError(f"batch_size must be positive and epochs non-negative, got "
+                         f"batch_size={batch_size}, epochs={epochs}")
+    _check_labels(labels, model.num_classes)
+    lr, targets = base_lr, None
     if old_model is not None:
-        old = old_model.num_classes
-        lr = base_lr * np.unique(labels).size / old
+        _check_old_model(old_model, old_model.num_classes, model.num_classes)
+        lr = base_lr * np.unique(labels).size / old_model.num_classes
+        if weights.lambda1 > 0:
+            targets = _softmax(old_model.forward(x)[2])
     trained = model.copy()
     rng = np.random.default_rng(seed)
     n = x.shape[0]
@@ -325,7 +341,11 @@ def train_task(model: ToyModel, old_model: Optional[ToyModel], x: np.ndarray,
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            loss, grads = composite_loss(trained, old_model, x[idx], labels[idx], weights)
+            q = targets
+            if targets is not None:
+                # numpy maps one row by gemv, which rounds otherwise than a gemm row
+                q = targets[idx] if idx.size > 1 else _softmax(old_model.forward(x[idx])[2])
+            loss, grads, _ = _step(trained, x[idx], labels[idx], q, weights)
             if not np.isfinite(loss):
                 raise DivergenceError(step)
             for name in PARAM_NAMES:

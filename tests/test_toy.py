@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,18 @@ def random_scl_batch(rng):
     return model, x, labels, tau
 
 
+def scl_case(rng, labels, d):
+    """A model and batch with the given labels, scales and temperature drawn
+    as in random_scl_batch."""
+    labels = np.asarray(labels, dtype=np.int64)
+    model = ToyModel.init(5, 7, d, 2, rng)
+    feature_scale = float(rng.choice([1e-3, 1.0, 1e3]))
+    model.W2 *= feature_scale
+    model.b2 = feature_scale * rng.standard_normal(d)
+    x = float(rng.choice([0.1, 1.0, 10.0])) * rng.standard_normal((labels.size, 5))
+    return model, x, labels, float(rng.choice([0.05, 0.1, 0.5, 1.0, 3.0]))
+
+
 def assert_scl_bitwise_equal(model, x, labels, tau):
     loss, grads, valid = scl_loss(model, x, labels, tau)
     want_loss, want_grads, want_valid = loop_scl_loss(model, x, labels, tau)
@@ -270,6 +284,45 @@ class TestSclLossMatchesLoop:
         rng = np.random.default_rng(22)
         for _ in range(200):
             assert_scl_bitwise_equal(*random_scl_batch(rng))
+
+    @pytest.mark.parametrize("table_floats", [None, 1])
+    @pytest.mark.parametrize("labels", [
+        [0] * 12 + [1] * 3,              # 11 positives: pairwise positive sums
+        [0] * 10 + [1] * 10,
+        [0] * 3 + list(range(1, 11)),    # 10 negatives and more: pairwise exp sums
+        [0] * 2 + [1] * 9,
+        [0, 1, 2, 3, 3, 4, 5],           # singletons and one pair
+        [7] * 6,                         # one label only: no valid anchor
+        [0],                             # n = 1
+    ], ids=["group12", "two_groups10", "negatives10", "pair_vs_9", "singletons_pair",
+            "one_label", "n1"])
+    def test_summation_regimes(self, monkeypatch, labels, table_floats):
+        # each regime at d = 1 (a (p, 1) column sums pairwise) and d > 1 (rows
+        # of positive features sum in order), labels in shuffled order, with
+        # the gradient table and positive-feature gathers whole or one anchor
+        # per chunk
+        if table_floats is not None:
+            monkeypatch.setattr(toy, "_DU_TABLE_FLOATS", table_floats)
+        rng = np.random.default_rng(23)
+        for d in (1, 2, 16, 33):
+            for _ in range(10):
+                assert_scl_bitwise_equal(*scl_case(rng, rng.permutation(labels), d))
+
+    def test_large_batch_memory_bounded(self):
+        # n = 300, d = 256, two labels of about 150: an (n, n, d) temporary
+        # would take 184 MB and one label's positive-feature gather 46 MB;
+        # in chunks of _DU_TABLE_FLOATS (8 MiB) the peak is about 26 MB
+        rng = np.random.default_rng(24)
+        z = rng.standard_normal((300, 256))
+        labels = rng.integers(0, 2, size=300)
+        tracemalloc.start()
+        try:
+            _, dz, valid = toy._scl_loss(z, labels, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert valid == 300 and np.all(np.isfinite(dz))
+        assert peak < 36e6, peak
 
 
 class TestCompositeAndTraining:
@@ -379,3 +432,119 @@ class TestCompositeAndTraining:
         model = ToyModel.init(8, 10, 6, 4, rng)
         with pytest.raises(ValueError):
             train_task(model, None, *task2, LossWeights(0, 0, 1), epochs=1)
+
+
+def reference_train_task(model, old_model, x, labels, weights, epochs, base_lr, batch_size, seed):
+    """Reference: train_task's minibatch SGD calling the public composite_loss
+    on every batch, so the old model's forward pass and every argument check
+    run once per batch."""
+    lr = base_lr
+    if old_model is not None:
+        lr = base_lr * np.unique(labels).size / old_model.num_classes
+    trained = model.copy()
+    rng = np.random.default_rng(seed)
+    n = x.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            _, grads = composite_loss(trained, old_model, x[idx], labels[idx], weights)
+            for name in PARAM_NAMES:
+                param = getattr(trained, name)
+                param -= lr * grads[name]
+    return trained
+
+
+class TestTrainTaskMatchesReference:
+    """train_task computes the distillation targets once per task and checks
+    its arguments once; every trained parameter must equal the per-batch
+    reference's bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("weights, with_old, per_class, batch_size", [
+        (LossWeights(2.0, 0.1, 0.5), True, 8, 8),     # distillation and contrastive
+        (LossWeights(0.0, 0.1, 0.5), True, 8, 8),     # lambda1 = 0: no targets
+        (LossWeights(2.0, 0.1, 0.5), False, 8, 8),    # no old model
+        (LossWeights(2.0, 0.0, 0.5), True, 8, 8),     # lambda2 = 0
+        (LossWeights(2.0, 0.1, 0.5), True, 11, 8),    # 22 rows: batches of 8, 8, 6
+        (LossWeights(2.0, 0.1, 0.5), True, 8, 5),     # 16 rows: a last batch of one row
+        (LossWeights(2.0, 0.1, 0.5), True, 4, 1),     # every batch one row
+    ], ids=["distill", "lambda1_zero", "no_old_model", "lambda2_zero", "ragged",
+            "single_row_last", "batch_size_1"])
+    def test_parameters_bitwise_equal(self, weights, with_old, per_class, batch_size, seed):
+        rng = np.random.default_rng(100 + seed)
+        old_model = ToyModel.init(8, 10, 6, 3, rng)
+        model = old_model.extend_head(2, rng)
+        x, labels = blob_task(rng, classes=2, per_class=per_class, in_dim=8, class_offset=3)
+        old = old_model if with_old else None
+        got = train_task(model, old, x, labels, weights, epochs=3, base_lr=0.05,
+                         batch_size=batch_size, seed=seed)
+        want = reference_train_task(model, old, x, labels, weights, 3, 0.05, batch_size, seed)
+        for name in PARAM_NAMES:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestArgumentChecks:
+    """train_task checks its arguments once, up front; the public losses
+    keep their own checks."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(25)
+        self.model = ToyModel.init(8, 10, 6, 4, rng)
+        self.x, self.labels = blob_task(rng, classes=2, per_class=5, in_dim=8)
+
+    def train(self, labels=None, old_model=None, weights=LossWeights(1.0, 0.1, 0.5), **kwargs):
+        labels = self.labels if labels is None else labels
+        return train_task(self.model, old_model, self.x, labels, weights, **kwargs)
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_train_task_label_outside_head(self, bad):
+        labels = self.labels.copy()
+        labels[3] = bad
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 4\)"):
+            self.train(labels)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_train_task_batch_size_below_one(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be positive"):
+            self.train(batch_size=batch_size)
+
+    def test_train_task_negative_epochs(self):
+        with pytest.raises(ValueError, match="epochs non-negative"):
+            self.train(epochs=-1)
+
+    def test_train_task_zero_epochs_returns_a_copy(self):
+        trained = self.train(epochs=0)
+        assert trained is not self.model
+        for name in PARAM_NAMES:
+            assert np.array_equal(getattr(trained, name), getattr(self.model, name))
+
+    @pytest.mark.parametrize("lambda1", [1.0, 0.0])
+    def test_train_task_old_model_wider_than_head(self, lambda1):
+        wider = ToyModel.init(8, 10, 6, 5, np.random.default_rng(26))
+        with pytest.raises(ValueError, match="exceeds current head width 4"):
+            self.train(old_model=wider, weights=LossWeights(lambda1, 0.1, 0.5), epochs=1)
+
+    @pytest.mark.parametrize("labels", [[0, -1], [0, 4]])
+    def test_ce_and_composite_loss_label_outside_head(self, labels):
+        labels = np.array(labels)
+        with pytest.raises(ValueError, match="labels must lie in"):
+            ce_loss(self.model, self.x[:2], labels)
+        with pytest.raises(ValueError, match="labels must lie in"):
+            composite_loss(self.model, None, self.x[:2], labels, LossWeights())
+
+    def test_composite_loss_old_model_wider_than_head(self):
+        wider = ToyModel.init(8, 10, 6, 5, np.random.default_rng(27))
+        with pytest.raises(ValueError, match="exceeds current head width"):
+            composite_loss(self.model, wider, self.x, self.labels, LossWeights())
+
+    def test_kd_loss_checks(self):
+        with pytest.raises(ValueError, match="old_model required"):
+            kd_loss(self.model, None, self.x, 3)
+        wider = ToyModel.init(8, 10, 6, 5, np.random.default_rng(28))
+        with pytest.raises(ValueError, match="exceeds current head width"):
+            kd_loss(self.model, wider, self.x, 5)
+
+    def test_scl_loss_nonpositive_tau(self):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            scl_loss(self.model, self.x, self.labels, 0.0)
