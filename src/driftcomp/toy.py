@@ -256,9 +256,8 @@ def _scl_loss(z: np.ndarray, labels: np.ndarray, tau: float
         np.add.reduce(pos_sim[c:c + g * kp].reshape(g, kp), axis=1, out=pos_sim_sum[rows])
         step = max(1, _DU_TABLE_FLOATS // (kp * d))  # (anchors, kp, d) gathers in chunks
         for s in range(0, g, step):
-            e = min(s + step, g)
-            np.add.reduce(u[pos[c + s * kp:c + e * kp]].reshape(e - s, kp, d), axis=1,
-                          out=pos_u_sum[a + s:a + e])
+            np.add.reduce(u[pos[c + s * kp:c + min(s + step, g) * kp]].reshape(-1, kp, d),
+                          axis=1, out=pos_u_sum[a + s:a + min(s + step, g)])
         w = np.divide(neg_expd[b:b + g * kn].reshape(g, 1, kn), denom[rows, None, None],
                       out=neg_w[b:b + g * kn].reshape(g, 1, kn))
         np.matmul(w, u[neg[b:b + kn]], out=wu[rows, None, :])
@@ -286,6 +285,7 @@ def _scl_loss(z: np.ndarray, labels: np.ndarray, tau: float
         np.copyto(table, own[rows, None, :], where=diagonal[rows, :, None])
         table[0] += du
         du = np.add.reduce(table, axis=0)
+        del table  # so that the next chunk is not made while this one is held
     du = du / k
     dz = (du - (du * u).sum(axis=1, keepdims=True) * u) / znorm
     return total / k, dz, k
