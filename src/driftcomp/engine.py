@@ -6,14 +6,15 @@ re-fit the projector, evolve the old prototypes from their original
 previous-space values, and classify by cosine nearest class mean over the
 union of evolved old and fresh new prototypes. A task without old classes,
 or a run with solver "none", fits nothing and classifies against the stale
-old prototypes.
+old prototypes. The offline GD oracle runs the same per-task body with an
+empty stream: it fits once, before the first prediction.
 
 The union is held per task as one matrix and its row norms (`_TaskLayout`):
 each solve overwrites the evolved rows, mapped by one gemm, and their norms
 in place, and each sample is classified against those arrays. A
 `PrototypeTable` is built once, at task end, for the drift similarity and
 the next task, from the old rows mapped again row by row. The replay audit
-and the offline oracle classify through the same layout.
+classifies through the same layout.
 """
 
 from __future__ import annotations
@@ -189,15 +190,23 @@ def _selected_classes(source, config: RunConfig) -> Optional[frozenset]:
     return frozenset(all_classes[i] for i in picked)
 
 
-def run_engine(source, config: RunConfig) -> RunResult:
-    """Run the full task sequence at `config.seed` and collect metrics."""
+def run_engine(source, config: RunConfig, *, oracle: bool = False) -> RunResult:
+    """Run the full task sequence at `config.seed` and collect metrics; with
+    `oracle`, each task is the offline oracle's (see `run_gd_oracle`)."""
     selected = _selected_classes(source, config)
     table: Optional[PrototypeTable] = None
     records: List[TaskRunRecord] = []
     for t in range(1, source.num_tasks + 1):
-        table, rec = run_task_cycle(source, config, t, table, selected)
+        table, rec = run_task_cycle(source, config, t, table, selected, oracle=oracle)
         records.append(rec)
-    return RunResult(config=config, seed=config.seed, tasks=records)
+    return RunResult(config=config, seed=config.seed, tasks=records, oracle=oracle)
+
+
+def run_gd_oracle(source, config: RunConfig) -> RunResult:
+    """Offline oracle: each task's projector is fitted once, by gradient
+    descent to convergence, before any prediction (see `run_task_cycle`).
+    Explicitly non-online; the result is labeled as an oracle."""
+    return run_engine(source, config, oracle=True)
 
 
 def _fresh_table(source, t: int) -> PrototypeTable:
@@ -211,35 +220,49 @@ def run_task_cycle(
     t: int,
     old_table: Optional[PrototypeTable],
     selected: Optional[frozenset] = None,
+    *,
+    oracle: bool = False,
 ) -> Tuple[PrototypeTable, TaskRunRecord]:
     """One task's test stage at `config.seed`; returns (prototype table for
-    the next task, metrics record)."""
-    seed = config.seed
-    fresh = _fresh_table(source, t)
+    the next task, metrics record). The pairs of classes outside `selected`
+    are classified against the final state and flagged `excluded`. The
+    oracle streams nothing: it fits once by `_offline_gd` on the selected
+    pairs (all pairs when none is selected) and classifies every pair, in
+    `source.test_pairs(t)` order, whatever `config.solver` says."""
+    rec = TaskRunRecord(task=t, old_table=old_table, fresh_table=_fresh_table(source, t))
     pairs = source.test_pairs(t)
-    streamed = [pairs[i] for i in _stream_order(len(pairs), seed, t)]
-    excluded: List = []
-    if selected is not None:
-        excluded = [p for p in streamed if p[0] not in selected]
-        streamed = [p for p in streamed if p[0] in selected]
-
-    rec = TaskRunRecord(task=t, old_table=old_table, fresh_table=fresh)
-    fit = None
-    if old_table is not None and config.solver != "none":
-        fit = _StreamFit(config, old_table, rng_seed=seed * 1000 + t)
     layout = _TaskLayout(rec)
+    fit = None
     w_index = -1
+    if oracle:
+        streamed, tail = [], pairs
+        if old_table is not None:
+            fit_pairs = [p for p in pairs if selected is None or p[0] in selected] or pairs
+            q_old, q_new = (np.vstack([p[k] for p in fit_pairs]) for k in (1, 2))
+            weights = _offline_gd(q_old, q_new, config.gd_learning_rate, config.gd_optimizer)
+            rec.projector_snapshots.append(weights)
+            w_index = 0
+            layout.evolve(w_index)
+    else:
+        streamed = [pairs[i] for i in _stream_order(len(pairs), config.seed, t)]
+        tail = []
+        if selected is not None:
+            tail = [p for p in streamed if p[0] not in selected]
+            streamed = [p for p in streamed if p[0] in selected]
+        if old_table is not None and config.solver != "none":
+            fit = _StreamFit(config, old_table, rng_seed=config.seed * 1000 + t)
 
-    def predict(class_id: int, z_new: np.ndarray, is_excluded: bool) -> None:
+    def predict(class_id: int, z_new: np.ndarray) -> None:
         start = time.perf_counter()
         pred = layout.predict(z_new)
         rec.phase_seconds["predict"] += time.perf_counter() - start
+        is_excluded = selected is not None and class_id not in selected
         rec.samples.append(SampleLog(class_id, int(pred), w_index, excluded=is_excluded))
         rec.features_new.append(np.asarray(z_new, dtype=np.float64))
 
     for i, (class_id, z_old, z_new) in enumerate(streamed):
         if config.predict_before_update:
-            predict(class_id, z_new, False)
+            predict(class_id, z_new)
         if fit is not None:
             start = time.perf_counter()
             fit.push(z_old, z_new)
@@ -252,19 +275,24 @@ def run_task_cycle(
             rec.phase_seconds["queue"] += pushed - start
             rec.phase_seconds["solve"] += time.perf_counter() - pushed
         if not config.predict_before_update:
-            predict(class_id, z_new, False)
+            predict(class_id, z_new)
+    # the per-sample timings divide by this count, so an oracle task, which
+    # streams nothing, counts 0 and its timing.csv rows read 0
     rec.n_stream_samples = len(streamed)
 
-    # excluded classes are evaluated against the final state without
-    # contributing to queue updates
-    for class_id, _, z_new in excluded:
-        predict(class_id, z_new, True)
+    # the tail, the excluded classes' pairs (every pair for the oracle), is
+    # evaluated against the final state without contributing to queue updates
+    for class_id, _, z_new in tail:
+        predict(class_id, z_new)
 
     table = layout.table()
-    if fit is not None:
-        if fit.window is not None:
-            rec.solve_counts = fit.window.counts
-        _record_drift_similarity(rec, source, table)
+    if fit is not None and fit.window is not None:
+        rec.solve_counts = fit.window.counts
+    fitted = fit is not None or (oracle and old_table is not None)
+    if fitted and hasattr(source, "reference_drifted_prototypes"):
+        rec.drift_similarity = true_drift_similarity(
+            table.restricted_to(old_table.class_ids),
+            source.reference_drifted_prototypes(t, old_table), old_table)
     return table, rec
 
 
@@ -339,51 +367,6 @@ class _TaskLayout:
         if self.weights is not None:
             matrix[self.positions] = _map_rows(self.old_rows, self.weights)
         return PrototypeTable._from_checked_rows(self.class_ids, matrix)
-
-
-def _record_drift_similarity(rec: TaskRunRecord, source, table: PrototypeTable) -> None:
-    if not hasattr(source, "reference_drifted_prototypes"):
-        return
-    old = rec.old_table
-    rec.drift_similarity = true_drift_similarity(
-        table.restricted_to(old.class_ids), source.reference_drifted_prototypes(rec.task, old), old
-    )
-
-
-def run_gd_oracle(source, config: RunConfig) -> RunResult:
-    """Offline oracle: the projector is optimized by gradient descent to
-    convergence on the full paired test stream before any prediction.
-
-    Explicitly non-online; the result is labeled as an oracle."""
-    selected = _selected_classes(source, config)
-    table: Optional[PrototypeTable] = None
-    records: List[TaskRunRecord] = []
-    for t in range(1, source.num_tasks + 1):
-        pairs = source.test_pairs(t)
-        rec = TaskRunRecord(task=t, old_table=table, fresh_table=_fresh_table(source, t))
-        w_index = -1
-        if table is not None:
-            fit_pairs = pairs if selected is None else [p for p in pairs if p[0] in selected]
-            if not fit_pairs:
-                fit_pairs = pairs
-            q_old = np.vstack([p[1] for p in fit_pairs])
-            q_new = np.vstack([p[2] for p in fit_pairs])
-            rec.projector_snapshots.append(_offline_gd(q_old, q_new, config.gd_learning_rate,
-                                                       config.gd_optimizer))
-            w_index = 0
-        layout = _TaskLayout(rec)
-        layout.evolve(w_index)
-        table = layout.table()
-        if w_index == 0:
-            _record_drift_similarity(rec, source, table)
-        for class_id, _, z_new in pairs:
-            pred = layout.predict(z_new)
-            is_excluded = selected is not None and class_id not in selected
-            rec.samples.append(SampleLog(class_id, int(pred), w_index, excluded=is_excluded))
-            rec.features_new.append(np.asarray(z_new, dtype=np.float64))
-        rec.n_stream_samples = len(pairs)
-        records.append(rec)
-    return RunResult(config=config, seed=config.seed, tasks=records, oracle=True)
 
 
 def _offline_gd(q_old: np.ndarray, q_new: np.ndarray, learning_rate: float,

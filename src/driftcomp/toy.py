@@ -157,7 +157,7 @@ def _ce_loss(labels: np.ndarray, logits: np.ndarray) -> Tuple[float, np.ndarray]
     """`ce_loss` and its derivative with respect to `logits`."""
     n = logits.shape[0]
     probs = _softmax(logits)
-    loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
+    loss = float(-(np.log(probs[np.arange(n), labels] + 1e-300).sum() / n))
     probs[np.arange(n), labels] -= 1.0
     probs /= n
     return loss, probs
@@ -185,7 +185,7 @@ def _kd_loss(q: np.ndarray, logits: np.ndarray) -> Tuple[float, np.ndarray]:
     derivative with respect to `logits`, the current model's logits."""
     n, old_class_count = q.shape
     r = _softmax(logits[:, :old_class_count])
-    loss = float(-np.mean(np.sum(q * np.log(r + 1e-300), axis=1)))
+    loss = float(-(np.sum(q * np.log(r + 1e-300), axis=1).sum() / n))
     dlogits = np.zeros_like(logits)
     dlogits[:, :old_class_count] = (r - q) / n
     return loss, dlogits

@@ -8,6 +8,8 @@ from driftcomp.core import PrototypeTable, ncm_predict
 from driftcomp.engine import (
     TaskRunRecord,
     _TaskLayout,
+    _offline_gd,
+    _selected_classes,
     replay_audit,
     run_engine,
     run_gd_oracle,
@@ -167,6 +169,45 @@ class TestOracle:
             closed, _, _ = solve_normal_equations(pair.gram, pair.cross)
             gap = np.linalg.norm(rec.projector_snapshots[0] - closed)
             assert gap < 1e-3 * max(1.0, np.linalg.norm(closed))
+
+    def test_unbalanced_stream(self):
+        # the oracle fits on the selected classes' pairs only, then
+        # classifies every pair, in test_pairs order, flagging the rest
+        cfg = engine_config(test_balance="unbalanced", unbalanced_fraction=0.5,
+                            gd_learning_rate=0.01)
+        source = SyntheticSource.from_config(cfg)
+        selected = _selected_classes(source, cfg)
+        oracle = run_gd_oracle(source, cfg)
+        for t, rec in enumerate(oracle.tasks, start=1):
+            pairs = source.test_pairs(t)
+            assert [s.class_id for s in rec.samples] == [c for c, _, _ in pairs]
+            for z_new, (_, _, want) in zip(rec.features_new, pairs):
+                assert_same_bits(z_new, want)
+            assert [s.excluded for s in rec.samples] == [c not in selected for c, _, _ in pairs]
+            if t == 1:
+                assert rec.projector_snapshots == []
+                continue
+            fit_pairs = [p for p in pairs if p[0] in selected]
+            assert 0 < len(fit_pairs) < len(pairs)
+            want = _offline_gd(np.vstack([p[1] for p in fit_pairs]),
+                               np.vstack([p[2] for p in fit_pairs]),
+                               cfg.gd_learning_rate, cfg.gd_optimizer)
+            assert len(rec.projector_snapshots) == 1
+            assert_same_bits(rec.projector_snapshots[0], want)
+        assert replay_audit(oracle)
+
+    def test_ignores_solver(self):
+        cfg = engine_config(num_tasks=3, gd_learning_rate=0.01)
+        source = SyntheticSource.from_config(cfg)
+        none, analytic = (run_gd_oracle(source, cfg.replace(solver=solver))
+                          for solver in ("none", "analytic"))
+        for a, b in zip(none.tasks, analytic.tasks, strict=True):
+            assert a.samples == b.samples
+            assert (a.drift_similarity is not None) == (a.task > 1)
+            assert a.drift_similarity == b.drift_similarity
+            assert len(a.projector_snapshots) == len(b.projector_snapshots) == (a.task > 1)
+            for got, want in zip(a.projector_snapshots, b.projector_snapshots):
+                assert_same_bits(got, want)
 
 
 class TestUnbalancedStream:
