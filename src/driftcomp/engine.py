@@ -15,6 +15,13 @@ in place, and each sample is classified against those arrays. A
 `PrototypeTable` is built once, at task end, for the drift similarity and
 the next task, from the old rows mapped again row by row. The replay audit
 classifies through the same layout.
+
+Each task's record logs the W of every solve in a `projector.SnapshotLog`:
+a full W for a direct solve, for every solve below d = 64 and for the
+descent solvers, and from d = 64 on the rank-m update by which the window
+moved its own W in place, from which the log replays the same bits. The
+layout is evolved with the W the solve returned; the audit replays the log
+in one pass.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ from .config import RunConfig
 from .core import PrototypeTable, _nearest_class, _row_norms, class_means
 from .drift_sim import true_drift_similarity
 from .errors import DegenerateInputError
-from .projector import SolveCounts, WindowSolver, _Descent, _map_rows, _queue_gradient
+from .projector import (SnapshotLog, SolveCounts, WindowSolver, _Descent, _map_rows,
+                        _queue_gradient)
 from .queues import init_with_pseudo_features
 
 PHASES = ("queue", "solve", "predict")
@@ -52,12 +60,16 @@ class TaskRunRecord:
     old_table: Optional[PrototypeTable]
     fresh_table: PrototypeTable
     samples: List[SampleLog] = field(default_factory=list)
-    projector_snapshots: List[np.ndarray] = field(default_factory=list)
+    projector_snapshots: SnapshotLog = field(default_factory=SnapshotLog)
     features_new: List[np.ndarray] = field(default_factory=list)
     drift_similarity: Optional[Dict[int, float]] = None
     phase_seconds: Dict[str, float] = field(default_factory=lambda: {p: 0.0 for p in PHASES})
     n_stream_samples: int = 0
     solve_counts: SolveCounts = field(default_factory=SolveCounts)   # analytic solves
+
+    def __post_init__(self):
+        if not isinstance(self.projector_snapshots, SnapshotLog):
+            self.projector_snapshots = SnapshotLog(self.projector_snapshots)
 
     @property
     def accuracy(self) -> float:
@@ -132,7 +144,8 @@ class _StreamFit:
     queues pre-filled with pseudo-features and re-solve every
     `resolve_stride` samples, "analytic" by the window's solve and
     "gd_with_queue" from the queued rows; "gd" descends on each pair alone,
-    as a one-row queue, at every sample.
+    as a one-row queue, at every sample. Each solve's W goes to `log`,
+    which the task record holds.
     """
 
     def __init__(self, config: RunConfig, old_table: PrototypeTable, rng_seed: int):
@@ -149,6 +162,7 @@ class _StreamFit:
                                        singular_policy=config.singular_policy,
                                        min_ridge=config.min_ridge)
         self.pending: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.log = SnapshotLog()
 
     def push(self, z_old: np.ndarray, z_new: np.ndarray) -> None:
         self.pending.append((z_old, z_new))
@@ -160,18 +174,23 @@ class _StreamFit:
             self.window.push(old, new)   # which stacks each side's rows once
 
     def solve(self, i: int) -> Optional[np.ndarray]:
-        """Re-fitted weights after the i-th pair, or None when no solve is due."""
+        """Re-fitted weights after the i-th pair, logged to `self.log`, or
+        None when no solve is due. The window's weights may be its own,
+        which its next solve overwrites."""
         cfg = self.config
         if cfg.solver == "gd":
             q_old, q_new = (np.asarray(rows, dtype=np.float64)[None] for rows in self.pending[0])
         elif (i + 1) % cfg.resolve_stride:
             return None
         elif cfg.solver == "analytic":
-            return self.window.solve()[0]
+            weights = self.window.solve()[0]
+            self.log.append(weights, self.window.update)
+            return weights
         else:
             q_old, q_new = self.window.queue.matrices()
         for _ in range(cfg.gd_steps):
             self.descent.step(_queue_gradient(q_old, q_new, self.descent.weights))
+        self.log.append(self.descent.weights)
         return self.descent.weights
 
 
@@ -242,7 +261,7 @@ def run_task_cycle(
             weights = _offline_gd(q_old, q_new, config.gd_learning_rate, config.gd_optimizer)
             rec.projector_snapshots.append(weights)
             w_index = 0
-            layout.evolve(w_index)
+            layout.evolve(weights)
     else:
         streamed = [pairs[i] for i in _stream_order(len(pairs), config.seed, t)]
         tail = []
@@ -251,6 +270,7 @@ def run_task_cycle(
             streamed = [p for p in streamed if p[0] in selected]
         if old_table is not None and config.solver != "none":
             fit = _StreamFit(config, old_table, rng_seed=config.seed * 1000 + t)
+            rec.projector_snapshots = fit.log
 
     def predict(class_id: int, z_new: np.ndarray) -> None:
         start = time.perf_counter()
@@ -269,9 +289,8 @@ def run_task_cycle(
             pushed = time.perf_counter()
             weights = fit.solve(i)
             if weights is not None:
-                rec.projector_snapshots.append(weights)
                 w_index = len(rec.projector_snapshots) - 1
-                layout.evolve(w_index)
+                layout.evolve(weights)
             rec.phase_seconds["queue"] += pushed - start
             rec.phase_seconds["solve"] += time.perf_counter() - pushed
         if not config.predict_before_update:
@@ -298,8 +317,8 @@ def run_task_cycle(
 
 class _TaskLayout:
     """The table a task classifies against, held as arrays updated in place:
-    its old prototypes carried through one projector snapshot, merged with
-    the task's fresh prototypes.
+    its old prototypes carried through one projector W, merged with the
+    task's fresh prototypes.
 
     What depends only on class ids is built once per task: the ascending
     class ids, a writable copy of the stale merged matrix with its row norms
@@ -307,8 +326,8 @@ class _TaskLayout:
     their positions in the matrix, and whether any other row has zero norm.
     The positions are a slice when those rows are one block, as they always
     are in class-incremental order, and an index array otherwise. `evolve`
-    writes those rows' images under a snapshot, and their norms, over the
-    held ones; `predict` classifies against the held arrays.
+    writes those rows' images under a W, and their norms, over the held
+    ones; `predict` classifies against the held arrays.
 
     `evolve` maps the old rows by one (k, d) @ (d, d) gemm at every d, within
     2 d eps (|P| |W|) of the per-row products, which only pick an argmax.
@@ -319,7 +338,6 @@ class _TaskLayout:
     """
 
     def __init__(self, rec: TaskRunRecord):
-        self.snapshots = rec.projector_snapshots
         old, fresh = rec.old_table, rec.fresh_table
         stale = fresh if old is None else old.merged_with(fresh)
         self.class_ids = stale.class_ids
@@ -336,14 +354,15 @@ class _TaskLayout:
         self.old_rows = self.matrix[positions].copy()   # a slice is a view of what evolve writes
         self.weights: Optional[np.ndarray] = None       # the last evolve's, None for the stale rows
 
-    def evolve(self, w_index: int) -> None:
-        """Map the old rows through snapshot `w_index` (-1 restores them);
-        raises DegenerateInputError, and writes nothing, if an image is
-        non-finite."""
-        if w_index < 0:
-            weights, images = None, self.old_rows
+    def evolve(self, weights: Optional[np.ndarray]) -> None:
+        """Map the old rows through the projector `weights` (None restores
+        them); raises DegenerateInputError, and writes nothing, if an image
+        is non-finite. `table` maps them again under the same array, so it
+        must hold the same W until then."""
+        if weights is None:
+            images = self.old_rows
         else:
-            weights = np.ascontiguousarray(self.snapshots[w_index], dtype=np.float64)
+            weights = np.ascontiguousarray(weights, dtype=np.float64)
             images = self.old_rows @ weights
         norms = _row_norms(images)
         # a non-finite image has a non-finite norm, so the images are
@@ -362,7 +381,7 @@ class _TaskLayout:
 
     def table(self) -> PrototypeTable:
         """The held table as a PrototypeTable of its own, with the old rows
-        mapped by `_map_rows` under the last evolve's snapshot."""
+        mapped by `_map_rows` under the last evolve's W."""
         matrix = self.matrix.copy()
         if self.weights is not None:
             matrix[self.positions] = _map_rows(self.old_rows, self.weights)
@@ -386,14 +405,16 @@ def _offline_gd(q_old: np.ndarray, q_new: np.ndarray, learning_rate: float,
 
 
 def replay_audit(result: RunResult) -> bool:
-    """Re-evaluate every logged prediction from the stored projector
-    snapshots and base tables; returns True iff all match exactly."""
+    """Re-evaluate every logged prediction from the logged projector
+    snapshots and base tables; returns True iff all match exactly. Each
+    task's log is replayed in one pass, in sample order, through its
+    buffer; stored full entries are read as they are."""
     for rec in result.tasks:
         layout, w_index = _TaskLayout(rec), -1
         for sample, z_new in zip(rec.samples, rec.features_new):
             if sample.w_index != w_index:
                 w_index = sample.w_index
-                layout.evolve(w_index)
+                layout.evolve(None if w_index < 0 else rec.projector_snapshots.view(w_index))
             if layout.predict(z_new) != sample.predicted:
                 return False
     return True

@@ -61,15 +61,24 @@ def _factor(gram, ridge, singular_policy, min_ridge):
     return factor, cond, effective_ridge
 
 
-def _updated(weights: np.ndarray, moved, solved: np.ndarray) -> np.ndarray:
-    """W_prev + solved @ diag(s) (Z - U W_prev) for moved = (U, Z, k) and
-    solved = (gram + ridge I)^-1 U^T, as a new C-ordered array."""
+def _apply_update(weights: np.ndarray, correction: np.ndarray, solved: np.ndarray,
+                  in_place: bool) -> np.ndarray:
+    """weights + solved @ correction, C-ordered, by one beta=1 gemm on the
+    transposes: written over the C-ordered float64 `weights` when
+    `in_place`, otherwise into the copy of weights^T that f2py makes."""
+    return dgemm(1.0, correction.T, solved.T, beta=1.0, c=weights.T, overwrite_c=in_place).T
+
+
+def _updated(weights: np.ndarray, moved, solved: np.ndarray,
+             in_place: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(W, correction): W = W_prev + solved @ correction, with correction =
+    diag(s) (Z - U W_prev), for moved = (U, Z, k) and solved = (gram +
+    ridge I)^-1 U^T, written over W_prev when `in_place` (see
+    _apply_update)."""
     rows_old, rows_new, entered = moved
     correction = rows_new - rows_old @ weights
     correction[entered:] *= -1.0
-    # one beta=1 gemm on the transposes, into the copy of W_prev^T that f2py
-    # makes without overwrite_c
-    return dgemm(1.0, correction.T, solved.T, beta=1.0, c=weights.T).T
+    return _apply_update(weights, correction, solved, in_place), correction
 
 
 def _check_policy(ridge: float, singular_policy: str) -> None:
@@ -145,12 +154,19 @@ class WindowSolver:
 
         W = W_prev + (gram + ridge I)^-1 U^T diag(s) (Z - U W_prev),
 
-    which takes m right-hand sides instead of d, accumulated by one gemm
-    into a new copy of W_prev, which is never written. The solve is direct,
-    as in solve_normal_equations, without a previous solution (the first
-    solve, and the first after a push that recomputed the queue's normal
-    equations), when the ridge used differs from the one requested or from
-    W_prev's, or when m >= d, and returns W_prev itself when no row moved.
+    which takes m right-hand sides instead of d, accumulated by one beta = 1
+    gemm: below HELD_MIN_DIMENSION into a new copy of W_prev, which is never
+    written; from it on over the solver's own W_prev, in place. The solve is
+    direct, as in solve_normal_equations, without a previous solution (the
+    first solve, and the first after a push that recomputed the queue's
+    normal equations), when the ridge used differs from the one requested
+    or from W_prev's, or when m >= d, and returns W_prev itself when no row
+    moved. A direct W is a new array that is never written: from
+    HELD_MIN_DIMENSION on, the solver updates a copy of it. After each
+    solve, `update` says how its W was reached, for a SnapshotLog: None for
+    a new W; () when no row moved; and for an update in place, the pair
+    (correction, solved) of the m x d diag(s) (Z - U W_prev) and the d x m
+    (gram + ridge I)^-1 U^T, which the log replays by the same gemm.
     It also keeps the upper Cholesky factor F0 of G0 + ridge I from its
     last refactor, with the k rows V (signs S) that moved since, so that
     gram + ridge I = G0 + ridge I + V^T S V. By Sherman-Morrison-Woodbury
@@ -185,7 +201,9 @@ class WindowSolver:
         d = queue.dimension
         self.guard_limit = COND_THRESHOLD / d
         self.cap = cap = held_rows_cap(d)
+        self._in_place = d >= HELD_MIN_DIMENSION
         self.counts = SolveCounts()
+        self.update: tuple | None = None   # how the last solve reached its W; see solve()
         self._previous: tuple[np.ndarray, float] | None = None
         self._entered: list[tuple[np.ndarray, np.ndarray]] = []
         self._entered_rows = 0
@@ -223,25 +241,30 @@ class WindowSolver:
 
     def solve(self) -> tuple[np.ndarray, float, float]:
         """(W, condition estimate, ridge used) for the queue's current
-        normal equations, as solve_normal_equations returns them; W is
-        never written afterwards. A solve that raises keeps the moved rows,
-        so the next one still updates by all of them."""
+        normal equations, as solve_normal_equations returns them. W is
+        never written afterwards when `update` is None. Otherwise W is
+        W_prev, updated by the pair `update` holds or, for (), as it was;
+        from HELD_MIN_DIMENSION on that is the solver's own array, which
+        its next update overwrites. A solve that raises keeps the moved
+        rows, so the next one still updates by all of them."""
         counts = self.counts
         counts.solves += 1
         if self._previous is None or self._entered:
-            weights, cond, ridge = self._moved_solve()
-            self._previous, self._cond = (weights, ridge), cond
+            weights, cond, ridge, self.update = self._moved_solve()
+            held = weights.copy() if self._in_place and self.update is None else weights
+            self._previous, self._cond = (held, ridge), cond
             self._entered.clear()
             self._left.clear()
             self._entered_rows = 0
         else:
             (weights, ridge), cond = self._previous, self._cond
+            self.update = ()
         counts.ridge_fallbacks += ridge != self.ridge
         counts.max_condition = max(counts.max_condition, cond)
         return weights, cond, ridge
 
-    def _moved_solve(self) -> tuple[np.ndarray, float, float]:
-        """solve() when rows moved or no solution is held."""
+    def _moved_solve(self) -> tuple[np.ndarray, float, float, tuple | None]:
+        """solve(), with `update`, when rows moved or no solution is held."""
         moved, m = None, 0
         if self._previous is not None:
             old, new = zip(*self._entered, *self._left)
@@ -250,7 +273,8 @@ class WindowSolver:
         if self._factor is not None and self._held + m <= self.cap:
             held = self._held_solve(moved)
             if held is not None:
-                return (*held, self.ridge)
+                weights, bound, update = held
+                return weights, bound, self.ridge, update
         queue = self.queue
         factor, cond, ridge = _factor(queue.gram, self.ridge, *self.policy)
         self.counts.refactors += 1
@@ -259,13 +283,19 @@ class WindowSolver:
         if (moved is None or ridge != self.ridge or self._previous[1] != ridge
                 or m >= queue.dimension):
             weights, _ = scipy.linalg.lapack.dpotrs(factor, queue.cross)
-            return np.ascontiguousarray(weights), cond, ridge
+            return np.ascontiguousarray(weights), cond, ridge, None
         solved, _ = scipy.linalg.lapack.dpotrs(factor, moved[0].T)
-        return _updated(self._previous[0], moved, solved), cond, ridge
+        weights, update = self._step(moved, solved)
+        return weights, cond, ridge, update
 
-    def _held_solve(self, moved) -> tuple[np.ndarray, float] | None:
-        """(W, condition bound) from the held factor, or None when the
-        guard trips."""
+    def _step(self, moved, solved) -> tuple[np.ndarray, tuple | None]:
+        """(W, update) for W_prev updated by the moved rows (see _updated)."""
+        weights, correction = _updated(self._previous[0], moved, solved, self._in_place)
+        return weights, ((correction, solved) if self._in_place else None)
+
+    def _held_solve(self, moved) -> tuple[np.ndarray, float, tuple | None] | None:
+        """(W, condition bound, update) from the held factor, or None when
+        the guard trips."""
         rows_old, _, entered = moved
         m, k = len(rows_old), self._held + len(rows_old)
         new = slice(k - m, k)
@@ -290,7 +320,88 @@ class WindowSolver:
         t, _ = scipy.linalg.lapack.dgetrs(lu, pivots, vy)
         solved = y_new - self._solved[:, :k] @ t
         self._held = k
-        return _updated(self._previous[0], moved, solved), bound
+        weights, update = self._step(moved, solved)
+        return weights, bound, update
+
+
+class SnapshotLog:
+    """The projector W of each solve of a task, in solve order: a sequence
+    whose length, indexing (negative too), iteration and item assignment
+    behave as on a list of the arrays.
+
+    An entry is a full W, kept as given; a rank-m update (correction,
+    solved) that moved the previous entry's W in place (a WindowSolver's
+    `update`, from HELD_MIN_DIMENSION on), 2 m d floats in place of d^2; or
+    (), for a solve that moved no row. Reading an update entry replays the
+    updates since the nearest full entry into a buffer of the log's own, by
+    the gemm the solver ran, so every W read back has the bits the stream
+    evolved with. The buffer holds the last entry it reached, so reads in
+    order replay one update each, and a read behind it starts again from
+    the nearest full entry. Indexing and iteration return a new array for an
+    update entry and the stored array for a full one; `view` returns the
+    buffer itself. Assigning entry i stores the W given as a full entry,
+    after storing the next entry's W in full if that entry is an update, so
+    every other entry keeps its value. Entries are changed by assignment: a
+    stored array written in place reaches only the replays that start
+    before it.
+    """
+
+    def __init__(self, snapshots=()):
+        self._entries: list = []
+        self._cursor: tuple[int, np.ndarray] | None = None   # the buffer and its entry
+        for weights in snapshots:
+            self.append(weights)
+
+    def append(self, weights, update: tuple | None = None) -> None:
+        """Log the W a solve returned, with the `update` it reported: None
+        keeps W itself, which must never be written afterwards; () or a
+        (correction, solved) pair keeps the update."""
+        if update is not None and not self._entries:
+            raise ValueError("the first snapshot of a log must be a full W")
+        self._entries.append(weights if update is None else update)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def view(self, i: int):
+        """W at entry i without a copy: a stored full entry, or the log's
+        buffer, which the next read of another entry may overwrite."""
+        entries = self._entries
+        if not isinstance(entries[i], tuple):
+            return entries[i]
+        i = range(len(entries))[i]
+        while isinstance(entries[i], tuple) and not entries[i]:   # no row moved
+            i -= 1
+        reached = -1 if self._cursor is None else self._cursor[0]
+        start = i
+        while isinstance(entries[start], tuple) and start != reached:
+            start -= 1
+        if not isinstance(entries[start], tuple):
+            if start == i:
+                return entries[i]
+            weights = np.array(entries[start], dtype=np.float64, order="C")
+        else:
+            weights = self._cursor[1]
+        for entry in entries[start + 1:i + 1]:
+            if entry:
+                weights = _apply_update(weights, *entry, in_place=True)
+        self._cursor = (i, weights)
+        return weights
+
+    def __getitem__(self, i: int):
+        weights = self.view(i)
+        return weights.copy() if self._cursor and weights is self._cursor[1] else weights
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __setitem__(self, i: int, weights) -> None:
+        entries = self._entries
+        i = range(len(entries))[i]
+        if i + 1 < len(entries) and isinstance(entries[i + 1], tuple):
+            entries[i + 1] = self[i + 1]
+        entries[i] = weights
+        self._cursor = None
 
 
 class _Descent:

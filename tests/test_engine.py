@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from driftcomp.config import RunConfig, load_config
 from driftcomp.core import PrototypeTable, ncm_predict
 from driftcomp.engine import (
+    RunResult,
     TaskRunRecord,
+    _StreamFit,
     _TaskLayout,
     _offline_gd,
     _selected_classes,
@@ -15,9 +18,15 @@ from driftcomp.engine import (
     run_gd_oracle,
 )
 from driftcomp.errors import DegenerateInputError, DimensionError, SingularGramError
-from driftcomp.projector import WindowSolver, evolve_prototypes, solve_normal_equations
+from driftcomp.projector import (
+    SnapshotLog,
+    WindowSolver,
+    evolve_prototypes,
+    solve_normal_equations,
+)
 from driftcomp.queues import init_with_pseudo_features
 from driftcomp.sources import DumpSource, SyntheticSource, write_source_dump
+from test_projector import assert_replays
 
 GOLDEN_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "golden_small.txt")
 
@@ -42,7 +51,7 @@ class TestBasicRuns:
         cfg = engine_config(num_tasks=1, classes_per_task="3")
         _, result = run_with(cfg)
         rec = result.tasks[0]
-        assert rec.projector_snapshots == []
+        assert len(rec.projector_snapshots) == 0
         assert all(s.w_index == -1 for s in rec.samples)
         assert rec.accuracy > 0.9
 
@@ -185,7 +194,7 @@ class TestOracle:
                 assert_same_bits(z_new, want)
             assert [s.excluded for s in rec.samples] == [c not in selected for c, _, _ in pairs]
             if t == 1:
-                assert rec.projector_snapshots == []
+                assert len(rec.projector_snapshots) == 0
                 continue
             fit_pairs = [p for p in pairs if p[0] in selected]
             assert 0 < len(fit_pairs) < len(pairs)
@@ -358,6 +367,106 @@ class TestReplayAudit:
         assert replay_audit(run_gd_oracle(source, cfg))
 
 
+    def test_replay_reads_logged_updates(self):
+        # from d = 64 the log keeps rank-m updates; corrupting the first
+        # update's correction moves every W replayed after it, here so that
+        # the old prototypes' images move by ten times their norm
+        _, result = run_with(engine_config(num_tasks=3, dimension=128, queue_capacity=300))
+        rec = result.tasks[-1]
+        log, old_rows = rec.projector_snapshots, rec.old_table.matrix()
+        correction, solved = next(entry for entry in log._entries
+                                  if isinstance(entry, tuple) and entry)
+        assert replay_audit(result)
+        noise = np.random.default_rng(0).standard_normal(correction.shape)
+        correction += noise * (10.0 * np.linalg.norm(old_rows @ log[0])
+                               / np.linalg.norm(old_rows @ solved @ noise))
+        assert not replay_audit(result)
+
+    def test_record_from_plain_list(self):
+        _, result = run_with(engine_config(num_tasks=3, dimension=128, queue_capacity=300))
+        tasks = [dataclasses.replace(rec, projector_snapshots=list(rec.projector_snapshots))
+                 for rec in result.tasks]
+        assert all(isinstance(rec.projector_snapshots, SnapshotLog) for rec in tasks)
+        assert replay_audit(RunResult(config=result.config, seed=result.seed, tasks=tasks))
+
+
+class TestSnapshotLogInStream:
+    """Each task's log holds, entry by entry, the bits of a copy of the W
+    each window solve returned, through the engine's strides."""
+
+    @pytest.mark.parametrize("d, update_stride, resolve_stride",
+                             [(32, 2, 1), (32, 1, 2), (128, 1, 1), (128, 2, 1), (128, 1, 2),
+                              (128, 2, 2)])
+    def test_every_entry_is_the_solved_w(self, monkeypatch, d, update_stride, resolve_stride):
+        copies = []
+        solve = WindowSolver.solve
+
+        def copying(window):
+            weights, cond, ridge = solve(window)
+            copies.append(weights.copy())
+            return weights, cond, ridge
+        monkeypatch.setattr(WindowSolver, "solve", copying)
+        cfg = engine_config(num_tasks=3, dimension=d, queue_capacity=2 * d,
+                            update_stride=update_stride, resolve_stride=resolve_stride)
+        _, result = run_with(cfg)
+        logs = [rec.projector_snapshots for rec in result.tasks]
+        assert sum(map(len, logs)) == len(copies)
+        entries = [entry for log in logs for entry in log._entries]
+        full = sum(not isinstance(entry, tuple) for entry in entries)
+        unmoved = sum(entry == () for entry in entries if isinstance(entry, tuple))
+        # from d = 64 only each task's first solve, which is direct, is full
+        assert full == (sum(map(bool, logs)) if d >= 64 else len(entries) - unmoved)
+        assert (unmoved > 0) == (update_stride > resolve_stride)
+        rng = np.random.default_rng(d)
+        for log in logs:
+            assert_replays(log, copies[:len(log)], rng)
+            del copies[:len(log)]
+        assert replay_audit(result)
+
+
+class TestWideGate:
+    """ROADMAP item 9's gate for the d >= 64 path, at d = 512 on the
+    in-place W: a low-noise pre-fill of 90 old prototypes, then 2.5
+    capacities of pairs through _StreamFit, which recompute the normal
+    equations twice."""
+
+    def test_stream_against_direct_solves(self):
+        d, capacity, every = 512, 640, 200
+        rng = np.random.default_rng(512)
+        old = PrototypeTable(range(90), rng.standard_normal((90, d)))
+        cfg = RunConfig(solver="analytic", dimension=d, queue_capacity=capacity,
+                        noise_scale=0.05)
+        fit = _StreamFit(cfg, old, rng_seed=5)
+        w_true = np.eye(d) + rng.standard_normal((d, d)) / np.sqrt(d)
+        n = 5 * capacity // 2
+        eps = np.finfo(float).eps
+        checked = 0
+        for i, z_old in enumerate(rng.standard_normal((n, d))):
+            fit.push(z_old, z_old @ w_true + 0.1 * rng.standard_normal(d))
+            weights = fit.solve(i)
+            if i % every and i != n - 1:
+                continue
+            checked += 1
+            # a backward-stable solve is within d eps cond of the exact
+            # solution (Higham, Accuracy and Stability, 10.1), so two are
+            # within twice that of each other
+            q_old, q_new = fit.window.queue.matrices()
+            direct, cond, ridge = solve_normal_equations(q_old.T @ q_old, q_old.T @ q_new)
+            assert ridge == 0.0
+            gap = np.linalg.norm(weights - direct) / np.linalg.norm(direct)
+            assert gap <= 2 * d * eps * cond
+            assert fit.log[i].tobytes() == weights.tobytes()
+        assert checked == n // every + 1
+        assert fit.window.queue.recomputes == 3 and fit.window.counts.ridge_fallbacks == 0
+        # the log: three direct solves in full, and 2 m d floats for each
+        # update, m = 2 rows moved per pair
+        entries = fit.log._entries
+        full = [entry for entry in entries if not isinstance(entry, tuple)]
+        assert len(entries) == n and len(full) == 3
+        floats = sum(part.size for entry in entries if isinstance(entry, tuple) for part in entry)
+        assert floats == (n - len(full)) * 2 * 2 * d
+
+
 def assert_same_bits(got, want):
     assert got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
@@ -424,6 +533,11 @@ def random_snapshot(rng, d):
     return np.zeros((d, d)) if rng.random() < 0.1 else rng.standard_normal((d, d))
 
 
+def snapshot(rec, w_index):
+    """Snapshot `w_index` of `rec`, or None (the stale rows) for -1."""
+    return None if w_index < 0 else rec.projector_snapshots[w_index]
+
+
 class TestTaskLayout:
     def test_matches_evolve_then_merge_on_every_snapshot(self):
         _, result = run_with(load_config(GOLDEN_CONFIG).replace(solver="analytic"))
@@ -434,27 +548,27 @@ class TestTaskLayout:
             layout = _TaskLayout(rec)
             assert_layout_holds(layout, rec, -1)
             for w_index in range(len(rec.projector_snapshots)):
-                layout.evolve(w_index)
+                layout.evolve(snapshot(rec, w_index))
                 assert_layout_holds(layout, rec, w_index)
-            layout.evolve(-1)
+            layout.evolve(None)
             assert_layout_holds(layout, rec, -1)
 
     @pytest.mark.parametrize("d", [32, 128])
     def test_random_stream_of_solves(self, d):
         rng = np.random.default_rng(d)
         rec = random_record(rng, d)
-        # one snapshot slot, rewritten before each solve: the layout must
-        # read the snapshot list at every evolve
+        # one snapshot slot, rewritten before each solve, which each evolve
+        # reads back from the record
         rec.projector_snapshots.append(None)
         layout = _TaskLayout(rec)
         zero_norm_seen = False
         for _ in range(1200):
             if rng.random() < 0.02:
-                layout.evolve(-1)
+                layout.evolve(None)
                 assert_layout_holds(layout, rec, -1)
                 continue
             rec.projector_snapshots[0] = random_snapshot(rng, d)
-            layout.evolve(0)
+            layout.evolve(rec.projector_snapshots[0])
             assert_layout_holds(layout, rec, 0)
             zero_norm_seen |= layout.zero_norm
         assert zero_norm_seen
@@ -466,7 +580,7 @@ class TestTaskLayout:
         rec = TaskRunRecord(task=2, old_table=old, fresh_table=fresh,
                             projector_snapshots=[rng.standard_normal((4, 4))])
         layout = _TaskLayout(rec)
-        layout.evolve(0)
+        layout.evolve(rec.projector_snapshots[0])
         assert_layout_holds(layout, rec, 0)
         table = layout.table()
         assert table.class_ids == (0, 2, 5, 7, 9)
@@ -474,7 +588,7 @@ class TestTaskLayout:
         # the table is a copy: a later solve leaves it as it was
         weights = rec.projector_snapshots[0]
         rec.projector_snapshots[0] = np.zeros((4, 4))
-        layout.evolve(0)
+        layout.evolve(rec.projector_snapshots[0])
         rec.projector_snapshots[0] = weights
         assert_same_bits(table.matrix(), reference_table(rec, 0).matrix())
 
@@ -489,7 +603,7 @@ class TestTaskLayout:
         layout = _TaskLayout(rec)
         assert layout.positions == slice(2, 5)
         for w_index in (0, 1, -1, 1):
-            layout.evolve(w_index)
+            layout.evolve(snapshot(rec, w_index))
             assert_layout_holds(layout, rec, w_index)
 
     def test_zero_norm_fresh_row_stays_flagged(self):
@@ -501,7 +615,7 @@ class TestTaskLayout:
                             projector_snapshots=[np.eye(4) + 0.1 * rng.standard_normal((4, 4))])
         layout = _TaskLayout(rec)
         for w_index in (0, -1, 0):
-            layout.evolve(w_index)
+            layout.evolve(snapshot(rec, w_index))
             assert_layout_holds(layout, rec, w_index)
             assert layout.zero_norm and (layout.norms[:3] > 0.0).all()
             table = layout.table()
@@ -540,7 +654,7 @@ class TestGemmImages:
         for _ in range(1200):
             weights = random_snapshot(rng, d)
             rec.projector_snapshots[0] = weights
-            layout.evolve(0)
+            layout.evolve(rec.projector_snapshots[0])
             table = layout.table()
             per_row = table.matrix()
             bound = 2 * d * eps * (np.abs(layout.old_rows) @ np.abs(weights))
@@ -586,7 +700,7 @@ class TestEvolveChecks:
         rec, layout = self.layout(rng.standard_normal((5, 8)))
         rec.projector_snapshots[0] = (np.zeros((8, 8)) if first == "zero"
                                       else rng.standard_normal((8, 8)))
-        layout.evolve(0)
+        layout.evolve(rec.projector_snapshots[0])
         matrix, norms, zero_norm = layout.matrix.copy(), layout.norms.copy(), layout.zero_norm
         table = layout.table().matrix()
         assert zero_norm == (first == "zero")
@@ -594,7 +708,7 @@ class TestEvolveChecks:
         weights[3, 5] = bad
         rec.projector_snapshots[0] = weights
         with pytest.raises(DegenerateInputError, match="evolved prototype"):
-            layout.evolve(0)
+            layout.evolve(rec.projector_snapshots[0])
         assert_same_bits(layout.matrix, matrix)
         assert_same_bits(layout.norms, norms)
         assert layout.zero_norm == zero_norm
@@ -610,7 +724,7 @@ class TestEvolveChecks:
         weights[0] = 0.0   # maps row 2 to exactly zero, and no other row
         rec.projector_snapshots[0] = weights
         for w_index, flagged in ((0, True), (-1, False), (0, True)):
-            layout.evolve(w_index)
+            layout.evolve(snapshot(rec, w_index))
             assert layout.zero_norm == flagged
             assert_layout_holds(layout, rec, w_index)
         assert (layout.norms == 0.0).sum() == 1
@@ -620,7 +734,7 @@ class TestEvolveChecks:
         rng = np.random.default_rng(3)
         rec, layout = self.layout(1e150 * rng.standard_normal((4, 8)))
         rec.projector_snapshots[0] = 1e10 * np.eye(8)
-        layout.evolve(0)
+        layout.evolve(rec.projector_snapshots[0])
         held = layout.matrix[layout.positions]
         assert np.isfinite(held).all() and np.isinf(layout.norms[layout.positions]).all()
         assert not layout.zero_norm
@@ -635,7 +749,7 @@ class TestEvolveChecks:
                                 projector_snapshots=[np.full((8, 8), np.nan)])
             layout = _TaskLayout(rec)
             for w_index in (0, -1):
-                layout.evolve(w_index)
+                layout.evolve(snapshot(rec, w_index))
                 assert not layout.zero_norm
                 assert_same_bits(layout.matrix, fresh.matrix())
                 assert_same_bits(layout.table().matrix(), fresh.matrix())
@@ -671,7 +785,7 @@ class TestLayoutPredict:
                             projector_snapshots=snapshots)
         layout = _TaskLayout(rec)
         for w_index in (-1, 0, 1):
-            layout.evolve(w_index)
+            layout.evolve(snapshot(rec, w_index))
             table = layout.table()
             if d > 1:   # at d = 1 every row of the feature's sign ties
                 assert layout.predict(table.matrix()[table.class_ids.index(14)]) == 4

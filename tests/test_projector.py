@@ -15,6 +15,7 @@ from driftcomp.engine import _offline_gd
 from driftcomp import projector
 from driftcomp.projector import (
     HELD_MIN_DIMENSION,
+    SnapshotLog,
     WindowSolver,
     _cholesky,
     evolve_prototypes,
@@ -345,11 +346,13 @@ class TestStackedEvolve:
 
 
 class TestRankKUpdateOutput:
-    """The rank-k solution update accumulates into a copy of the previous
-    solution, which is the previous sample's snapshot and must not move."""
+    """Below HELD_MIN_DIMENSION, the rank-k solution update accumulates into
+    a copy of the previous solution, which is the previous sample's snapshot
+    and must not move. From it on, it accumulates over the solver's own copy
+    of the previous solution, in place."""
 
     # 2(k + 1) rows move, fewer than d, so the update is taken
-    @pytest.mark.parametrize("d, k", [(4, 0), (8, 1), (32, 2), (128, 3)])
+    @pytest.mark.parametrize("d, k", [(4, 0), (8, 1), (32, 2)])
     def test_previous_untouched_and_result_new(self, monkeypatch, d, k):
         # every solve refactors, so the update is the factor's own
         monkeypatch.setattr(projector, "held_rows_cap", lambda d: 0)
@@ -379,6 +382,42 @@ class TestRankKUpdateOutput:
         correction[k + 1:] *= -1.0
         solved, _ = scipy.linalg.lapack.dpotrs(factor, rows_old.T)
         np.testing.assert_array_equal(updated, weights + solved @ correction)
+
+    @pytest.mark.parametrize("d, k", [(HELD_MIN_DIMENSION, 1), (128, 3)])
+    def test_previous_overwritten_in_place(self, monkeypatch, d, k):
+        monkeypatch.setattr(projector, "held_rows_cap", lambda d: 0)
+        rng = np.random.default_rng(d)
+        capacity = 3 * d + 10
+        pair = QueuePair(d, capacity)
+        old = rng.standard_normal((capacity, d))
+        pair.push(old, old @ rng.standard_normal((d, d)))
+        window = WindowSolver(pair)
+        # the direct W is never written: the solver keeps a C-ordered copy
+        weights, _, _ = window.solve()
+        previous = window._previous[0]
+        assert window.update is None and previous.flags.c_contiguous
+        assert not np.shares_memory(previous, weights)
+        kept = weights.copy()
+        entering_old, entering_new = rng.standard_normal((2, k + 1, d))
+        left_old, left_new = window.push(entering_old, entering_new)
+        rows_old = np.vstack([entering_old, left_old])
+        rows_new = np.vstack([entering_new, left_new])
+
+        updated, _, _ = window.solve()
+
+        np.testing.assert_array_equal(weights, kept)
+        assert updated.ctypes.data == previous.ctypes.data and updated.flags.c_contiguous
+        # the former expression, W_prev + solved @ correction, bit for bit
+        factor, _ = _cholesky(pair.gram, 0.0)
+        correction = rows_new - rows_old @ kept
+        correction[k + 1:] *= -1.0
+        solved, _ = scipy.linalg.lapack.dpotrs(factor, rows_old.T)
+        np.testing.assert_array_equal(updated, kept + solved @ correction)
+        # the update the solve reports replays the same bits from W_prev
+        np.testing.assert_array_equal(window.update[0], correction)
+        np.testing.assert_array_equal(window.update[1], solved)
+        replayed = projector._apply_update(kept, *window.update, in_place=True)
+        assert replayed.tobytes() == updated.tobytes()
 
 
 def window_stream(window, rows, prefill_rank, seed):
@@ -534,6 +573,100 @@ class TestHeldFactor:
         got = self.ridges(self.window(monkeypatch, "strict"), start_full_rank)
         assert got == want
         assert got[-1][0] == "raised" and (got[-1][1] > 100) == start_full_rank
+
+
+def assert_replays(log, copies, rng):
+    """Every entry of `log` has the bits of its copy, read by index (in
+    order, then a random sample out of order), by iteration into a list and
+    by the audit's in-order views."""
+    assert len(log) == len(copies)
+    for i, want in enumerate(copies):
+        assert log[i].tobytes() == want.tobytes()
+    for i in rng.choice(len(log), size=min(len(log), 100), replace=False):
+        assert log[i].tobytes() == copies[i].tobytes()
+    if copies:
+        assert log[-1].tobytes() == copies[-1].tobytes()
+    # a list of every entry: each read is an array of its own
+    for got, want in zip(list(log), copies, strict=True):
+        assert got.tobytes() == want.tobytes()
+    for i, want in enumerate(copies):
+        assert log.view(i).tobytes() == want.tobytes()
+
+
+class TestSnapshotLog:
+    """A SnapshotLog of a window's solves reads back, entry by entry, the
+    bits of a copy of each solve's W taken when it was returned."""
+
+    def logged_stream(self, monkeypatch, d):
+        """A window stream logged solve by solve, with a copy of each W and
+        how often each trigger fired. A rank-10 pre-fill keeps the ridge
+        fallback on until real rows fill the Gram out; 1,000 pushes through
+        300 rows recompute the normal equations three times; a lowered
+        COND_THRESHOLD trips the guard a few times at d = 128; every
+        seventh push is solved twice, the second time with no row moved."""
+        monkeypatch.setattr(projector, "COND_THRESHOLD", 1e9)
+        window = WindowSolver(QueuePair(d, 300))
+        held_solve = window._held_solve
+        fired = {"recompute": 0, "cap": 0, "guard": 0, "ridge": 0, "unmoved": 0}
+
+        def counting(moved):
+            held = held_solve(moved)
+            fired["guard"] += held is None
+            return held
+        window._held_solve = counting
+        log, copies = SnapshotLog(), []
+        rows = 2.0 * np.random.default_rng(40).standard_normal((1000, d))
+        for j, (_, recomputed, m) in enumerate(window_stream(window, rows, prefill_rank=10,
+                                                             seed=41)):
+            fired["recompute"] += recomputed
+            fired["cap"] += window._factor is not None and window._held + m > window.cap
+            for repeat in range(1 + (j % 7 == 0)):
+                weights, _, ridge = window.solve()
+                log.append(weights, window.update)
+                copies.append(weights.copy())
+                fired["ridge"] += ridge != 0.0
+                fired["unmoved"] += repeat
+        return log, copies, fired
+
+    @staticmethod
+    def kinds(log):
+        """Each entry's kind: a full W, an update or unmoved."""
+        return ["full" if not isinstance(entry, tuple) else "update" if entry else "unmoved"
+                for entry in log._entries]
+
+    @pytest.mark.parametrize("d", [32, 128])
+    def test_long_stream_replays_bit_for_bit(self, monkeypatch, d):
+        log, copies, fired = self.logged_stream(monkeypatch, d)
+        assert fired["recompute"] == 3 and fired["ridge"] > 10 and fired["unmoved"] > 100
+        kinds = self.kinds(log)
+        assert kinds.count("unmoved") == fired["unmoved"]
+        if d < HELD_MIN_DIMENSION:
+            # every W is a new array, kept as it is
+            assert "update" not in kinds and fired["cap"] == fired["guard"] == 0
+        else:
+            assert fired["cap"] > 10 and fired["guard"] > 0
+            assert kinds.count("update") > len(log) // 2
+            for entry, kind in zip(log._entries, kinds):
+                if kind == "update":   # m = 2 rows moved: 2 m d floats
+                    assert sum(part.size for part in entry) == 4 * d
+        assert_replays(log, copies, np.random.default_rng(d))
+
+    def test_assignment_keeps_every_other_entry(self, monkeypatch):
+        log, copies, _ = self.logged_stream(monkeypatch, 128)
+        pairs = list(zip(self.kinds(log), self.kinds(log)[1:]))
+        rng = np.random.default_rng(42)
+        for i in (pairs.index(("update", "update")), pairs.index(("full", "update")),
+                  pairs.index(("update", "unmoved")), 0, len(log) - 1, -3):
+            log[len(log) // 2]   # leave the buffer somewhere else
+            weights = rng.standard_normal((128, 128))
+            log[i] = weights
+            assert log[i] is weights
+            copies[i] = weights
+            assert_replays(log, copies, rng)
+
+    def test_first_entry_is_a_full_w(self):
+        with pytest.raises(ValueError, match="full W"):
+            SnapshotLog().append(np.eye(3), ())
 
 
 class TestFallbackSolves:
