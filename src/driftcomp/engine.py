@@ -410,11 +410,11 @@ def replay_audit(result: RunResult) -> bool:
     task's log is replayed in one pass, in sample order, through its
     buffer; stored full entries are read as they are."""
     for rec in result.tasks:
-        layout, w_index = _TaskLayout(rec), -1
+        layout, w_index, view = _TaskLayout(rec), -1, rec.projector_snapshots.view
         for sample, z_new in zip(rec.samples, rec.features_new):
             if sample.w_index != w_index:
                 w_index = sample.w_index
-                layout.evolve(None if w_index < 0 else rec.projector_snapshots.view(w_index))
+                layout.evolve(None if w_index < 0 else view(w_index))
             if layout.predict(z_new) != sample.predicted:
                 return False
     return True

@@ -70,15 +70,17 @@ def _apply_update(weights: np.ndarray, correction: np.ndarray, solved: np.ndarra
 
 
 def _updated(weights: np.ndarray, moved, solved: np.ndarray,
-             in_place: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(W, correction): W = W_prev + solved @ correction, with correction =
+             in_place: bool) -> tuple[np.ndarray, tuple | None]:
+    """(W, update): W = W_prev + solved @ correction, with correction =
     diag(s) (Z - U W_prev), for moved = (U, Z, k) and solved = (gram +
-    ridge I)^-1 U^T, written over W_prev when `in_place` (see
-    _apply_update)."""
+    ridge I)^-1 U^T. When `in_place`, W is written over W_prev (see
+    _apply_update) and the update is (correction, solved); otherwise W is a
+    new array and the update None."""
     rows_old, rows_new, entered = moved
     correction = rows_new - rows_old @ weights
     correction[entered:] *= -1.0
-    return _apply_update(weights, correction, solved, in_place), correction
+    return (_apply_update(weights, correction, solved, in_place),
+            (correction, solved) if in_place else None)
 
 
 def _check_policy(ridge: float, singular_policy: str) -> None:
@@ -273,7 +275,7 @@ class WindowSolver:
         if self._factor is not None and self._held + m <= self.cap:
             held = self._held_solve(moved)
             if held is not None:
-                weights, bound, update = held
+                weights, update, bound = held
                 return weights, bound, self.ridge, update
         queue = self.queue
         factor, cond, ridge = _factor(queue.gram, self.ridge, *self.policy)
@@ -285,16 +287,11 @@ class WindowSolver:
             weights, _ = scipy.linalg.lapack.dpotrs(factor, queue.cross)
             return np.ascontiguousarray(weights), cond, ridge, None
         solved, _ = scipy.linalg.lapack.dpotrs(factor, moved[0].T)
-        weights, update = self._step(moved, solved)
+        weights, update = _updated(self._previous[0], moved, solved, self._in_place)
         return weights, cond, ridge, update
 
-    def _step(self, moved, solved) -> tuple[np.ndarray, tuple | None]:
-        """(W, update) for W_prev updated by the moved rows (see _updated)."""
-        weights, correction = _updated(self._previous[0], moved, solved, self._in_place)
-        return weights, ((correction, solved) if self._in_place else None)
-
-    def _held_solve(self, moved) -> tuple[np.ndarray, float, tuple | None] | None:
-        """(W, condition bound, update) from the held factor, or None when
+    def _held_solve(self, moved) -> tuple[np.ndarray, tuple | None, float] | None:
+        """(W, update, condition bound) from the held factor, or None when
         the guard trips."""
         rows_old, _, entered = moved
         m, k = len(rows_old), self._held + len(rows_old)
@@ -320,8 +317,7 @@ class WindowSolver:
         t, _ = scipy.linalg.lapack.dgetrs(lu, pivots, vy)
         solved = y_new - self._solved[:, :k] @ t
         self._held = k
-        weights, update = self._step(moved, solved)
-        return weights, bound, update
+        return (*_updated(self._previous[0], moved, solved, self._in_place), bound)
 
 
 class SnapshotLog:
