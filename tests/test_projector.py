@@ -498,7 +498,9 @@ class TestHeldFactor:
             if name == "per_solve":
                 monkeypatch.setattr(projector, "held_rows_cap", lambda d: 0)
             window = WindowSolver(QueuePair(d, capacity))
-            weights[name] = [window.solve()[0] for _ in
+            # from d = 64 an updated W is the window's own, which the next
+            # update overwrites: keep a copy of each
+            weights[name] = [window.solve()[0].copy() for _ in
                              window_stream(window, rows, prefill_rank=d, seed=26)]
             assert window.counts.refactors == n and window.counts.ridge_fallbacks == 0
             assert 1e6 / d < window.counts.max_condition < 1e6
