@@ -17,11 +17,10 @@ the next task, from the old rows mapped again row by row. The replay audit
 classifies through the same layout.
 
 Each task's record logs the W of every solve in a `projector.SnapshotLog`:
-a full W for a direct solve, for every solve below d = 64 and for the
-descent solvers, and from d = 64 on the rank-m update by which the window
-moved its own W in place, from which the log replays the same bits. The
-layout is evolved with the W the solve returned; the audit replays the log
-in one pass.
+a full W for a direct solve and for the descent solvers, and for every
+other window solve the rank-m update by which the window moved its own W in
+place, from which the log replays the same bits. The layout is evolved with
+the W the solve returned; the audit replays the log in one pass.
 """
 
 from __future__ import annotations

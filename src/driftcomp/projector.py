@@ -17,10 +17,16 @@ from scipy.linalg.blas import dgemm
 
 from .core import PrototypeTable
 from .errors import DegenerateInputError, DimensionError, DivergenceError, SingularGramError
-from .queues import HELD_MIN_DIMENSION, QueuePair
+from .queues import QueuePair
 
 COND_THRESHOLD = 1e12   # see solve_normal_equations
 DEFAULT_MIN_RIDGE = 1e-8
+
+# From this dimension on, the analytic window holds a factor between
+# refactors (held_rows_cap) and the table a task hands on is mapped by one
+# gemm (_map_rows). Below it every solve refactors, and that table keeps the
+# per-row arithmetic bit for bit.
+HELD_MIN_DIMENSION = 64
 
 
 def _cholesky(gram: np.ndarray, ridge: float) -> tuple[np.ndarray | None, float]:
@@ -61,26 +67,21 @@ def _factor(gram, ridge, singular_policy, min_ridge):
     return factor, cond, effective_ridge
 
 
-def _apply_update(weights: np.ndarray, correction: np.ndarray, solved: np.ndarray,
-                  in_place: bool) -> np.ndarray:
-    """weights + solved @ correction, C-ordered, by one beta=1 gemm on the
-    transposes: written over the C-ordered float64 `weights` when
-    `in_place`, otherwise into the copy of weights^T that f2py makes."""
-    return dgemm(1.0, correction.T, solved.T, beta=1.0, c=weights.T, overwrite_c=in_place).T
+def _apply_update(weights: np.ndarray, correction: np.ndarray, solved: np.ndarray) -> np.ndarray:
+    """weights + solved @ correction, written over the C-ordered float64
+    `weights` by one beta=1 gemm on the transposes."""
+    return dgemm(1.0, correction.T, solved.T, beta=1.0, c=weights.T, overwrite_c=1).T
 
 
-def _updated(weights: np.ndarray, moved, solved: np.ndarray,
-             in_place: bool) -> tuple[np.ndarray, tuple | None]:
-    """(W, update): W = W_prev + solved @ correction, with correction =
-    diag(s) (Z - U W_prev), for moved = (U, Z, k) and solved = (gram +
-    ridge I)^-1 U^T. When `in_place`, W is written over W_prev (see
-    _apply_update) and the update is (correction, solved); otherwise W is a
-    new array and the update None."""
+def _updated(weights: np.ndarray, moved, solved: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(W, update): W = W_prev + solved @ correction, written over W_prev
+    (see _apply_update), and update = (correction, solved), with correction
+    = diag(s) (Z - U W_prev), for moved = (U, Z, k) and solved = (gram +
+    ridge I)^-1 U^T."""
     rows_old, rows_new, entered = moved
     correction = rows_new - rows_old @ weights
     correction[entered:] *= -1.0
-    return (_apply_update(weights, correction, solved, in_place),
-            (correction, solved) if in_place else None)
+    return _apply_update(weights, correction, solved), (correction, solved)
 
 
 def _check_policy(ridge: float, singular_policy: str) -> None:
@@ -157,18 +158,17 @@ class WindowSolver:
         W = W_prev + (gram + ridge I)^-1 U^T diag(s) (Z - U W_prev),
 
     which takes m right-hand sides instead of d, accumulated by one beta = 1
-    gemm: below HELD_MIN_DIMENSION into a new copy of W_prev, which is never
-    written; from it on over the solver's own W_prev, in place. The solve is
+    gemm over the solver's own W_prev, in place, at every d. The solve is
     direct, as in solve_normal_equations, without a previous solution (the
     first solve, and the first after a push that recomputed the queue's
     normal equations), when the ridge used differs from the one requested
     or from W_prev's, or when m >= d, and returns W_prev itself when no row
-    moved. A direct W is a new array that is never written: from
-    HELD_MIN_DIMENSION on, the solver updates a copy of it. After each
-    solve, `update` says how its W was reached, for a SnapshotLog: None for
-    a new W; () when no row moved; and for an update in place, the pair
-    (correction, solved) of the m x d diag(s) (Z - U W_prev) and the d x m
-    (gram + ridge I)^-1 U^T, which the log replays by the same gemm.
+    moved. A direct W is a new array that is never written: the solver
+    updates a copy of it. After each solve, `update` says how its W was
+    reached, for a SnapshotLog: None for a direct W; () when no row moved;
+    and for an update, the pair (correction, solved) of the m x d
+    diag(s) (Z - U W_prev) and the d x m (gram + ridge I)^-1 U^T, which the
+    log replays by the same gemm.
     It also keeps the upper Cholesky factor F0 of G0 + ridge I from its
     last refactor, with the k rows V (signs S) that moved since, so that
     gram + ridge I = G0 + ridge I + V^T S V. By Sherman-Morrison-Woodbury
@@ -203,7 +203,6 @@ class WindowSolver:
         d = queue.dimension
         self.guard_limit = COND_THRESHOLD / d
         self.cap = cap = held_rows_cap(d)
-        self._in_place = d >= HELD_MIN_DIMENSION
         self.counts = SolveCounts()
         self.update: tuple | None = None   # how the last solve reached its W; see solve()
         self._previous: tuple[np.ndarray, float] | None = None
@@ -244,16 +243,16 @@ class WindowSolver:
     def solve(self) -> tuple[np.ndarray, float, float]:
         """(W, condition estimate, ridge used) for the queue's current
         normal equations, as solve_normal_equations returns them. W is
-        never written afterwards when `update` is None. Otherwise W is
-        W_prev, updated by the pair `update` holds or, for (), as it was;
-        from HELD_MIN_DIMENSION on that is the solver's own array, which
-        its next update overwrites. A solve that raises keeps the moved
-        rows, so the next one still updates by all of them."""
+        never written afterwards when `update` is None. Otherwise W is the
+        solver's own W_prev, updated by the pair `update` holds or, for (),
+        as it was, which its next update overwrites. A solve that raises
+        keeps the moved rows, so the next one still updates by all of
+        them."""
         counts = self.counts
         counts.solves += 1
         if self._previous is None or self._entered:
             weights, cond, ridge, self.update = self._moved_solve()
-            held = weights.copy() if self._in_place and self.update is None else weights
+            held = weights.copy() if self.update is None else weights
             self._previous, self._cond = (held, ridge), cond
             self._entered.clear()
             self._left.clear()
@@ -287,10 +286,10 @@ class WindowSolver:
             weights, _ = scipy.linalg.lapack.dpotrs(factor, queue.cross)
             return np.ascontiguousarray(weights), cond, ridge, None
         solved, _ = scipy.linalg.lapack.dpotrs(factor, moved[0].T)
-        weights, update = _updated(self._previous[0], moved, solved, self._in_place)
+        weights, update = _updated(self._previous[0], moved, solved)
         return weights, cond, ridge, update
 
-    def _held_solve(self, moved) -> tuple[np.ndarray, tuple | None, float] | None:
+    def _held_solve(self, moved) -> tuple[np.ndarray, tuple, float] | None:
         """(W, update, condition bound) from the held factor, or None when
         the guard trips."""
         rows_old, _, entered = moved
@@ -317,7 +316,7 @@ class WindowSolver:
         t, _ = scipy.linalg.lapack.dgetrs(lu, pivots, vy)
         solved = y_new - self._solved[:, :k] @ t
         self._held = k
-        return (*_updated(self._previous[0], moved, solved, self._in_place), bound)
+        return (*_updated(self._previous[0], moved, solved), bound)
 
 
 class SnapshotLog:
@@ -327,19 +326,18 @@ class SnapshotLog:
 
     An entry is a full W, kept as given; a rank-m update (correction,
     solved) that moved the previous entry's W in place (a WindowSolver's
-    `update`, from HELD_MIN_DIMENSION on), 2 m d floats in place of d^2; or
-    (), for a solve that moved no row. Reading an update entry replays the
-    updates since the nearest full entry into a buffer of the log's own, by
-    the gemm the solver ran, so every W read back has the bits the stream
-    evolved with. The buffer holds the last entry it reached, so reads in
-    order replay one update each, and a read behind it starts again from
-    the nearest full entry. Indexing and iteration return a new array for an
-    update entry and the stored array for a full one; `view` returns the
-    buffer itself. Assigning entry i stores the W given as a full entry,
-    after storing the next entry's W in full if that entry is an update, so
-    every other entry keeps its value. Entries are changed by assignment: a
-    stored array written in place reaches only the replays that start
-    before it.
+    `update`), 2 m d floats in place of d^2; or (), for a solve that moved
+    no row. Reading an update entry replays the updates since the nearest
+    full entry into a buffer of the log's own, by the gemm the solver ran,
+    so every W read back has the bits the stream evolved with. The buffer
+    holds the last entry it reached, so reads in order replay one update
+    each, and a read behind it starts again from the nearest full entry.
+    Indexing and iteration return a new array for an update entry and the
+    stored array for a full one; `view` returns the buffer itself. Assigning
+    entry i stores the W given as a full entry, after storing the next
+    entry's W in full if that entry is an update, so every other entry keeps
+    its value. Entries are changed by assignment: a stored array written in
+    place reaches only the replays that start before it.
     """
 
     def __init__(self, snapshots=()):
@@ -380,7 +378,7 @@ class SnapshotLog:
             weights = self._cursor[1]
         for entry in entries[start + 1:i + 1]:
             if entry:
-                weights = _apply_update(weights, *entry, in_place=True)
+                weights = _apply_update(weights, *entry)
         self._cursor = (i, weights)
         return weights
 

@@ -3,8 +3,9 @@
 The queue holds paired observations (old-space feature, new-space feature)
 as one row each, so row i of the old matrix always corresponds to row i of
 the new matrix. It keeps the normal equations of the least-squares fit
-Q_old W = Q_new current as rows enter and leave (sliding-window least
-squares), so a solve never has to rebuild them from the rows.
+Q_old W = Q_new over the rows held (sliding-window least squares): a push
+records what moved, and the queue catches up when the equations are read,
+so a solve never has to rebuild them from the rows.
 """
 
 from __future__ import annotations
@@ -21,13 +22,6 @@ from .errors import DegenerateInputError, DimensionError
 DEFAULT_CAPACITY = 3000
 DEFAULT_NOISE_SCALE = 0.02
 
-# From this dimension on, the stream batches its per-sample work: the normal
-# equations catch up only when read, the analytic window holds a factor
-# (projector.held_rows_cap) and the old prototypes are mapped by one gemm
-# (projector._map_rows). Below it every result keeps the per-push, per-row
-# arithmetic bit for bit.
-HELD_MIN_DIMENSION = 64
-
 
 class QueuePair:
     """Bounded FIFO of paired (old-space, new-space) feature rows, with the
@@ -36,18 +30,18 @@ class QueuePair:
     The rows live in one preallocated (capacity, 2d) ring, each row the old
     features then the new, so the two sides always move together. `gram`
     (Q_old^T Q_old) and `cross` (Q_old^T Q_new) over the rows held are the
-    two column halves of one Fortran-ordered (d, 2d) block
-    Q_old^T [Q_old | Q_new], updated in place. An update adds the entering
-    rows' products and subtracts the leaving rows' with one rank-k gemm
-    (beta = 1) into that block. Below HELD_MIN_DIMENSION each push updates
-    it. From there on a push only records what moved, and a read of `gram`
-    or `cross` applies every row moved since the last update in one gemm:
-    the rows that entered are still in the ring, and the rows that left are
-    the arrays push returned, so the record copies no row. Once `capacity`
-    rows have entered since the last recompute, both halves are recomputed
-    from the rows, which bounds the rounding the updates accumulate and
-    discards the record; `recomputes` counts those recomputes. Each read
-    returns the same two views; callers must not write to them.
+    two column halves of one Fortran-ordered (d, 2d) block Q_old^T
+    [Q_old | Q_new], updated in place. An update adds the entering rows'
+    products and subtracts the leaving rows' with one rank-k gemm (beta = 1)
+    into that block. A push only records what moved, and the first read of
+    `gram` or `cross` after it applies every row moved since the last update
+    in one gemm: the rows that entered are still in the ring, and the rows
+    that left are the arrays push returned, so the record copies no row.
+    Once `capacity` rows have entered since the last recompute, both halves
+    are recomputed from the rows, which bounds the rounding the updates
+    accumulate and discards the record; `recomputes` counts those
+    recomputes. Each read returns the same two views; callers must not write
+    to them.
     """
 
     def __init__(self, dimension: int, capacity: int):
@@ -64,7 +58,6 @@ class QueuePair:
         self._gram, self._cross = self._normal[:, :d], self._normal[:, d:]
         self._entered = 0    # rows pushed since gram and cross were recomputed
         self.recomputes = 0
-        self._lazy = d >= HELD_MIN_DIMENSION
         self._pending = 0    # newest rows of the ring that the block does not count yet
         self._pending_left: list[np.ndarray] = []   # rows that left since, per push
 
@@ -146,29 +139,24 @@ class QueuePair:
             self._entered = self._pending = 0
             self._pending_left.clear()
             self.recomputes += 1
-        elif self._lazy:
+        else:
             self._pending += len(entering)
             self._pending_left.append(left)
-        else:
-            self._update(entering, left)
         return left[:, :d], left[:, d:]
 
     def _catch_up(self) -> None:
-        """Apply the rows recorded since the block's last update."""
-        first = (self._start + self._length - self._pending) % self.capacity
-        self._update(self._ordered(first, self._pending), np.concatenate(self._pending_left))
-        self._pending = 0
-        self._pending_left.clear()
-
-    def _update(self, entering: np.ndarray, left: np.ndarray) -> None:
-        """Add the entering (old | new) rows' products to the block and
-        subtract the leaving rows', with one gemm."""
+        """Add the products of the (old | new) rows that entered since the
+        block's last update and subtract those of the rows that left, with
+        one gemm."""
         # entering rows count +1, leaving rows -1; the transposed views are
         # Fortran-ordered, so f2py copies none and writes the block in place
-        moved = np.concatenate([entering, left])
+        first = (self._start + self._length - self._pending) % self.capacity
+        moved = np.concatenate([self._ordered(first, self._pending), *self._pending_left])
         signed = moved[:, :self.dimension].copy()
-        signed[len(entering):] *= -1.0
+        signed[self._pending:] *= -1.0
         dgemm(1.0, signed.T, moved.T, beta=1.0, c=self._normal, trans_b=1, overwrite_c=1)
+        self._pending = 0
+        self._pending_left.clear()
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """The (old, new) rows held, oldest first, as two C-ordered (length, d)

@@ -319,7 +319,7 @@ class TestSolveCounts:
 
         def recording(window):
             weights, cond, ridge = solve(window)
-            repeated = bool(solves) and solves[-1][0] is weights
+            repeated = window.update == ()
             solves.append((weights, ridge != window.ridge, repeated))
             return weights, cond, ridge
         monkeypatch.setattr(WindowSolver, "solve", recording)
@@ -368,19 +368,20 @@ class TestReplayAudit:
 
 
     def test_replay_reads_logged_updates(self):
-        # from d = 64 the log keeps rank-m updates; corrupting the first
+        # at every d the log keeps rank-m updates; corrupting the first
         # update's correction moves every W replayed after it, here so that
         # the old prototypes' images move by ten times their norm
-        _, result = run_with(engine_config(num_tasks=3, dimension=128, queue_capacity=300))
-        rec = result.tasks[-1]
-        log, old_rows = rec.projector_snapshots, rec.old_table.matrix()
-        correction, solved = next(entry for entry in log._entries
-                                  if isinstance(entry, tuple) and entry)
-        assert replay_audit(result)
-        noise = np.random.default_rng(0).standard_normal(correction.shape)
-        correction += noise * (10.0 * np.linalg.norm(old_rows @ log[0])
-                               / np.linalg.norm(old_rows @ solved @ noise))
-        assert not replay_audit(result)
+        for d in (32, 128):
+            _, result = run_with(engine_config(num_tasks=3, dimension=d, queue_capacity=300))
+            rec = result.tasks[-1]
+            log, old_rows = rec.projector_snapshots, rec.old_table.matrix()
+            correction, solved = next(entry for entry in log._entries
+                                      if isinstance(entry, tuple) and entry)
+            assert replay_audit(result)
+            noise = np.random.default_rng(0).standard_normal(correction.shape)
+            correction += noise * (10.0 * np.linalg.norm(old_rows @ log[0])
+                                   / np.linalg.norm(old_rows @ solved @ noise))
+            assert not replay_audit(result)
 
     def test_record_from_plain_list(self):
         _, result = run_with(engine_config(num_tasks=3, dimension=128, queue_capacity=300))
@@ -399,11 +400,13 @@ class TestSnapshotLogInStream:
                               (128, 2, 2)])
     def test_every_entry_is_the_solved_w(self, monkeypatch, d, update_stride, resolve_stride):
         copies = []
+        recomputes = {}   # each window's queue.recomputes, read at each of its solves
         solve = WindowSolver.solve
 
         def copying(window):
             weights, cond, ridge = solve(window)
             copies.append(weights.copy())
+            recomputes.setdefault(window, []).append(window.queue.recomputes)
             return weights, cond, ridge
         monkeypatch.setattr(WindowSolver, "solve", copying)
         cfg = engine_config(num_tasks=3, dimension=d, queue_capacity=2 * d,
@@ -414,8 +417,12 @@ class TestSnapshotLogInStream:
         entries = [entry for log in logs for entry in log._entries]
         full = sum(not isinstance(entry, tuple) for entry in entries)
         unmoved = sum(entry == () for entry in entries if isinstance(entry, tuple))
-        # from d = 64 only each task's first solve, which is direct, is full
-        assert full == (sum(map(bool, logs)) if d >= 64 else len(entries) - unmoved)
+        # only the direct solves are full: each task's first, and the first
+        # after each recompute of the queue, which these streams reach at
+        # d = 32 (90 rows through 64) but not at d = 128
+        stream_recomputes = sum(seen[-1] - seen[0] for seen in recomputes.values())
+        assert full == sum(map(bool, logs)) + stream_recomputes
+        assert (stream_recomputes > 0) == (d < 64)
         assert (unmoved > 0) == (update_stride > resolve_stride)
         rng = np.random.default_rng(d)
         for log in logs:

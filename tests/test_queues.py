@@ -9,8 +9,8 @@ from driftcomp.config import RunConfig
 from driftcomp.core import PrototypeTable
 from driftcomp.engine import _StreamFit
 from driftcomp.errors import DegenerateInputError, DimensionError
-from driftcomp.projector import WindowSolver, solve_normal_equations
-from driftcomp.queues import HELD_MIN_DIMENSION, QueuePair, init_with_pseudo_features
+from driftcomp.projector import HELD_MIN_DIMENSION, WindowSolver, solve_normal_equations
+from driftcomp.queues import QueuePair, init_with_pseudo_features
 
 
 def make_pair(d=4, capacity=3):
@@ -516,10 +516,15 @@ class TestInPlaceNormalEquations:
 
 
 class TestLazyNormalEquations:
-    """From HELD_MIN_DIMENSION on, a push only records the rows that moved,
-    and a read of gram or cross applies them all in one gemm."""
+    """At every d, a push only records the rows that moved, and a read of
+    gram or cross applies them all in one gemm."""
 
     def test_reads_at_random_points_match_rows(self):
+        for d in (8, 32, 128):
+            self.reads_at_random_points(d)
+
+    @staticmethod
+    def reads_at_random_points(d):
         # 2,400 one-row and strided pushes through a 500-row window, read at
         # random points. Every entry of the block is a sum over the rows held
         # at the last recompute and those entered since (A below): each held
@@ -528,8 +533,7 @@ class TestLazyNormalEquations:
         # magnitudes add up to at most 2 (|A|^T |A|), and any summation
         # order is within T (eps / 2) of that (Higham, Accuracy and
         # Stability of Numerical Algorithms, 3.1 and 4.2)
-        d, capacity = 128, 500
-        assert d >= HELD_MIN_DIMENSION
+        capacity = 500
         rng = np.random.default_rng(40)
         pair = QueuePair(d, capacity)
         gram, cross = pair.gram, pair.cross
@@ -571,12 +575,12 @@ class TestLazyNormalEquations:
         assert reads >= 100
 
     def test_pushes_only_record_until_read(self):
-        d = HELD_MIN_DIMENSION
         rng = np.random.default_rng(41)
-        pair = QueuePair(d, 200)
-        pair.push(*paired(rng.standard_normal((200, d))))
-        before = pair.gram.copy()
-        for _ in range(10):
-            pair.push(*paired(rng.standard_normal((1, d))))
-        np.testing.assert_array_equal(pair._gram, before)
-        assert_matches_rows(pair)
+        for d in (8, 32, HELD_MIN_DIMENSION):
+            pair = QueuePair(d, 200)
+            pair.push(*paired(rng.standard_normal((200, d))))
+            before = pair.gram.copy()
+            for _ in range(10):
+                pair.push(*paired(rng.standard_normal((1, d))))
+            np.testing.assert_array_equal(pair._gram, before)
+            assert_matches_rows(pair)
