@@ -9,12 +9,15 @@ or a run with solver "none", fits nothing and classifies against the stale
 old prototypes. The offline GD oracle runs the same per-task body with an
 empty stream: it fits once, before the first prediction.
 
-The union is held per task as one matrix and its row norms (`_TaskLayout`):
-each solve overwrites the evolved rows, mapped by one gemm, and their norms
-in place, and each sample is classified against those arrays. A
-`PrototypeTable` is built once, at task end, for the drift similarity and
-the next task, from the old rows mapped again row by row. The replay audit
-classifies through the same layout.
+The union is held per task in a chunk of slots (`_TaskLayout`), one per
+staged sample: each solve writes the evolved rows, mapped by one gemm, into
+the next sample's slot. Predictions do not feed back into the fit, so the
+samples are classified a chunk at a time, by stacked products that give
+each the bits and the errors of classifying it alone, in order; an error
+raised by the fit classifies the staged samples first, so an earlier
+sample's error wins. A `PrototypeTable` is built once, at task end, for the
+drift similarity and the next task, from the old rows mapped again row by
+row. The replay audit classifies through the same layout.
 
 Each task's record logs the W of every solve in a `projector.SnapshotLog`:
 a full W for a direct solve and for the descent solvers, and for every
@@ -271,12 +274,19 @@ def run_task_cycle(
             fit = _StreamFit(config, old_table, rng_seed=config.seed * 1000 + t)
             rec.projector_snapshots = fit.log
 
+    staged: List[Tuple[int, int, bool]] = []   # (class id, w_index, excluded) per staged sample
+
+    def classify() -> None:
+        rec.samples.extend(SampleLog(class_id, pred, w, excluded=is_excluded)
+                           for (class_id, w, is_excluded), pred in zip(staged, layout.flush()))
+        staged.clear()
+
     def predict(class_id: int, z_new: np.ndarray) -> None:
+        staged.append((class_id, w_index, selected is not None and class_id not in selected))
         start = time.perf_counter()
-        pred = layout.predict(z_new)
+        if layout.stage(z_new):
+            classify()
         rec.phase_seconds["predict"] += time.perf_counter() - start
-        is_excluded = selected is not None and class_id not in selected
-        rec.samples.append(SampleLog(class_id, int(pred), w_index, excluded=is_excluded))
         rec.features_new.append(np.asarray(z_new, dtype=np.float64))
 
     for i, (class_id, z_old, z_new) in enumerate(streamed):
@@ -284,12 +294,16 @@ def run_task_cycle(
             predict(class_id, z_new)
         if fit is not None:
             start = time.perf_counter()
-            fit.push(z_old, z_new)
-            pushed = time.perf_counter()
-            weights = fit.solve(i)
-            if weights is not None:
-                w_index = len(rec.projector_snapshots) - 1
-                layout.evolve(weights)
+            try:
+                fit.push(z_old, z_new)
+                pushed = time.perf_counter()
+                weights = fit.solve(i)
+                if weights is not None:
+                    w_index = len(rec.projector_snapshots) - 1
+                    layout.evolve(weights)
+            except Exception:
+                classify()   # an earlier sample's error wins
+                raise
             rec.phase_seconds["queue"] += pushed - start
             rec.phase_seconds["solve"] += time.perf_counter() - pushed
         if not config.predict_before_update:
@@ -302,6 +316,9 @@ def run_task_cycle(
     # evaluated against the final state without contributing to queue updates
     for class_id, _, z_new in tail:
         predict(class_id, z_new)
+    start = time.perf_counter()
+    classify()
+    rec.phase_seconds["predict"] += time.perf_counter() - start
 
     table = layout.table()
     if fit is not None and fit.window is not None:
@@ -314,74 +331,152 @@ def run_task_cycle(
     return table, rec
 
 
+# A layout stages at most this many samples, and at most this many bytes of
+# their matrices, before it classifies them.
+CHUNK_SAMPLES = 64
+CHUNK_BYTES = 512 * 1024
+
+
 class _TaskLayout:
-    """The table a task classifies against, held as arrays updated in place:
-    its old prototypes carried through one projector W, merged with the
-    task's fresh prototypes.
+    """The table a task classifies against, its old prototypes carried
+    through one projector W and merged with the task's fresh prototypes,
+    held per staged sample so that a chunk of samples is classified at once.
 
     What depends only on class ids is built once per task: the ascending
-    class ids, a writable copy of the stale merged matrix with its row norms
-    and zero-norm flag, the old rows that no fresh prototype overrides with
-    their positions in the matrix, and whether any other row has zero norm.
-    The positions are a slice when those rows are one block, as they always
-    are in class-incremental order, and an index array otherwise. `evolve`
-    writes those rows' images under a W, and their norms, over the held
-    ones; `predict` classifies against the held arrays.
+    class ids, the stale merged matrix, and the old rows that no fresh
+    prototype overrides with their positions in the matrix. The positions are a slice when those rows are one block,
+    as they always are in class-incremental order, and an index array
+    otherwise. A chunk of slots, each a copy of the stale matrix with a row
+    norm buffer holding the per-task norms, is filled once per task.
 
-    `evolve` maps the old rows by one (k, d) @ (d, d) gemm at every d, within
-    2 d eps (|P| |W|) of the per-row products, which only pick an argmax.
-    `table`, which seeds the next task, maps them again through
+    `evolve` writes the old rows' images under a W into the next slot, by
+    one (k, d) @ (d, d) gemm at every d, within 2 d eps (|P| |W|) of the
+    per-row products, which only pick an argmax. `stage` takes the next
+    sample's feature and, if no evolve wrote its slot, copies the current
+    images into it. `flush` classifies every staged sample, each against its
+    own slot, by a few stacked products: the images' norms in one last-axis
+    reduce (the other rows keep the per-task norms), the feature norms by a
+    stacked dot and the similarities by a stacked gemv. Each stacked product
+    runs the kernel the per-sample call ran on its slice, so every
+    prediction has the bits of `core._nearest_class` on that slot
+    (tests/test_engine.py::TestStackedKernels). A chunk with a zero or
+    non-finite norm, a zero or non-finite feature norm, or a feature of the
+    wrong shape is replayed slot by slot, in order, through the evolved
+    images' check and `_nearest_class`, so it raises their error at the
+    first sample that has one.
+
+    `table`, which seeds the next task, maps the old rows again through
     `projector._map_rows`, so the rows a task hands on keep its per-row bits
     below HELD_MIN_DIMENSION: "gd_with_queue" turns a last-bit difference
-    there into a different projector (CHANGES.md).
+    there into a different projector (CHANGES.md). It raises the images'
+    error for a W no sample was classified under.
     """
 
     def __init__(self, rec: TaskRunRecord):
         old, fresh = rec.old_table, rec.fresh_table
         stale = fresh if old is None else old.merged_with(fresh)
         self.class_ids = stale.class_ids
-        self.matrix = stale.matrix().copy()
-        self.norms = _row_norms(self.matrix)
-        self.zero_norm = bool((self.norms == 0.0).any())
+        self.stale = stale.matrix()
+        size = max(1, min(CHUNK_SAMPLES, CHUNK_BYTES // self.stale.nbytes))
+        self.slots = np.empty((size,) + self.stale.shape)
+        self.slots[:] = self.stale
+        self.norms = np.empty(self.slots.shape[:2])
+        self.norms[:] = _row_norms(self.stale)
+        self.features = np.empty((size, self.stale.shape[1]))
         kept = [] if old is None else [c for c in old.class_ids if c not in fresh]
         positions = np.searchsorted(self.class_ids, kept)
-        self.fixed_zero_norm = bool((np.delete(self.norms, positions) == 0.0).any())
         # ascending positions are one block iff they span exactly their count
         if kept and positions[-1] - positions[0] == len(kept) - 1:
             positions = slice(positions[0], positions[-1] + 1)
         self.positions = positions
-        self.old_rows = self.matrix[positions].copy()   # a slice is a view of what evolve writes
-        self.weights: Optional[np.ndarray] = None       # the last evolve's, None for the stale rows
+        self.old_rows = self.stale[positions]
+        self.weights: Optional[np.ndarray] = None   # the last evolve's, None for the stale rows
+        self.count = 0        # staged samples
+        self.source = 0       # the slot that holds the current images
+        self.unshaped = {}    # slot -> a feature of the wrong shape, which the replay raises on
 
     def evolve(self, weights: Optional[np.ndarray]) -> None:
-        """Map the old rows through the projector `weights` (None restores
-        them); raises DegenerateInputError, and writes nothing, if an image
-        is non-finite. `table` maps them again under the same array, so it
-        must hold the same W until then."""
+        """Write the old rows' images under the projector `weights` (None
+        restores the stale rows) into the next sample's slot. `table` maps
+        them again under the same array, so it must hold the same W until
+        then."""
+        n = self.count
         if weights is None:
-            images = self.old_rows
+            self.slots[n, self.positions] = self.old_rows
         else:
             weights = np.ascontiguousarray(weights, dtype=np.float64)
-            images = self.old_rows @ weights
-        norms = _row_norms(images)
-        # a non-finite image has a non-finite norm, so the images are
-        # scanned only when some norm is zero, overflows or is NaN
-        low = np.minimum.reduce(norms, initial=np.inf)
-        if (not (low > 0.0 and np.maximum.reduce(norms, initial=0.0) < np.inf)
-                and not np.isfinite(images).all()):
-            raise DegenerateInputError("evolved prototype contains non-finite components")
-        self.matrix[self.positions] = images
-        self.norms[self.positions] = norms
-        self.zero_norm = self.fixed_zero_norm or not low > 0.0
+            if isinstance(self.positions, slice):   # the gemm writes the slot's block
+                np.matmul(self.old_rows, weights, out=self.slots[n, self.positions])
+            else:
+                self.slots[n, self.positions] = self.old_rows @ weights
+        self.source = n
         self.weights = weights
 
-    def predict(self, feature: np.ndarray) -> int:
-        return _nearest_class(feature, self.class_ids, self.matrix, self.norms, self.zero_norm)
+    def stage(self, feature: np.ndarray) -> bool:
+        """Stage `feature` to be classified against the current images;
+        returns True when the chunk is full, and `flush` must run before the
+        next `evolve` or `stage`."""
+        n = self.count
+        if self.source != n:
+            self.slots[n, self.positions] = self.slots[self.source, self.positions]
+            self.source = n
+        self.count = n + 1
+        try:
+            feature = np.asarray(feature, dtype=np.float64)
+            shaped = feature.shape == self.features.shape[1:]
+        except (TypeError, ValueError):
+            shaped = False
+        if not shaped:
+            self.unshaped[n] = feature
+            self.flush()   # _nearest_class raises, after any earlier sample's error
+        self.features[n] = feature
+        return self.count == len(self.slots)
+
+    def flush(self) -> List[int]:
+        """The predicted class of every staged sample, in staging order."""
+        n, self.count = self.count, 0
+        if not n:
+            return []
+        if self.unshaped:
+            return self._replay(n)
+        images = self.slots[:n, self.positions]
+        norms = self.norms[:n]
+        norms[:, self.positions] = np.sqrt(np.add.reduce(images * images, axis=-1))
+        features = self.features[:n, :, None]
+        fnorms = np.sqrt(features.transpose(0, 2, 1) @ features)[:, 0]
+        if not (norms.min() > 0.0 and norms.max() < np.inf and fnorms.min() > 0.0):
+            return self._replay(n)
+        sims = (self.slots[:n] @ features)[:, :, 0] / (norms * fnorms)
+        # argmax returns the first maximum, the smallest class id among ties
+        return [self.class_ids[i] for i in sims.argmax(axis=1)]
+
+    def _replay(self, n: int) -> List[int]:
+        """Classify the n staged samples one by one, as the per-sample path
+        did, raising the first error."""
+        predicted = []
+        for i in range(n):
+            feature = self.unshaped.pop(i, self.features[i])
+            predicted.append(_nearest_class(feature, self.class_ids, *self._held(i)))
+        return predicted
+
+    def _held(self, i: int) -> Tuple[np.ndarray, np.ndarray, bool]:
+        """Slot i's matrix, its row norms and whether one of them is zero;
+        raises DegenerateInputError if an image is non-finite."""
+        matrix = self.slots[i]
+        images = matrix[self.positions]
+        norms = self.norms[i]
+        norms[self.positions] = _row_norms(images)
+        # a non-finite image has a non-finite norm, so the images are
+        # scanned only when some norm is zero, overflows or is NaN
+        low = norms.min()
+        if not (low > 0.0 and norms.max() < np.inf) and not np.isfinite(images).all():
+            raise DegenerateInputError("evolved prototype contains non-finite components")
+        return matrix, norms, not low > 0.0
 
     def table(self) -> PrototypeTable:
         """The held table as a PrototypeTable of its own, with the old rows
         mapped by `_map_rows` under the last evolve's W."""
-        matrix = self.matrix.copy()
+        matrix = self.stale.copy()
         if self.weights is not None:
             matrix[self.positions] = _map_rows(self.old_rows, self.weights)
         return PrototypeTable._from_checked_rows(self.class_ids, matrix)
@@ -407,13 +502,19 @@ def replay_audit(result: RunResult) -> bool:
     """Re-evaluate every logged prediction from the logged projector
     snapshots and base tables; returns True iff all match exactly. Each
     task's log is replayed in one pass, in sample order, through its
-    buffer; stored full entries are read as they are."""
+    buffer, and its samples are classified in chunks through a layout of
+    their own, as the stream classified them; stored full entries are read
+    as they are."""
     for rec in result.tasks:
         layout, w_index, view = _TaskLayout(rec), -1, rec.projector_snapshots.view
+        logged, predicted = [], []
         for sample, z_new in zip(rec.samples, rec.features_new):
             if sample.w_index != w_index:
                 w_index = sample.w_index
                 layout.evolve(None if w_index < 0 else view(w_index))
-            if layout.predict(z_new) != sample.predicted:
-                return False
+            logged.append(sample.predicted)
+            if layout.stage(z_new):
+                predicted += layout.flush()
+        if predicted + layout.flush() != logged:
+            return False
     return True

@@ -1,11 +1,14 @@
 import dataclasses
+import math
 import os
+import time
 
 import numpy as np
 import pytest
 
 from driftcomp.config import RunConfig, load_config
-from driftcomp.core import PrototypeTable, ncm_predict
+from driftcomp import projector
+from driftcomp.core import PrototypeTable, _nearest_class, _row_norms, ncm_predict
 from driftcomp.engine import (
     RunResult,
     TaskRunRecord,
@@ -13,6 +16,7 @@ from driftcomp.engine import (
     _TaskLayout,
     _offline_gd,
     _selected_classes,
+    _stream_order,
     replay_audit,
     run_engine,
     run_gd_oracle,
@@ -502,17 +506,34 @@ def gemm_table(rec, w_index):
     return PrototypeTable._from_checked_rows(kept, rows).merged_with(fresh)
 
 
+def held(layout):
+    """The matrix, row norms and zero-norm flag that the layout's next staged
+    sample is classified against, as its replay of one slot computes them."""
+    return layout._held(layout.source)
+
+
+def classify(layout, features):
+    """The layout's predictions for `features`, staged in order under its
+    current images and flushed whenever a chunk is full and at the end."""
+    predicted = []
+    for z in features:
+        if layout.stage(z):
+            predicted += layout.flush()
+    return predicted + layout.flush()
+
+
 def assert_layout_holds(layout, rec, w_index):
     """The held arrays against tables built from scratch: the matrix bit for
     bit as one gemm maps the old rows, the norms and zero-norm flag as
     np.linalg.norm gives them, and the table handed on bit for bit as
     evolve_prototypes maps the old rows."""
     want = gemm_table(rec, w_index)
+    matrix, held_norms, zero_norm = held(layout)
     assert layout.class_ids == want.class_ids
-    assert_same_bits(layout.matrix, want.matrix())
-    norms = np.linalg.norm(layout.matrix, axis=1)
-    assert_same_bits(layout.norms, norms)
-    assert layout.zero_norm == bool(np.any(norms == 0.0))
+    assert_same_bits(matrix, want.matrix())
+    norms = np.linalg.norm(matrix, axis=1)
+    assert_same_bits(held_norms, norms)
+    assert zero_norm == bool(np.any(norms == 0.0))
     table = layout.table()
     assert table.class_ids == layout.class_ids
     assert_same_bits(table.matrix(), reference_table(rec, w_index).matrix())
@@ -550,7 +571,7 @@ class TestTaskLayout:
         _, result = run_with(load_config(GOLDEN_CONFIG).replace(solver="analytic"))
         first = _TaskLayout(result.tasks[0])
         assert first.class_ids == result.tasks[0].fresh_table.class_ids
-        assert_same_bits(first.matrix, result.tasks[0].fresh_table.matrix())
+        assert_same_bits(held(first)[0], result.tasks[0].fresh_table.matrix())
         for rec in result.tasks[1:]:
             layout = _TaskLayout(rec)
             assert_layout_holds(layout, rec, -1)
@@ -577,7 +598,7 @@ class TestTaskLayout:
             rec.projector_snapshots[0] = random_snapshot(rng, d)
             layout.evolve(rec.projector_snapshots[0])
             assert_layout_holds(layout, rec, 0)
-            zero_norm_seen |= layout.zero_norm
+            zero_norm_seen |= held(layout)[2]
         assert zero_norm_seen
 
     def test_fresh_overrides_old(self):
@@ -624,9 +645,10 @@ class TestTaskLayout:
         for w_index in (0, -1, 0):
             layout.evolve(snapshot(rec, w_index))
             assert_layout_holds(layout, rec, w_index)
-            assert layout.zero_norm and (layout.norms[:3] > 0.0).all()
+            _, norms, zero_norm = held(layout)
+            assert zero_norm and (norms[:3] > 0.0).all()
             table = layout.table()
-            for predict in (layout.predict, lambda f: ncm_predict(f, table)):
+            for predict in (lambda f: classify(layout, [f])[0], lambda f: ncm_predict(f, table)):
                 with pytest.raises(DegenerateInputError) as info:
                     predict(rng.standard_normal(4))
                 assert str(info.value) == "prototype of class 3 has zero norm"
@@ -656,7 +678,7 @@ class TestGemmImages:
         rec = random_record(rng, d)
         rec.projector_snapshots.append(None)
         layout = _TaskLayout(rec)
-        held = layout.positions
+        positions = layout.positions
         checked = near_ties = disagreements = 0
         for _ in range(1200):
             weights = random_snapshot(rng, d)
@@ -665,21 +687,23 @@ class TestGemmImages:
             table = layout.table()
             per_row = table.matrix()
             bound = 2 * d * eps * (np.abs(layout.old_rows) @ np.abs(weights))
-            assert np.all(np.abs(layout.matrix[held] - per_row[held]) <= bound)
-            if layout.zero_norm:
+            matrix, _, zero_norm = held(layout)
+            assert np.all(np.abs(matrix[positions] - per_row[positions]) <= bound)
+            if zero_norm:
                 continue
             norms = np.linalg.norm(per_row, axis=1)
             slack = np.zeros(len(norms))
-            slack[held] = 2 * np.linalg.norm(bound, axis=1) / norms[held]
+            slack[positions] = 2 * np.linalg.norm(bound, axis=1) / norms[positions]
             margin = 2 * (slack.max() + 2 * (d + 3) * eps)
             # random features, and one halfway between two rows: a near tie
             i, j = rng.choice(len(norms), size=2, replace=False)
             halfway = per_row[i] / norms[i] + per_row[j] / norms[j]
-            for z in [*rng.standard_normal((4, d)), halfway]:
+            features = [*rng.standard_normal((4, d)), halfway]
+            for z, predicted in zip(features, classify(layout, features)):
                 cosines = np.sort(per_row @ z / (norms * np.linalg.norm(z)))
                 if cosines[-1] - cosines[-2] > margin:
                     checked += 1
-                    disagreements += layout.predict(z) != ncm_predict(z, table)
+                    disagreements += predicted != ncm_predict(z, table)
                 else:
                     near_ties += 1
         assert checked > 4000 and near_ties > 0
@@ -687,8 +711,8 @@ class TestGemmImages:
 
 
 class TestEvolveChecks:
-    """evolve tests the k image norms, and scans the images only when a norm
-    is zero or not finite."""
+    """A sample's slot is checked by the k image norms, and its images are
+    scanned only when a norm is zero or not finite."""
 
     @staticmethod
     def layout(old_rows, seed=0):
@@ -708,18 +732,24 @@ class TestEvolveChecks:
         rec.projector_snapshots[0] = (np.zeros((8, 8)) if first == "zero"
                                       else rng.standard_normal((8, 8)))
         layout.evolve(rec.projector_snapshots[0])
-        matrix, norms, zero_norm = layout.matrix.copy(), layout.norms.copy(), layout.zero_norm
-        table = layout.table().matrix()
+        matrix, norms, zero_norm = (np.copy(part) for part in held(layout))
         assert zero_norm == (first == "zero")
+        layout.stage(rng.standard_normal(8))   # a sample under the first W, in slot 0
         weights = rng.standard_normal((8, 8))
         weights[3, 5] = bad
         rec.projector_snapshots[0] = weights
+        layout.evolve(rec.projector_snapshots[0])
+        layout.stage(rng.standard_normal(8))
+        # the earlier sample's error wins: a zero-norm image under the first W
+        message = "prototype of class 0 has zero norm" if first == "zero" else "evolved prototype"
+        with pytest.raises(DegenerateInputError, match=message):
+            layout.flush()
+        # the second W wrote the later sample's slot only
+        assert_same_bits(layout.slots[0], matrix)
+        assert_same_bits(layout._held(0)[1], norms)
+        assert layout._held(0)[2] == zero_norm
         with pytest.raises(DegenerateInputError, match="evolved prototype"):
-            layout.evolve(rec.projector_snapshots[0])
-        assert_same_bits(layout.matrix, matrix)
-        assert_same_bits(layout.norms, norms)
-        assert layout.zero_norm == zero_norm
-        assert_same_bits(layout.table().matrix(), table)
+            layout.table()
 
     def test_zero_norm_image_sets_the_flag(self):
         rng = np.random.default_rng(2)
@@ -732,9 +762,9 @@ class TestEvolveChecks:
         rec.projector_snapshots[0] = weights
         for w_index, flagged in ((0, True), (-1, False), (0, True)):
             layout.evolve(snapshot(rec, w_index))
-            assert layout.zero_norm == flagged
+            assert held(layout)[2] == flagged
             assert_layout_holds(layout, rec, w_index)
-        assert (layout.norms == 0.0).sum() == 1
+        assert (held(layout)[1] == 0.0).sum() == 1
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_finite_image_with_overflowing_norm_does_not_raise(self):
@@ -742,10 +772,11 @@ class TestEvolveChecks:
         rec, layout = self.layout(1e150 * rng.standard_normal((4, 8)))
         rec.projector_snapshots[0] = 1e10 * np.eye(8)
         layout.evolve(rec.projector_snapshots[0])
-        held = layout.matrix[layout.positions]
-        assert np.isfinite(held).all() and np.isinf(layout.norms[layout.positions]).all()
-        assert not layout.zero_norm
-        assert_same_bits(held, layout.old_rows @ rec.projector_snapshots[0])
+        matrix, norms, zero_norm = held(layout)
+        images = matrix[layout.positions]
+        assert np.isfinite(images).all() and np.isinf(norms[layout.positions]).all()
+        assert not zero_norm
+        assert_same_bits(images, layout.old_rows @ rec.projector_snapshots[0])
 
     def test_task_without_old_rows(self):
         # every old class is overridden, or there is none: nothing is mapped
@@ -757,8 +788,9 @@ class TestEvolveChecks:
             layout = _TaskLayout(rec)
             for w_index in (0, -1):
                 layout.evolve(snapshot(rec, w_index))
-                assert not layout.zero_norm
-                assert_same_bits(layout.matrix, fresh.matrix())
+                matrix, _, zero_norm = held(layout)
+                assert not zero_norm
+                assert_same_bits(matrix, fresh.matrix())
                 assert_same_bits(layout.table().matrix(), fresh.matrix())
 
 
@@ -795,14 +827,14 @@ class TestLayoutPredict:
             layout.evolve(snapshot(rec, w_index))
             table = layout.table()
             if d > 1:   # at d = 1 every row of the feature's sign ties
-                assert layout.predict(table.matrix()[table.class_ids.index(14)]) == 4
+                assert classify(layout, [table.matrix()[table.class_ids.index(14)]]) == [4]
             strided = np.zeros((10, 2 * d))
             strided[:, ::2] = rng.standard_normal((10, d))
             features = [*rng.standard_normal((40, d)), *table.matrix(), *strided[:, ::2]]
-            for z in features:
-                for lam in (1.0, 1e-3, 3.0, 1e3):
-                    got = layout.predict(lam * z)
-                    assert got == ncm_predict(lam * z, table) == former_ncm_predict(lam * z, table)
+            for lam in (1.0, 1e-3, 3.0, 1e3):
+                scaled = [lam * z for z in features]
+                for z, got in zip(scaled, classify(layout, scaled), strict=True):
+                    assert got == ncm_predict(z, table) == former_ncm_predict(z, table)
 
     def test_errors_match_ncm_predict(self):
         rng = np.random.default_rng(0)
@@ -822,7 +854,7 @@ class TestLayoutPredict:
         for matrix, z, error, message in cases:
             table = PrototypeTable([3, 5, 8], matrix)
             layout = _TaskLayout(TaskRunRecord(task=1, old_table=None, fresh_table=table))
-            for predict in (layout.predict, lambda f: ncm_predict(f, table)):
+            for predict in (lambda f: classify(layout, [f]), lambda f: ncm_predict(f, table)):
                 with pytest.raises(error) as info:
                     predict(z)
                 assert str(info.value) == message
@@ -834,6 +866,201 @@ class TestLayoutPredict:
         with pytest.raises(DegenerateInputError) as info:
             run_with(load_config(GOLDEN_CONFIG).replace(solver="analytic"))
         assert str(info.value) == "prototype of class 0 has zero norm"
+
+
+class TestStackedKernels:
+    """The premise of the chunked flush: each stacked product it runs uses,
+    on every slice, the kernel of the per-sample call, so it gives the same
+    bits. BLAS runs on one thread here (conftest.py pins it, as
+    tests/fingerprint.py does), and a numpy or BLAS that breaks the premise
+    fails this test before it moves a prediction."""
+
+    @pytest.mark.parametrize("d", [16, 32, 128, 512])
+    @pytest.mark.parametrize("classes", [1, 3, 5, 70])
+    def test_stacked_products_match_per_slice_calls(self, d, classes):
+        rng = np.random.default_rng(1000 * d + classes)
+        n = 7
+        slots = rng.standard_normal((n, classes, d))
+        features = rng.standard_normal((n, d))
+        weights = rng.standard_normal((d, d))
+        # the images written into one slot's block by the gemm (gemv for one row)
+        for k in sorted({1, max(1, classes - 2), classes}):
+            rows = rng.standard_normal((k, d))
+            np.matmul(rows, weights, out=slots[3, classes - k:])
+            assert_same_bits(slots[3, classes - k:], rows @ weights)
+        images = slots[:, 1:]
+        norms = np.sqrt(np.add.reduce(images * images, axis=-1))
+        stacked = features[:, :, None]
+        fnorms = np.sqrt(stacked.transpose(0, 2, 1) @ stacked)[:, 0, 0]
+        sims = (slots @ stacked)[:, :, 0]
+        for i in range(n):
+            assert_same_bits(norms[i], _row_norms(slots[i, 1:]))
+            assert_same_bits(fnorms[i], np.float64(math.sqrt(features[i].dot(features[i]))))
+            assert_same_bits(sims[i], slots[i] @ features[i])
+
+
+def per_sample_stream(source, config, result):
+    """(class id, prediction, w_index, excluded) of every sample of every
+    task as a per-sample loop logs them: each streamed pair classified on
+    arrival by `ncm_predict` against the old rows' gemm images under the
+    last W solved before it (`gemm_table`), then the excluded tail, every
+    pair for the oracle, against the last W."""
+    selected = _selected_classes(source, config)
+    logged = []
+    for t, rec in enumerate(result.tasks, start=1):
+        pairs = source.test_pairs(t)
+        if result.oracle:
+            streamed, tail, stride = [], pairs, 1
+        else:
+            streamed = [pairs[i] for i in _stream_order(len(pairs), config.seed, t)]
+            tail = [p for p in streamed if selected is not None and p[0] not in selected]
+            streamed = [p for p in streamed if selected is None or p[0] in selected]
+            stride = 1 if config.solver == "gd" else config.resolve_stride
+        fits = rec.old_table is not None and (result.oracle or config.solver != "none")
+        tables = {}
+
+        def log(class_id, z, solves):
+            w_index = solves - 1 if fits else -1
+            if w_index not in tables:
+                tables[w_index] = (rec.fresh_table if rec.old_table is None
+                                   else gemm_table(rec, w_index))
+            logged.append((class_id, ncm_predict(z, tables[w_index]), w_index,
+                           selected is not None and class_id not in selected))
+
+        lag = 0 if config.predict_before_update else 1
+        for i, (class_id, _, z) in enumerate(streamed):
+            log(class_id, z, (i + lag) // stride)
+        for class_id, _, z in tail:
+            log(class_id, z, 1 if result.oracle else len(streamed) // stride)
+    return logged
+
+
+STREAM_VARIANTS = [
+    dict(),
+    dict(predict_before_update=True, update_stride=3, resolve_stride=3),
+    dict(test_balance="unbalanced", unbalanced_fraction=0.5, resolve_stride=3),
+    dict(test_balance="unbalanced", unbalanced_fraction=0.5, predict_before_update=True,
+         update_stride=3),
+]
+
+
+class TestChunkedStream:
+    """Predictions classified a chunk at a time carry the bits, w_index and
+    flags a per-sample `_nearest_class` loop gives them, whatever the chunk
+    size, and raise the error the per-sample loop raised first."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    @pytest.mark.parametrize("solver", ["analytic", "gd", "gd_with_queue", "none", "oracle"])
+    def test_matches_per_sample_loop(self, monkeypatch, solver, chunk):
+        monkeypatch.setattr("driftcomp.engine.CHUNK_SAMPLES", chunk)
+        # the oracle fits once, so of the strides and the timing of the
+        # prediction only the balance of the stream reaches it
+        for variant in STREAM_VARIANTS[::2] if solver == "oracle" else STREAM_VARIANTS:
+            cfg = engine_config(gd_learning_rate=0.01, **variant)
+            source = SyntheticSource.from_config(cfg)
+            if solver == "oracle":
+                result = run_gd_oracle(source, cfg)
+            else:
+                result = run_engine(source, cfg.replace(solver=solver))
+            got = [(s.class_id, s.predicted, s.w_index, s.excluded)
+                   for rec in result.tasks for s in rec.samples]
+            assert got == per_sample_stream(source, result.config, result)
+            assert replay_audit(result)
+
+    @pytest.mark.parametrize("d", [8, 64])
+    def test_flush_matches_replay_of_each_slot(self, d):
+        # old rows at an index array (fresh classes override some), chunks
+        # filled under a random stream of solves, stale restores and repeats
+        rng = np.random.default_rng(d)
+        rec = random_record(rng, d)
+        layout = _TaskLayout(rec)
+        assert not isinstance(layout.positions, slice)
+        want, got = [], []
+        for _ in range(300):
+            draw = rng.random()
+            if draw < 0.05:
+                layout.evolve(None)
+            elif draw < 0.7:
+                layout.evolve(np.eye(d) + 0.3 * rng.standard_normal((d, d)))
+            z = rng.standard_normal(d)
+            full = layout.stage(z)
+            want.append(_nearest_class(z, layout.class_ids, *layout._held(layout.count - 1)))
+            if full:
+                got += self.flush_checking_norms(layout)
+        got += self.flush_checking_norms(layout)
+        assert got == want
+
+    @staticmethod
+    def flush_checking_norms(layout):
+        """The layout's flush, after which the norms it computed for each
+        slot are the bits the replay of that slot computes."""
+        n = layout.count
+        predicted = layout.flush()
+        stacked = layout.norms[:n].copy()
+        for i in range(n):
+            assert_same_bits(stacked[i], layout._held(i)[1])
+        return predicted
+
+    def test_zero_norm_feature_wins_over_a_later_solve_error(self, monkeypatch):
+        # task 2's third streamed feature is zero; its first solve, after
+        # the fourth pair, is singular under "strict"
+        self.stream_with_faults(monkeypatch, zero_feature_at=2)
+        with pytest.raises(DegenerateInputError) as info:
+            run_engine(self.source, self.cfg)
+        assert str(info.value) == "cosine similarity undefined for zero-norm feature"
+        monkeypatch.undo()
+        self.stream_with_faults(monkeypatch)
+        with pytest.raises(SingularGramError):
+            run_engine(self.source, self.cfg)
+
+    def test_non_finite_image_wins_over_a_later_solve_error(self, monkeypatch):
+        # task 2's second solve returns a W that maps the old prototypes to NaN
+        self.stream_with_faults(monkeypatch, nan_at_solve=1)
+        with pytest.raises(DegenerateInputError, match="evolved prototype"):
+            run_engine(self.source, self.cfg)
+
+    def stream_with_faults(self, monkeypatch, zero_feature_at=None, nan_at_solve=None):
+        """An analytic stream whose fourth solve of task 2 raises a strict
+        SingularGramError (the condition bound lowered to 1 just before it),
+        with a zero feature at a stream position of task 2 and a NaN W
+        returned by one of its solves."""
+        self.cfg = engine_config(num_tasks=2, singular_policy="strict")
+        self.source = SyntheticSource.from_config(self.cfg)
+        test_pairs = self.source.test_pairs
+
+        def faulty_pairs(t):
+            pairs = test_pairs(t)
+            if t == 2 and zero_feature_at is not None:
+                i = _stream_order(len(pairs), self.cfg.seed, t)[zero_feature_at]
+                pairs[i] = (pairs[i][0], pairs[i][1], np.zeros(self.cfg.dimension))
+            return pairs
+        monkeypatch.setattr(self.source, "test_pairs", faulty_pairs)
+        solve, calls = WindowSolver.solve, []
+
+        def faulty_solve(window):
+            calls.append(None)
+            if len(calls) == 4:
+                monkeypatch.setattr(projector, "COND_THRESHOLD", 1.0)
+            weights, cond, ridge = solve(window)
+            if len(calls) - 1 == nan_at_solve:
+                weights = np.full_like(weights, np.nan)
+            return weights, cond, ridge
+        monkeypatch.setattr(WindowSolver, "solve", faulty_solve)
+
+    def test_short_task_times_its_flush(self, monkeypatch):
+        # no task fills a chunk, so each is classified by the flush at its
+        # end, whose time goes to the predict phase
+        flush = _TaskLayout.flush
+
+        def slow_flush(layout):
+            if layout.count:
+                time.sleep(0.005)
+            return flush(layout)
+        monkeypatch.setattr(_TaskLayout, "flush", slow_flush)
+        _, result = run_with(engine_config(num_tasks=2, test_per_class=2))
+        for rec in result.tasks:
+            assert 0 < len(rec.samples) < 64
+            assert rec.phase_seconds["predict"] >= 0.005
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
