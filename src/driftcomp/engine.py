@@ -344,10 +344,11 @@ class _TaskLayout:
 
     What depends only on class ids is built once per task: the ascending
     class ids, the stale merged matrix, and the old rows that no fresh
-    prototype overrides with their positions in the matrix. The positions are a slice when those rows are one block,
-    as they always are in class-incremental order, and an index array
-    otherwise. A chunk of slots, each a copy of the stale matrix with a row
-    norm buffer holding the per-task norms, is filled once per task.
+    prototype overrides with their positions in the matrix. The positions
+    are a slice when those rows are one block, as they always are in
+    class-incremental order, and an index array otherwise. A chunk of
+    slots, each a copy of the stale matrix with a row of norms holding the
+    per-task norms, is filled once per task.
 
     `evolve` writes the old rows' images under a W into the next slot, by
     one (k, d) @ (d, d) gemm at every d, within 2 d eps (|P| |W|) of the
@@ -355,14 +356,15 @@ class _TaskLayout:
     sample's feature and, if no evolve wrote its slot, copies the current
     images into it. `flush` classifies every staged sample, each against its
     own slot, by a few stacked products: the images' norms in one last-axis
-    reduce (the other rows keep the per-task norms), the feature norms by a
-    stacked dot and the similarities by a stacked gemv. Each stacked product
-    runs the kernel the per-sample call ran on its slice, so every
-    prediction has the bits of `core._nearest_class` on that slot
+    reduce (the other rows, and the stale rows until a W moves them, keep
+    the per-task norms), the feature norms by a stacked dot and the
+    similarities by a stacked gemv. Each stacked product runs the kernel
+    the per-sample call ran on its slice, so every prediction has the bits
+    of `core._nearest_class` on that slot
     (tests/test_engine.py::TestStackedKernels). A chunk with a zero or
     non-finite norm, a zero or non-finite feature norm, or a feature of the
-    wrong shape is replayed slot by slot, in order, through the evolved
-    images' check and `_nearest_class`, so it raises their error at the
+    wrong shape is replayed slot by slot, in order, through the images'
+    non-finite check and `_nearest_class`, so it raises the error of its
     first sample that has one.
 
     `table`, which seeds the next task, maps the old rows again through
@@ -391,6 +393,7 @@ class _TaskLayout:
         self.positions = positions
         self.old_rows = self.stale[positions]
         self.weights: Optional[np.ndarray] = None   # the last evolve's, None for the stale rows
+        self.moved = False    # whether any evolve has written images under a W
         self.count = 0        # staged samples
         self.source = 0       # the slot that holds the current images
         self.unshaped = {}    # slot -> a feature of the wrong shape, which the replay raises on
@@ -409,6 +412,7 @@ class _TaskLayout:
                 np.matmul(self.old_rows, weights, out=self.slots[n, self.positions])
             else:
                 self.slots[n, self.positions] = self.old_rows @ weights
+            self.moved = True
         self.source = n
         self.weights = weights
 
@@ -421,12 +425,8 @@ class _TaskLayout:
             self.slots[n, self.positions] = self.slots[self.source, self.positions]
             self.source = n
         self.count = n + 1
-        try:
-            feature = np.asarray(feature, dtype=np.float64)
-            shaped = feature.shape == self.features.shape[1:]
-        except (TypeError, ValueError):
-            shaped = False
-        if not shaped:
+        feature = np.asarray(feature, dtype=np.float64)
+        if feature.shape != self.features.shape[1:]:
             self.unshaped[n] = feature
             self.flush()   # _nearest_class raises, after any earlier sample's error
         self.features[n] = feature
@@ -439,9 +439,10 @@ class _TaskLayout:
             return []
         if self.unshaped:
             return self._replay(n)
-        images = self.slots[:n, self.positions]
         norms = self.norms[:n]
-        norms[:, self.positions] = np.sqrt(np.add.reduce(images * images, axis=-1))
+        if self.moved:   # else every slot holds the stale rows, whose norms the buffer holds
+            images = self.slots[:n, self.positions]
+            norms[:, self.positions] = np.sqrt(np.add.reduce(images * images, axis=-1))
         features = self.features[:n, :, None]
         fnorms = np.sqrt(features.transpose(0, 2, 1) @ features)[:, 0]
         if not (norms.min() > 0.0 and norms.max() < np.inf and fnorms.min() > 0.0):

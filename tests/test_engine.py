@@ -968,7 +968,7 @@ class TestChunkedStream:
             assert replay_audit(result)
 
     @pytest.mark.parametrize("d", [8, 64])
-    def test_flush_matches_replay_of_each_slot(self, d):
+    def test_flush_matches_each_slot_classified_alone(self, d):
         # old rows at an index array (fresh classes override some), chunks
         # filled under a random stream of solves, stale restores and repeats
         rng = np.random.default_rng(d)
@@ -984,7 +984,9 @@ class TestChunkedStream:
                 layout.evolve(np.eye(d) + 0.3 * rng.standard_normal((d, d)))
             z = rng.standard_normal(d)
             full = layout.stage(z)
-            want.append(_nearest_class(z, layout.class_ids, *layout._held(layout.count - 1)))
+            matrix = layout.slots[layout.count - 1].copy()
+            norms = _row_norms(matrix)
+            want.append(_nearest_class(z, layout.class_ids, matrix, norms, not norms.min() > 0.0))
             if full:
                 got += self.flush_checking_norms(layout)
         got += self.flush_checking_norms(layout)
@@ -992,13 +994,12 @@ class TestChunkedStream:
 
     @staticmethod
     def flush_checking_norms(layout):
-        """The layout's flush, after which the norms it computed for each
-        slot are the bits the replay of that slot computes."""
+        """The layout's flush, after which the norms it classified each slot
+        with are the bits `_row_norms` gives that slot's matrix."""
         n = layout.count
         predicted = layout.flush()
-        stacked = layout.norms[:n].copy()
         for i in range(n):
-            assert_same_bits(stacked[i], layout._held(i)[1])
+            assert_same_bits(layout.norms[i], _row_norms(layout.slots[i]))
         return predicted
 
     def test_zero_norm_feature_wins_over_a_later_solve_error(self, monkeypatch):
