@@ -99,16 +99,6 @@ def load_dump(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All records of a dump file in file order: int64 class ids, task ids
     and splits, and the (n, d) float64 vectors.
 
-    DumpFormatError codes as for `_load_records`.
-    """
-    class_ids, task_ids, splits, vectors = _load_records(path)
-    return class_ids, task_ids, splits, vectors.astype(np.float64)
-
-
-def _load_records(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`load_dump`'s arrays, with the vectors as the file's float32 values,
-    a view of the records read.
-
     DumpFormatError codes: "magic", "version", "dimension" (0), then the
     file size against the header ("truncated" at the file length,
     "trailing" at the declared end), then the first faulty record: "split"
@@ -147,7 +137,8 @@ def _load_records(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         raise DumpFormatError(
             "nonfinite", f"record {i} contains non-finite values", offset=record + head.itemsize
         )
-    return table["class_id"].astype(np.int64), table["task_id"].astype(np.int64), splits, vectors
+    return (table["class_id"].astype(np.int64), table["task_id"].astype(np.int64),
+            splits, vectors.astype(np.float64))
 
 
 def read_dump_header(path) -> Tuple[int, int, int]:

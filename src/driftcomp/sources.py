@@ -21,7 +21,7 @@ import numpy as np
 from .config import RunConfig
 from .core import FeatureRecord, PrototypeTable, class_means
 from .drift_sim import GeneratedScenario, generate_scenario, task_class_ids
-from .dump import SPLIT_TEST, SPLIT_TRAIN, _load_records, write_dump
+from .dump import SPLIT_TEST, SPLIT_TRAIN, load_dump, write_dump
 from .errors import DumpFormatError
 from .toy import LossWeights, ToyModel, train_task
 
@@ -168,20 +168,17 @@ class DumpSource(_Source):
 
     def __init__(self, path):
         self.path = path
-        class_ids, task_ids, splits, vectors = _load_records(path)
+        class_ids, task_ids, splits, vectors = load_dump(path)
         if not np.any(splits == SPLIT_TRAIN):
             raise DumpFormatError("empty", "dump contains no train records")
         self._dim = vectors.shape[1]
-        # rows grouped once per (split, task, class), file order kept within
-        # each, gathered from the file's float32 values and converted once
-        # (exactly: every float32 is a float64)
+        # rows grouped once per (split, task, class), file order kept within each
         order = np.lexsort((class_ids, task_ids, splits))
         keys = np.stack([splits, task_ids, class_ids], axis=1)[order]
         starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
-        grouped = vectors[order].astype(np.float64)
         self._rows: Dict[Tuple[int, int, int], np.ndarray] = {
             tuple(keys[first].tolist()): rows
-            for first, rows in zip(np.r_[0, starts], np.split(grouped, starts))
+            for first, rows in zip(np.r_[0, starts], np.split(vectors[order], starts))
         }
         task_of_class: Dict[int, int] = {}
         for split, t, c in self._rows:
