@@ -12,12 +12,13 @@ empty stream: it fits once, before the first prediction.
 The union is held per task in a chunk of slots (`_TaskLayout`), one per
 staged sample: each solve writes the evolved rows, mapped by one gemm, into
 the next sample's slot. Predictions do not feed back into the fit, so the
-samples are classified a chunk at a time, by stacked products that give
-each the bits and the errors of classifying it alone, in order; an error
-raised by the fit classifies the staged samples first, so an earlier
-sample's error wins. A `PrototypeTable` is built once, at task end, for the
-drift similarity and the next task, from the old rows mapped again row by
-row. The replay audit classifies through the same layout.
+layout classifies its samples a chunk at a time, by stacked products that
+give each the bits and the errors of classifying it alone, in order, and
+hands them back at task end; an error raised by the fit classifies the
+staged samples first, so an earlier sample's error wins. A `PrototypeTable`
+is built once, at task end, for the drift similarity and the next task,
+from the old rows mapped again row by row. The replay audit stages the
+logged samples through the same layout.
 
 Each task's record logs the W of every solve in a `projector.SnapshotLog`:
 a full W for a direct solve and for the descent solvers, and for every
@@ -68,10 +69,6 @@ class TaskRunRecord:
     phase_seconds: Dict[str, float] = field(default_factory=lambda: {p: 0.0 for p in PHASES})
     n_stream_samples: int = 0
     solve_counts: SolveCounts = field(default_factory=SolveCounts)   # analytic solves
-
-    def __post_init__(self):
-        if not isinstance(self.projector_snapshots, SnapshotLog):
-            self.projector_snapshots = SnapshotLog(self.projector_snapshots)
 
     @property
     def accuracy(self) -> float:
@@ -276,16 +273,10 @@ def run_task_cycle(
 
     staged: List[Tuple[int, int, bool]] = []   # (class id, w_index, excluded) per staged sample
 
-    def classify() -> None:
-        rec.samples.extend(SampleLog(class_id, pred, w, excluded=is_excluded)
-                           for (class_id, w, is_excluded), pred in zip(staged, layout.flush()))
-        staged.clear()
-
     def predict(class_id: int, z_new: np.ndarray) -> None:
         staged.append((class_id, w_index, selected is not None and class_id not in selected))
         start = time.perf_counter()
-        if layout.stage(z_new):
-            classify()
+        layout.stage(z_new)
         rec.phase_seconds["predict"] += time.perf_counter() - start
         rec.features_new.append(np.asarray(z_new, dtype=np.float64))
 
@@ -302,7 +293,7 @@ def run_task_cycle(
                     w_index = len(rec.projector_snapshots) - 1
                     layout.evolve(weights)
             except Exception:
-                classify()   # an earlier sample's error wins
+                layout.predictions()   # an earlier sample's error wins
                 raise
             rec.phase_seconds["queue"] += pushed - start
             rec.phase_seconds["solve"] += time.perf_counter() - pushed
@@ -317,8 +308,10 @@ def run_task_cycle(
     for class_id, _, z_new in tail:
         predict(class_id, z_new)
     start = time.perf_counter()
-    classify()
+    predicted = layout.predictions()
     rec.phase_seconds["predict"] += time.perf_counter() - start
+    rec.samples = [SampleLog(class_id, pred, w, excluded=is_excluded)
+                   for (class_id, w, is_excluded), pred in zip(staged, predicted)]
 
     table = layout.table()
     if fit is not None and fit.window is not None:
@@ -354,18 +347,21 @@ class _TaskLayout:
     one (k, d) @ (d, d) gemm at every d, within 2 d eps (|P| |W|) of the
     per-row products, which only pick an argmax. `stage` takes the next
     sample's feature and, if no evolve wrote its slot, copies the current
-    images into it. `flush` classifies every staged sample, each against its
-    own slot, by a few stacked products: the images' norms in one last-axis
+    images into it; `predictions` returns the classes of the samples staged
+    since its last call, in staging order. A chunk is classified when it is
+    full and when `predictions` is called, each sample against its own
+    slot, by a few stacked products: the images' norms in one last-axis
     reduce (the other rows, and the stale rows until a W moves them, keep
     the per-task norms), the feature norms by a stacked dot and the
     similarities by a stacked gemv. Each stacked product runs the kernel
     the per-sample call ran on its slice, so every prediction has the bits
     of `core._nearest_class` on that slot
     (tests/test_engine.py::TestStackedKernels). A chunk with a zero or
-    non-finite norm, a zero or non-finite feature norm, or a feature of the
-    wrong shape is replayed slot by slot, in order, through the images'
-    non-finite check and `_nearest_class`, so it raises the error of its
-    first sample that has one.
+    non-finite norm or a zero or non-finite feature norm is classified slot
+    by slot, in order, through the images' non-finite check and
+    `_nearest_class`, so it raises the error of its first sample that has
+    one. A feature of the wrong shape first classifies the staged samples,
+    then raises `_nearest_class`'s error on its own slot.
 
     `table`, which seeds the next task, maps the old rows again through
     `projector._map_rows`, so the rows a task hands on keep its per-row bits
@@ -394,9 +390,9 @@ class _TaskLayout:
         self.old_rows = self.stale[positions]
         self.weights: Optional[np.ndarray] = None   # the last evolve's, None for the stale rows
         self.moved = False    # whether any evolve has written images under a W
-        self.count = 0        # staged samples
+        self.count = 0        # staged samples not yet classified
         self.source = 0       # the slot that holds the current images
-        self.unshaped = {}    # slot -> a feature of the wrong shape, which the replay raises on
+        self.predicted: List[int] = []   # classified since the last `predictions`
 
     def evolve(self, weights: Optional[np.ndarray]) -> None:
         """Write the old rows' images under the projector `weights` (None
@@ -416,49 +412,47 @@ class _TaskLayout:
         self.source = n
         self.weights = weights
 
-    def stage(self, feature: np.ndarray) -> bool:
-        """Stage `feature` to be classified against the current images;
-        returns True when the chunk is full, and `flush` must run before the
-        next `evolve` or `stage`."""
+    def stage(self, feature: np.ndarray) -> None:
+        """Stage `feature` to be classified against the current images."""
         n = self.count
         if self.source != n:
             self.slots[n, self.positions] = self.slots[self.source, self.positions]
             self.source = n
-        self.count = n + 1
         feature = np.asarray(feature, dtype=np.float64)
         if feature.shape != self.features.shape[1:]:
-            self.unshaped[n] = feature
-            self.flush()   # _nearest_class raises, after any earlier sample's error
+            self._classify()   # an earlier sample's error wins
+            _nearest_class(feature, self.class_ids, *self._held(n))   # raises on the shape
         self.features[n] = feature
-        return self.count == len(self.slots)
+        self.count = n + 1
+        if self.count == len(self.slots):
+            self._classify()
 
-    def flush(self) -> List[int]:
-        """The predicted class of every staged sample, in staging order."""
+    def predictions(self) -> List[int]:
+        """The predicted class of every sample staged since the last call, in
+        staging order."""
+        self._classify()
+        predicted, self.predicted = self.predicted, []
+        return predicted
+
+    def _classify(self) -> None:
+        """Classify the staged samples, each against its own slot, into
+        `predicted`."""
         n, self.count = self.count, 0
         if not n:
-            return []
-        if self.unshaped:
-            return self._replay(n)
+            return
         norms = self.norms[:n]
         if self.moved:   # else every slot holds the stale rows, whose norms the buffer holds
             images = self.slots[:n, self.positions]
             norms[:, self.positions] = np.sqrt(np.add.reduce(images * images, axis=-1))
         features = self.features[:n, :, None]
         fnorms = np.sqrt(features.transpose(0, 2, 1) @ features)[:, 0]
-        if not (norms.min() > 0.0 and norms.max() < np.inf and fnorms.min() > 0.0):
-            return self._replay(n)
-        sims = (self.slots[:n] @ features)[:, :, 0] / (norms * fnorms)
-        # argmax returns the first maximum, the smallest class id among ties
-        return [self.class_ids[i] for i in sims.argmax(axis=1)]
-
-    def _replay(self, n: int) -> List[int]:
-        """Classify the n staged samples one by one, as the per-sample path
-        did, raising the first error."""
-        predicted = []
-        for i in range(n):
-            feature = self.unshaped.pop(i, self.features[i])
-            predicted.append(_nearest_class(feature, self.class_ids, *self._held(i)))
-        return predicted
+        if norms.min() > 0.0 and norms.max() < np.inf and fnorms.min() > 0.0:
+            sims = (self.slots[:n] @ features)[:, :, 0] / (norms * fnorms)
+            # argmax returns the first maximum, the smallest class id among ties
+            self.predicted += [self.class_ids[i] for i in sims.argmax(axis=1)]
+        else:   # one by one, as the per-sample path did, raising the first error
+            self.predicted += [_nearest_class(self.features[i], self.class_ids, *self._held(i))
+                               for i in range(n)]
 
     def _held(self, i: int) -> Tuple[np.ndarray, np.ndarray, bool]:
         """Slot i's matrix, its row norms and whether one of them is zero;
@@ -501,21 +495,20 @@ def _offline_gd(q_old: np.ndarray, q_new: np.ndarray, learning_rate: float,
 
 def replay_audit(result: RunResult) -> bool:
     """Re-evaluate every logged prediction from the logged projector
-    snapshots and base tables; returns True iff all match exactly. Each
+    snapshots and base tables; returns True iff all match exactly, so a
+    task whose logged features and samples differ in number fails. Each
     task's log is replayed in one pass, in sample order, through its
-    buffer, and its samples are classified in chunks through a layout of
-    their own, as the stream classified them; stored full entries are read
-    as they are."""
+    buffer, and its samples are staged through a layout of their own, as
+    the stream staged them; stored full entries are read as they are."""
     for rec in result.tasks:
+        if len(rec.features_new) != len(rec.samples):
+            return False
         layout, w_index, view = _TaskLayout(rec), -1, rec.projector_snapshots.view
-        logged, predicted = [], []
         for sample, z_new in zip(rec.samples, rec.features_new):
             if sample.w_index != w_index:
                 w_index = sample.w_index
                 layout.evolve(None if w_index < 0 else view(w_index))
-            logged.append(sample.predicted)
-            if layout.stage(z_new):
-                predicted += layout.flush()
-        if predicted + layout.flush() != logged:
+            layout.stage(z_new)
+        if layout.predictions() != [sample.predicted for sample in rec.samples]:
             return False
     return True

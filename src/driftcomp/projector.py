@@ -321,8 +321,8 @@ class WindowSolver:
 
 class SnapshotLog:
     """The projector W of each solve of a task, in solve order: a sequence
-    whose length, indexing (negative too), iteration and item assignment
-    behave as on a list of the arrays.
+    built by `append`, whose length, indexing (negative too), iteration and
+    item assignment behave as on a list of the arrays.
 
     An entry is a full W, kept as given; a rank-m update (correction,
     solved) that moved the previous entry's W in place (a WindowSolver's
@@ -340,11 +340,9 @@ class SnapshotLog:
     place reaches only the replays that start before it.
     """
 
-    def __init__(self, snapshots=()):
+    def __init__(self):
         self._entries: list = []
         self._cursor: tuple[int, np.ndarray] | None = None   # the buffer and its entry
-        for weights in snapshots:
-            self.append(weights)
 
     def append(self, weights, update: tuple | None = None) -> None:
         """Log the W a solve returned, with the `update` it reported: None

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import time
@@ -10,7 +9,6 @@ from driftcomp.config import RunConfig, load_config
 from driftcomp import projector
 from driftcomp.core import PrototypeTable, _nearest_class, _row_norms, ncm_predict
 from driftcomp.engine import (
-    RunResult,
     TaskRunRecord,
     _StreamFit,
     _TaskLayout,
@@ -350,11 +348,12 @@ class TestReplayAudit:
         cfg = engine_config(num_tasks=3)
         _, result = run_with(cfg)
         # move every projector of the last task by half its norm
-        snapshots = result.tasks[-1].projector_snapshots
-        rng = np.random.default_rng(0)
-        for k, weights in enumerate(snapshots):
+        rec = result.tasks[-1]
+        moved, rng = SnapshotLog(), np.random.default_rng(0)
+        for weights in rec.projector_snapshots:
             noise = rng.standard_normal(weights.shape)
-            snapshots[k] = weights + 0.5 * np.linalg.norm(weights) / np.linalg.norm(noise) * noise
+            moved.append(weights + 0.5 * np.linalg.norm(weights) / np.linalg.norm(noise) * noise)
+        rec.projector_snapshots = moved
         assert not replay_audit(result)
 
     def test_replay_detects_tampering(self):
@@ -387,12 +386,19 @@ class TestReplayAudit:
                                    / np.linalg.norm(old_rows @ solved @ noise))
             assert not replay_audit(result)
 
-    def test_record_from_plain_list(self):
-        _, result = run_with(engine_config(num_tasks=3, dimension=128, queue_capacity=300))
-        tasks = [dataclasses.replace(rec, projector_snapshots=list(rec.projector_snapshots))
-                 for rec in result.tasks]
-        assert all(isinstance(rec.projector_snapshots, SnapshotLog) for rec in tasks)
-        assert replay_audit(RunResult(config=result.config, seed=result.seed, tasks=tasks))
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_feature_count_must_match_samples(self, change):
+        # a task that logs one feature too few, whose last prediction is a
+        # class it does not have, or one feature too many
+        _, result = run_with(engine_config(num_tasks=3))
+        assert replay_audit(result)
+        rec = result.tasks[1]
+        if change == "missing":
+            del rec.features_new[-1]
+            rec.samples[-1].predicted = -1
+        else:
+            rec.features_new.append(rec.features_new[0])
+        assert not replay_audit(result)
 
 
 class TestSnapshotLogInStream:
@@ -514,12 +520,10 @@ def held(layout):
 
 def classify(layout, features):
     """The layout's predictions for `features`, staged in order under its
-    current images and flushed whenever a chunk is full and at the end."""
-    predicted = []
+    current images."""
     for z in features:
-        if layout.stage(z):
-            predicted += layout.flush()
-    return predicted + layout.flush()
+        layout.stage(z)
+    return layout.predictions()
 
 
 def assert_layout_holds(layout, rec, w_index):
@@ -585,9 +589,9 @@ class TestTaskLayout:
     def test_random_stream_of_solves(self, d):
         rng = np.random.default_rng(d)
         rec = random_record(rng, d)
-        # one snapshot slot, rewritten before each solve, which each evolve
-        # reads back from the record
-        rec.projector_snapshots.append(None)
+        # one snapshot slot of a plain list, rewritten before each solve,
+        # which each evolve reads back from the record
+        rec.projector_snapshots = [None]
         layout = _TaskLayout(rec)
         zero_norm_seen = False
         for _ in range(1200):
@@ -676,7 +680,7 @@ class TestGemmImages:
         d, eps = 32, np.finfo(float).eps
         rng = np.random.default_rng(1032)
         rec = random_record(rng, d)
-        rec.projector_snapshots.append(None)
+        rec.projector_snapshots = [None]   # a plain list, rewritten before each solve
         layout = _TaskLayout(rec)
         positions = layout.positions
         checked = near_ties = disagreements = 0
@@ -743,7 +747,7 @@ class TestEvolveChecks:
         # the earlier sample's error wins: a zero-norm image under the first W
         message = "prototype of class 0 has zero norm" if first == "zero" else "evolved prototype"
         with pytest.raises(DegenerateInputError, match=message):
-            layout.flush()
+            layout.predictions()
         # the second W wrote the later sample's slot only
         assert_same_bits(layout.slots[0], matrix)
         assert_same_bits(layout._held(0)[1], norms)
@@ -858,6 +862,23 @@ class TestLayoutPredict:
                 with pytest.raises(error) as info:
                     predict(z)
                 assert str(info.value) == message
+
+    def test_misshaped_feature_after_staged_ones(self):
+        # the staged samples are classified first, so an earlier sample's
+        # error wins; else the misshaped feature raises _nearest_class's error
+        rng = np.random.default_rng(6)
+        table = PrototypeTable([3, 5, 8], rng.standard_normal((3, 4)))
+        layout = _TaskLayout(TaskRunRecord(task=1, old_table=None, fresh_table=table))
+        layout.stage(np.zeros(4))
+        with pytest.raises(DegenerateInputError) as info:
+            layout.stage(np.ones(5))
+        assert str(info.value) == "cosine similarity undefined for zero-norm feature"
+        layout = _TaskLayout(TaskRunRecord(task=1, old_table=None, fresh_table=table))
+        for z in rng.standard_normal((3, 4)):
+            layout.stage(z)
+        with pytest.raises(DimensionError) as info:
+            layout.stage(np.ones((1, 4)))
+        assert str(info.value) == "feature shape (1, 4) does not match table dimension 4"
 
     def test_zero_weights_in_stream(self, monkeypatch):
         def zero_solve(window):
@@ -975,7 +996,7 @@ class TestChunkedStream:
         rec = random_record(rng, d)
         layout = _TaskLayout(rec)
         assert not isinstance(layout.positions, slice)
-        want, got = [], []
+        want, staged = [], 0
         for _ in range(300):
             draw = rng.random()
             if draw < 0.05:
@@ -983,24 +1004,24 @@ class TestChunkedStream:
             elif draw < 0.7:
                 layout.evolve(np.eye(d) + 0.3 * rng.standard_normal((d, d)))
             z = rng.standard_normal(d)
-            full = layout.stage(z)
-            matrix = layout.slots[layout.count - 1].copy()
+            layout.stage(z)
+            matrix = layout.slots[layout.source].copy()
             norms = _row_norms(matrix)
             want.append(_nearest_class(z, layout.class_ids, matrix, norms, not norms.min() > 0.0))
-            if full:
-                got += self.flush_checking_norms(layout)
-        got += self.flush_checking_norms(layout)
+            staged += 1
+            if staged == len(layout.slots):   # the layout classified the full chunk
+                self.assert_classified_norms(layout, staged)
+                staged = 0
+        got = layout.predictions()
+        self.assert_classified_norms(layout, staged)
         assert got == want
 
     @staticmethod
-    def flush_checking_norms(layout):
-        """The layout's flush, after which the norms it classified each slot
-        with are the bits `_row_norms` gives that slot's matrix."""
-        n = layout.count
-        predicted = layout.flush()
+    def assert_classified_norms(layout, n):
+        """The norms the layout classified its first n slots with are the
+        bits `_row_norms` gives each slot's matrix."""
         for i in range(n):
             assert_same_bits(layout.norms[i], _row_norms(layout.slots[i]))
-        return predicted
 
     def test_zero_norm_feature_wins_over_a_later_solve_error(self, monkeypatch):
         # task 2's third streamed feature is zero; its first solve, after
@@ -1049,15 +1070,15 @@ class TestChunkedStream:
         monkeypatch.setattr(WindowSolver, "solve", faulty_solve)
 
     def test_short_task_times_its_flush(self, monkeypatch):
-        # no task fills a chunk, so each is classified by the flush at its
-        # end, whose time goes to the predict phase
-        flush = _TaskLayout.flush
+        # no task fills a chunk, so each is classified by the predictions
+        # at its end, whose time goes to the predict phase
+        classify_chunk = _TaskLayout._classify
 
-        def slow_flush(layout):
+        def slow_classify(layout):
             if layout.count:
                 time.sleep(0.005)
-            return flush(layout)
-        monkeypatch.setattr(_TaskLayout, "flush", slow_flush)
+            classify_chunk(layout)
+        monkeypatch.setattr(_TaskLayout, "_classify", slow_classify)
         _, result = run_with(engine_config(num_tasks=2, test_per_class=2))
         for rec in result.tasks:
             assert 0 < len(rec.samples) < 64
@@ -1082,8 +1103,11 @@ class TestNonFiniteEvolvedPrototypes:
     def test_replay_audit_raises(self):
         _, result = run_with(self.config())
         assert replay_audit(result)
-        snapshots = result.tasks[-1].projector_snapshots
-        snapshots[-1] = 1e300 * np.eye(snapshots[-1].shape[0])
+        rec = result.tasks[-1]
+        snapshots = list(rec.projector_snapshots)
+        rec.projector_snapshots = SnapshotLog()
+        for weights in snapshots[:-1] + [1e300 * np.eye(snapshots[-1].shape[0])]:
+            rec.projector_snapshots.append(weights)
         with pytest.raises(DegenerateInputError, match="evolved prototype"):
             replay_audit(result)
 
