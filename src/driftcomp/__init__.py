@@ -16,7 +16,7 @@ Library layers:
 """
 
 from .config import RunConfig, load_config, parse_config_text, write_config
-from .core import FeatureRecord, PrototypeTable, class_means, ncm_predict
+from .core import PrototypeTable, class_means, ncm_predict
 from .drift_sim import (
     DriftSpec,
     GeneratedScenario,

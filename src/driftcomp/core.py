@@ -1,6 +1,5 @@
 """Core domain types: prototype tables (class ids and one matrix), class
-means, and cosine nearest-class-mean prediction. `FeatureRecord`, one
-checked vector with its class and task, remains for `_Source.train_records`.
+means, and cosine nearest-class-mean prediction.
 
 All arithmetic is float64; values are immutable after construction and safe
 to share across threads.
@@ -9,38 +8,11 @@ to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Tuple
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError
-
-
-@dataclass(frozen=True)
-class FeatureRecord:
-    """One embedding vector with its class id and task of origin."""
-
-    vector: np.ndarray
-    class_id: int
-    task_id: int
-
-    def __post_init__(self):
-        vector = np.array(self.vector, dtype=np.float64)
-        if vector.ndim != 1 or vector.size == 0:
-            raise DimensionError(f"feature vector must be 1-D and non-empty, got shape {vector.shape}")
-        if not np.all(np.isfinite(vector)):
-            raise DegenerateInputError("feature vector contains non-finite components")
-        vector.flags.writeable = False
-        object.__setattr__(self, "vector", vector)
-        if self.class_id < 0:
-            raise ValueError(f"class_id must be non-negative, got {self.class_id}")
-        if self.task_id < 0:
-            raise ValueError(f"task_id must be non-negative, got {self.task_id}")
-
-    @property
-    def dimension(self) -> int:
-        return self.vector.shape[0]
 
 
 class PrototypeTable:

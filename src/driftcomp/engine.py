@@ -46,15 +46,10 @@ from .queues import init_with_pseudo_features
 PHASES = ("queue", "solve", "predict")
 
 
-@dataclass
-class SampleLog:
-    """One classified test arrival; w_index points into the task's projector
-    snapshots (-1 = no projector involved)."""
-
-    class_id: int
-    predicted: int
-    w_index: int
-    excluded: bool = False
+# One classified test arrival per record element; w_index points into the
+# task's projector snapshots (-1 = no projector involved).
+SAMPLE_FIELDS = np.dtype([("class_id", np.int64), ("predicted", np.int64),
+                          ("w_index", np.int64), ("excluded", np.bool_)])
 
 
 @dataclass
@@ -62,7 +57,7 @@ class TaskRunRecord:
     task: int
     old_table: Optional[PrototypeTable]
     fresh_table: PrototypeTable
-    samples: List[SampleLog] = field(default_factory=list)
+    samples: np.recarray = field(default_factory=lambda: np.recarray(0, dtype=SAMPLE_FIELDS))
     projector_snapshots: SnapshotLog = field(default_factory=SnapshotLog)
     features_new: List[np.ndarray] = field(default_factory=list)
     drift_similarity: Optional[Dict[int, float]] = None
@@ -72,17 +67,17 @@ class TaskRunRecord:
 
     @property
     def accuracy(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(s.predicted == s.class_id for s in self.samples) / len(self.samples)
+        n = len(self.samples)
+        return np.count_nonzero(self.samples.predicted == self.samples.class_id) / n if n else 0.0
 
     def per_class_accuracy(self) -> Dict[int, float]:
-        hits: Dict[int, int] = {}
-        totals: Dict[int, int] = {}
-        for s in self.samples:
-            totals[s.class_id] = totals.get(s.class_id, 0) + 1
-            hits[s.class_id] = hits.get(s.class_id, 0) + (s.predicted == s.class_id)
-        return {c: hits[c] / totals[c] for c in totals}
+        """Accuracy per class, the classes in order of first arrival."""
+        ids, first, inverse = np.unique(self.samples.class_id, return_index=True,
+                                        return_inverse=True)
+        hits = np.bincount(inverse[self.samples.predicted == self.samples.class_id],
+                           minlength=len(ids))
+        order = np.argsort(first)
+        return dict(zip(ids[order].tolist(), (hits / np.bincount(inverse))[order].tolist()))
 
 
 @dataclass
@@ -271,10 +266,10 @@ def run_task_cycle(
             fit = _StreamFit(config, old_table, rng_seed=config.seed * 1000 + t)
             rec.projector_snapshots = fit.log
 
-    staged: List[Tuple[int, int, bool]] = []   # (class id, w_index, excluded) per staged sample
+    staged: List[Tuple[int, int]] = []   # (class id, w_index) per staged sample
 
     def predict(class_id: int, z_new: np.ndarray) -> None:
-        staged.append((class_id, w_index, selected is not None and class_id not in selected))
+        staged.append((class_id, w_index))
         start = time.perf_counter()
         layout.stage(z_new)
         rec.phase_seconds["predict"] += time.perf_counter() - start
@@ -310,8 +305,10 @@ def run_task_cycle(
     start = time.perf_counter()
     predicted = layout.predictions()
     rec.phase_seconds["predict"] += time.perf_counter() - start
-    rec.samples = [SampleLog(class_id, pred, w, excluded=is_excluded)
-                   for (class_id, w, is_excluded), pred in zip(staged, predicted)]
+    rec.samples = samples = np.recarray(len(staged), dtype=SAMPLE_FIELDS)
+    samples.class_id, samples.w_index = np.array(staged, dtype=np.int64).reshape(-1, 2).T
+    samples.predicted = predicted
+    samples.excluded = selected is not None and ~np.isin(samples.class_id, list(selected))
 
     table = layout.table()
     if fit is not None and fit.window is not None:
@@ -374,6 +371,7 @@ class _TaskLayout:
         old, fresh = rec.old_table, rec.fresh_table
         stale = fresh if old is None else old.merged_with(fresh)
         self.class_ids = stale.class_ids
+        self.ids = np.array(self.class_ids)
         self.stale = stale.matrix()
         size = max(1, min(CHUNK_SAMPLES, CHUNK_BYTES // self.stale.nbytes))
         self.slots = np.empty((size,) + self.stale.shape)
@@ -449,7 +447,7 @@ class _TaskLayout:
         if norms.min() > 0.0 and norms.max() < np.inf and fnorms.min() > 0.0:
             sims = (self.slots[:n] @ features)[:, :, 0] / (norms * fnorms)
             # argmax returns the first maximum, the smallest class id among ties
-            self.predicted += [self.class_ids[i] for i in sims.argmax(axis=1)]
+            self.predicted += self.ids[sims.argmax(axis=1)].tolist()
         else:   # one by one, as the per-sample path did, raising the first error
             self.predicted += [_nearest_class(self.features[i], self.class_ids, *self._held(i))
                                for i in range(n)]
@@ -504,11 +502,11 @@ def replay_audit(result: RunResult) -> bool:
         if len(rec.features_new) != len(rec.samples):
             return False
         layout, w_index, view = _TaskLayout(rec), -1, rec.projector_snapshots.view
-        for sample, z_new in zip(rec.samples, rec.features_new):
-            if sample.w_index != w_index:
-                w_index = sample.w_index
+        for logged, z_new in zip(rec.samples.w_index.tolist(), rec.features_new):
+            if logged != w_index:
+                w_index = logged
                 layout.evolve(None if w_index < 0 else view(w_index))
             layout.stage(z_new)
-        if layout.predictions() != [sample.predicted for sample in rec.samples]:
+        if not np.array_equal(layout.predictions(), rec.samples.predicted):
             return False
     return True

@@ -14,12 +14,12 @@ makes dump round-trips reproduce in-memory runs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .config import RunConfig
-from .core import FeatureRecord, PrototypeTable, class_means
+from .core import PrototypeTable, class_means
 from .drift_sim import GeneratedScenario, generate_scenario, task_class_ids
 from .dump import SPLIT_TEST, SPLIT_TRAIN, load_dump, write_dump
 from .errors import DumpFormatError
@@ -33,9 +33,18 @@ class _Source:
     def seen_classes(self, t: int) -> Tuple[int, ...]:
         return tuple(c for i in range(1, t + 1) for c in self.classes_of_task(i))
 
-    def train_records(self, t: int) -> Sequence[FeatureRecord]:
-        return [FeatureRecord(vec, c, t)
-                for c in self.classes_of_task(t) for vec in self.train_matrix(t, c)]
+    def train_records(self, t: int) -> np.recarray:
+        """Task t's train features, class by class in `classes_of_task(t)`
+        order, as one record array of `vector`, `class_id` and `task_id`."""
+        classes = self.classes_of_task(t)
+        matrices = [self.train_matrix(t, c) for c in classes]
+        counts = [len(m) for m in matrices]
+        records = np.recarray(sum(counts), dtype=[("vector", np.float64, (self.dimension,)),
+                                                  ("class_id", np.int64), ("task_id", np.int64)])
+        records.vector = np.concatenate(matrices)
+        records.class_id = np.repeat(classes, counts)
+        records.task_id = t
+        return records
 
     def test_pairs(self, t: int) -> List[TestPair]:
         """Every seen class's test features in space t, each paired by index
@@ -201,6 +210,9 @@ class DumpSource(_Source):
         for t, classes in enumerate(self._task_classes, start=1):
             if not classes:
                 raise DumpFormatError("class_task", f"task {t} has no classes")
+        for t in range(1, self._num_tasks + 1):
+            if not any((SPLIT_TEST, t, c) in self._rows for c in self.seen_classes(t)):
+                raise DumpFormatError("empty", f"task {t} has no test records in space {t}")
 
     @property
     def num_tasks(self) -> int:

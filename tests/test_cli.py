@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from driftcomp.cli import (
@@ -270,6 +271,17 @@ class TestGenAndIngest:
         dump_cfg.write_text(SMALL_CFG + f"source = dump\ndump_path = {dump}\n")
         out = str(tmp_path / "dumprun")
         assert main(["run", "-c", str(dump_cfg), "-o", out]) == EXIT_OK
+
+    def test_run_from_dump_without_test_records_exit_code(self, tmp_path, capsys):
+        from driftcomp.dump import SPLIT_TRAIN, write_dump
+        dump = tmp_path / "train_only.bin"
+        write_dump(dump, [0, 1], [1, 2], [SPLIT_TRAIN] * 2, np.ones((2, 2)))
+        dump_cfg = tmp_path / "dump.cfg"
+        dump_cfg.write_text(SMALL_CFG + f"source = dump\ndump_path = {dump}\n")
+        out = tmp_path / "dumprun"
+        assert main(["run", "-c", str(dump_cfg), "-o", str(out)]) == EXIT_DATA
+        assert "task 1 has no test records" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ingest_check_corrupt_exit_code(self, tmp_path):
         bad = tmp_path / "bad.bin"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftcomp.core import FeatureRecord, PrototypeTable, class_means, ncm_predict
+from driftcomp.core import PrototypeTable, class_means, ncm_predict
 from driftcomp.errors import DegenerateInputError, DimensionError
 
 
@@ -24,27 +24,6 @@ def naive_class_means(matrix, class_ids):
                 total[j] += v
         out[c] = np.asarray([v / len(rows) for v in total])
     return out
-
-
-class TestFeatureRecord:
-    def test_rejects_nan(self):
-        with pytest.raises(DegenerateInputError):
-            FeatureRecord([1.0, np.nan], 0, 1)
-
-    def test_rejects_inf(self):
-        with pytest.raises(DegenerateInputError):
-            FeatureRecord([np.inf, 0.0], 0, 1)
-
-    def test_rejects_negative_ids(self):
-        with pytest.raises(ValueError):
-            FeatureRecord([1.0], -1, 1)
-        with pytest.raises(ValueError):
-            FeatureRecord([1.0], 0, -2)
-
-    def test_vector_is_immutable(self):
-        rec = FeatureRecord([1.0, 2.0], 0, 1)
-        with pytest.raises(ValueError):
-            rec.vector[0] = 5.0
 
 
 class TestComputePrototypes:

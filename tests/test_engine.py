@@ -4,11 +4,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftcomp.config import RunConfig, load_config
 from driftcomp import projector
 from driftcomp.core import PrototypeTable, _nearest_class, _row_norms, ncm_predict
 from driftcomp.engine import (
+    SAMPLE_FIELDS,
+    RunResult,
     TaskRunRecord,
     _StreamFit,
     _TaskLayout,
@@ -213,7 +217,7 @@ class TestOracle:
         none, analytic = (run_gd_oracle(source, cfg.replace(solver=solver))
                           for solver in ("none", "analytic"))
         for a, b in zip(none.tasks, analytic.tasks, strict=True):
-            assert a.samples == b.samples
+            assert np.array_equal(a.samples, b.samples)
             assert (a.drift_similarity is not None) == (a.task > 1)
             assert a.drift_similarity == b.drift_similarity
             assert len(a.projector_snapshots) == len(b.projector_snapshots) == (a.task > 1)
@@ -332,6 +336,81 @@ class TestSolveCounts:
         fallbacks = sum(fallback for _, fallback, _ in solves)
         assert sum(fallback and repeated for _, fallback, repeated in solves) > 0
         assert sum(rec.solve_counts.ridge_fallbacks for rec in result.tasks) == fallbacks
+
+
+class TestSampleRecords:
+    """A task's samples are one record array: its fields are arrays, and an
+    element's attributes read and write through to them, as the
+    benchmark's checks read and corrupt a logged prediction."""
+
+    def test_element_writes_reach_fields_accuracy_and_audit(self):
+        _, result = run_with(engine_config(num_tasks=2))
+        rec = result.tasks[-1]
+        samples, n = rec.samples, len(rec.samples)
+        assert isinstance(samples, np.recarray) and samples.dtype.names == SAMPLE_FIELDS.names
+        k = n // 2
+        element = samples[k]
+        assert [element.class_id, element.predicted, element.w_index, element.excluded] == \
+               [samples.class_id[k], samples.predicted[k], samples.w_index[k], samples.excluded[k]]
+        hits = int(np.sum(samples.predicted == samples.class_id))
+        assert rec.accuracy == hits / n and replay_audit(result)
+        original = element.predicted
+        hit = original == element.class_id
+        element.predicted = (next(c for c in rec.fresh_table.class_ids if c != original)
+                             if hit else element.class_id)
+        assert samples.predicted[k] == element.predicted != original
+        assert rec.accuracy == (hits - 1 if hit else hits + 1) / n
+        assert not replay_audit(result)
+        samples[k].predicted = original
+        assert rec.accuracy == hits / n and replay_audit(result)
+
+    def test_features_new_stack_to_the_staged_matrix(self):
+        cfg = engine_config(num_tasks=2)
+        source, result = run_with(cfg)
+        for t, rec in enumerate(result.tasks, start=1):
+            pairs = source.test_pairs(t)
+            order = _stream_order(len(pairs), cfg.seed, t)
+            assert rec.samples.class_id.tolist() == [pairs[i][0] for i in order]
+            features = np.array(rec.features_new)
+            assert features.shape == (len(pairs), cfg.dimension)
+            assert_same_bits(features, np.vstack([pairs[i][2] for i in order]))
+
+
+def reference_per_class_accuracy(rows):
+    """Per-class accuracy of (class_id, predicted) rows by a loop over the
+    rows, the classes in order of first arrival: the reference for
+    `per_class_accuracy`'s array reductions."""
+    hits, totals = {}, {}
+    for class_id, predicted in rows:
+        totals[class_id] = totals.get(class_id, 0) + 1
+        hits[class_id] = hits.get(class_id, 0) + (predicted == class_id)
+    return {c: hits[c] / totals[c] for c in totals}
+
+
+class TestAccuracyReductions:
+    CLASS_IDS = st.sampled_from([0, 1, 2, 7, 31, 2**40])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(CLASS_IDS, CLASS_IDS), max_size=80))
+    @example([])
+    @example([(7, 7)])
+    @example([(3, 3), (3, 1), (3, 3), (3, 0)])
+    @example([(2, 2), (0, 1), (2, 0), (0, 0), (1, 1), (2, 2)])
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_match_the_per_sample_loops(self, rows):
+        samples = np.recarray(len(rows), dtype=SAMPLE_FIELDS)
+        samples.class_id, samples.predicted = np.array(rows, dtype=np.int64).reshape(-1, 2).T
+        samples.w_index, samples.excluded = -1, False
+        table = PrototypeTable([0], [[1.0]])
+        rec = TaskRunRecord(task=1, old_table=None, fresh_table=table, samples=samples)
+        want = reference_per_class_accuracy(rows)
+        assert rec.accuracy == (sum(p == c for c, p in rows) / len(rows) if rows else 0.0)
+        got = rec.per_class_accuracy()
+        assert list(got.items()) == list(want.items())
+        last = RunResult(config=RunConfig(), seed=0, tasks=[rec]).last_accuracy
+        assert np.float64(last).tobytes() == np.float64(np.mean(list(want.values()))).tobytes()
+
 
 class TestReplayAudit:
     @pytest.mark.parametrize("solver", ["analytic", "gd", "gd_with_queue", "none",

@@ -93,8 +93,10 @@ def golden_run(name):
 
 
 def _outputs(source, result):
-    samples = np.array([(rec.task, s.class_id, s.predicted, s.w_index, s.excluded)
-                        for rec in result.tasks for s in rec.samples], dtype=np.int64)
+    samples = np.concatenate([
+        np.column_stack([np.full(len(rec.samples), rec.task), rec.samples.class_id,
+                         rec.samples.predicted, rec.samples.w_index, rec.samples.excluded])
+        for rec in result.tasks]).astype(np.int64)
     final = [(rec.task, rec.projector_snapshots[-1])
              for rec in result.tasks if rec.projector_snapshots]
     with tempfile.TemporaryDirectory() as out:

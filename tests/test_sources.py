@@ -166,6 +166,21 @@ class TestDumpRoundTrip:
             DumpSource(path)
         assert err.value.code == "class_task"
 
+    def test_task_without_test_records_rejected(self, tmp_path):
+        # such a task would score an empty stream: accuracy 0.0 and nan means
+        from driftcomp.dump import SPLIT_TEST, SPLIT_TRAIN, write_dump
+        path = tmp_path / "bad.bin"
+        write_dump(path, [0, 1], [1, 2], [SPLIT_TRAIN] * 2, np.ones((2, 2)))
+        with pytest.raises(DumpFormatError, match="task 1 has no test records") as err:
+            DumpSource(path)
+        assert err.value.code == "empty"
+        # class 0's test record in space 1 does not test task 2
+        write_dump(path, [0, 1, 0], [1, 2, 1], [SPLIT_TRAIN, SPLIT_TRAIN, SPLIT_TEST],
+                   np.ones((3, 2)))
+        with pytest.raises(DumpFormatError, match="task 2 has no test records in space 2") as err:
+            DumpSource(path)
+        assert err.value.code == "empty"
+
     def test_empty_dump_rejected(self, tmp_path):
         from driftcomp.dump import write_dump
         path = tmp_path / "empty.bin"
@@ -200,6 +215,7 @@ class TestTrainMatrix:
 
     def test_rows_and_fresh_table_match_records(self, source):
         for t in range(1, source.num_tasks + 1):
+            assert (source.train_records(t).task_id == t).all()
             records = list(source.train_records(t))
             classes = source.classes_of_task(t)
             matrices = [source.train_matrix(t, c) for c in classes]
