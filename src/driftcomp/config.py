@@ -237,7 +237,15 @@ def load_config(path) -> RunConfig:
 
 
 def write_config(config: RunConfig, path) -> None:
+    """Write `config` as `load_config` reads it back. A value whose text
+    holds `#` (a comment), a line break, or leading or trailing whitespace
+    (which parsing strips) would not read back: it raises ConfigError,
+    naming the key, before the file is opened."""
     lines = [f"format_version = {CONFIG_FORMAT_VERSION}"]
-    lines += [f"{k} = {v}" for k, v in config.canonical_items()]
+    for key, value in config.canonical_items():
+        text = str(value)
+        if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+            raise ConfigError(f"key {key!r}: value {text!r} does not read back from a config file")
+        lines.append(f"{key} = {text}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -15,10 +15,10 @@ the next sample's slot. Predictions do not feed back into the fit, so the
 layout classifies its samples a chunk at a time, by stacked products that
 give each the bits and the errors of classifying it alone, in order, and
 hands them back at task end; an error raised by the fit classifies the
-staged samples first, so an earlier sample's error wins. A `PrototypeTable`
-is built once, at task end, for the drift similarity and the next task,
-from the old rows mapped again row by row. The replay audit stages the
-logged samples through the same layout.
+staged samples first, so an earlier sample's error wins. The table handed
+to the drift similarity and the next task is built once, at task end, by
+`projector.evolve_prototypes` under the last W, row by row. The replay
+audit stages the logged samples through the same layout.
 
 Each task's record logs the W of every solve in a `projector.SnapshotLog`:
 a full W for a direct solve and for the descent solvers, and for every
@@ -39,8 +39,8 @@ from .config import RunConfig
 from .core import PrototypeTable, _nearest_class, _row_norms, class_means
 from .drift_sim import true_drift_similarity
 from .errors import DegenerateInputError
-from .projector import (SnapshotLog, SolveCounts, WindowSolver, _Descent, _map_rows,
-                        _queue_gradient)
+from .projector import (SnapshotLog, SolveCounts, WindowSolver, _Descent, _queue_gradient,
+                        evolve_prototypes)
 from .queues import init_with_pseudo_features
 
 PHASES = ("queue", "solve", "predict")
@@ -241,21 +241,23 @@ def run_task_cycle(
     are classified against the final state and flagged `excluded`. The
     oracle streams nothing: it fits once by `_offline_gd` on the selected
     pairs (all pairs when none is selected) and classifies every pair, in
-    `source.test_pairs(t)` order, whatever `config.solver` says."""
+    `source.test_pairs(t)` order, whatever `config.solver` says. The table
+    handed on maps the old classes that no fresh class overrides under the
+    last W, by `evolve_prototypes`, and merges the fresh table in."""
     rec = TaskRunRecord(task=t, old_table=old_table, fresh_table=_fresh_table(source, t))
     pairs = source.test_pairs(t)
     layout = _TaskLayout(rec)
-    fit = None
+    fit = last = None   # last: the W of the last evolve
     w_index = -1
     if oracle:
         streamed, tail = [], pairs
         if old_table is not None:
             fit_pairs = [p for p in pairs if selected is None or p[0] in selected] or pairs
             q_old, q_new = (np.vstack([p[k] for p in fit_pairs]) for k in (1, 2))
-            weights = _offline_gd(q_old, q_new, config.gd_learning_rate, config.gd_optimizer)
-            rec.projector_snapshots.append(weights)
+            last = _offline_gd(q_old, q_new, config.gd_learning_rate, config.gd_optimizer)
+            rec.projector_snapshots.append(last)
             w_index = 0
-            layout.evolve(weights)
+            layout.evolve(last)
     else:
         streamed = [pairs[i] for i in _stream_order(len(pairs), config.seed, t)]
         tail = []
@@ -287,6 +289,7 @@ def run_task_cycle(
                 if weights is not None:
                     w_index = len(rec.projector_snapshots) - 1
                     layout.evolve(weights)
+                    last = weights
             except Exception:
                 layout.predictions()   # an earlier sample's error wins
                 raise
@@ -310,7 +313,12 @@ def run_task_cycle(
     samples.predicted = predicted
     samples.excluded = selected is not None and ~np.isin(samples.class_id, list(selected))
 
-    table = layout.table()
+    table = rec.fresh_table
+    if old_table is not None and last is not None:
+        kept = [c for c in old_table.class_ids if c not in table]
+        table = evolve_prototypes(old_table, last, kept).merged_with(table)
+    elif old_table is not None:
+        table = old_table.merged_with(table)
     if fit is not None and fit.window is not None:
         rec.solve_counts = fit.window.counts
     fitted = fit is not None or (oracle and old_table is not None)
@@ -359,12 +367,6 @@ class _TaskLayout:
     `_nearest_class`, so it raises the error of its first sample that has
     one. A feature of the wrong shape first classifies the staged samples,
     then raises `_nearest_class`'s error on its own slot.
-
-    `table`, which seeds the next task, maps the old rows again through
-    `projector._map_rows`, so the rows a task hands on keep its per-row bits
-    below HELD_MIN_DIMENSION: "gd_with_queue" turns a last-bit difference
-    there into a different projector (CHANGES.md). It raises the images'
-    error for a W no sample was classified under.
     """
 
     def __init__(self, rec: TaskRunRecord):
@@ -386,7 +388,6 @@ class _TaskLayout:
             positions = slice(positions[0], positions[-1] + 1)
         self.positions = positions
         self.old_rows = self.stale[positions]
-        self.weights: Optional[np.ndarray] = None   # the last evolve's, None for the stale rows
         self.moved = False    # whether any evolve has written images under a W
         self.count = 0        # staged samples not yet classified
         self.source = 0       # the slot that holds the current images
@@ -394,9 +395,7 @@ class _TaskLayout:
 
     def evolve(self, weights: Optional[np.ndarray]) -> None:
         """Write the old rows' images under the projector `weights` (None
-        restores the stale rows) into the next sample's slot. `table` maps
-        them again under the same array, so it must hold the same W until
-        then."""
+        restores the stale rows) into the next sample's slot."""
         n = self.count
         if weights is None:
             self.slots[n, self.positions] = self.old_rows
@@ -408,7 +407,6 @@ class _TaskLayout:
                 self.slots[n, self.positions] = self.old_rows @ weights
             self.moved = True
         self.source = n
-        self.weights = weights
 
     def stage(self, feature: np.ndarray) -> None:
         """Stage `feature` to be classified against the current images."""
@@ -465,14 +463,6 @@ class _TaskLayout:
         if not (low > 0.0 and norms.max() < np.inf) and not np.isfinite(images).all():
             raise DegenerateInputError("evolved prototype contains non-finite components")
         return matrix, norms, not low > 0.0
-
-    def table(self) -> PrototypeTable:
-        """The held table as a PrototypeTable of its own, with the old rows
-        mapped by `_map_rows` under the last evolve's W."""
-        matrix = self.stale.copy()
-        if self.weights is not None:
-            matrix[self.positions] = _map_rows(self.old_rows, self.weights)
-        return PrototypeTable._from_checked_rows(self.class_ids, matrix)
 
 
 def _offline_gd(q_old: np.ndarray, q_new: np.ndarray, learning_rate: float,

@@ -23,9 +23,7 @@ COND_THRESHOLD = 1e12   # see solve_normal_equations
 DEFAULT_MIN_RIDGE = 1e-8
 
 # From this dimension on, the analytic window holds a factor between
-# refactors (held_rows_cap) and the table a task hands on is mapped by one
-# gemm (_map_rows). Below it every solve refactors, and that table keeps the
-# per-row arithmetic bit for bit.
+# refactors (held_rows_cap); below it every solve refactors.
 HELD_MIN_DIMENSION = 64
 
 
@@ -430,45 +428,27 @@ def _queue_gradient(q_old: np.ndarray, q_new: np.ndarray, weights: np.ndarray) -
     return (2.0 / q_old.shape[0]) * (q_old.T @ (q_old @ weights - q_new))
 
 
-def _map_rows(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Each row v of the (k, d) `rows` mapped to v @ weights; raises
-    DegenerateInputError if any image is non-finite.
-
-    From HELD_MIN_DIMENSION on, the rows go through one (k, d) @ (d, d)
-    matrix product (gemm). Below it, they go through one stacked
-    (k, 1, d) @ (d, d) product, which numpy runs as k vector-matrix products
-    (gemv), the same kernel as `v @ W` on one row, so every image is
-    bit-identical to mapping its row alone: gemm rounds differently, and
-    the descent of "gd_with_queue" turns a last-bit difference into a
-    different prediction of the next task (CHANGES.md). Each gemm image is
-    within the forward-error bound 2 d eps (|v| @ |W|) of the per-row one
-    (Higham, Accuracy and Stability of Numerical Algorithms, 3.5). `weights`
-    is read in C order, as the solve returns it: a Fortran-order array
-    selects a transposed kernel that also rounds differently.
-
-    It maps the tables a task hands on (`engine._TaskLayout.table`) and
-    `evolve_prototypes`; the per-sample images map by gemm at every d.
-    """
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    if rows.shape[1] >= HELD_MIN_DIMENSION:
-        images = rows @ weights
-    else:
-        images = (rows[:, None, :] @ weights)[:, 0, :]
-    if not np.isfinite(images).all():
-        raise DegenerateInputError("evolved prototype contains non-finite components")
-    return images
-
-
 def evolve_prototypes(
     prototypes: PrototypeTable,
     weights: np.ndarray,
     old_classes,
 ) -> PrototypeTable:
     """Replace the prototypes of `old_classes` by their image under the
-    d x d projector `weights`.
+    d x d projector `weights`; raises DegenerateInputError if any image is
+    non-finite.
 
     Always maps from the table passed in (never re-projects an already
     evolved prototype). Returns a new table, leaving the input untouched.
+    The engine builds the table each task hands on with it.
+
+    The rows go through one stacked (k, 1, d) @ (d, d) product, which numpy
+    runs as k vector-matrix products (gemv), the same kernel as `v @ W` on
+    one row, so every image is bit-identical to mapping its row alone: one
+    (k, d) @ (d, d) gemm rounds differently, and the descent of
+    "gd_with_queue" turns a last-bit difference into a different prediction
+    of the next task (CHANGES.md). `weights` is read in C order, as the
+    solve returns it: a Fortran-order array selects a transposed kernel
+    that also rounds differently.
     """
     old_classes = set(old_classes)
     for c in sorted(old_classes):
@@ -483,5 +463,8 @@ def evolve_prototypes(
     class_ids = prototypes.class_ids
     rows = [i for i, c in enumerate(class_ids) if c in old_classes]
     matrix = prototypes.matrix().copy()
-    matrix[rows] = _map_rows(matrix[rows], weights)
+    images = (matrix[rows][:, None] @ np.ascontiguousarray(weights, dtype=np.float64))[:, 0]
+    if not np.isfinite(images).all():
+        raise DegenerateInputError("evolved prototype contains non-finite components")
+    matrix[rows] = images
     return PrototypeTable._from_checked_rows(class_ids, matrix)

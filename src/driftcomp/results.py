@@ -27,6 +27,12 @@ SUMMARY_FORMAT_VERSION = 2
 RESULT_COLUMNS = ("run_id", "seed", "solver", "task", "metric", "value")
 
 
+def _metric(value: float):
+    """A summary metric as JSON holds it: rounded, and null when not finite
+    (a single-task run has no old classes), which strict parsers accept."""
+    return round(value, 10) if np.isfinite(value) else None
+
+
 def run_id(result: RunResult) -> str:
     suffix = "-oracle" if result.oracle else ""
     return f"{result.config.config_hash()}-s{result.seed}{suffix}"
@@ -104,10 +110,10 @@ def emit_results(results: Sequence[RunResult], out_dir, sources: Sequence) -> Di
             "oracle": result.oracle,
             "config": {k: v for k, v in result.config.canonical_items()},
             "config_hash": result.config.config_hash(),
-            "per_task_accuracy": [round(a, 10) for a in result.per_task_accuracy],
-            "last_accuracy": round(result.last_accuracy, 10),
-            "old_accuracy": round(old_acc, 10),
-            "new_accuracy": round(new_acc, 10),
+            "per_task_accuracy": [_metric(a) for a in result.per_task_accuracy],
+            "last_accuracy": _metric(result.last_accuracy),
+            "old_accuracy": _metric(old_acc),
+            "new_accuracy": _metric(new_acc),
         }
         path = os.path.join(out_dir, f"summary_{rid}.json")
         with open(path, "w") as fh:
@@ -115,6 +121,11 @@ def emit_results(results: Sequence[RunResult], out_dir, sources: Sequence) -> Di
             fh.write("\n")
         paths[f"summary_{rid}"] = path
     return paths
+
+
+def _read_metric(value) -> float:
+    """A summary metric as a float: null, written for a non-finite one, is NaN."""
+    return np.nan if value is None else float(value)
 
 
 def aggregate_report(summary_paths: Iterable[str], out_path) -> str:
@@ -132,9 +143,9 @@ def aggregate_report(summary_paths: Iterable[str], out_path) -> str:
             if version != SUMMARY_FORMAT_VERSION:
                 raise ValueError(f"format_version {version!r}, expected {SUMMARY_FORMAT_VERSION}")
             key = summary["config_hash"] + ("-oracle" if summary["oracle"] else "")
-            metrics = [(m, float(summary[m]))
+            metrics = [(m, _read_metric(summary[m]))
                        for m in ("last_accuracy", "old_accuracy", "new_accuracy")]
-            metrics += [(f"task_{t}_accuracy", float(acc))
+            metrics += [(f"task_{t}_accuracy", _read_metric(acc))
                         for t, acc in enumerate(summary["per_task_accuracy"], start=1)]
         except (ValueError, KeyError, TypeError) as exc:
             raise SummaryFormatError(f"{path}: not a run summary: {exc!r}") from None

@@ -25,9 +25,17 @@ which any sequence of sample records supports, so the lines of two trees
 compare however each holds its samples:
 
     PYTHONPATH=src python tests/fingerprint.py --workloads
+
+With `--check` it recomputes the lines committed in
+`tests/golden/fingerprints.txt`, the `--all` lines then the `--workloads`
+lines, prints each line that differs, as committed and as recomputed, and
+exits 1 if any does, 0 if all match:
+
+    PYTHONPATH=src python tests/fingerprint.py --check
 """
 
 import hashlib
+import itertools
 import os
 import sys
 import tempfile
@@ -45,6 +53,8 @@ from test_golden import RESULT_FILES, RUNS, _outputs, golden_run
 PERFBENCH = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                                           "perfbench"))
 WORKLOAD_SEEDS = range(4)
+GOLDEN_FILE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                           "fingerprints.txt")
 
 
 def _snapshot_digest(digest, result) -> None:
@@ -86,22 +96,51 @@ def workload_fingerprints(seeds=WORKLOAD_SEEDS):
             yield name, seed, digest.hexdigest()
 
 
+def run_lines(names):
+    """The `--all` line of each golden run in `names`."""
+    for name in names:
+        yield f"{name} {fingerprint(name)}"
+
+
+def workload_lines():
+    """The `--workloads` lines."""
+    for name, seed, digest in workload_fingerprints():
+        yield f"{name} seed {seed} {digest}"
+
+
+def check(path=GOLDEN_FILE) -> int:
+    """Recompute the lines of the fingerprint file `path`, print each that
+    differs, and return 1 if any does, else 0."""
+    with open(path) as fh:
+        committed = fh.read().splitlines()
+    recomputed = itertools.chain(run_lines(sorted(RUNS)), workload_lines())
+    status = 0
+    for want, got in itertools.zip_longest(committed, recomputed, fillvalue="(no line)"):
+        if want != got:
+            print(f"committed:  {want}\nrecomputed: {got}")
+            status = 1
+    return status
+
+
 def main(args):
     """Print the fingerprint of each run named in `args`, of every run for
     ["--all"], or of every benchmark workload at seeds 0-3 for
-    ["--workloads"]; returns the exit status, 2 for no or unknown names."""
+    ["--workloads"], or check them all against the committed file for
+    ["--check"]; returns the exit status, 2 for no or unknown names."""
     if args == ["--workloads"]:
-        for name, seed, digest in workload_fingerprints():
-            print(f"{name} seed {seed} {digest}")
+        for line in workload_lines():
+            print(line)
         return 0
+    if args == ["--check"]:
+        return check()
     names = sorted(RUNS) if args == ["--all"] else args
     unknown = [name for name in names if name not in RUNS]
     if not names or unknown:
-        print("usage: tests/fingerprint.py --all | --workloads | RUN [RUN ...]\nruns: "
+        print("usage: tests/fingerprint.py --all | --workloads | --check | RUN [RUN ...]\nruns: "
               + " ".join(sorted(RUNS)), file=sys.stderr)
         return 2
-    for name in names:
-        print(f"{name} {fingerprint(name)}")
+    for line in run_lines(names):
+        print(line)
     return 0
 
 

@@ -155,6 +155,20 @@ class TestRoundTripAndHash:
         assert loaded == cfg
         assert loaded.config_hash() == cfg.config_hash()
 
+    @pytest.mark.parametrize("key, value", [
+        ("dump_path", "/data/run#1/f.bin"), ("output_dir", "out # x "), ("output_dir", " out"),
+        ("output_dir", "out\t"), ("dump_path", "a\nb"), ("output_dir", "a\rb"),
+        ("output_dir", "a\u2028b"),
+    ])
+    def test_values_that_do_not_read_back_rejected(self, tmp_path, key, value):
+        # a comment, a line break or stripped whitespace would change the
+        # value read back, so nothing is written
+        cfg = RunConfig(source="dump", dump_path="f.bin").replace(**{key: value})
+        path = tmp_path / "run.cfg"
+        with pytest.raises(ConfigError, match=key):
+            write_config(cfg, path)
+        assert not path.exists()
+
     def test_hash_stable_and_sensitive(self):
         a = RunConfig()
         assert a.config_hash() == RunConfig().config_hash()

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftcomp.config import RunConfig, load_config
-from driftcomp import projector
+from driftcomp import engine, projector
 from driftcomp.core import PrototypeTable, _nearest_class, _row_norms, ncm_predict
 from driftcomp.engine import (
     SAMPLE_FIELDS,
@@ -22,6 +22,7 @@ from driftcomp.engine import (
     replay_audit,
     run_engine,
     run_gd_oracle,
+    run_task_cycle,
 )
 from driftcomp.errors import DegenerateInputError, DimensionError, SingularGramError
 from driftcomp.projector import (
@@ -570,8 +571,7 @@ def assert_same_bits(got, want):
 
 def reference_table(rec, w_index):
     """Old prototypes evolved through snapshot `w_index`, merged with the
-    fresh ones, built with the public table operations: the per-row bits
-    below d = 64."""
+    fresh ones, built with the public table operations: the per-row bits."""
     old = rec.old_table
     if old is None:
         return rec.fresh_table
@@ -607,9 +607,8 @@ def classify(layout, features):
 
 def assert_layout_holds(layout, rec, w_index):
     """The held arrays against tables built from scratch: the matrix bit for
-    bit as one gemm maps the old rows, the norms and zero-norm flag as
-    np.linalg.norm gives them, and the table handed on bit for bit as
-    evolve_prototypes maps the old rows."""
+    bit as one gemm maps the old rows, and the norms and zero-norm flag as
+    np.linalg.norm gives them."""
     want = gemm_table(rec, w_index)
     matrix, held_norms, zero_norm = held(layout)
     assert layout.class_ids == want.class_ids
@@ -617,9 +616,6 @@ def assert_layout_holds(layout, rec, w_index):
     norms = np.linalg.norm(matrix, axis=1)
     assert_same_bits(held_norms, norms)
     assert zero_norm == bool(np.any(norms == 0.0))
-    table = layout.table()
-    assert table.class_ids == layout.class_ids
-    assert_same_bits(table.matrix(), reference_table(rec, w_index).matrix())
 
 
 def random_record(rng, d, old_classes=30, fresh_classes=8, overlap=3):
@@ -693,15 +689,9 @@ class TestTaskLayout:
         layout = _TaskLayout(rec)
         layout.evolve(rec.projector_snapshots[0])
         assert_layout_holds(layout, rec, 0)
-        table = layout.table()
-        assert table.class_ids == (0, 2, 5, 7, 9)
+        table = reference_table(rec, 0)
+        assert table.class_ids == layout.class_ids == (0, 2, 5, 7, 9)
         np.testing.assert_array_equal(table.prototype(2), fresh.prototype(2))
-        # the table is a copy: a later solve leaves it as it was
-        weights = rec.projector_snapshots[0]
-        rec.projector_snapshots[0] = np.zeros((4, 4))
-        layout.evolve(rec.projector_snapshots[0])
-        rec.projector_snapshots[0] = weights
-        assert_same_bits(table.matrix(), reference_table(rec, 0).matrix())
 
     def test_kept_block_after_fresh_rows(self):
         # the kept old rows are one block at rows 2-4 of the merged table
@@ -730,7 +720,7 @@ class TestTaskLayout:
             assert_layout_holds(layout, rec, w_index)
             _, norms, zero_norm = held(layout)
             assert zero_norm and (norms[:3] > 0.0).all()
-            table = layout.table()
+            table = reference_table(rec, w_index)
             for predict in (lambda f: classify(layout, [f])[0], lambda f: ncm_predict(f, table)):
                 with pytest.raises(DegenerateInputError) as info:
                     predict(rng.standard_normal(4))
@@ -747,6 +737,66 @@ class TestHandOff:
             want = reference_table(prev, len(prev.projector_snapshots) - 1)
             assert rec.old_table.class_ids == want.class_ids
             assert_same_bits(rec.old_table.matrix(), want.matrix())
+
+    def test_wide_old_table_is_a_per_row_loop(self):
+        # at d = 128 too, each old row is handed on as `v @ W` alone maps it
+        _, result = run_with(engine_config(num_tasks=3, dimension=128, queue_capacity=300))
+        prev, rec = result.tasks[1], result.tasks[2]
+        weights = prev.projector_snapshots[-1]
+        rows = [prev.old_table.prototype(c) @ weights for c in prev.old_table.class_ids]
+        want = PrototypeTable(prev.old_table.class_ids, rows).merged_with(prev.fresh_table)
+        assert rec.old_table.class_ids == want.class_ids
+        assert_same_bits(rec.old_table.matrix(), want.matrix())
+
+
+class OverridingSource:
+    """One task whose fresh classes `fresh_ids` may override old classes:
+    five train rows and four test pairs per class."""
+
+    def __init__(self, fresh_ids, d, seed):
+        rng = np.random.default_rng(seed)
+        self.train = {c: rng.standard_normal((5, d)) + 3.0 for c in fresh_ids}
+        self.pairs = [(c, *rng.standard_normal((2, d)) + 3.0) for c in fresh_ids for _ in range(4)]
+
+    def classes_of_task(self, t):
+        return sorted(self.train)
+
+    def train_matrix(self, t, c):
+        return self.train[c]
+
+    def test_pairs(self, t):
+        return self.pairs
+
+
+class TestRunTaskCycleTable:
+    """The table run_task_cycle hands on when fresh classes override old ones."""
+
+    def test_kept_old_rows_mapped_under_the_last_w(self):
+        rng = np.random.default_rng(7)
+        old = PrototypeTable([0, 2, 5, 9], rng.standard_normal((4, 8)) + 3.0)
+        source = OverridingSource([2, 9, 11], 8, seed=8)
+        # 12 samples, solved after the 5th and 10th: the last two samples
+        # solve nothing, and the table keeps the second solve's W
+        config = engine_config(dimension=8, solver="analytic", resolve_stride=5)
+        table, rec = run_task_cycle(source, config, 2, old)
+        assert len(rec.projector_snapshots) == 2
+        weights = rec.projector_snapshots[-1]
+        assert table.class_ids == (0, 2, 5, 9, 11)
+        for c in (0, 5):
+            assert_same_bits(table.prototype(c), old.prototype(c) @ weights)
+        for c in (2, 9, 11):
+            assert_same_bits(table.prototype(c), rec.fresh_table.prototype(c))
+
+    def test_every_old_class_overridden_under_a_non_finite_w(self, monkeypatch):
+        # no old row is mapped, so the non-finite W raises nothing
+        old = PrototypeTable([1, 3], np.random.default_rng(9).standard_normal((2, 8)))
+        source = OverridingSource([1, 3, 4], 8, seed=10)
+        monkeypatch.setattr(engine, "_offline_gd", lambda *args: np.full((8, 8), np.nan))
+        table, rec = run_task_cycle(source, engine_config(dimension=8), 2, old, oracle=True)
+        assert np.isnan(rec.projector_snapshots[0]).all()
+        assert table.class_ids == rec.fresh_table.class_ids
+        assert_same_bits(table.matrix(), rec.fresh_table.matrix())
+        assert len(rec.samples) == 12
 
 
 class TestGemmImages:
@@ -767,7 +817,7 @@ class TestGemmImages:
             weights = random_snapshot(rng, d)
             rec.projector_snapshots[0] = weights
             layout.evolve(rec.projector_snapshots[0])
-            table = layout.table()
+            table = reference_table(rec, 0)
             per_row = table.matrix()
             bound = 2 * d * eps * (np.abs(layout.old_rows) @ np.abs(weights))
             matrix, _, zero_norm = held(layout)
@@ -832,7 +882,7 @@ class TestEvolveChecks:
         assert_same_bits(layout._held(0)[1], norms)
         assert layout._held(0)[2] == zero_norm
         with pytest.raises(DegenerateInputError, match="evolved prototype"):
-            layout.table()
+            reference_table(rec, 0)
 
     def test_zero_norm_image_sets_the_flag(self):
         rng = np.random.default_rng(2)
@@ -874,7 +924,6 @@ class TestEvolveChecks:
                 matrix, _, zero_norm = held(layout)
                 assert not zero_norm
                 assert_same_bits(matrix, fresh.matrix())
-                assert_same_bits(layout.table().matrix(), fresh.matrix())
 
 
 def former_ncm_predict(feature, table):
@@ -908,7 +957,7 @@ class TestLayoutPredict:
         layout = _TaskLayout(rec)
         for w_index in (-1, 0, 1):
             layout.evolve(snapshot(rec, w_index))
-            table = layout.table()
+            table = reference_table(rec, w_index)
             if d > 1:   # at d = 1 every row of the feature's sign ties
                 assert classify(layout, [table.matrix()[table.class_ids.index(14)]]) == [4]
             strided = np.zeros((10, 2 * d))

@@ -298,14 +298,12 @@ class TestCholeskyNorm:
 
 
 class TestStackedEvolve:
-    """evolve_prototypes maps all old rows in one product. Below
-    HELD_MIN_DIMENSION every image must equal the one-row product `v @ W`
-    bit for bit; from there on the product is one gemm, and every image is
-    held to gemm's forward-error bound against the one-row products."""
+    """evolve_prototypes maps all old rows in one stacked product, and at
+    every d each image must equal the one-row product `v @ W` bit for bit."""
 
     @staticmethod
     def evolved(d, n_classes, log_scale, old_fraction, seed):
-        """(evolve_prototypes' matrix, the per-row products, |P| @ |W|)."""
+        """(evolve_prototypes' matrix, the per-row products)."""
         rng = np.random.default_rng(seed)
         matrix = 10.0 ** log_scale * rng.standard_normal((n_classes, d))
         class_ids = rng.choice(10 * n_classes, size=n_classes, replace=False)
@@ -317,32 +315,18 @@ class TestStackedEvolve:
 
         assert out.class_ids == table.class_ids
         expected = table.matrix().copy()
-        scale = np.zeros_like(expected)
         for i, c in enumerate(table.class_ids):
             if c in old:
-                scale[i] = np.abs(expected[i]) @ np.abs(weights)
                 expected[i] = expected[i] @ weights
-        return out.matrix(), expected, scale
+        return out.matrix(), expected
 
-    @pytest.mark.parametrize("d", [1, 8, 32])
+    @pytest.mark.parametrize("d", [1, 8, 32, 128, 512])
     @settings(max_examples=25, deadline=None)
     @given(n_classes=st.integers(1, 100), log_scale=st.floats(-3.0, 3.0),
            old_fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 31 - 1))
     def test_matches_per_row_products(self, d, n_classes, log_scale, old_fraction, seed):
-        got, expected, _ = self.evolved(d, n_classes, log_scale, old_fraction, seed)
+        got, expected = self.evolved(d, n_classes, log_scale, old_fraction, seed)
         assert np.array_equal(got, expected)
-
-    @pytest.mark.parametrize("d", [128, 512])
-    @settings(max_examples=25, deadline=None)
-    @given(n_classes=st.integers(1, 100), log_scale=st.floats(-3.0, 3.0),
-           old_fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 31 - 1))
-    def test_within_gemm_error_bound_of_per_row_products(self, d, n_classes, log_scale,
-                                                         old_fraction, seed):
-        # Higham, Accuracy and Stability of Numerical Algorithms, 3.5: each
-        # computed entry of a product is within d eps (|P| |W|) of the exact
-        # one, so two summation orders are within 2 d eps of each other
-        got, expected, scale = self.evolved(d, n_classes, log_scale, old_fraction, seed)
-        assert np.all(np.abs(got - expected) <= 2 * d * np.finfo(float).eps * scale)
 
 
 class TestRankKUpdateOutput:

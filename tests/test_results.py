@@ -129,3 +129,24 @@ class TestReport:
             fh.readline()
             rows = list(csv.DictReader(fh))
         assert all(float(r["std"]) == 0.0 for r in rows)
+
+
+class TestSingleTaskSummary:
+    def test_non_finite_metric_written_as_null(self, tmp_path):
+        # one task has no old classes: its old accuracy is NaN
+        source, result = one_result(small_config(num_tasks=1))
+        path = emit_results([result], tmp_path, sources=[source])[f"summary_{run_id(result)}"]
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        with open(path) as fh:
+            summary = json.load(fh, parse_constant=reject)
+        assert summary["old_accuracy"] is None
+        assert 0.0 <= summary["new_accuracy"] <= 1.0
+        report_path = tmp_path / "report.csv"
+        aggregate_report([path], report_path)
+        with open(report_path) as fh:
+            fh.readline()
+            rows = {r["metric"]: r for r in csv.DictReader(fh)}
+        assert (rows["old_accuracy"]["mean"], rows["old_accuracy"]["std"]) == ("nan", "nan")
