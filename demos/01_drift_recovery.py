@@ -12,15 +12,14 @@ from driftcomp import (
     DriftSpec,
     PrototypeTable,
     QueuePair,
-    SyntheticScenario,
     class_means,
     evolve_prototypes,
-    generate_scenario,
     solve_normal_equations,
     true_drift_similarity,
 )
+from driftcomp.sources import SyntheticSource
 
-spec = SyntheticScenario(
+scenario = SyntheticSource(
     num_tasks=2,
     classes_per_task=(5, 5),
     dimension=16,
@@ -29,18 +28,17 @@ spec = SyntheticScenario(
     drift_schedule=(DriftSpec(kind="general_affine", magnitude=0.6),),
     seed=7,
 )
-scenario = generate_scenario(spec)
 dmap = scenario.drift_map(2)
 
 q_old = np.vstack([scenario.train_matrix(1, c) for c in range(10)])
 q_new = np.vstack([scenario.train_matrix(2, c) for c in range(10)])
-pair = QueuePair(spec.dimension, q_old.shape[0])
+pair = QueuePair(scenario.dimension, q_old.shape[0])
 pair.push(q_old, q_new)
 
 weights, gram_condition, _ = solve_normal_equations(pair.gram, pair.cross)
 rel = np.linalg.norm(weights - dmap.projector_target) / np.linalg.norm(dmap.projector_target)
 residual = np.sum((q_old @ weights - q_new) ** 2) / q_old.shape[0]
-print(f"fitted {q_old.shape[0]} paired features in d={spec.dimension}")
+print(f"fitted {q_old.shape[0]} paired features in d={scenario.dimension}")
 print(f"relative error vs true map: {rel:.2e}")
 print(f"fit residual: {residual:.2e}  gram condition: {gram_condition:.1f}")
 

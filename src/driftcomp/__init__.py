@@ -9,7 +9,9 @@ Library layers:
   projector  the drift projector's one solve: Cholesky on the queues' normal
              equations, updated by the rows that moved; prototype evolution
   toy        desk-scale trainer with distillation / contrastive losses
-  drift_sim  synthetic scenarios with ground-truth drift maps
+  drift_sim  ground-truth drift maps, class splits, drift similarity
+  sources    synthetic scenarios (drawn with their drift maps), toy and
+             dump feature sources behind one interface
   engine     streaming task-cycle orchestration and metrics
   dump       binary feature-dump format
   cli        command-line entry points
@@ -17,13 +19,7 @@ Library layers:
 
 from .config import RunConfig, load_config, parse_config_text, write_config
 from .core import PrototypeTable, class_means, ncm_predict
-from .drift_sim import (
-    DriftSpec,
-    GeneratedScenario,
-    SyntheticScenario,
-    generate_scenario,
-    true_drift_similarity,
-)
+from .drift_sim import DriftSpec, true_drift_similarity
 from .engine import RunResult, replay_audit, run_engine, run_gd_oracle, run_task_cycle
 from .errors import (
     ConfigError,

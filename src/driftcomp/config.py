@@ -10,15 +10,9 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .drift_sim import (
-    DRIFT_KINDS,
-    DriftSpec,
-    SyntheticScenario,
-    cold_start_split,
-    warm_start_split,
-)
+from .drift_sim import DRIFT_KINDS, cold_start_split, warm_start_split
 from .errors import ConfigError
 
 CONFIG_FORMAT_VERSION = 1
@@ -137,27 +131,6 @@ class RunConfig:
                 f"classes_per_task lists {len(parts)} tasks but num_tasks={self.num_tasks}"
             )
         return tuple(parts)
-
-    def scenario(self, seed: Optional[int] = None) -> SyntheticScenario:
-        """The synthetic scenario described by this config."""
-        if self.source != "synthetic":
-            raise ConfigError(f"scenario() requires source=synthetic, not {self.source!r}")
-        spec = DriftSpec(
-            kind=self.drift_kind,
-            magnitude=self.drift_magnitude,
-            scale=self.drift_scale,
-            observation_noise=self.observation_noise,
-        )
-        return SyntheticScenario(
-            num_tasks=self.num_tasks,
-            classes_per_task=self.class_counts(),
-            dimension=self.dimension,
-            cluster_separation=self.cluster_separation,
-            train_per_class=self.train_per_class,
-            test_per_class=self.test_per_class,
-            drift_schedule=tuple(spec for _ in range(self.num_tasks - 1)),
-            seed=self.seed if seed is None else seed,
-        )
 
     def canonical_items(self):
         for f in dataclasses.fields(self):

@@ -1,14 +1,16 @@
-"""Synthetic scenario generator with ground-truth drift transforms.
+"""Ground-truth drift transforms for synthetic scenarios, the class splits
+of a task sequence, and the drift-similarity score against a known map.
 
-Class clusters live in a base feature space; each task boundary applies a
-known global transform to every feature (emulating an encoder update), so
-drift-compensation quality is exactly measurable against the stored map.
+`sources.SyntheticSource` draws the scenarios: class clusters in a base
+feature space, each task boundary applying one `DriftMap` to every feature
+(emulating an encoder update), so drift-compensation quality is exactly
+measurable against the stored map.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -135,119 +137,6 @@ def task_class_ids(counts: Sequence[int]) -> List[Tuple[int, ...]]:
     """Each task's class ids: consecutive ranges, so tasks never share one."""
     ends = np.cumsum(counts, dtype=int).tolist()
     return [tuple(range(end - count, end)) for count, end in zip(counts, ends)]
-
-
-@dataclass(frozen=True)
-class SyntheticScenario:
-    """Full declarative description of a synthetic task sequence."""
-
-    num_tasks: int
-    classes_per_task: Sequence[int]
-    dimension: int
-    cluster_separation: float = 4.0
-    train_per_class: int = 50
-    test_per_class: int = 20
-    drift_schedule: Sequence[DriftSpec] = field(default_factory=tuple)
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "classes_per_task", tuple(self.classes_per_task))
-        object.__setattr__(self, "drift_schedule", tuple(self.drift_schedule))
-        if self.num_tasks < 1:
-            raise ValueError("num_tasks must be at least 1")
-        if len(self.classes_per_task) != self.num_tasks:
-            raise ValueError(
-                f"classes_per_task has {len(self.classes_per_task)} entries for "
-                f"{self.num_tasks} tasks"
-            )
-        if any(c <= 0 for c in self.classes_per_task):
-            raise ValueError("every task needs at least one class")
-        if self.drift_schedule and len(self.drift_schedule) != self.num_tasks - 1:
-            raise ValueError(
-                f"drift_schedule needs {self.num_tasks - 1} boundary entries, "
-                f"got {len(self.drift_schedule)}"
-            )
-
-    @property
-    def total_classes(self) -> int:
-        return sum(self.classes_per_task)
-
-
-class GeneratedScenario:
-    """Realized scenario: features of every sample in every task's space.
-
-    Spaces are 1-based; space t is the feature space after learning task t.
-    `drift_maps[t]` is the ground-truth map applied at boundary t-1 -> t.
-    """
-
-    def __init__(self, spec: SyntheticScenario):
-        self.spec = spec
-        rng = np.random.default_rng(spec.seed)
-        d = spec.dimension
-        total = spec.total_classes
-
-        self.task_classes = task_class_ids(spec.classes_per_task)
-
-        means = spec.cluster_separation * rng.standard_normal((total, d))
-        # base-space samples per class: [class][split] -> (m, d)
-        base_train = {c: means[c] + rng.standard_normal((spec.train_per_class, d)) for c in range(total)}
-        base_test = {c: means[c] + rng.standard_normal((spec.test_per_class, d)) for c in range(total)}
-
-        schedule = spec.drift_schedule or tuple(DriftSpec() for _ in range(spec.num_tasks - 1))
-        self.drift_maps: Dict[int, DriftMap] = {}
-        # features_per_space[space][split][class] -> (m, d)
-        self._train: List[Dict[int, np.ndarray]] = [base_train]
-        self._test: List[Dict[int, np.ndarray]] = [base_test]
-        for t in range(2, spec.num_tasks + 1):
-            dspec = schedule[t - 2]
-            dmap = realize_drift(dspec, d, rng)
-            self.drift_maps[t] = dmap
-            prev_train, prev_test = self._train[-1], self._test[-1]
-            new_train, new_test = {}, {}
-            for c in range(total):
-                new_train[c] = dmap.apply(prev_train[c])
-                new_test[c] = dmap.apply(prev_test[c])
-                if dspec.observation_noise > 0:
-                    new_train[c] = new_train[c] + dspec.observation_noise * rng.standard_normal(
-                        new_train[c].shape
-                    )
-                    new_test[c] = new_test[c] + dspec.observation_noise * rng.standard_normal(
-                        new_test[c].shape
-                    )
-            self._train.append(new_train)
-            self._test.append(new_test)
-
-    @property
-    def num_tasks(self) -> int:
-        return self.spec.num_tasks
-
-    @property
-    def dimension(self) -> int:
-        return self.spec.dimension
-
-    def classes_of_task(self, t: int) -> Tuple[int, ...]:
-        return self.task_classes[t - 1]
-
-    def seen_classes(self, t: int) -> Tuple[int, ...]:
-        out: List[int] = []
-        for i in range(1, t + 1):
-            out.extend(self.task_classes[i - 1])
-        return tuple(out)
-
-    def train_matrix(self, space: int, class_id: int) -> np.ndarray:
-        return self._train[space - 1][class_id]
-
-    def test_matrix(self, space: int, class_id: int) -> np.ndarray:
-        return self._test[space - 1][class_id]
-
-    def drift_map(self, t: int) -> DriftMap:
-        """Ground-truth map applied at boundary t-1 -> t (t >= 2)."""
-        return self.drift_maps[t]
-
-
-def generate_scenario(spec: SyntheticScenario) -> GeneratedScenario:
-    """Realize a SyntheticScenario; deterministic from its seed."""
-    return GeneratedScenario(spec)
 
 
 def true_drift_similarity(

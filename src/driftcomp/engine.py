@@ -134,25 +134,25 @@ class RunResult:
 class _StreamFit:
     """Drift-projector fit over one task's stream of (old, new) feature pairs.
 
-    "analytic" and "gd_with_queue" push through a WindowSolver into paired
-    queues pre-filled with pseudo-features and re-solve every
-    `resolve_stride` samples, "analytic" by the window's solve and
-    "gd_with_queue" from the queued rows; "gd" descends on each pair alone,
-    as a one-row queue, at every sample. Each solve's W goes to `log`,
-    which the task record holds.
+    "analytic" and "gd_with_queue" push into paired queues pre-filled with
+    pseudo-features and re-solve every `resolve_stride` samples, "analytic"
+    through a WindowSolver over the queue and "gd_with_queue" from the
+    queued rows; "gd" descends on each pair alone, as a one-row queue, at
+    every sample. Each solve's W goes to `log`, which the task record holds.
     """
 
     def __init__(self, config: RunConfig, old_table: PrototypeTable, rng_seed: int):
         self.config = config
         self.descent = _Descent(np.eye(old_table.dimension), config.gd_learning_rate,
                                 config.gd_optimizer)
-        self.window = None
+        self.queue = self.window = None
         if config.solver != "gd":
-            queue = init_with_pseudo_features(
+            self.queue = init_with_pseudo_features(
                 old_table, capacity=config.queue_capacity,
                 noise_scale=config.noise_scale, rng_seed=rng_seed,
             )
-            self.window = WindowSolver(queue, config.ridge,
+        if config.solver == "analytic":
+            self.window = WindowSolver(self.queue, config.ridge,
                                        singular_policy=config.singular_policy,
                                        min_ridge=config.min_ridge)
         self.pending: List[Tuple[np.ndarray, np.ndarray]] = []
@@ -160,12 +160,13 @@ class _StreamFit:
 
     def push(self, z_old: np.ndarray, z_new: np.ndarray) -> None:
         self.pending.append((z_old, z_new))
-        if self.window is None:
+        if self.queue is None:
             del self.pending[:-1]   # gd keeps the latest pair only
         elif len(self.pending) >= self.config.update_stride:
             old, new = zip(*self.pending)
             self.pending.clear()
-            self.window.push(old, new)   # which stacks each side's rows once
+            # either push stacks each side's rows once
+            (self.queue if self.window is None else self.window).push(old, new)
 
     def solve(self, i: int) -> Optional[np.ndarray]:
         """Re-fitted weights after the i-th pair, logged to `self.log`, or
@@ -181,7 +182,7 @@ class _StreamFit:
             self.log.append(weights, self.window.update)
             return weights
         else:
-            q_old, q_new = self.window.queue.matrices()
+            q_old, q_new = self.queue.matrices()
         for _ in range(cfg.gd_steps):
             self.descent.step(_queue_gradient(q_old, q_new, self.descent.weights))
         self.log.append(self.descent.weights)

@@ -1,6 +1,6 @@
 """Feature sources: uniform access to per-task train features and paired
-old/new test features, backed by the synthetic simulator, the toy trainer,
-or a feature dump file.
+old/new test features, drawn from a synthetic scenario with known drift
+maps, computed by the toy trainer, or read from a feature dump file.
 
 Each source gives `classes_of_task(t)`, `train_matrix(t, c)` and
 `test_matrix(t, c)`, class c's train or test features in task t's space as
@@ -14,15 +14,15 @@ makes dump round-trips reproduce in-memory runs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .config import RunConfig
 from .core import PrototypeTable, class_means
-from .drift_sim import GeneratedScenario, generate_scenario, task_class_ids
+from .drift_sim import DriftMap, DriftSpec, realize_drift, task_class_ids
 from .dump import SPLIT_TEST, SPLIT_TRAIN, load_dump, write_dump
-from .errors import DumpFormatError
+from .errors import ConfigError, DumpFormatError
 from .toy import LossWeights, ToyModel, train_task
 
 # one stream item: (class_id, old-space feature or None, new-space feature)
@@ -65,35 +65,94 @@ class _Source:
 
 
 class SyntheticSource(_Source):
-    """Source backed by a generated scenario with known drift maps."""
+    """Source drawn from a synthetic scenario with known drift maps.
 
-    def __init__(self, scenario: GeneratedScenario):
-        self.scenario = scenario
+    Class clusters (means `cluster_separation` times a standard normal
+    draw, unit-variance samples around them) live in a base feature space,
+    space 1; the boundary into task t (t >= 2) applies the ground-truth map
+    `drift_map(t)`, realized from `drift_schedule[t - 2]`, to every feature
+    of space t-1, plus that entry's observation noise. The default schedule
+    is the identity at every boundary. Deterministic from `seed`.
+    """
+
+    def __init__(self, num_tasks: int, classes_per_task: Sequence[int], dimension: int,
+                 cluster_separation: float = 4.0, train_per_class: int = 50,
+                 test_per_class: int = 20, drift_schedule: Sequence[DriftSpec] = (),
+                 seed: int = 0):
+        classes_per_task, drift_schedule = tuple(classes_per_task), tuple(drift_schedule)
+        if num_tasks < 1:
+            raise ValueError("num_tasks must be at least 1")
+        if len(classes_per_task) != num_tasks:
+            raise ValueError(
+                f"classes_per_task has {len(classes_per_task)} entries for {num_tasks} tasks"
+            )
+        if any(c <= 0 for c in classes_per_task):
+            raise ValueError("every task needs at least one class")
+        if drift_schedule and len(drift_schedule) != num_tasks - 1:
+            raise ValueError(
+                f"drift_schedule needs {num_tasks - 1} boundary entries, got {len(drift_schedule)}"
+            )
+        self.num_tasks = num_tasks
+        self.dimension = d = dimension
+        self.drift_schedule = drift_schedule or tuple(DriftSpec() for _ in range(num_tasks - 1))
+        self._task_classes = task_class_ids(classes_per_task)
+        total = sum(classes_per_task)
+
+        rng = np.random.default_rng(seed)
+        means = cluster_separation * rng.standard_normal((total, d))
+        # per space, class -> (n, d) features
+        self._train: List[Dict[int, np.ndarray]] = [
+            {c: means[c] + rng.standard_normal((train_per_class, d)) for c in range(total)}]
+        self._test: List[Dict[int, np.ndarray]] = [
+            {c: means[c] + rng.standard_normal((test_per_class, d)) for c in range(total)}]
+        self._drift_maps: Dict[int, DriftMap] = {}
+        for t, dspec in enumerate(self.drift_schedule, start=2):
+            dmap = self._drift_maps[t] = realize_drift(dspec, d, rng)
+            new_train, new_test = {}, {}
+            for c in range(total):
+                for prev, new in ((self._train[-1], new_train), (self._test[-1], new_test)):
+                    new[c] = dmap.apply(prev[c])
+                    if dspec.observation_noise > 0:
+                        new[c] = new[c] + dspec.observation_noise * rng.standard_normal(new[c].shape)
+            self._train.append(new_train)
+            self._test.append(new_test)
 
     @classmethod
     def from_config(cls, config: RunConfig, seed: Optional[int] = None) -> "SyntheticSource":
-        return cls(generate_scenario(config.scenario(seed)))
+        """The scenario `config` describes, one drift spec at every boundary,
+        drawn at `seed` (`config.seed` when None); ConfigError unless
+        `config.source` is synthetic."""
+        if config.source != "synthetic":
+            raise ConfigError(f"SyntheticSource requires source=synthetic, not {config.source!r}")
+        spec = DriftSpec(kind=config.drift_kind, magnitude=config.drift_magnitude,
+                         scale=config.drift_scale, observation_noise=config.observation_noise)
+        return cls(config.num_tasks, config.class_counts(), config.dimension,
+                   config.cluster_separation, config.train_per_class, config.test_per_class,
+                   (spec,) * (config.num_tasks - 1), config.seed if seed is None else seed)
 
     @property
-    def num_tasks(self) -> int:
-        return self.scenario.num_tasks
-
-    @property
-    def dimension(self) -> int:
-        return self.scenario.dimension
+    def scenario(self) -> "SyntheticSource":
+        """The source itself. The benchmark (`perfbench/workloads.py` and
+        `checks.py`) reads `source.scenario`; this alias goes once it reads
+        the source."""
+        return self
 
     def classes_of_task(self, t: int) -> Tuple[int, ...]:
-        return self.scenario.classes_of_task(t)
+        return self._task_classes[t - 1]
 
     def train_matrix(self, t: int, c: int) -> np.ndarray:
-        return self.scenario.train_matrix(t, c)
+        return self._train[t - 1][c]
 
     def test_matrix(self, t: int, c: int) -> np.ndarray:
-        return self.scenario.test_matrix(t, c)
+        return self._test[t - 1][c]
+
+    def drift_map(self, t: int) -> DriftMap:
+        """Ground-truth map applied at boundary t-1 -> t (t >= 2)."""
+        return self._drift_maps[t]
 
     def reference_drifted_prototypes(self, t: int, old_table: PrototypeTable) -> PrototypeTable:
         """Ground-truth drift map applied to the old prototypes."""
-        dmap = self.scenario.drift_map(t)
+        dmap = self.drift_map(t)
         return PrototypeTable(old_table.class_ids,
                               [dmap.apply(old_table.prototype(c)) for c in old_table.class_ids])
 
@@ -210,6 +269,19 @@ class DumpSource(_Source):
         for t, classes in enumerate(self._task_classes, start=1):
             if not classes:
                 raise DumpFormatError("class_task", f"task {t} has no classes")
+        # the streams read class c's test records in spaces max(1, t_c - 1)
+        # to num_tasks only, t_c the task that trains c
+        for split, t, c in self._rows:
+            if split != SPLIT_TEST:
+                continue
+            if c not in task_of_class:
+                raise DumpFormatError(
+                    "class_task", f"class {c} has test records at task {t} but no train records")
+            first = max(1, task_of_class[c] - 1)
+            if not first <= t <= self._num_tasks:
+                raise DumpFormatError(
+                    "class_task", f"class {c} has test records at task {t}, outside tasks "
+                    f"{first} to {self._num_tasks}, which read them")
         for t in range(1, self._num_tasks + 1):
             if not any((SPLIT_TEST, t, c) in self._rows for c in self.seen_classes(t)):
                 raise DumpFormatError("empty", f"task {t} has no test records in space {t}")

@@ -15,12 +15,7 @@ import pytest
 
 from driftcomp.config import load_config
 from driftcomp.core import PrototypeTable, class_means
-from driftcomp.drift_sim import (
-    DriftSpec,
-    SyntheticScenario,
-    generate_scenario,
-    true_drift_similarity,
-)
+from driftcomp.drift_sim import DriftSpec, true_drift_similarity
 from driftcomp.engine import (
     _offline_gd,
     _selected_classes,
@@ -89,13 +84,12 @@ def test_criterion_1_exact_drift_recovery():
     cases = [(kinds[i % 3], dims[(i // 3) % 3], i) for i in range(20)]
     worst_rel, worst_cos = 0.0, 1.0
     for kind, d, seed in cases:
-        spec = SyntheticScenario(
+        scen = SyntheticSource(
             num_tasks=2, classes_per_task=(4, 4), dimension=d,
             train_per_class=max(40, d), test_per_class=5,
             drift_schedule=(DriftSpec(kind=kind, magnitude=0.6, scale=1.5),),
             seed=seed,
         )
-        scen = generate_scenario(spec)
         dmap = scen.drift_map(2)
         q_old = np.vstack([scen.train_matrix(1, c) for c in range(8)])
         q_new = np.vstack([scen.train_matrix(2, c) for c in range(8)])

@@ -283,6 +283,19 @@ class TestGenAndIngest:
         assert "task 1 has no test records" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ingest_check_unread_test_records_exit_code(self, tmp_path, capsys):
+        # no stream reads a test record of a class without train records,
+        # nor one past the last task
+        from driftcomp.dump import SPLIT_TEST, SPLIT_TRAIN, write_dump
+        dump = tmp_path / "unread.bin"
+        splits = [SPLIT_TRAIN] * 2 + [SPLIT_TEST] * 4
+        write_dump(dump, [0, 1, 0, 0, 1, 0], [1, 2, 1, 2, 2, 7], splits, np.ones((6, 2)))
+        assert main(["ingest-check", str(dump)]) == EXIT_DATA
+        assert "class 0 has test records at task 7, outside tasks 1 to 2" in capsys.readouterr().err
+        write_dump(dump, [0, 1, 0, 0, 1, 2], [1, 2, 1, 2, 2, 1], splits, np.ones((6, 2)))
+        assert main(["ingest-check", str(dump)]) == EXIT_DATA
+        assert "class 2 has test records at task 1 but no train records" in capsys.readouterr().err
+
     def test_ingest_check_corrupt_exit_code(self, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOTADUMP" + b"\x00" * 20)

@@ -202,19 +202,3 @@ class TestRoundTripAndHash:
         with pytest.raises(ConfigError):
             cfg.replace(solver="bogus")
         assert cfg.replace(seed=7).seed == 7
-
-    def test_scenario_requires_synthetic(self):
-        cfg = RunConfig(source="toy")
-        with pytest.raises(ConfigError):
-            cfg.scenario()
-
-    def test_scenario_fields_propagate(self):
-        cfg = RunConfig(num_tasks=4, classes_per_task="2", dimension=8,
-                        drift_kind="rotation", drift_magnitude=0.3, seed=11)
-        scen = cfg.scenario()
-        assert scen.num_tasks == 4
-        assert scen.classes_per_task == (2, 2, 2, 2)
-        assert scen.dimension == 8
-        assert len(scen.drift_schedule) == 3
-        assert scen.drift_schedule[0].kind == "rotation"
-        assert scen.seed == 11

@@ -3,25 +3,22 @@ import pytest
 
 from driftcomp.core import PrototypeTable, class_means
 from driftcomp.drift_sim import (
-    DriftMap,
     DriftSpec,
-    GeneratedScenario,
-    SyntheticScenario,
     cold_start_split,
-    generate_scenario,
     realize_drift,
     true_drift_similarity,
     warm_start_split,
 )
 from driftcomp.projector import solve_normal_equations
 from driftcomp.queues import QueuePair
+from driftcomp.sources import SyntheticSource
 
 
-def simple_spec(**kwargs):
+def simple_source(**kwargs):
     defaults = dict(num_tasks=3, classes_per_task=[2, 2, 2], dimension=6,
                     train_per_class=10, test_per_class=5, seed=0)
     defaults.update(kwargs)
-    return SyntheticScenario(**defaults)
+    return SyntheticSource(**defaults)
 
 
 class TestDriftSpec:
@@ -141,51 +138,50 @@ class TestSplits:
 class TestScenarioValidation:
     def test_classes_per_task_length_checked(self):
         with pytest.raises(ValueError):
-            simple_spec(classes_per_task=[2, 2])
+            simple_source(classes_per_task=[2, 2])
 
     def test_drift_schedule_length_checked(self):
         with pytest.raises(ValueError):
-            simple_spec(drift_schedule=[DriftSpec()])
+            simple_source(drift_schedule=[DriftSpec()])
 
     def test_zero_class_task_rejected(self):
         with pytest.raises(ValueError):
-            simple_spec(classes_per_task=[2, 0, 4])
+            simple_source(classes_per_task=[2, 0, 4])
 
 
-class TestGeneratedScenario:
+class TestSyntheticDraw:
     def test_class_ids_partition_tasks(self):
-        scen = generate_scenario(simple_spec())
+        scen = simple_source()
         assert scen.classes_of_task(1) == (0, 1)
         assert scen.classes_of_task(2) == (2, 3)
         assert scen.classes_of_task(3) == (4, 5)
         assert scen.seen_classes(2) == (0, 1, 2, 3)
 
     def test_sample_counts(self):
-        scen = generate_scenario(simple_spec())
+        scen = simple_source()
         assert scen.classes_of_task(2) == (2, 3)
         for c in (2, 3):
             assert len(scen.train_matrix(2, c)) == 10
             assert len(scen.test_matrix(2, c)) == 5
 
     def test_every_class_exists_in_every_space(self):
-        scen = generate_scenario(simple_spec())
+        scen = simple_source()
         for space in (1, 2, 3):
             for c in range(6):
                 assert scen.train_matrix(space, c).shape == (10, 6)
                 assert scen.test_matrix(space, c).shape == (5, 6)
 
     def test_default_schedule_is_identity(self):
-        scen = generate_scenario(simple_spec())
+        scen = simple_source()
         for c in range(6):
             np.testing.assert_array_equal(scen.train_matrix(1, c),
                                           scen.train_matrix(3, c))
 
     def test_spaces_chain_through_true_maps(self):
-        spec = simple_spec(drift_schedule=[
+        scen = simple_source(drift_schedule=[
             DriftSpec(kind="general_affine", magnitude=0.5),
             DriftSpec(kind="rotation", magnitude=0.6),
         ])
-        scen = generate_scenario(spec)
         for t in (2, 3):
             dmap = scen.drift_map(t)
             for c in range(6):
@@ -195,20 +191,17 @@ class TestGeneratedScenario:
                 )
 
     def test_observation_noise_perturbs_chain(self):
-        spec = simple_spec(drift_schedule=[
+        scen = simple_source(drift_schedule=[
             DriftSpec(kind="identity", observation_noise=0.1),
             DriftSpec(kind="identity", observation_noise=0.1),
         ])
-        scen = generate_scenario(spec)
         diff = scen.test_matrix(2, 0) - scen.test_matrix(1, 0)
         assert 0.01 < np.abs(diff).mean() < 0.5
 
     def test_seed_reproducible_bitwise(self):
-        spec = simple_spec(drift_schedule=[
-            DriftSpec(kind="general_affine", magnitude=0.5),
-            DriftSpec(kind="nonlinear", magnitude=0.3),
-        ])
-        a, b = generate_scenario(spec), generate_scenario(spec)
+        schedule = [DriftSpec(kind="general_affine", magnitude=0.5),
+                    DriftSpec(kind="nonlinear", magnitude=0.3)]
+        a, b = simple_source(drift_schedule=schedule), simple_source(drift_schedule=schedule)
         for space in (1, 2, 3):
             for c in range(6):
                 np.testing.assert_array_equal(a.train_matrix(space, c),
@@ -218,15 +211,13 @@ class TestGeneratedScenario:
                                           b.drift_map(t).matrix)
 
     def test_different_seeds_differ(self):
-        a = generate_scenario(simple_spec(seed=1))
-        b = generate_scenario(simple_spec(seed=2))
+        a = simple_source(seed=1)
+        b = simple_source(seed=2)
         assert np.abs(a.train_matrix(1, 0) - b.train_matrix(1, 0)).max() > 1e-6
 
     def test_clusters_separable_by_prototypes(self):
         # with generous separation, NCM on true prototypes should be near-perfect
-        scen = generate_scenario(simple_spec(
-            classes_per_task=[4, 4, 4], cluster_separation=6.0, dimension=16,
-        ))
+        scen = simple_source(classes_per_task=[4, 4, 4], cluster_separation=6.0, dimension=16)
         table = class_means({c: scen.train_matrix(t, c)
                              for t in (1, 2, 3) for c in scen.classes_of_task(t)})
         # cosine NCM: a feature's norm does not change its arg max
@@ -281,13 +272,12 @@ class TestTrueDriftSimilarity:
     def test_recovered_projector_high_similarity(self):
         # end to end: analytic projector on exact pairs tracks the true drift
         rng = np.random.default_rng(10)
-        spec = simple_spec(
+        scen = simple_source(
             classes_per_task=[3, 3, 3], dimension=8,
             train_per_class=40,
             drift_schedule=[DriftSpec(kind="general_affine", magnitude=0.6),
                             DriftSpec(kind="general_affine", magnitude=0.6)],
         )
-        scen = generate_scenario(spec)
         old = np.vstack([scen.train_matrix(1, c) for c in range(9)])
         new = np.vstack([scen.train_matrix(2, c) for c in range(9)])
         pair = QueuePair(8, old.shape[0])

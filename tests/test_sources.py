@@ -3,8 +3,9 @@ import pytest
 
 from driftcomp.config import RunConfig
 from driftcomp.core import class_means
+from driftcomp.drift_sim import DriftSpec
 from driftcomp.engine import _fresh_table
-from driftcomp.errors import DumpFormatError
+from driftcomp.errors import ConfigError, DumpFormatError
 from driftcomp.sources import (
     DumpSource,
     SyntheticSource,
@@ -40,7 +41,7 @@ class TestSyntheticSource:
 
     def test_pair_sides_related_by_true_map(self):
         source = SyntheticSource.from_config(small_config(observation_noise=0.0))
-        dmap = source.scenario.drift_map(2)
+        dmap = source.drift_map(2)
         for _, z_old, z_new in source.test_pairs(2):
             np.testing.assert_allclose(z_new, dmap.apply(z_old[None, :])[0], atol=1e-10)
 
@@ -48,10 +49,43 @@ class TestSyntheticSource:
         source = SyntheticSource.from_config(small_config())
         old = class_means({c: source.train_matrix(1, c) for c in source.classes_of_task(1)})
         ref = source.reference_drifted_prototypes(2, old)
-        dmap = source.scenario.drift_map(2)
+        dmap = source.drift_map(2)
         for c in old.class_ids:
             np.testing.assert_allclose(ref.prototype(c),
                                        dmap.apply(old.prototype(c)), atol=1e-10)
+
+    def test_scenario_is_the_source(self):
+        source = SyntheticSource.from_config(small_config())
+        assert source.scenario is source
+
+    def test_from_config_requires_synthetic(self):
+        with pytest.raises(ConfigError, match="source=synthetic, not 'toy'"):
+            SyntheticSource.from_config(RunConfig(source="toy"))
+
+    def test_from_config_fields_propagate(self):
+        cfg = RunConfig(num_tasks=4, classes_per_task="2", dimension=8, cluster_separation=3.0,
+                        train_per_class=7, test_per_class=3, drift_kind="rotation",
+                        drift_magnitude=0.3, drift_scale=2.0, observation_noise=0.1, seed=11)
+        source = SyntheticSource.from_config(cfg)
+        assert source.num_tasks == 4
+        assert [source.classes_of_task(t) for t in range(1, 5)] == [(0, 1), (2, 3), (4, 5), (6, 7)]
+        assert source.dimension == 8
+        assert source.drift_schedule == (DriftSpec("rotation", 0.3, 2.0, 0.1),) * 3
+        assert source.train_matrix(4, 7).shape == (7, 8)
+        assert source.test_matrix(4, 7).shape == (3, 8)
+        direct = SyntheticSource(4, (2, 2, 2, 2), 8, 3.0, 7, 3, source.drift_schedule, seed=11)
+        for t in range(1, 5):
+            for c in range(8):
+                assert np.array_equal(source.train_matrix(t, c), direct.train_matrix(t, c))
+                assert np.array_equal(source.test_matrix(t, c), direct.test_matrix(t, c))
+
+    def test_seed_argument_overrides_config_seed(self):
+        cfg = small_config(seed=3)
+        at_5 = SyntheticSource.from_config(cfg, seed=5)
+        assert np.array_equal(at_5.train_matrix(2, 1),
+                              SyntheticSource.from_config(cfg.replace(seed=5)).train_matrix(2, 1))
+        assert not np.array_equal(at_5.train_matrix(2, 1),
+                                  SyntheticSource.from_config(cfg).train_matrix(2, 1))
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +214,26 @@ class TestDumpRoundTrip:
         with pytest.raises(DumpFormatError, match="task 2 has no test records in space 2") as err:
             DumpSource(path)
         assert err.value.code == "empty"
+
+    def test_unread_test_records_rejected(self, tmp_path):
+        # the streams read class c's test records in spaces max(1, t_c - 1)
+        # to num_tasks only, t_c the task that trains c
+        from driftcomp.dump import SPLIT_TEST, SPLIT_TRAIN, write_dump
+        path = tmp_path / "bad.bin"
+        train = ([0, 1, 2, 3], [1, 1, 2, 3], [SPLIT_TRAIN] * 4)
+        read = ([0, 1, 2, 2, 3, 3], [1, 3, 1, 2, 2, 3], [SPLIT_TEST] * 6)
+        cases = [((5, 1), "class 5 has test records at task 1 but no train records"),
+                 ((0, 4), "class 0 has test records at task 4, outside tasks 1 to 3"),
+                 ((3, 1), "class 3 has test records at task 1, outside tasks 2 to 3"),
+                 ((1, 0), "class 1 has test records at task 0, outside tasks 1 to 3")]
+        for (c, t), message in cases:
+            columns = [a + b + [x] for a, b, x in zip(train, read, (c, t, SPLIT_TEST))]
+            write_dump(path, *columns, np.ones((11, 2)))
+            with pytest.raises(DumpFormatError, match=message) as err:
+                DumpSource(path)
+            assert err.value.code == "class_task"
+        write_dump(path, *[a + b for a, b in zip(train, read)], np.ones((10, 2)))
+        assert DumpSource(path).num_tasks == 3
 
     def test_empty_dump_rejected(self, tmp_path):
         from driftcomp.dump import write_dump
