@@ -141,7 +141,8 @@ def _nearest_class(feature: np.ndarray, class_ids: Tuple[int, ...], matrix: np.n
     The feature norm is `np.linalg.norm`'s on a 1-D array: the square root
     of the dot product of its contiguous copy (a strided dot rounds
     differently). Raises DimensionError on a feature of the wrong shape and
-    DegenerateInputError on a zero-norm feature or prototype.
+    DegenerateInputError on a feature of zero or non-finite norm or a
+    zero-norm prototype.
     """
     feature = np.asarray(feature, dtype=np.float64)
     if feature.shape != (matrix.shape[1],):
@@ -150,6 +151,8 @@ def _nearest_class(feature: np.ndarray, class_ids: Tuple[int, ...], matrix: np.n
         )
     flat = feature.ravel()
     fnorm = math.sqrt(flat.dot(flat))
+    if not fnorm < math.inf:
+        raise DegenerateInputError("cosine similarity undefined for a feature of non-finite norm")
     if fnorm == 0.0:
         raise DegenerateInputError("cosine similarity undefined for zero-norm feature")
     if zero_norm:

@@ -165,8 +165,7 @@ class _StreamFit:
         elif len(self.pending) >= self.config.update_stride:
             old, new = zip(*self.pending)
             self.pending.clear()
-            # either push stacks each side's rows once
-            (self.queue if self.window is None else self.window).push(old, new)
+            self.queue.push(old, new)
 
     def solve(self, i: int) -> Optional[np.ndarray]:
         """Re-fitted weights after the i-th pair, logged to `self.log`, or
@@ -443,7 +442,7 @@ class _TaskLayout:
             norms[:, self.positions] = np.sqrt(np.add.reduce(images * images, axis=-1))
         features = self.features[:n, :, None]
         fnorms = np.sqrt(features.transpose(0, 2, 1) @ features)[:, 0]
-        if norms.min() > 0.0 and norms.max() < np.inf and fnorms.min() > 0.0:
+        if norms.min() > 0.0 and fnorms.min() > 0.0 and max(norms.max(), fnorms.max()) < np.inf:
             sims = (self.slots[:n] @ features)[:, :, 0] / (norms * fnorms)
             # argmax returns the first maximum, the smallest class id among ties
             self.predicted += self.ids[sims.argmax(axis=1)].tolist()

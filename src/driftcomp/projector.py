@@ -111,12 +111,11 @@ def solve_normal_equations(
     A stream of solves over one sliding window goes through `WindowSolver`,
     which updates its last solution by the rows that moved since. Each of
     its refactors is this function's factorization and singular policy,
-    taken at the first solve, after a queue recompute, once more than
-    held_rows_cap(d) rows have moved since the last refactor (at every
-    solve below HELD_MIN_DIMENSION), while a ridge fallback is active, and
-    when its guard trips: a bound on the Gram's condition number, from the
-    held factor's estimate and the small Woodbury matrix's, above
-    COND_THRESHOLD / d.
+    taken at each direct solve, once more than held_rows_cap(d) rows have
+    moved since the last refactor (at every solve below HELD_MIN_DIMENSION),
+    while a ridge fallback is active, and when its guard trips: a bound on
+    the Gram's condition number, from the held factor's estimate and the
+    small Woodbury matrix's, above COND_THRESHOLD / d.
     """
     _check_policy(ridge, singular_policy)
     factor, cond, effective_ridge = _factor(gram, ridge, singular_policy, min_ridge)
@@ -147,26 +146,27 @@ class WindowSolver:
     """The analytic solves over one sliding window: the QueuePair `queue`,
     whose normal equations it solves.
 
-    Rows enter the window through `push`. The solver keeps the last
-    solution W_prev with its ridge and the (old, new) rows U, Z that moved
-    through the window since: those that entered first, with sign s = +1,
-    then those that left, with s = -1. So gram and cross are the previous
-    ones plus U^T diag(s) U and U^T diag(s) Z, and, in exact arithmetic,
+    Rows enter the window through `queue.push`. The solver keeps the last
+    solution W_prev, its ridge and the queue's `pushes` then, and takes the
+    (old, new) rows U, Z moved since from `queue.moved_since`: those that
+    entered, sign s = +1, then those that left, s = -1. So gram and cross
+    are the previous ones plus U^T diag(s) U and U^T diag(s) Z, and, in
+    exact arithmetic,
 
         W = W_prev + (gram + ridge I)^-1 U^T diag(s) (Z - U W_prev),
 
     which takes m right-hand sides instead of d, accumulated by one beta = 1
     gemm over the solver's own W_prev, in place, at every d. The solve is
-    direct, as in solve_normal_equations, without a previous solution (the
-    first solve, and the first after a push that recomputed the queue's
-    normal equations), when the ridge used differs from the one requested
-    or from W_prev's, or when m >= d, and returns W_prev itself when no row
-    moved. A direct W is a new array that is never written: the solver
-    updates a copy of it. After each solve, `update` says how its W was
-    reached, for a SnapshotLog: None for a direct W; () when no row moved;
-    and for an update, the pair (correction, solved) of the m x d
-    diag(s) (Z - U W_prev) and the d x m (gram + ridge I)^-1 U^T, which the
-    log replays by the same gemm.
+    direct, as in solve_normal_equations, when moved_since returns None (at
+    the first solve, and after the queue recomputed or was read since the
+    last solve, one that raised included), when the ridge used differs from
+    the one requested or from W_prev's, or when m >= d, and returns W_prev
+    itself when nothing was pushed. A direct W is a new array that is never
+    written: the solver updates a copy of it. After each solve, `update`
+    says how its W was reached, for a SnapshotLog: None for a direct W; ()
+    when nothing was pushed; and for an update, the pair (correction,
+    solved) of the m x d diag(s) (Z - U W_prev) and the d x m (gram + ridge
+    I)^-1 U^T, which the log replays by the same gemm.
     It also keeps the upper Cholesky factor F0 of G0 + ridge I from its
     last refactor, with the k rows V (signs S) that moved since, so that
     gram + ridge I = G0 + ridge I + V^T S V. By Sherman-Morrison-Woodbury
@@ -181,15 +181,14 @@ class WindowSolver:
     held_rows_cap(d) rows.
 
     A solve refactors, through solve_normal_equations' factorization and
-    singular policy, when no factor is held (without a previous solution),
-    when k + m would exceed the cap (always, below HELD_MIN_DIMENSION),
-    while a ridge fallback is active, and when the guard trips. Guard:
-    G = L (I + B S B^T) L^T with B = L^-1 V^T, and the eigenvalues of the
-    middle factor other than 1 are those of S K, so cond_2(G) <= cond(G0)
-    max(1, |K|) max(1, |K^-1|); when that bound, from F0's dpocon estimate
-    and dgecon on K's LU in the 1-norm, exceeds COND_THRESHOLD / d, the
-    solve refactors. A held solve reports the bound as its condition
-    estimate.
+    singular policy, when it is direct, when k + m would exceed the cap
+    (always, below HELD_MIN_DIMENSION), while a ridge fallback is active,
+    and when the guard trips. Guard: G = L (I + B S B^T) L^T with
+    B = L^-1 V^T, and the eigenvalues of the middle factor other than 1 are
+    those of S K, so cond_2(G) <= cond(G0) max(1, |K|) max(1, |K^-1|); when
+    that bound, from F0's dpocon estimate and dgecon on K's LU in the
+    1-norm, exceeds COND_THRESHOLD / d, the solve refactors. A held solve
+    reports the bound as its condition estimate.
     """
 
     def __init__(self, queue: QueuePair, ridge: float = 0.0, *,
@@ -204,9 +203,11 @@ class WindowSolver:
         self.counts = SolveCounts()
         self.update: tuple | None = None   # how the last solve reached its W; see solve()
         self._previous: tuple[np.ndarray, float] | None = None
-        self._entered: list[tuple[np.ndarray, np.ndarray]] = []
-        self._entered_rows = 0
-        self._left: list[tuple[np.ndarray, np.ndarray]] = []
+        # the queue keeps its normal equations from their first read, which
+        # must come before real rows enter: read at the first solve, they
+        # would be summed from all rows at once and round differently
+        queue.gram
+        self._solved_at = -1   # queue.pushes at the last solve, none yet
         self._factor: np.ndarray | None = None   # F0, while it is held
         self._factor_cond = self._cond = np.inf
         self._held = 0                            # k
@@ -215,46 +216,19 @@ class WindowSolver:
         self._schur = np.empty((cap, cap), order="F")  # K
         self._schur_diagonal = self._schur.reshape(-1, order="F")[::cap + 1]   # a view
 
-    def push(self, old_features: np.ndarray,
-             new_features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Push paired rows into the queue, as QueuePair.push does, and
-        return the (old, new) rows that left, oldest first."""
-        # one copy, which the queue reads and the next solve keeps, so a
-        # caller may reuse its buffers
-        entering = (np.array(old_features, dtype=np.float64, ndmin=2),
-                    np.array(new_features, dtype=np.float64, ndmin=2))
-        queue = self.queue
-        recomputes = queue.recomputes
-        left = queue.push(*entering)
-        if queue.recomputes != recomputes:
-            # gram and cross were recomputed from the rows: the next solve is direct
-            self._previous = self._factor = None
-            self._entered.clear()
-            self._left.clear()
-            self._entered_rows = 0
-        elif self._previous is not None:
-            self._entered.append(entering)
-            self._left.append(left)
-            self._entered_rows += len(entering[0])
-        return left
-
     def solve(self) -> tuple[np.ndarray, float, float]:
         """(W, condition estimate, ridge used) for the queue's current
         normal equations, as solve_normal_equations returns them. W is
         never written afterwards when `update` is None. Otherwise W is the
         solver's own W_prev, updated by the pair `update` holds or, for (),
-        as it was, which its next update overwrites. A solve that raises
-        keeps the moved rows, so the next one still updates by all of
-        them."""
+        as it was, which its next update overwrites."""
         counts = self.counts
         counts.solves += 1
-        if self._previous is None or self._entered:
+        if self.queue.pushes != self._solved_at:
             weights, cond, ridge, self.update = self._moved_solve()
             held = weights.copy() if self.update is None else weights
             self._previous, self._cond = (held, ridge), cond
-            self._entered.clear()
-            self._left.clear()
-            self._entered_rows = 0
+            self._solved_at = self.queue.pushes
         else:
             (weights, ridge), cond = self._previous, self._cond
             self.update = ()
@@ -263,13 +237,11 @@ class WindowSolver:
         return weights, cond, ridge
 
     def _moved_solve(self) -> tuple[np.ndarray, float, float, tuple | None]:
-        """solve(), with `update`, when rows moved or no solution is held."""
-        moved, m = None, 0
-        if self._previous is not None:
-            old, new = zip(*self._entered, *self._left)
-            moved = np.concatenate(old), np.concatenate(new), self._entered_rows
-            m = len(moved[0])
-        if self._factor is not None and self._held + m <= self.cap:
+        """solve(), with `update`, when a push came since the last solve or
+        no solution is held."""
+        moved = self.queue.moved_since(self._solved_at)   # None: solve directly
+        m = 0 if moved is None else len(moved[0])
+        if moved is not None and self._factor is not None and self._held + m <= self.cap:
             held = self._held_solve(moved)
             if held is not None:
                 weights, update, bound = held

@@ -2,10 +2,10 @@
 
 The queue holds paired observations (old-space feature, new-space feature)
 as one row each, so row i of the old matrix always corresponds to row i of
-the new matrix. It keeps the normal equations of the least-squares fit
-Q_old W = Q_new over the rows held (sliding-window least squares): a push
-records what moved, and the queue catches up when the equations are read,
-so a solve never has to rebuild them from the rows.
+the new matrix. Once read, it keeps the normal equations of the
+least-squares fit Q_old W = Q_new over the rows held (sliding-window least
+squares): a push journals what moved, and the queue catches up when the
+equations are read, so a solve never has to rebuild them from the rows.
 """
 
 from __future__ import annotations
@@ -31,17 +31,16 @@ class QueuePair:
     features then the new, so the two sides always move together. `gram`
     (Q_old^T Q_old) and `cross` (Q_old^T Q_new) over the rows held are the
     two column halves of one Fortran-ordered (d, 2d) block Q_old^T
-    [Q_old | Q_new], updated in place. An update adds the entering rows'
-    products and subtracts the leaving rows' with one rank-k gemm (beta = 1)
-    into that block. A push only records what moved, and the first read of
-    `gram` or `cross` after it applies every row moved since the last update
-    in one gemm: the rows that entered are still in the ring, and the rows
-    that left are the arrays push returned, so the record copies no row.
-    Once `capacity` rows have entered since the last recompute, both halves
-    are recomputed from the rows, which bounds the rounding the updates
-    accumulate and discards the record; `recomputes` counts those
-    recomputes. Each read returns the same two views; callers must not write
-    to them.
+    [Q_old | Q_new], computed from the rows at their first read and kept
+    from then on: each push journals the (k, 2d) rows that entered and the
+    (j, 2d) rows that left, and a read applies the journal with one rank-k
+    gemm (beta = 1) into the block, the entered rows +1, then the left rows
+    -1. Once `capacity` rows have entered since the last recompute, both
+    halves are recomputed from the rows, which bounds the rounding the
+    updates accumulate and empties the journal; `recomputes` counts these
+    and the first read. `moved_since` hands a window the rows moved by the
+    pushes after a given count of `pushes`. Each read returns the same two
+    views; callers must not write to them.
     """
 
     def __init__(self, dimension: int, capacity: int):
@@ -56,23 +55,21 @@ class QueuePair:
         self._length = 0
         self._normal = np.zeros((d, 2 * d), order="F")
         self._gram, self._cross = self._normal[:, :d], self._normal[:, d:]
-        self._entered = 0    # rows pushed since gram and cross were recomputed
+        self._since_recompute = 0   # rows pushed since gram and cross were recomputed
         self.recomputes = 0
-        self._pending = 0    # newest rows of the ring that the block does not count yet
-        self._pending_left: list[np.ndarray] = []   # rows that left since, per push
+        self.pushes = 0
+        self._journal: list[tuple[np.ndarray, np.ndarray]] | None = None   # None until read
 
     @property
     def gram(self) -> np.ndarray:
         """Q_old^T Q_old over the rows held, a (d, d) Fortran-ordered view."""
-        if self._pending_left:
-            self._catch_up()
+        self._catch_up()
         return self._gram
 
     @property
     def cross(self) -> np.ndarray:
         """Q_old^T Q_new over the rows held, a (d, d) Fortran-ordered view."""
-        if self._pending_left:
-            self._catch_up()
+        self._catch_up()
         return self._cross
 
     def __len__(self) -> int:
@@ -131,32 +128,52 @@ class QueuePair:
         if not np.isfinite(entering).all():
             raise DegenerateInputError("queued features contain non-finite components")
         left = self._enqueue(entering)
-        self._entered += len(entering)
-        if self._entered >= self.capacity:
-            q_old, q_new = self.matrices()
-            self._gram[...] = q_old.T @ q_old
-            self._cross[...] = q_old.T @ q_new
-            self._entered = self._pending = 0
-            self._pending_left.clear()
-            self.recomputes += 1
-        else:
-            self._pending += len(entering)
-            self._pending_left.append(left)
+        self.pushes += 1
+        if self._journal is not None:
+            self._since_recompute += len(entering)
+            if self._since_recompute >= self.capacity:
+                self._recompute()
+            else:
+                self._journal.append((entering, left))
         return left[:, :d], left[:, d:]
 
+    def _recompute(self) -> None:
+        q_old, q_new = self.matrices()
+        self._gram[...] = q_old.T @ q_old
+        self._cross[...] = q_old.T @ q_new
+        self._since_recompute = 0
+        self._journal = []
+        self.recomputes += 1
+
+    def _moved(self, entries) -> tuple[np.ndarray, int]:
+        """The rows the journal `entries` moved, those that entered then
+        those that left, and the number that entered."""
+        entering, left = zip(*entries) if entries else ((self._rows[:0],), ())
+        return np.concatenate(entering + left), sum(map(len, entering))
+
     def _catch_up(self) -> None:
-        """Add the products of the (old | new) rows that entered since the
-        block's last update and subtract those of the rows that left, with
-        one gemm."""
-        # entering rows count +1, leaving rows -1; the transposed views are
-        # Fortran-ordered, so f2py copies none and writes the block in place
-        first = (self._start + self._length - self._pending) % self.capacity
-        moved = np.concatenate([self._ordered(first, self._pending), *self._pending_left])
-        signed = moved[:, :self.dimension].copy()
-        signed[self._pending:] *= -1.0
-        dgemm(1.0, signed.T, moved.T, beta=1.0, c=self._normal, trans_b=1, overwrite_c=1)
-        self._pending = 0
-        self._pending_left.clear()
+        """Compute the block at the first read, else apply the journal."""
+        if self._journal is None:
+            self._recompute()
+        elif self._journal:
+            # entering rows count +1, leaving rows -1; the transposed views are
+            # Fortran-ordered, so f2py copies none and writes the block in place
+            moved, entered = self._moved(self._journal)
+            signed = moved[:, :self.dimension].copy()
+            signed[entered:] *= -1.0
+            dgemm(1.0, signed.T, moved.T, beta=1.0, c=self._normal, trans_b=1, overwrite_c=1)
+            self._journal.clear()
+
+    def moved_since(self, pushes: int) -> tuple[np.ndarray, np.ndarray, int] | None:
+        """(old, new, number entered) of the rows moved by the pushes after
+        the first `pushes`, those that entered first, as C-ordered copies;
+        None when the journal no longer reaches that far back (the queue
+        was never read, or since then it recomputed or was read)."""
+        journal = self._journal
+        if journal is None or pushes < self.pushes - len(journal):
+            return None
+        moved, entered = self._moved(journal[pushes - (self.pushes - len(journal)):])
+        return moved[:, :self.dimension].copy(), moved[:, self.dimension:].copy(), entered
 
     def matrices(self) -> tuple[np.ndarray, np.ndarray]:
         """The (old, new) rows held, oldest first, as two C-ordered (length, d)

@@ -183,6 +183,14 @@ class TestNcmPredict:
         with pytest.raises(DegenerateInputError):
             ncm_predict(np.zeros(32), table)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("feature", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 1e200]])
+    def test_non_finite_norm_feature_rejected(self, feature):
+        # the norm of [0, 1e200] overflows although every component is finite
+        table = PrototypeTable([0, 1], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DegenerateInputError, match="non-finite norm"):
+            ncm_predict(np.array(feature), table)
+
     def test_zero_norm_prototype_rejected(self):
         table = PrototypeTable([0, 1], [[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(DegenerateInputError):

@@ -1240,6 +1240,29 @@ class TestNonFiniteEvolvedPrototypes:
             replay_audit(result)
 
 
+class TestNonFiniteTestFeature:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_task_one_feature_raises(self, monkeypatch, bad):
+        # no fit checks a task-1 feature, so classification must; an inf
+        # feature once took the stacked path and was predicted class 0
+        cfg = engine_config(solver="none")
+        source = SyntheticSource.from_config(cfg)
+        test_pairs = source.test_pairs
+
+        def poisoned(t):
+            pairs = test_pairs(t)
+            if t == 1:
+                c, z_old, z_new = pairs[4]
+                z_new = z_new.copy()
+                z_new[2] = bad
+                pairs[4] = (c, z_old, z_new)
+            return pairs
+        monkeypatch.setattr(source, "test_pairs", poisoned)
+        with pytest.raises(DegenerateInputError, match="non-finite norm"):
+            run_engine(source, cfg)
+
+
 class TestDumpSourceParity:
     def test_dump_round_trip_reproduces_accuracy(self, tmp_path):
         # serialization at float32 may flip borderline predictions, so

@@ -353,7 +353,7 @@ class TestRankKUpdateOutput:
         assert not np.shares_memory(previous, weights)
         kept = weights.copy()
         entering_old, entering_new = rng.standard_normal((2, k + 1, d))
-        left_old, left_new = window.push(entering_old, entering_new)
+        left_old, left_new = window.queue.push(entering_old, entering_new)
         rows_old = np.vstack([entering_old, left_old])
         rows_new = np.vstack([entering_new, left_new])
 
@@ -385,12 +385,12 @@ def window_stream(window, rows, prefill_rank, seed):
     w_true = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
     prefill = rng.standard_normal((capacity, prefill_rank)) @ rng.standard_normal(
         (prefill_rank, d))
-    window.push(prefill, prefill @ w_true)
+    window.queue.push(prefill, prefill @ w_true)
     for row in rows:
         old = row[None, :]
         new = old @ w_true + 0.1 * rng.standard_normal((1, d))
         recomputes = pair.recomputes
-        left = window.push(old, new)
+        left = window.queue.push(old, new)
         yield pair, pair.recomputes != recomputes, 1 + len(left[0])
 
 
@@ -461,9 +461,9 @@ class TestHeldFactor:
         for got, want in zip(weights["held"], weights["per_solve"]):
             np.testing.assert_array_equal(got, want)
 
-    def test_failed_solve_keeps_the_moved_rows(self, monkeypatch):
-        # the third solve raises; the fourth updates by the rows of both
-        # pushes and matches the direct solve
+    def test_solve_after_a_failed_one_is_direct(self, monkeypatch):
+        # the third solve raises after reading gram, which empties the
+        # queue's journal; the fourth is direct and matches the direct solve
         d, capacity = 16, 60
         rows = np.random.default_rng(27).standard_normal((6, d))
         window = WindowSolver(QueuePair(d, capacity))
@@ -480,9 +480,25 @@ class TestHeldFactor:
                     window.solve()
                 continue
             weights = window.solve()[0]
+            assert (window.update is None) == (i in (0, 3))
             direct = solve_normal_equations(pair.gram, pair.cross)[0]
             assert np.linalg.norm(weights - direct) / np.linalg.norm(direct) <= 1e-10
         assert window.counts.refactors == 5
+
+    @pytest.mark.parametrize("d", [16, D])
+    def test_read_between_solves_makes_the_next_direct(self, d):
+        # a read of gram catches the queue up and empties its journal, so
+        # the window no longer knows what moved since its last solve
+        rows = np.random.default_rng(29).standard_normal((6, d))
+        window = WindowSolver(QueuePair(d, 4 * d))
+        for i, (pair, _, _) in enumerate(window_stream(window, rows, prefill_rank=d, seed=30)):
+            if i == 3:
+                pair.gram
+            weights = window.solve()[0]
+            assert (window.update is None) == (i in (0, 3))
+            if i == 3:
+                np.testing.assert_array_equal(
+                    weights, solve_normal_equations(pair.gram, pair.cross)[0])
 
     def window(self, monkeypatch, policy, per_solve=False):
         """A window over an empty 300-row queue; the per-solve path
@@ -657,10 +673,10 @@ class TestWindowPush:
         window.solve()
         for _ in range(5):
             row = rng.standard_normal(d)
-            left_old, _ = window.push(row, 2.0 * row)
+            left_old, _ = window.queue.push(row, 2.0 * row)
             assert left_old.shape == (1, d)
             with pytest.raises(DimensionError):
-                window.push(row[:-1], row[:-1])
+                window.queue.push(row[:-1], row[:-1])
             weights = window.solve()[0]
             direct = solve(window.queue)[0]
             assert np.linalg.norm(weights - direct) <= 1e-10 * np.linalg.norm(direct)
@@ -681,8 +697,8 @@ class TestWindowPush:
             for _ in range(pushes):
                 rows = (rng.standard_normal(d), rng.standard_normal(d))
                 images = (2.0 * rows[0], 3.0 * rows[1])
-                left = stacked.push(np.array(rows), np.array(images))
-                for got, want in zip(staged.push(rows, images), left):
+                left = stacked.queue.push(np.array(rows), np.array(images))
+                for got, want in zip(staged.queue.push(rows, images), left):
                     np.testing.assert_array_equal(got, want)
             weights = staged.solve()[0]
             np.testing.assert_array_equal(weights, stacked.solve()[0])

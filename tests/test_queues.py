@@ -394,9 +394,9 @@ class TestRankKUpdate:
         for requested in (0.0, 10.0):
             pair = QueuePair(d, 60)
             window = WindowSolver(pair, requested, min_ridge=10.0)
-            window.push(prefill, prefill @ w_true)
+            window.queue.push(prefill, prefill @ w_true)
             assert window.solve()[2] == 10.0
-            window.push(entering, entering_new)
+            window.queue.push(entering, entering_new)
             weights, _, ridge = window.solve()
             direct, _, direct_ridge = solve_normal_equations(pair.gram, pair.cross, requested)
             assert ridge == direct_ridge == requested
@@ -540,19 +540,19 @@ class TestLazyNormalEquations:
         w_true = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
         history = []      # every (old | new) row pushed, in order
         first = 0         # index in history of the oldest row held at the last recompute
-        reads = recomputes_with_rows_pending = 0
+        reads = recomputes_with_journal = 0
         for _ in range(2400):
             k = 1 if rng.random() < 0.5 else int(rng.choice([2, 3, 5, 8]))
             old = 2.0 * rng.standard_normal((k, d))
             new = old @ w_true + 0.1 * rng.standard_normal((k, d))
             history.extend(np.concatenate([old, new], axis=1))
-            pending = bool(pair._pending_left)
+            journaled = bool(pair._journal)
             recomputes = pair.recomputes
             pair.push(old, new)
             if pair.recomputes != recomputes:
                 # the recompute drops the rows recorded before it
-                assert pair._pending == 0 and pair._pending_left == []
-                recomputes_with_rows_pending += pending
+                assert pair._journal == []
+                recomputes_with_journal += journaled
                 first = len(history) - len(pair)
                 q_old, q_new = pair.matrices()
                 assert pair.gram is gram and pair.cross is cross
@@ -562,7 +562,7 @@ class TestLazyNormalEquations:
                 reads += 1
                 # either read brings both halves up to date
                 pair.cross if rng.random() < 0.5 else pair.gram
-                assert not pair._pending_left
+                assert not pair._journal
                 q_old, q_new = pair.matrices()
                 rows = np.abs(np.array(history[first:]))
                 magnitude = rows[:, :d].T @ rows
@@ -571,7 +571,7 @@ class TestLazyNormalEquations:
                 assert gram.flags.f_contiguous and cross.flags.f_contiguous
                 assert np.all(np.abs(gram - q_old.T @ q_old) <= bound[:, :d])
                 assert np.all(np.abs(cross - q_old.T @ q_new) <= bound[:, d:])
-        assert pair.recomputes >= 3 and recomputes_with_rows_pending >= 3
+        assert pair.recomputes >= 3 and recomputes_with_journal >= 3
         assert reads >= 100
 
     def test_pushes_only_record_until_read(self):
@@ -584,3 +584,59 @@ class TestLazyNormalEquations:
                 pair.push(*paired(rng.standard_normal((1, d))))
             np.testing.assert_array_equal(pair._gram, before)
             assert_matches_rows(pair)
+
+
+class TestJournal:
+    """From the first read of gram or cross the queue journals each push,
+    and moved_since(p) returns the rows moved by the pushes after the p-th,
+    those that entered first, while the journal reaches back that far."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.integers(4, 20), st.integers(0, 2 ** 31 - 1))
+    def test_moved_since_matches_a_list_of_moves(self, d, capacity, seed):
+        # one-row, strided and over-capacity pushes, with reads in between
+        rng = np.random.default_rng(seed)
+        pair = QueuePair(d, capacity)
+        moves = []     # the (entered, left) (old | new) rows of each push, in order
+        reach = None   # `pushes` at the last read or recompute; None before a read
+        for _ in range(120):
+            action = rng.random()
+            if action < 0.1:
+                pair.cross if rng.random() < 0.5 else pair.gram
+                reach = len(moves)
+            else:
+                k = (capacity + int(rng.integers(0, 3)) if action > 0.95
+                     else 1 if action < 0.6 else int(rng.choice([2, 3, 5])))
+                rows = rng.standard_normal((k, 2 * d))
+                recomputes = pair.recomputes
+                left = pair.push(rows[:, :d], rows[:, d:])
+                moves.append((rows, np.hstack(left)))
+                if pair.recomputes != recomputes:
+                    reach = len(moves)
+            assert pair.pushes == len(moves)
+            for p in range(len(moves) + 1):
+                got = pair.moved_since(p)
+                if reach is None or p < reach:
+                    assert got is None
+                    continue
+                later = moves[p:]
+                want = np.concatenate([np.empty((0, 2 * d)), *(entered for entered, _ in later),
+                                       *(left for _, left in later)])
+                assert got[2] == sum(len(entered) for entered, _ in later)
+                assert_pairs_equal(got[:2], (want[:, :d], want[:, d:]))
+                assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+
+    def test_unread_queue_keeps_no_normal_equations(self):
+        # gd_with_queue reads only the rows: pushed past capacity, its queue
+        # journals nothing and never recomputes
+        d, capacity = 8, 40
+        rng = np.random.default_rng(50)
+        table = PrototypeTable(range(10), rng.standard_normal((10, d)))
+        cfg = RunConfig(solver="gd_with_queue", dimension=d, queue_capacity=capacity)
+        fit = _StreamFit(cfg, table, rng_seed=1)
+        for i in range(3 * capacity):
+            z_old = rng.standard_normal(d)
+            fit.push(z_old, 2.0 * z_old)
+            fit.solve(i)
+        assert fit.queue.recomputes == 0 and fit.queue._journal is None
+        assert fit.queue.pushes == 1 + 3 * capacity
