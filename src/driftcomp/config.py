@@ -14,6 +14,8 @@ from typing import Tuple
 
 from .drift_sim import DRIFT_KINDS, cold_start_split, warm_start_split
 from .errors import ConfigError
+from .projector import DEFAULT_MIN_RIDGE
+from .queues import DEFAULT_CAPACITY, DEFAULT_NOISE_SCALE
 
 CONFIG_FORMAT_VERSION = 1
 
@@ -24,12 +26,12 @@ class RunConfig:
 
     source: str = "synthetic"            # synthetic | toy | dump
     solver: str = "analytic"             # analytic | gd | gd_with_queue | none
-    queue_capacity: int = 3000
-    noise_scale: float = 0.02
+    queue_capacity: int = DEFAULT_CAPACITY
+    noise_scale: float = DEFAULT_NOISE_SCALE
     update_stride: int = 1
     resolve_stride: int = 1
     ridge: float = 0.0
-    min_ridge: float = 1e-8
+    min_ridge: float = DEFAULT_MIN_RIDGE
     singular_policy: str = "fallback"    # strict | fallback
     gd_learning_rate: float = 0.001
     gd_steps: int = 1

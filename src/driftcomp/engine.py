@@ -44,6 +44,8 @@ from .projector import (SnapshotLog, SolveCounts, WindowSolver, _Descent, _queue
 from .queues import init_with_pseudo_features
 
 PHASES = ("queue", "solve", "predict")
+OFFLINE_MAX_STEPS = 20000
+OFFLINE_GRAD_TOL = 1e-10
 
 
 # One classified test arrival per record element; w_index points into the
@@ -466,16 +468,17 @@ class _TaskLayout:
 
 
 def _offline_gd(q_old: np.ndarray, q_new: np.ndarray, learning_rate: float,
-                optimizer: str, max_steps: int = 20000, grad_tol: float = 1e-10) -> np.ndarray:
+                optimizer: str) -> np.ndarray:
     """Full-batch descent on precomputed Gram products until the gradient
-    norm falls below tolerance."""
+    norm falls below OFFLINE_GRAD_TOL, for at most OFFLINE_MAX_STEPS steps."""
     n, d = q_old.shape
     gram = q_old.T @ q_old / n
     rhs = q_old.T @ q_new / n
     descent = _Descent(np.eye(d), learning_rate, optimizer)
-    for _ in range(max_steps):
+    for _ in range(OFFLINE_MAX_STEPS):
         grad = 2.0 * (gram @ descent.weights - rhs)
-        if np.linalg.norm(grad) < grad_tol:   # False for a non-finite grad, which step rejects
+        # False for a non-finite grad, which step rejects
+        if np.linalg.norm(grad) < OFFLINE_GRAD_TOL:
             break
         descent.step(grad)
     return descent.weights

@@ -2,10 +2,14 @@
 old/new test features, drawn from a synthetic scenario with known drift
 maps, computed by the toy trainer, or read from a feature dump file.
 
-Each source gives `classes_of_task(t)`, `train_matrix(t, c)` and
-`test_matrix(t, c)`, class c's train or test features in task t's space as
-an (n, d) array; `_Source` derives the seen classes, the train records and
-the paired test stream from those.
+Every source fills one store once, in `__init__`: the classes of each task,
+and two dicts from (t, c) to class c's (n, d) train or test features in
+task t's space (the toy source computes its features there, one extractor
+call per space and class). `_Source` reads the store through
+`classes_of_task(t)`, `train_matrix(t, c)` and `test_matrix(t, c)`, where
+a task outside 1 to `num_tasks` has no classes and a (t, c) the source does
+not hold reads as no rows, and derives the seen classes, the train records
+and the paired test stream from those.
 
 Canonical test ordering within one task stream is ascending class id, then
 sample index; every source and the dump writer follow it, which is what
@@ -27,9 +31,32 @@ from .toy import LossWeights, ToyModel, train_task
 
 # one stream item: (class_id, old-space feature or None, new-space feature)
 TestPair = Tuple[int, Optional[np.ndarray], np.ndarray]
+# one split of a source's store: (t, c) -> class c's (n, d) features in space t
+Rows = Dict[Tuple[int, int], np.ndarray]
 
 
 class _Source:
+    def __init__(self, task_classes: List[Tuple[int, ...]], train: Rows, test: Rows,
+                 dimension: int):
+        self._task_classes = task_classes
+        self._train, self._test = train, test
+        self.dimension = dimension
+
+    @property
+    def num_tasks(self) -> int:
+        return len(self._task_classes)
+
+    def classes_of_task(self, t: int) -> Tuple[int, ...]:
+        return self._task_classes[t - 1] if 1 <= t <= self.num_tasks else ()
+
+    def train_matrix(self, t: int, c: int) -> np.ndarray:
+        rows = self._train.get((t, c))
+        return np.empty((0, self.dimension)) if rows is None else rows
+
+    def test_matrix(self, t: int, c: int) -> np.ndarray:
+        rows = self._test.get((t, c))
+        return np.empty((0, self.dimension)) if rows is None else rows
+
     def seen_classes(self, t: int) -> Tuple[int, ...]:
         return tuple(c for i in range(1, t + 1) for c in self.classes_of_task(i))
 
@@ -92,30 +119,24 @@ class SyntheticSource(_Source):
             raise ValueError(
                 f"drift_schedule needs {num_tasks - 1} boundary entries, got {len(drift_schedule)}"
             )
-        self.num_tasks = num_tasks
-        self.dimension = d = dimension
+        d = dimension
         self.drift_schedule = drift_schedule or tuple(DriftSpec() for _ in range(num_tasks - 1))
-        self._task_classes = task_class_ids(classes_per_task)
         total = sum(classes_per_task)
 
         rng = np.random.default_rng(seed)
         means = cluster_separation * rng.standard_normal((total, d))
-        # per space, class -> (n, d) features
-        self._train: List[Dict[int, np.ndarray]] = [
-            {c: means[c] + rng.standard_normal((train_per_class, d)) for c in range(total)}]
-        self._test: List[Dict[int, np.ndarray]] = [
-            {c: means[c] + rng.standard_normal((test_per_class, d)) for c in range(total)}]
+        train = {(1, c): means[c] + rng.standard_normal((train_per_class, d)) for c in range(total)}
+        test = {(1, c): means[c] + rng.standard_normal((test_per_class, d)) for c in range(total)}
         self._drift_maps: Dict[int, DriftMap] = {}
         for t, dspec in enumerate(self.drift_schedule, start=2):
             dmap = self._drift_maps[t] = realize_drift(dspec, d, rng)
-            new_train, new_test = {}, {}
             for c in range(total):
-                for prev, new in ((self._train[-1], new_train), (self._test[-1], new_test)):
-                    new[c] = dmap.apply(prev[c])
+                for store in (train, test):
+                    rows = dmap.apply(store[t - 1, c])
                     if dspec.observation_noise > 0:
-                        new[c] = new[c] + dspec.observation_noise * rng.standard_normal(new[c].shape)
-            self._train.append(new_train)
-            self._test.append(new_test)
+                        rows = rows + dspec.observation_noise * rng.standard_normal(rows.shape)
+                    store[t, c] = rows
+        super().__init__(task_class_ids(classes_per_task), train, test, d)
 
     @classmethod
     def from_config(cls, config: RunConfig, seed: Optional[int] = None) -> "SyntheticSource":
@@ -137,15 +158,6 @@ class SyntheticSource(_Source):
         the source."""
         return self
 
-    def classes_of_task(self, t: int) -> Tuple[int, ...]:
-        return self._task_classes[t - 1]
-
-    def train_matrix(self, t: int, c: int) -> np.ndarray:
-        return self._train[t - 1][c]
-
-    def test_matrix(self, t: int, c: int) -> np.ndarray:
-        return self._test[t - 1][c]
-
     def drift_map(self, t: int) -> DriftMap:
         """Ground-truth map applied at boundary t-1 -> t (t >= 2)."""
         return self._drift_maps[t]
@@ -161,15 +173,15 @@ class ToySource(_Source):
     """Source backed by sequentially trained toy extractors.
 
     Input blobs for every class live in a fixed input space; drift arises
-    genuinely from re-training the extractor on each task.
+    genuinely from re-training the extractor on each task. Every class's
+    inputs go through every task's extractor once, when the source is built.
     """
 
     def __init__(self, config: RunConfig, seed: Optional[int] = None):
-        self.config = config
         seed = config.seed if seed is None else seed
         rng = np.random.default_rng([seed, 9151])
         counts = config.class_counts()
-        self._task_classes = task_class_ids(counts)
+        task_classes = task_class_ids(counts)
         total = sum(counts)
         d_in = config.toy_input_dim
 
@@ -183,10 +195,9 @@ class ToySource(_Source):
 
         weights = LossWeights(config.toy_lambda1, config.toy_lambda2, config.toy_tau)
         self.snapshots: List[ToyModel] = []
-        model = ToyModel.init(d_in, config.toy_hidden, config.dimension,
-                              len(self._task_classes[0]), rng)
+        model = ToyModel.init(d_in, config.toy_hidden, config.dimension, len(task_classes[0]), rng)
         prev: Optional[ToyModel] = None
-        for t, classes in enumerate(self._task_classes, start=1):
+        for t, classes in enumerate(task_classes, start=1):
             if t > 1:
                 model = model.extend_head(len(classes), rng)
             x = np.vstack([self._train_x[c] for c in classes])
@@ -198,26 +209,13 @@ class ToySource(_Source):
             )
             self.snapshots.append(model)
             prev = model
-
-    @property
-    def num_tasks(self) -> int:
-        return len(self._task_classes)
-
-    @property
-    def dimension(self) -> int:
-        return self.config.dimension
-
-    def classes_of_task(self, t: int) -> Tuple[int, ...]:
-        return self._task_classes[t - 1]
+        # one call per class: a stacked batch would round its features otherwise
+        train, test = ({(t, c): f.features(x[c]) for t, f in enumerate(self.snapshots, start=1)
+                        for c in range(total)} for x in (self._train_x, self._test_x))
+        super().__init__(task_classes, train, test, config.dimension)
 
     def model(self, t: int) -> ToyModel:
         return self.snapshots[t - 1]
-
-    def train_matrix(self, t: int, c: int) -> np.ndarray:
-        return self.model(t).features(self._train_x[c])
-
-    def test_matrix(self, t: int, c: int) -> np.ndarray:
-        return self.model(t).features(self._test_x[c])
 
     def reference_drifted_prototypes(self, t: int, old_table: PrototypeTable) -> PrototypeTable:
         """Empirical drifted prototypes: old-class training inputs pushed
@@ -235,77 +233,49 @@ class DumpSource(_Source):
     """
 
     def __init__(self, path):
-        self.path = path
         class_ids, task_ids, splits, vectors = load_dump(path)
         if not np.any(splits == SPLIT_TRAIN):
             raise DumpFormatError("empty", "dump contains no train records")
-        self._dim = vectors.shape[1]
         # rows grouped once per (split, task, class), file order kept within each
         order = np.lexsort((class_ids, task_ids, splits))
         keys = np.stack([splits, task_ids, class_ids], axis=1)[order]
         starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
-        self._rows: Dict[Tuple[int, int, int], np.ndarray] = {
-            tuple(keys[first].tolist()): rows
-            for first, rows in zip(np.r_[0, starts], np.split(vectors[order], starts))
-        }
+        train, test = {}, {}
+        for first, rows in zip(np.r_[0, starts], np.split(vectors[order], starts)):
+            split, t, c = keys[first].tolist()
+            (train if split == SPLIT_TRAIN else test)[t, c] = rows
         task_of_class: Dict[int, int] = {}
-        for split, t, c in self._rows:
-            if split == SPLIT_TRAIN:
-                if t < 1:
-                    raise DumpFormatError(
-                        "class_task", f"class {c} has train records at task {t}; tasks start at 1"
-                    )
-                if c in task_of_class:
-                    raise DumpFormatError(
-                        "class_task",
-                        f"class {c} has train records in tasks {task_of_class[c]} and {t}",
-                    )
-                task_of_class[c] = t
-        self._num_tasks = max(task_of_class.values())
-        self._task_classes: List[Tuple[int, ...]] = [
-            tuple(sorted(c for c, t_of in task_of_class.items() if t_of == t))
-            for t in range(1, self._num_tasks + 1)
-        ]
-        for t, classes in enumerate(self._task_classes, start=1):
+        for t, c in train:
+            if t < 1:
+                raise DumpFormatError(
+                    "class_task", f"class {c} has train records at task {t}; tasks start at 1"
+                )
+            if c in task_of_class:
+                raise DumpFormatError(
+                    "class_task", f"class {c} has train records in tasks {task_of_class[c]} and {t}"
+                )
+            task_of_class[c] = t
+        num_tasks = max(task_of_class.values())
+        task_classes = [tuple(sorted(c for c, t_of in task_of_class.items() if t_of == t))
+                        for t in range(1, num_tasks + 1)]
+        for t, classes in enumerate(task_classes, start=1):
             if not classes:
                 raise DumpFormatError("class_task", f"task {t} has no classes")
         # the streams read class c's test records in spaces max(1, t_c - 1)
         # to num_tasks only, t_c the task that trains c
-        for split, t, c in self._rows:
-            if split != SPLIT_TEST:
-                continue
+        for t, c in test:
             if c not in task_of_class:
                 raise DumpFormatError(
                     "class_task", f"class {c} has test records at task {t} but no train records")
             first = max(1, task_of_class[c] - 1)
-            if not first <= t <= self._num_tasks:
+            if not first <= t <= num_tasks:
                 raise DumpFormatError(
                     "class_task", f"class {c} has test records at task {t}, outside tasks "
-                    f"{first} to {self._num_tasks}, which read them")
-        for t in range(1, self._num_tasks + 1):
-            if not any((SPLIT_TEST, t, c) in self._rows for c in self.seen_classes(t)):
+                    f"{first} to {num_tasks}, which read them")
+        super().__init__(task_classes, train, test, vectors.shape[1])
+        for t in range(1, num_tasks + 1):
+            if not any((t, c) in test for c in self.seen_classes(t)):
                 raise DumpFormatError("empty", f"task {t} has no test records in space {t}")
-
-    @property
-    def num_tasks(self) -> int:
-        return self._num_tasks
-
-    @property
-    def dimension(self) -> int:
-        return self._dim
-
-    def classes_of_task(self, t: int) -> Tuple[int, ...]:
-        return self._task_classes[t - 1]
-
-    def _matrix(self, split: int, t: int, c: int) -> np.ndarray:
-        rows = self._rows.get((split, t, c))
-        return np.empty((0, self._dim)) if rows is None else rows
-
-    def train_matrix(self, t: int, c: int) -> np.ndarray:
-        return self._matrix(SPLIT_TRAIN, t, c)
-
-    def test_matrix(self, t: int, c: int) -> np.ndarray:
-        return self._matrix(SPLIT_TEST, t, c)
 
 
 def write_source_dump(source, path) -> int:

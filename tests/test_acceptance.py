@@ -9,6 +9,7 @@ criteria share its cached engine runs through module fixtures.
 import os
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,7 +140,8 @@ def test_criterion_2_optimality_and_normal_equations():
             delta = 10.0 ** rng.uniform(-4, -1) * rng.standard_normal((d, d))
             perturbed = residual(pair, weights + delta)
             assert best <= perturbed + 1e-10
-        gd = _offline_gd(q_old, q_new, 1e-3, "adam", 1000, 0.0)
+        with mock.patch.multiple("driftcomp.engine", OFFLINE_MAX_STEPS=1000, OFFLINE_GRAD_TOL=0.0):
+            gd = _offline_gd(q_old, q_new, 1e-3, "adam")
         assert best <= residual(pair, gd) + 1e-10
     elapsed = time.time() - start
     assert elapsed < 30.0, f"ran {elapsed:.1f}s, budget 30s"

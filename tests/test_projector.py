@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg.lapack
@@ -152,7 +154,8 @@ class TestSolveAnalytic:
 def descend(pair, learning_rate, steps, optimizer="sgd"):
     """The offline oracle's full-batch descent from the identity, run for
     exactly `steps` steps."""
-    return _offline_gd(*pair.matrices(), learning_rate, optimizer, steps, 0.0)
+    with mock.patch.multiple("driftcomp.engine", OFFLINE_MAX_STEPS=steps, OFFLINE_GRAD_TOL=0.0):
+        return _offline_gd(*pair.matrices(), learning_rate, optimizer)
 
 
 class TestSolveGradientDescent:

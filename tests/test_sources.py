@@ -4,7 +4,7 @@ import pytest
 from driftcomp.config import RunConfig
 from driftcomp.core import class_means
 from driftcomp.drift_sim import DriftSpec
-from driftcomp.engine import _fresh_table
+from driftcomp.engine import _fresh_table, replay_audit, run_engine
 from driftcomp.errors import ConfigError, DumpFormatError
 from driftcomp.sources import (
     DumpSource,
@@ -13,6 +13,7 @@ from driftcomp.sources import (
     open_source,
     write_source_dump,
 )
+from driftcomp.toy import ToyModel
 
 
 def small_config(**kwargs):
@@ -88,13 +89,26 @@ class TestSyntheticSource:
                                   SyntheticSource.from_config(cfg).train_matrix(2, 1))
 
 
+TOY_CONFIG = RunConfig(source="toy", num_tasks=2, classes_per_task="2",
+                       dimension=6, train_per_class=10, test_per_class=4,
+                       toy_input_dim=8, toy_hidden=10, toy_epochs=3,
+                       toy_lambda1=1.0, toy_lambda2=0.0, seed=0)
+
+
 @pytest.fixture(scope="module")
 def toy_source():
-    cfg = RunConfig(source="toy", num_tasks=2, classes_per_task="2",
-                    dimension=6, train_per_class=10, test_per_class=4,
-                    toy_input_dim=8, toy_hidden=10, toy_epochs=3,
-                    toy_lambda1=1.0, toy_lambda2=0.0, seed=0)
-    return ToySource(cfg)
+    return ToySource(TOY_CONFIG)
+
+
+@pytest.fixture(params=["synthetic", "dump", "toy"])
+def source(request, tmp_path, toy_source):
+    if request.param == "toy":
+        return toy_source
+    synthetic = SyntheticSource.from_config(small_config())
+    if request.param == "synthetic":
+        return synthetic
+    write_source_dump(synthetic, tmp_path / "feat.bin")
+    return DumpSource(tmp_path / "feat.bin")
 
 
 class TestToySource:
@@ -257,16 +271,6 @@ class TestTrainMatrix:
     order, and the fresh table built from it equals the class means of the
     records' vectors bit for bit."""
 
-    @pytest.fixture(params=["synthetic", "dump", "toy"])
-    def source(self, request, tmp_path, toy_source):
-        if request.param == "toy":
-            return toy_source
-        synthetic = SyntheticSource.from_config(small_config())
-        if request.param == "synthetic":
-            return synthetic
-        write_source_dump(synthetic, tmp_path / "feat.bin")
-        return DumpSource(tmp_path / "feat.bin")
-
     def test_rows_and_fresh_table_match_records(self, source):
         for t in range(1, source.num_tasks + 1):
             assert (source.train_records(t).task_id == t).all()
@@ -282,6 +286,33 @@ class TestTrainMatrix:
                                       for c in classes})
             assert fresh.class_ids == by_records.class_ids
             assert np.array_equal(fresh.matrix(), by_records.matrix())
+
+
+class TestStore:
+    """Every source fills its store once, when built: a read returns the
+    stored rows, a (t, c) the source does not hold reads as no rows, and a
+    task outside 1 to num_tasks has no classes."""
+
+    def test_absent_rows_read_as_no_rows(self, source):
+        unknown = max(source.seen_classes(source.num_tasks)) + 1
+        for t, c in ((0, 0), (source.num_tasks + 1, 0), (1, unknown)):
+            assert source.train_matrix(t, c).shape == (0, source.dimension)
+            assert source.test_matrix(t, c).shape == (0, source.dimension)
+        assert source.classes_of_task(0) == source.classes_of_task(source.num_tasks + 1) == ()
+
+    def test_reads_return_the_stored_rows(self, source):
+        for t in range(1, source.num_tasks + 1):
+            for c in source.classes_of_task(t):
+                assert source.train_matrix(t, c) is source.train_matrix(t, c)
+            for c in source.seen_classes(t):
+                assert source.test_matrix(t, c) is source.test_matrix(t, c)
+
+    def test_toy_runs_no_extractor_after_build(self, toy_source, monkeypatch):
+        def forward(self, x):
+            raise AssertionError("toy extractor ran after the source was built")
+
+        monkeypatch.setattr(ToyModel, "forward", forward)
+        assert replay_audit(run_engine(toy_source, TOY_CONFIG))
 
 
 def test_toy_reference_drifted_prototypes_are_sequential_means(toy_source):
