@@ -27,6 +27,8 @@ SPLIT_TRAIN = 0
 SPLIT_TEST = 1
 
 _HEADER = struct.Struct("<8sIIQ")
+# the most record bytes `load_dump` holds at once
+_BLOCK_BYTES = 8 << 20
 
 
 def record_dtype(dimension: int) -> np.dtype:
@@ -99,6 +101,11 @@ def load_dump(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All records of a dump file in file order: int64 class ids, task ids
     and splits, and the (n, d) float64 vectors.
 
+    The records are read up to `_BLOCK_BYTES` at a time, each block
+    converted into the one (n, d) array returned, so the load holds the
+    n * d * 8 bytes of vectors and 24 bytes of ids per record, plus one
+    block.
+
     DumpFormatError codes: "magic", "version", "dimension" (0), then the
     file size against the header ("truncated" at the file length,
     "trailing" at the declared end), then the first faulty record: "split"
@@ -120,25 +127,38 @@ def load_dump(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if size > end:
             raise DumpFormatError("trailing", f"unexpected trailing bytes at offset {end}",
                                   offset=end)
+        class_ids, task_ids, splits = (np.empty(count, dtype=np.int64) for _ in range(3))
+        vectors = np.empty((count, dim))
+        step = max(1, _BLOCK_BYTES // record_size)
         # an empty dump of any width is valid, even one too wide for a numpy record
-        table = np.fromfile(fh, dtype=record_dtype(dim if count else 0), count=count)
-    splits = table["split"].astype(np.int64)
-    vectors = table["vector"].reshape(count, dim)
-    bad_split = splits > SPLIT_TEST
-    faulty = np.flatnonzero(bad_split | ~np.isfinite(vectors).all(axis=1))
-    if faulty.size:
-        i = int(faulty[0])
-        record = _HEADER.size + i * record_size
-        if bad_split[i]:
-            raise DumpFormatError(
-                "split", f"record {i} has invalid split {splits[i]}",
-                offset=record + head.fields["split"][1],
-            )
-        raise DumpFormatError(
-            "nonfinite", f"record {i} contains non-finite values", offset=record + head.itemsize
-        )
-    return (table["class_id"].astype(np.int64), table["task_id"].astype(np.int64),
-            splits, vectors.astype(np.float64))
+        block = np.empty(min(count, step), dtype=record_dtype(dim if count else 0))
+        for start in range(0, count, step):
+            part = block[:count - start]
+            got = fh.readinto(part.data)
+            if got != part.nbytes:   # the file shrank after its size was checked
+                offset = _HEADER.size + start * record_size + got
+                raise DumpFormatError("truncated", f"truncated dump at byte offset {offset}",
+                                      offset=offset)
+            rows = slice(start, start + len(part))
+            class_ids[rows], task_ids[rows], splits[rows] = (
+                part["class_id"], part["task_id"], part["split"])
+            with np.errstate(invalid="ignore"):   # a signalling nan is reported below
+                vectors[rows] = part["vector"]
+            bad_split = part["split"] > SPLIT_TEST
+            faulty = np.flatnonzero(bad_split | ~np.isfinite(vectors[rows]).all(axis=1))
+            if faulty.size:
+                i = start + int(faulty[0])
+                record = _HEADER.size + i * record_size
+                if bad_split[faulty[0]]:
+                    raise DumpFormatError(
+                        "split", f"record {i} has invalid split {splits[i]}",
+                        offset=record + head.fields["split"][1],
+                    )
+                raise DumpFormatError(
+                    "nonfinite", f"record {i} contains non-finite values",
+                    offset=record + head.itemsize,
+                )
+    return class_ids, task_ids, splits, vectors
 
 
 def read_dump_header(path) -> Tuple[int, int, int]:

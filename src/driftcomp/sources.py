@@ -236,13 +236,28 @@ class DumpSource(_Source):
         class_ids, task_ids, splits, vectors = load_dump(path)
         if not np.any(splits == SPLIT_TRAIN):
             raise DumpFormatError("empty", "dump contains no train records")
-        # rows grouped once per (split, task, class), file order kept within each
-        order = np.lexsort((class_ids, task_ids, splits))
-        keys = np.stack([splits, task_ids, class_ids], axis=1)[order]
-        starts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+        # rows grouped once per (split, task, class), file order kept within
+        # each: the file's runs of one key, stably sorted by key; a group of
+        # one run is a view of `vectors`, any other gathers its runs
+        new_run = np.zeros(len(splits), dtype=bool)
+        new_run[0] = True   # the dump has train records
+        for column in (splits, task_ids, class_ids):
+            new_run[1:] |= column[1:] != column[:-1]
+        starts = np.flatnonzero(new_run)
+        ends = np.r_[starts[1:], len(splits)]
+        run_keys = np.stack([splits[starts], task_ids[starts], class_ids[starts]], axis=1)
+        order = np.lexsort(run_keys.T[::-1])
+        run_keys = run_keys[order]
+        heads = np.flatnonzero(np.r_[True, np.any(run_keys[1:] != run_keys[:-1], axis=1)])
         train, test = {}, {}
-        for first, rows in zip(np.r_[0, starts], np.split(vectors[order], starts)):
-            split, t, c = keys[first].tolist()
+        for head, runs in zip(heads.tolist(), np.split(order, heads[1:])):
+            split, t, c = run_keys[head].tolist()
+            if len(runs) == 1:
+                rows = vectors[starts[runs[0]]:ends[runs[0]]]
+            else:   # the group's i-th row is the file's record i + skip[i]
+                lengths = ends[runs] - starts[runs]
+                skip = np.repeat(starts[runs] - np.cumsum(lengths) + lengths, lengths)
+                rows = vectors[skip + np.arange(len(skip))]
             (train if split == SPLIT_TRAIN else test)[t, c] = rows
         task_of_class: Dict[int, int] = {}
         for t, c in train:
@@ -292,7 +307,13 @@ def write_source_dump(source, path) -> int:
                    for c in sorted(source.seen_classes(t))]
     counts = [len(rows) for *_, rows in blocks]
     class_ids, task_ids, splits = (np.repeat([b[i] for b in blocks], counts) for i in range(3))
-    vectors = np.concatenate([rows for *_, rows in blocks])
+    # the float32 records `write_dump` stores, filled a block at a time
+    vectors = np.empty((sum(counts), source.dimension), dtype=np.float32)
+    start = 0
+    with np.errstate(over="ignore"):   # out-of-range values become inf, as in write_dump
+        for *_, rows in blocks:
+            vectors[start:start + len(rows)] = rows
+            start += len(rows)
     return write_dump(path, class_ids, task_ids, splits, vectors)
 
 

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from driftcomp import dump
 from driftcomp.dump import (
     DUMP_VERSION,
     MAGIC,
@@ -20,6 +22,7 @@ from driftcomp.errors import DumpFormatError
 
 HEADER = struct.Struct("<8sIIQ")
 RECORD_HEAD = struct.Struct("<IIB")
+BLOCK_BYTES = dump._BLOCK_BYTES
 
 
 def struct_write(path, d, records):
@@ -305,9 +308,14 @@ class TestAgainstRecordLoop:
            kind=st.sampled_from(["truncate", "flip", "count", "dimension"]),
            where=st.integers(0, 2**16), value=st.integers(0, 2**32 - 1),
            mask=st.integers(1, 255),
-           part=st.sampled_from(["any byte", "split byte", "float exponent"]))
-    def test_one_mutation_matches_reference(self, tmp_path, seed, count, d, kind, where,
-                                            value, mask, part):
+           part=st.sampled_from(["any byte", "split byte", "float exponent"]),
+           per_block=st.sampled_from([None, 1, 2, 5]))
+    def test_one_mutation_matches_reference(self, tmp_path, monkeypatch, seed, count, d, kind,
+                                            where, value, mask, part, per_block):
+        # per_block records at a time, or every record in one block; the
+        # examples share one monkeypatch, so each sets the size
+        monkeypatch.setattr(dump, "_BLOCK_BYTES", BLOCK_BYTES if per_block is None
+                            else per_block * (RECORD_HEAD.size + 4 * d))
         path = tmp_path / "f.bin"
         write_dump(path, *columns(sample_records(np.random.default_rng(seed), count=count, d=d), d))
         data = bytearray(path.read_bytes())
@@ -348,3 +356,69 @@ class TestAgainstRecordLoop:
             tracemalloc.stop()
         assert err.value.code == "truncated" and err.value.offset == HEADER.size + 100
         assert peak < 1 << 20
+
+
+class TestBlocks:
+    """`load_dump` reads `_BLOCK_BYTES` of records at a time: the arrays, and
+    the code, message and offset of the first faulty record, are those of
+    a load in one block."""
+
+    D = 6
+    RECORD = RECORD_HEAD.size + 4 * D
+
+    def write(self, path, faults=()):
+        """20 records, with (record, split or None, vector entry or None)
+        written over some of them."""
+        class_ids, task_ids, splits, vectors = columns(
+            sample_records(np.random.default_rng(5), count=20, d=self.D), self.D)
+        write_dump(path, class_ids, task_ids, splits, vectors)
+        data = bytearray(path.read_bytes())
+        for i, split, entry in faults:
+            record = HEADER.size + i * self.RECORD
+            if split is not None:
+                data[record + RECORD_HEAD.size - 1] = split
+            if entry is not None:
+                struct.pack_into("<f", data, record + RECORD_HEAD.size, entry)
+        path.write_bytes(bytes(data))
+
+    @pytest.mark.parametrize("block_bytes", [1, RECORD, 3 * RECORD, 3 * RECORD + 1, 7 * RECORD])
+    def test_blocks_return_the_one_block_arrays(self, tmp_path, monkeypatch, block_bytes):
+        path = tmp_path / "f.bin"
+        self.write(path)
+        whole = load_dump(path)
+        monkeypatch.setattr(dump, "_BLOCK_BYTES", block_bytes)
+        for got, want in zip(load_dump(path), whole):
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("faults, code, message", [
+        ([(13, 9, None)], "split", "record 13 has invalid split 9"),
+        ([(13, None, np.nan)], "nonfinite", "record 13 contains non-finite values"),
+        ([(13, 2, np.inf)], "split", "record 13 has invalid split 2"),
+        ([(17, 9, None), (13, None, -np.inf)], "nonfinite", "record 13 contains non-finite values"),
+    ])
+    def test_fault_in_a_later_block(self, tmp_path, monkeypatch, faults, code, message):
+        path = tmp_path / "f.bin"
+        self.write(path, faults)
+        offset = HEADER.size + 13 * self.RECORD + RECORD_HEAD.size - (code == "split")
+        for block_bytes in (BLOCK_BYTES, 3 * self.RECORD, self.RECORD):
+            monkeypatch.setattr(dump, "_BLOCK_BYTES", block_bytes)
+            with pytest.raises(DumpFormatError) as err:
+                load_dump(path)
+            assert (err.value.code, str(err.value), err.value.offset) == (code, message, offset)
+
+    def test_file_shrinking_after_the_size_check(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.bin"
+        self.write(path)
+        size = path.stat().st_size
+        stat = dump.os.fstat
+
+        def fstat(fd):   # the size before the last 5 records went
+            return types.SimpleNamespace(st_size=stat(fd).st_size + 5 * self.RECORD)
+
+        path.write_bytes(path.read_bytes()[:size - 5 * self.RECORD])
+        monkeypatch.setattr(dump.os, "fstat", fstat)
+        monkeypatch.setattr(dump, "_BLOCK_BYTES", 4 * self.RECORD)
+        with pytest.raises(DumpFormatError) as err:
+            load_dump(path)
+        assert (err.value.code, err.value.offset) == ("truncated", size - 5 * self.RECORD)

@@ -1,9 +1,14 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
+from driftcomp import dump
 from driftcomp.config import RunConfig
 from driftcomp.core import class_means
 from driftcomp.drift_sim import DriftSpec
+from driftcomp.dump import SPLIT_TEST, SPLIT_TRAIN, load_dump, write_dump
 from driftcomp.engine import _fresh_table, replay_audit, run_engine
 from driftcomp.errors import ConfigError, DumpFormatError
 from driftcomp.sources import (
@@ -257,6 +262,90 @@ class TestDumpRoundTrip:
             DumpSource(path)
         assert err.value.code == "empty"
 
+
+class TestDumpGroups:
+    """A dump source stores each (split, task, class) group that is one run
+    of the file as a view of the one array `load_dump` returns, and gathers
+    any other in file order: either way a C-contiguous float64 (n, d) array."""
+
+    @staticmethod
+    def groups(source):
+        return [*source._train.values(), *source._test.values()]
+
+    def test_groups_of_a_written_dump_share_one_array(self, tmp_path):
+        path = tmp_path / "feat.bin"
+        write_source_dump(SyntheticSource.from_config(small_config()), path)
+        groups = self.groups(DumpSource(path))
+        vectors = load_dump(path)[3]
+        base = groups[0].base
+        assert base is not None and np.array_equal(base, vectors)
+        assert sum(len(rows) for rows in groups) == len(vectors)
+        for rows in groups:
+            assert rows.base is base and rows.flags.c_contiguous and rows.dtype == np.float64
+
+    def test_group_in_two_runs_is_the_stable_sorted_rows(self, tmp_path):
+        # (train, 1, 0) is records 0-1 and 4, (test, 1, 0) records 5 and 7:
+        # gathered; (train, 1, 1) records 2-3 and (test, 1, 1) record 6: views
+        class_ids = [0, 0, 1, 1, 0, 0, 1, 0]
+        splits = [SPLIT_TRAIN] * 5 + [SPLIT_TEST] * 3
+        vectors = np.random.default_rng(3).standard_normal((8, 3)).astype(np.float32)
+        path = tmp_path / "feat.bin"
+        write_dump(path, class_ids, [1] * 8, splits, vectors)
+        source = DumpSource(path)
+        order = np.lexsort((class_ids, splits))   # stable: file order within a group
+        expected = {(SPLIT_TRAIN, 0): order[0:3], (SPLIT_TRAIN, 1): order[3:5],
+                    (SPLIT_TEST, 0): order[5:7], (SPLIT_TEST, 1): order[7:8]}
+        for (split, c), rows in expected.items():
+            stored = (source.train_matrix if split == SPLIT_TRAIN else source.test_matrix)(1, c)
+            assert stored.flags.c_contiguous and stored.dtype == np.float64
+            assert np.array_equal(stored, vectors[rows].astype(np.float64))
+        assert source.train_matrix(1, 0).base is not source.train_matrix(1, 1).base
+        assert source.train_matrix(1, 1).base is source.test_matrix(1, 1).base
+
+    def test_interleaved_groups_are_the_stable_sorted_rows(self, tmp_path):
+        rng = np.random.default_rng(4)
+        # classes 0-1 trained at task 1, 2-3 at task 2, all tested in spaces 1 and 2
+        class_ids = np.r_[0:4, rng.integers(0, 4, 196)]
+        splits = np.r_[[SPLIT_TRAIN] * 4, rng.integers(0, 2, 196)]
+        task_ids = np.where(splits == SPLIT_TRAIN, 1 + (class_ids >= 2), rng.integers(1, 3, 200))
+        vectors = rng.standard_normal((200, 5)).astype(np.float32)
+        path = tmp_path / "feat.bin"
+        write_dump(path, class_ids, task_ids, splits, vectors)
+        source = DumpSource(path)
+        for split, store in ((SPLIT_TRAIN, source._train), (SPLIT_TEST, source._test)):
+            for (t, c), rows in store.items():
+                mine = (splits == split) & (task_ids == t) & (class_ids == c)
+                assert rows.flags.c_contiguous and np.array_equal(rows, vectors[mine])
+        assert sum(len(rows) for rows in self.groups(source)) == 200
+
+    def test_build_holds_the_store_and_one_block(self, tmp_path, monkeypatch):
+        # 20,000 records of d=64, read 64 KiB at a time: the build holds the
+        # store, the id columns and one block
+        path = tmp_path / "feat.bin"
+        write_source_dump(SyntheticSource(2, (5, 5), 64, train_per_class=1800,
+                                          test_per_class=100), path)
+        monkeypatch.setattr(dump, "_BLOCK_BYTES", 1 << 16)
+        tracemalloc.start()
+        try:
+            source = DumpSource(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        store = sum(rows.nbytes for rows in self.groups(source))
+        assert store == 20_000 * 64 * 8
+        assert peak <= 1.1 * store
+
+    def test_write_out_of_range_value_as_nonfinite(self, tmp_path):
+        # 1e39 is finite in float64 and beyond the float32 range
+        source = SyntheticSource.from_config(small_config())
+        source.train_matrix(2, 3)[1, 4] = 1e39
+        path = tmp_path / "feat.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DumpFormatError, match="not finite at float32") as err:
+                write_source_dump(source, path)
+        assert err.value.code == "nonfinite"
+        assert not path.exists()
 
 
 def sequential_mean(rows):
