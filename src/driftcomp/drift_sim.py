@@ -64,10 +64,6 @@ class DriftMap:
         self.kind = kind
 
     @property
-    def is_linear(self) -> bool:
-        return self.sine_strength == 0.0
-
-    @property
     def projector_target(self) -> np.ndarray:
         return self.matrix.T.copy()
 

@@ -27,7 +27,7 @@ SPLIT_TRAIN = 0
 SPLIT_TEST = 1
 
 _HEADER = struct.Struct("<8sIIQ")
-# the most record bytes `load_dump` holds at once
+# the most record bytes `write_dump` and `load_dump` hold at once
 _BLOCK_BYTES = 8 << 20
 
 
@@ -47,15 +47,17 @@ def write_dump(path, class_ids, task_ids, splits, vectors) -> int:
     that is not integer-typed or holds a value outside [0, 2**32), "split"
     likewise for a split other than 0 or 1, and "nonfinite" naming the
     first record whose vector is not finite at float32 (a NaN or infinity,
-    or a value beyond the float32 range).
+    or a value beyond the float32 range). The records are then packed and
+    written up to `_BLOCK_BYTES` at a time, so the write holds the float32
+    vectors and one block.
     """
     with np.errstate(over="ignore"):   # out-of-range values become inf
         vectors = np.asarray(vectors, dtype=np.float32)
     if vectors.ndim != 2 or vectors.shape[1] == 0:
         raise DumpFormatError("dimension", f"vectors of shape {vectors.shape} are not (n, d >= 1)")
     count, dim = vectors.shape
-    table = np.empty(count, dtype=record_dtype(dim))
     top = {"class_id": 2**32 - 1, "task_id": 2**32 - 1, "split": SPLIT_TEST}
+    columns = {"vector": vectors}
     for field, values in zip(top, (class_ids, task_ids, splits)):
         column = np.asarray(values)
         if column.shape != (count,):
@@ -71,16 +73,21 @@ def write_dump(path, class_ids, task_ids, splits, vectors) -> int:
         if bad.size:
             raise DumpFormatError(code, f"record {bad[0]} has {field} {column[bad[0]]}, "
                                   f"outside [0, {top[field]}]")
-        table[field] = column
-    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
-    if bad.size:
-        raise DumpFormatError(
-            "nonfinite", f"record {bad[0]} contains values that are not finite at float32"
-        )
-    table["vector"] = vectors
+        columns[field] = column
+    step = max(1, _BLOCK_BYTES // record_dtype(dim).itemsize)
+    for start in range(0, count, step):
+        bad = np.flatnonzero(~np.isfinite(vectors[start:start + step]).all(axis=1))
+        if bad.size:
+            raise DumpFormatError("nonfinite", f"record {start + bad[0]} contains values "
+                                  "that are not finite at float32")
+    block = np.empty(min(count, step), dtype=record_dtype(dim))
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, DUMP_VERSION, dim, count))
-        table.tofile(fh)
+        for start in range(0, count, step):
+            part = block[:count - start]
+            for field, column in columns.items():
+                part[field] = column[start:start + len(part)]
+            part.tofile(fh)
     return count
 
 

@@ -1,13 +1,13 @@
 """Streaming evolution engine.
 
-Per task: compute fresh prototypes, pre-fill the paired queues with noised
-old prototypes, then per arriving test sample push the paired features,
-re-fit the projector, evolve the old prototypes from their original
-previous-space values, and classify by cosine nearest class mean over the
-union of evolved old and fresh new prototypes. A task without old classes,
-or a run with solver "none", fits nothing and classifies against the stale
-old prototypes. The offline GD oracle runs the same per-task body with an
-empty stream: it fits once, before the first prediction.
+Per task: compute fresh prototypes, then per arriving test sample push the
+paired features into the task's fit, re-fit the projector, evolve the old
+prototypes from their original previous-space values, and classify by
+cosine nearest class mean over the union of evolved old and fresh new
+prototypes. Every solver, and the offline GD oracle, is a `_Fit` from
+`_make_fit` whose `solve()` this one loop calls; the oracle streams nothing
+and solves once, before the first prediction. A task without old classes,
+or with solver "none", has no fit and classifies against the stale table.
 
 The union is held per task in a chunk of slots (`_TaskLayout`), one per
 staged sample: each solve writes the evolved rows, mapped by one gemm, into
@@ -21,17 +21,17 @@ to the drift similarity and the next task is built once, at task end, by
 audit stages the logged samples through the same layout.
 
 Each task's record logs the W of every solve in a `projector.SnapshotLog`:
-a full W for a direct solve and for the descent solvers, and for every
-other window solve the rank-m update by which the window moved its own W in
-place, from which the log replays the same bits. The layout is evolved with
-the W the solve returned; the audit replays the log in one pass.
+a full W for a direct solve, the descent solvers and the oracle, and for
+every other window solve the rank-m update by which the window moved its
+own W in place, from which the log replays the same bits, in one pass for
+the audit.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -39,9 +39,8 @@ from .config import RunConfig
 from .core import PrototypeTable, _nearest_class, _row_norms, class_means
 from .drift_sim import true_drift_similarity
 from .errors import DegenerateInputError
-from .projector import (SnapshotLog, SolveCounts, WindowSolver, _Descent, _queue_gradient,
-                        evolve_prototypes)
-from .queues import init_with_pseudo_features
+from .projector import SnapshotLog, SolveCounts, WindowSolver, _Descent, evolve_prototypes
+from .queues import LatestPair, QueuePair, init_with_pseudo_features
 
 PHASES = ("queue", "solve", "predict")
 OFFLINE_MAX_STEPS = 20000
@@ -118,76 +117,72 @@ class RunResult:
         return self.class_group_accuracy(old), self.class_group_accuracy(new)
 
     def mean_phase_seconds(self) -> Dict[str, float]:
-        totals = {p: 0.0 for p in PHASES}
-        n = 0
-        for rec in self.tasks:
-            for p in PHASES:
-                totals[p] += rec.phase_seconds[p]
-            n += rec.n_stream_samples
-        if n == 0:
-            return {p: 0.0 for p in PHASES}
-        return {p: totals[p] / n for p in PHASES}
+        n = sum(rec.n_stream_samples for rec in self.tasks)
+        return {p: sum(rec.phase_seconds[p] for rec in self.tasks) / n if n else 0.0
+                for p in PHASES}
 
     @property
     def mean_sample_seconds(self) -> float:
         return sum(self.mean_phase_seconds().values())
 
 
-class _StreamFit:
-    """Drift-projector fit over one task's stream of (old, new) feature pairs.
+@dataclass
+class _Fit:
+    """One task's projector fit. `push` stages each (old, new) pair and
+    pushes the staged pairs into `queue` every `update_stride` pairs; the
+    stream calls `solve()` every `resolve_stride` pairs for (W, update), the
+    arguments of `SnapshotLog.append`. `counts` tallies analytic solves."""
 
-    "analytic" and "gd_with_queue" push into paired queues pre-filled with
-    pseudo-features and re-solve every `resolve_stride` samples, "analytic"
-    through a WindowSolver over the queue and "gd_with_queue" from the
-    queued rows; "gd" descends on each pair alone, as a one-row queue, at
-    every sample. Each solve's W goes to `log`, which the task record holds.
-    """
-
-    def __init__(self, config: RunConfig, old_table: PrototypeTable, rng_seed: int):
-        self.config = config
-        self.descent = _Descent(np.eye(old_table.dimension), config.gd_learning_rate,
-                                config.gd_optimizer)
-        self.queue = self.window = None
-        if config.solver != "gd":
-            self.queue = init_with_pseudo_features(
-                old_table, capacity=config.queue_capacity,
-                noise_scale=config.noise_scale, rng_seed=rng_seed,
-            )
-        if config.solver == "analytic":
-            self.window = WindowSolver(self.queue, config.ridge,
-                                       singular_policy=config.singular_policy,
-                                       min_ridge=config.min_ridge)
-        self.pending: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.log = SnapshotLog()
+    solve: Callable[[], Tuple[np.ndarray, Optional[tuple]]]
+    queue: QueuePair | LatestPair | None = None
+    update_stride: int = 1
+    resolve_stride: int = 1
+    counts: SolveCounts = field(default_factory=SolveCounts)
+    pending: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     def push(self, z_old: np.ndarray, z_new: np.ndarray) -> None:
         self.pending.append((z_old, z_new))
-        if self.queue is None:
-            del self.pending[:-1]   # gd keeps the latest pair only
-        elif len(self.pending) >= self.config.update_stride:
+        if len(self.pending) >= self.update_stride:
             old, new = zip(*self.pending)
             self.pending.clear()
             self.queue.push(old, new)
 
-    def solve(self, i: int) -> Optional[np.ndarray]:
-        """Re-fitted weights after the i-th pair, logged to `self.log`, or
-        None when no solve is due. The window's weights may be its own,
-        which its next solve overwrites."""
-        cfg = self.config
-        if cfg.solver == "gd":
-            q_old, q_new = (np.asarray(rows, dtype=np.float64)[None] for rows in self.pending[0])
-        elif (i + 1) % cfg.resolve_stride:
-            return None
-        elif cfg.solver == "analytic":
-            weights = self.window.solve()[0]
-            self.log.append(weights, self.window.update)
-            return weights
-        else:
-            q_old, q_new = self.queue.matrices()
-        for _ in range(cfg.gd_steps):
-            self.descent.step(_queue_gradient(q_old, q_new, self.descent.weights))
-        self.log.append(self.descent.weights)
-        return self.descent.weights
+
+def _make_fit(config: RunConfig, old_table: Optional[PrototypeTable], rng_seed: int,
+              oracle: bool = False, pairs=(), selected=None) -> Optional[_Fit]:
+    """One task's fit, None without old classes or for solver "none". The
+    oracle's, whatever the solver, runs `_offline_gd` on the selected
+    `pairs` (all when none is), in their order, which sets the Gram's bits.
+    "analytic" solves by a WindowSolver over a queue pre-filled with
+    pseudo-features from `rng_seed`, and "gd_with_queue" by `gd_steps`
+    descent steps on its rows; "gd" steps on a `LatestPair`, so it
+    descends on each pair alone, at every pair, whatever the strides."""
+    if old_table is None or not oracle and config.solver == "none":
+        return None
+    lr, optimizer = config.gd_learning_rate, config.gd_optimizer
+    if oracle:
+        fit_pairs = [p for p in pairs if selected is None or p[0] in selected] or pairs
+        q_old, q_new = (np.vstack([p[k] for p in fit_pairs]) for k in (1, 2))
+        return _Fit(lambda: (_offline_gd(q_old, q_new, lr, optimizer), None))
+    strides = (config.update_stride, config.resolve_stride)
+    if config.solver == "gd":
+        queue, strides = LatestPair(), (1, 1)
+    else:
+        queue = init_with_pseudo_features(old_table, capacity=config.queue_capacity,
+                                          noise_scale=config.noise_scale, rng_seed=rng_seed)
+    if config.solver == "analytic":
+        window = WindowSolver(queue, config.ridge, singular_policy=config.singular_policy,
+                              min_ridge=config.min_ridge)
+        return _Fit(lambda: (window.solve()[0], window.update), queue, *strides, window.counts)
+    descent = _Descent(np.eye(old_table.dimension), lr, optimizer)
+
+    def descend() -> Tuple[np.ndarray, None]:
+        q_old, q_new = queue.matrices()
+        for _ in range(config.gd_steps):   # the gradient of ||Q_old W - Q_new||^2 / n
+            residual = q_old @ descent.weights - q_new
+            descent.step((2.0 / q_old.shape[0]) * (q_old.T @ residual))
+        return descent.weights, None
+    return _Fit(descend, queue, *strides)
 
 
 def _stream_order(n: int, seed: int, task: int) -> np.ndarray:
@@ -239,41 +234,37 @@ def run_task_cycle(
     oracle: bool = False,
 ) -> Tuple[PrototypeTable, TaskRunRecord]:
     """One task's test stage at `config.seed`; returns (prototype table for
-    the next task, metrics record). The pairs of classes outside `selected`
-    are classified against the final state and flagged `excluded`. The
-    oracle streams nothing: it fits once by `_offline_gd` on the selected
-    pairs (all pairs when none is selected) and classifies every pair, in
-    `source.test_pairs(t)` order, whatever `config.solver` says. The table
-    handed on maps the old classes that no fresh class overrides under the
-    last W, by `evolve_prototypes`, and merges the fresh table in."""
+    the next task, metrics record). The fit from `_make_fit` takes each
+    streamed pair by `push` and solves every `resolve_stride` pairs, each W
+    logged and evolving the layout; the oracle's solves once, before every
+    pair is classified, in `source.test_pairs(t)` order. Pairs of classes
+    outside `selected` are classified against the final state and flagged
+    `excluded`. The table handed on is `evolve_prototypes` of the old
+    classes no fresh class overrides, under the last W, and the fresh."""
     rec = TaskRunRecord(task=t, old_table=old_table, fresh_table=_fresh_table(source, t))
     pairs = source.test_pairs(t)
     layout = _TaskLayout(rec)
-    fit = last = None   # last: the W of the last evolve
-    w_index = -1
-    if oracle:
-        streamed, tail = [], pairs
-        if old_table is not None:
-            fit_pairs = [p for p in pairs if selected is None or p[0] in selected] or pairs
-            q_old, q_new = (np.vstack([p[k] for p in fit_pairs]) for k in (1, 2))
-            last = _offline_gd(q_old, q_new, config.gd_learning_rate, config.gd_optimizer)
-            rec.projector_snapshots.append(last)
-            w_index = 0
-            layout.evolve(last)
-    else:
+    fit = _make_fit(config, old_table, config.seed * 1000 + t, oracle, pairs, selected)
+    last = None   # the W of the last solve
+
+    def solve() -> None:
+        nonlocal last
+        last, update = fit.solve()
+        rec.projector_snapshots.append(last, update)
+        layout.evolve(last)
+
+    streamed, tail = [], pairs
+    if not oracle:
         streamed = [pairs[i] for i in _stream_order(len(pairs), config.seed, t)]
-        tail = []
-        if selected is not None:
-            tail = [p for p in streamed if p[0] not in selected]
-            streamed = [p for p in streamed if p[0] in selected]
-        if old_table is not None and config.solver != "none":
-            fit = _StreamFit(config, old_table, rng_seed=config.seed * 1000 + t)
-            rec.projector_snapshots = fit.log
+        tail = [p for p in streamed if selected is not None and p[0] not in selected]
+        streamed = [p for p in streamed if selected is None or p[0] in selected]
+    elif fit is not None:
+        solve()   # the oracle's one fit, before its first prediction
 
     staged: List[Tuple[int, int]] = []   # (class id, w_index) per staged sample
 
     def predict(class_id: int, z_new: np.ndarray) -> None:
-        staged.append((class_id, w_index))
+        staged.append((class_id, len(rec.projector_snapshots) - 1))
         start = time.perf_counter()
         layout.stage(z_new)
         rec.phase_seconds["predict"] += time.perf_counter() - start
@@ -287,11 +278,8 @@ def run_task_cycle(
             try:
                 fit.push(z_old, z_new)
                 pushed = time.perf_counter()
-                weights = fit.solve(i)
-                if weights is not None:
-                    w_index = len(rec.projector_snapshots) - 1
-                    layout.evolve(weights)
-                    last = weights
+                if (i + 1) % fit.resolve_stride == 0:
+                    solve()
             except Exception:
                 layout.predictions()   # an earlier sample's error wins
                 raise
@@ -316,15 +304,14 @@ def run_task_cycle(
     samples.excluded = selected is not None and ~np.isin(samples.class_id, list(selected))
 
     table = rec.fresh_table
-    if old_table is not None and last is not None:
+    if last is not None:
         kept = [c for c in old_table.class_ids if c not in table]
         table = evolve_prototypes(old_table, last, kept).merged_with(table)
     elif old_table is not None:
         table = old_table.merged_with(table)
-    if fit is not None and fit.window is not None:
-        rec.solve_counts = fit.window.counts
-    fitted = fit is not None or (oracle and old_table is not None)
-    if fitted and hasattr(source, "reference_drifted_prototypes"):
+    if fit is not None:
+        rec.solve_counts = fit.counts
+    if fit is not None and hasattr(source, "reference_drifted_prototypes"):
         rec.drift_similarity = true_drift_similarity(
             table.restricted_to(old_table.class_ids),
             source.reference_drifted_prototypes(t, old_table), old_table)

@@ -395,11 +395,6 @@ class _Descent:
         self.weights = self.weights - self.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
-def _queue_gradient(q_old: np.ndarray, q_new: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Gradient of the mean squared row residual ||Q_old W - Q_new||^2 / n."""
-    return (2.0 / q_old.shape[0]) * (q_old.T @ (q_old @ weights - q_new))
-
-
 def evolve_prototypes(
     prototypes: PrototypeTable,
     weights: np.ndarray,

@@ -182,6 +182,20 @@ class QueuePair:
         return self._ordered(first, count, np.s_[:d]), self._ordered(first, count, np.s_[d:])
 
 
+class LatestPair:
+    """A one-row QueuePair without a ring: `matrices` returns the (old, new)
+    rows of the last push, which rejects non-finite rows as QueuePair's does."""
+
+    def push(self, old_features, new_features) -> None:
+        rows = np.asarray((old_features, new_features), dtype=np.float64)
+        if not np.isfinite(rows).all():
+            raise DegenerateInputError("queued features contain non-finite components")
+        self._rows = rows
+
+    def matrices(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._rows[0], self._rows[1]
+
+
 def init_with_pseudo_features(
     prototypes: PrototypeTable,
     capacity: int = DEFAULT_CAPACITY,

@@ -361,7 +361,8 @@ class TestAgainstRecordLoop:
 class TestBlocks:
     """`load_dump` reads `_BLOCK_BYTES` of records at a time: the arrays, and
     the code, message and offset of the first faulty record, are those of
-    a load in one block."""
+    a load in one block. `write_dump` packs and writes as many at a time,
+    and its bytes and errors are those of a write in one table."""
 
     D = 6
     RECORD = RECORD_HEAD.size + 4 * D
@@ -406,6 +407,39 @@ class TestBlocks:
             with pytest.raises(DumpFormatError) as err:
                 load_dump(path)
             assert (err.value.code, str(err.value), err.value.offset) == (code, message, offset)
+
+    @staticmethod
+    def one_table_write(path, class_ids, task_ids, splits, vectors):
+        """The writer that packs every record into one table first."""
+        count, d = np.shape(vectors)
+        table = np.empty(count, dtype=dump.record_dtype(d))
+        table["class_id"], table["task_id"], table["split"] = class_ids, task_ids, splits
+        table["vector"] = vectors
+        with open(path, "wb") as fh:
+            fh.write(HEADER.pack(MAGIC, DUMP_VERSION, d, count))
+            table.tofile(fh)
+
+    @pytest.mark.parametrize("count", [0, 1, 20, 21])
+    @pytest.mark.parametrize("block_bytes",
+                             [1, RECORD, 3 * RECORD, 3 * RECORD + 1, 7 * RECORD, BLOCK_BYTES])
+    def test_write_in_blocks_matches_one_table(self, tmp_path, monkeypatch, count, block_bytes):
+        arrays = columns(sample_records(np.random.default_rng(count), count, self.D), self.D)
+        self.one_table_write(tmp_path / "one.bin", *arrays)
+        monkeypatch.setattr(dump, "_BLOCK_BYTES", block_bytes)
+        assert write_dump(tmp_path / "blocks.bin", *arrays) == count
+        assert (tmp_path / "blocks.bin").read_bytes() == (tmp_path / "one.bin").read_bytes()
+
+    @pytest.mark.parametrize("block_bytes", [1, 3 * RECORD, BLOCK_BYTES])
+    def test_write_names_the_first_nonfinite_record_in_a_later_block(self, tmp_path,
+                                                                      monkeypatch, block_bytes):
+        class_ids, task_ids, splits, vectors = columns(
+            sample_records(np.random.default_rng(6), count=20, d=self.D), self.D)
+        vectors[[13, 17], 2] = np.inf
+        monkeypatch.setattr(dump, "_BLOCK_BYTES", block_bytes)
+        with pytest.raises(DumpFormatError, match="record 13 ") as err:
+            write_dump(tmp_path / "f.bin", class_ids, task_ids, splits, vectors)
+        assert err.value.code == "nonfinite"
+        assert not (tmp_path / "f.bin").exists()
 
     def test_file_shrinking_after_the_size_check(self, tmp_path, monkeypatch):
         path = tmp_path / "f.bin"

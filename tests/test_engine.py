@@ -14,8 +14,8 @@ from driftcomp.engine import (
     SAMPLE_FIELDS,
     RunResult,
     TaskRunRecord,
-    _StreamFit,
     _TaskLayout,
+    _make_fit,
     _offline_gd,
     _selected_classes,
     _stream_order,
@@ -524,8 +524,8 @@ class TestSnapshotLogInStream:
 class TestWideGate:
     """ROADMAP item 9's gate for the d >= 64 path, at d = 512 on the
     in-place W: a low-noise pre-fill of 90 old prototypes, then 2.5
-    capacities of pairs through _StreamFit, which recompute the normal
-    equations twice."""
+    capacities of pairs through the analytic fit, which recompute the
+    normal equations twice."""
 
     def test_stream_against_direct_solves(self):
         d, capacity, every = 512, 640, 200
@@ -533,31 +533,33 @@ class TestWideGate:
         old = PrototypeTable(range(90), rng.standard_normal((90, d)))
         cfg = RunConfig(solver="analytic", dimension=d, queue_capacity=capacity,
                         noise_scale=0.05)
-        fit = _StreamFit(cfg, old, rng_seed=5)
+        fit = _make_fit(cfg, old, rng_seed=5)
+        log = SnapshotLog()
         w_true = np.eye(d) + rng.standard_normal((d, d)) / np.sqrt(d)
         n = 5 * capacity // 2
         eps = np.finfo(float).eps
         checked = 0
         for i, z_old in enumerate(rng.standard_normal((n, d))):
             fit.push(z_old, z_old @ w_true + 0.1 * rng.standard_normal(d))
-            weights = fit.solve(i)
+            weights, update = fit.solve()
+            log.append(weights, update)
             if i % every and i != n - 1:
                 continue
             checked += 1
             # a backward-stable solve is within d eps cond of the exact
             # solution (Higham, Accuracy and Stability, 10.1), so two are
             # within twice that of each other
-            q_old, q_new = fit.window.queue.matrices()
+            q_old, q_new = fit.queue.matrices()
             direct, cond, ridge = solve_normal_equations(q_old.T @ q_old, q_old.T @ q_new)
             assert ridge == 0.0
             gap = np.linalg.norm(weights - direct) / np.linalg.norm(direct)
             assert gap <= 2 * d * eps * cond
-            assert fit.log[i].tobytes() == weights.tobytes()
+            assert log[i].tobytes() == weights.tobytes()
         assert checked == n // every + 1
-        assert fit.window.queue.recomputes == 3 and fit.window.counts.ridge_fallbacks == 0
+        assert fit.queue.recomputes == 3 and fit.counts.ridge_fallbacks == 0
         # the log: three direct solves in full, and 2 m d floats for each
         # update, m = 2 rows moved per pair
-        entries = fit.log._entries
+        entries = log._entries
         full = [entry for entry in entries if not isinstance(entry, tuple)]
         assert len(entries) == n and len(full) == 3
         floats = sum(part.size for entry in entries if isinstance(entry, tuple) for part in entry)
@@ -1260,6 +1262,31 @@ class TestNonFiniteTestFeature:
             return pairs
         monkeypatch.setattr(source, "test_pairs", poisoned)
         with pytest.raises(DegenerateInputError, match="non-finite norm"):
+            run_engine(source, cfg)
+
+
+class TestNonFiniteFitFeature:
+    @pytest.mark.parametrize("solver", ["analytic", "gd", "gd_with_queue"])
+    def test_queued_old_feature_raises(self, monkeypatch, solver):
+        # a space-1 test row of a class introduced in task 2 is read only as
+        # the old half of its task-2 pair, so only the fit sees it; "gd"
+        # once descended on it and raised DivergenceError
+        cfg = engine_config(solver=solver)
+        source = SyntheticSource.from_config(cfg)
+        test_pairs = source.test_pairs
+        fresh = source.classes_of_task(2)[0]
+
+        def poisoned(t):
+            pairs = test_pairs(t)
+            if t == 2:
+                i = next(i for i, pair in enumerate(pairs) if pair[0] == fresh)
+                c, z_old, z_new = pairs[i]
+                z_old = z_old.copy()
+                z_old[3] = np.nan
+                pairs[i] = (c, z_old, z_new)
+            return pairs
+        monkeypatch.setattr(source, "test_pairs", poisoned)
+        with pytest.raises(DegenerateInputError, match="queued features contain non-finite"):
             run_engine(source, cfg)
 
 

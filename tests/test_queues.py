@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from driftcomp.config import RunConfig
 from driftcomp.core import PrototypeTable
-from driftcomp.engine import _StreamFit
+from driftcomp.engine import _make_fit
 from driftcomp.errors import DegenerateInputError, DimensionError
 from driftcomp.projector import HELD_MIN_DIMENSION, WindowSolver, solve_normal_equations
-from driftcomp.queues import QueuePair, init_with_pseudo_features
+from driftcomp.queues import LatestPair, QueuePair, init_with_pseudo_features
 
 
 def make_pair(d=4, capacity=3):
@@ -25,6 +25,20 @@ def paired(old):
 def assert_pairs_equal(got, want):
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestLatestPair:
+    def test_keeps_the_last_push_and_rejects_non_finite_rows(self):
+        pair = LatestPair()
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            old, new = rng.standard_normal((2, 1, 5))
+            pair.push((old[0],), (new[0],))
+            assert_pairs_equal(pair.matrices(), (old, new))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DegenerateInputError, match="non-finite"):
+                pair.push(old, np.full((1, 5), bad))
+            assert_pairs_equal(pair.matrices(), (old, new))
 
 
 class TestQueueRing:
@@ -333,7 +347,7 @@ class TestRankKUpdate:
         rng = np.random.default_rng(seed)
         table = PrototypeTable(range(10), rng.standard_normal((10, d)))
         cfg = RunConfig(solver="analytic", dimension=d, queue_capacity=capacity, **config)
-        fit = _StreamFit(cfg, table, rng_seed=seed)
+        fit = _make_fit(cfg, table, rng_seed=seed)
         w_true = np.eye(d) + 0.3 * rng.standard_normal((d, d)) / np.sqrt(d)
 
         def pair():
@@ -342,7 +356,7 @@ class TestRankKUpdate:
         return fit, pair
 
     def assert_matches_direct(self, fit, weights, recomputed):
-        direct = solve_normal_equations(fit.window.queue.gram, fit.window.queue.cross)[0]
+        direct = solve_normal_equations(fit.queue.gram, fit.queue.cross)[0]
         assert relative_gap(weights, direct) <= WEIGHTS_RTOL
         if recomputed:
             # a recompute resets the rounding the updates carry: direct solve
@@ -352,14 +366,14 @@ class TestRankKUpdate:
         # the pseudo-feature fill was the first recompute; the next comes
         # once capacity real rows have entered, at i = 2999
         fit, pair = self.stream(512, 3000, seed=0)
-        queue = fit.window.queue
+        queue = fit.queue
         checkpoints = {2800, 2801, 2998, 2999, 3000, 3100}
         for i in range(max(checkpoints) + 1):
             recomputes = queue.recomputes
             fit.push(*pair())
             if i < min(checkpoints):
                 continue
-            weights = fit.solve(i)
+            weights = fit.solve()[0]
             if i in checkpoints:
                 self.assert_matches_direct(fit, weights, queue.recomputes != recomputes)
         assert queue.recomputes == 2
@@ -372,12 +386,13 @@ class TestRankKUpdate:
         capacity = 3 * d * capacity_factor
         fit, pair = self.stream(d, capacity, seed, update_stride=update_stride,
                                 resolve_stride=resolve_stride)
-        queue = fit.window.queue
+        queue = fit.queue
+        assert (fit.update_stride, fit.resolve_stride) == (update_stride, resolve_stride)
         recomputes = queue.recomputes
         for i in range(3 * capacity):
             fit.push(*pair())
-            weights = fit.solve(i)
-            if weights is not None:
+            if (i + 1) % fit.resolve_stride == 0:
+                weights = fit.solve()[0]
                 self.assert_matches_direct(fit, weights, queue.recomputes != recomputes)
                 recomputes = queue.recomputes
 
@@ -633,10 +648,10 @@ class TestJournal:
         rng = np.random.default_rng(50)
         table = PrototypeTable(range(10), rng.standard_normal((10, d)))
         cfg = RunConfig(solver="gd_with_queue", dimension=d, queue_capacity=capacity)
-        fit = _StreamFit(cfg, table, rng_seed=1)
-        for i in range(3 * capacity):
+        fit = _make_fit(cfg, table, rng_seed=1)
+        for _ in range(3 * capacity):
             z_old = rng.standard_normal(d)
             fit.push(z_old, 2.0 * z_old)
-            fit.solve(i)
+            fit.solve()
         assert fit.queue.recomputes == 0 and fit.queue._journal is None
         assert fit.queue.pushes == 1 + 3 * capacity

@@ -335,6 +335,30 @@ class TestDumpGroups:
         assert store == 20_000 * 64 * 8
         assert peak <= 1.1 * store
 
+    @pytest.mark.parametrize("block_bytes, limit", [(dump._BLOCK_BYTES, 2.1), (1 << 16, 1.1)])
+    def test_write_holds_the_vectors_and_one_block(self, tmp_path, monkeypatch, block_bytes,
+                                                   limit):
+        # the scenario of the wide_dump benchmark workload at seed 0, a
+        # 4.8 MiB file, which one table beside the float32 vectors and their
+        # (n, d) finiteness mask wrote at a 10.9 MiB peak, 2.28 times the
+        # file. The write holds the vectors, the id columns and one block:
+        # the whole file in the default block, 64 KiB in the other
+        source = SyntheticSource.from_config(RunConfig(
+            num_tasks=2, classes_per_task="4", dimension=128, cluster_separation=1.0,
+            train_per_class=1000, test_per_class=100, drift_kind="rotation",
+            drift_magnitude=2.0, observation_noise=0.5, seed=0))
+        path = tmp_path / "wide.bin"
+        monkeypatch.setattr(dump, "_BLOCK_BYTES", block_bytes)
+        tracemalloc.start()
+        try:
+            write_source_dump(source, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size == 24 + 9600 * (9 + 4 * 128)   # the header and 9,600 records
+        assert peak < limit * size
+
     def test_write_out_of_range_value_as_nonfinite(self, tmp_path):
         # 1e39 is finite in float64 and beyond the float32 range
         source = SyntheticSource.from_config(small_config())
